@@ -35,7 +35,7 @@ from .errors import (
     UnsupportedScenarioError,
     UpdateSingularityError,
 )
-from .linalg import RANK_RTOL, HPD_RTOL
+from .linalg import RANK_RTOL, check_hpd
 from .scenario import Scene
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
@@ -92,12 +92,6 @@ def _unit(fc: FlopCounter, x: np.ndarray, err: Exception) -> np.ndarray:
     return fc.rscale(1.0 / nrm, x)
 
 
-def _check_hpd(evd, what: str) -> None:
-    lo, hi = float(evd.eigenvalues[-1]), float(evd.eigenvalues[0])
-    if hi <= 0.0 or lo <= HPD_RTOL * hi:
-        raise ConditioningError(f"{what} is not numerically positive definite", lo, hi)
-
-
 def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter | None = None) -> np.ndarray:
     """Whitening transform ``W`` with ``W @ c_nbar @ W^H = I``.
 
@@ -106,14 +100,14 @@ def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter | None = None) -> np.nd
     """
     fc = fc or FlopCounter()
     evd = fc.evd(c_nbar)
-    _check_hpd(evd, "interference-plus-noise covariance")
+    check_hpd(evd, "interference-plus-noise covariance")
     return fc.row_rescale(1.0 / np.sqrt(evd.eigenvalues), evd.eigenvectors.conj().T)
 
 
 def _inv_sqrt(fc: FlopCounter, c: np.ndarray, what: str) -> np.ndarray:
     """Hermitian ``c**-0.5`` assembled from the EVD (counted)."""
     evd = fc.evd(c)
-    _check_hpd(evd, what)
+    check_hpd(evd, what)
     half = fc.col_rescale(evd.eigenvectors, 1.0 / np.sqrt(evd.eigenvalues))
     return fc.matmul(half, evd.eigenvectors.conj().T)
 

@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import complexity
-from ._kernels import count_bit_errors
 from .beamformers import Beamformer, Method, compute, mallory_receiver
-from .errors import DegenerateChannelError, DomainError
+from .errors import DegenerateChannelError, DmrbfError, DomainError
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
 from .scenario import Scene, ScenarioConfig, build_scene
 
@@ -85,6 +84,21 @@ def qpsk_awgn_ber(sinr: float) -> float:
     if sinr < 0.0:
         raise DomainError(f"sinr must be >= 0, got {sinr}")
     return 0.5 * math.erfc(math.sqrt(sinr / 2.0))
+
+
+def count_bit_errors(
+    w_conj: np.ndarray, rx: np.ndarray, gain: complex, sent: np.ndarray
+) -> int:
+    """Bit errors after combining ``rx`` with ``w_conj`` and equalizing.
+
+    ``sent`` holds the transmitted Gray-mapped QPSK symbols; a bit error
+    is a sign disagreement on either quadrature rail, so each symbol
+    contributes zero, one or two errors.
+    """
+    z = (w_conj @ rx) / gain
+    wrong_i = (z.real < 0.0) != (sent.real < 0.0)
+    wrong_q = (z.imag < 0.0) != (sent.imag < 0.0)
+    return int(np.count_nonzero(wrong_i)) + int(np.count_nonzero(wrong_q))
 
 
 def point_rng(seed: int, index: int) -> np.random.Generator:
@@ -175,9 +189,7 @@ def _config_at(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     if axis == "snr_db":
         sigma2 = sigma2_for_snr_db(cfg, value)
         return replace(cfg, sigma_b2_watt=sigma2, sigma_m2_watt=sigma2)
-    if axis == "p_m_watt":
-        return replace(cfg, p_m_watt=float(value))
-    raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")
+    return replace(cfg, p_m_watt=float(value))  # sweep() admits only _AXES
 
 
 def _sweep_point(
@@ -189,29 +201,33 @@ def _sweep_point(
     seed: int,
     index: int,
 ) -> list[PerformanceReport]:
-    scene = build_scene(_config_at(cfg, axis, value))
-    eve = mallory_receiver(scene)
-    bfs: dict[Method, Beamformer] = {Method(m): compute(m, scene) for m in methods}
-    runs = _ber_runs(
-        scene,
-        {m: bf.weights for m, bf in bfs.items()},
-        n_symbols,
-        point_rng(seed, index),
-    )
-    reports = []
-    for m, bf in bfs.items():
-        reports.append(
-            PerformanceReport(
-                axis=axis,
-                axis_value=float(value),
-                method=m,
-                rates=rate_point(scene, bf.weights, eve.weights),
-                ber=runs[m],
-                flops_formula=complexity.formula_flops(m, cfg.n_a, cfg.n_b, cfg.n_m),
-                flops_measured=bf.flops,
-            )
+    method = None  # the method whose own step is running, named on failure
+    try:
+        scene = build_scene(_config_at(cfg, axis, value))
+        eve = mallory_receiver(scene)
+        bfs: dict[Method, Beamformer] = {}
+        for method in methods:
+            bfs[method] = compute(method, scene)
+        method = None
+        weights = {m: bf.weights for m, bf in bfs.items()}
+        runs = _ber_runs(scene, weights, n_symbols, point_rng(seed, index))
+        rates = {m: rate_point(scene, w, eve.weights) for m, w in weights.items()}
+    except DmrbfError as exc:  # same type, message prefixed with where it failed
+        who = f"{method.value} " if method is not None else ""
+        exc.args = (f"{who}at {axis} = {value:.12g}: {exc}",)
+        raise
+    return [
+        PerformanceReport(
+            axis=axis,
+            axis_value=float(value),
+            method=m,
+            rates=rates[m],
+            ber=runs[m],
+            flops_formula=complexity.formula_flops(m, cfg.n_a, cfg.n_b, cfg.n_m),
+            flops_measured=bf.flops,
         )
-    return reports
+        for m, bf in bfs.items()
+    ]
 
 
 def sweep(
@@ -228,9 +244,17 @@ def sweep(
     Returns reports ordered by (axis value, method) following the input
     order.  An empty method list yields an empty report.  ``workers``
     only parallelizes; it cannot change any numerical result.
+
+    The first failure aborts the sweep.  Its error keeps its type; the
+    message is prefixed with the axis value and, when one method's own
+    step failed, that method.
     """
     if axis not in _AXES:
         raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")
+    if not values:
+        raise DomainError("sweep needs at least one axis value")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise DomainError("axis values must be strictly increasing")
     if n_symbols < 1:
         raise DomainError(f"n_symbols must be >= 1, got {n_symbols}")
     if workers < 1:

@@ -11,12 +11,12 @@ scale power gain is kept as a separate scalar.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .linalg import pinv_hpsd
 
 
 @dataclass(frozen=True)
@@ -62,9 +62,15 @@ class PathLoss:
     def gain(self, distance_km: float) -> float:
         if not distance_km > 0.0:
             raise DomainError(f"distance_km must be > 0, got {distance_km}")
-        g = self.alpha_ref / distance_km**self.exponent
-        if not np.isfinite(g):
-            raise DomainError(f"path gain overflows for distance {distance_km}")
+        try:
+            g = self.alpha_ref / distance_km**self.exponent
+        except (OverflowError, ZeroDivisionError):
+            g = math.nan  # distance_km ** exponent left the float range
+        if not 0.0 < g < math.inf:
+            raise DomainError(
+                f"path gain at distance {distance_km} km (exponent {self.exponent}) "
+                "is not a positive finite float"
+            )
         return g
 
 
@@ -139,25 +145,20 @@ class ChannelSet:
 def alice_an_projector(ch_ab: LosChannel) -> np.ndarray:
     """Projector onto the transmit-side null space of the Alice->Bob link.
 
-    Computed from the generic formula ``I - H (H^H H)^+ H^H`` where ``H``
-    is the transmit-side map of the link, using the Moore-Penrose
-    pseudo-inverse because the rank-one Gram matrix is singular.
-    Artificial noise shaped by this projector arrives at Bob with zero
-    power.
+    The link is rank one, so this is ``I - a a^H`` with ``a`` the unit
+    transmit steering vector.  Artificial noise shaped by this projector
+    arrives at Bob with zero power.
     """
-    h = ch_ab.matrix.conj().T  # (n_tx, n_rx)
-    gram = ch_ab.matrix @ ch_ab.matrix.conj().T  # (n_rx, n_rx), rank one
-    n_tx = h.shape[0]
-    return np.eye(n_tx) - h @ pinv_hpsd(gram) @ h.conj().T
+    a = ch_ab.tx_steering.entries
+    return np.eye(a.shape[0]) - np.outer(a, a.conj())
 
 
 def bob_nsp_projector(ch_mb: LosChannel) -> np.ndarray:
     """Projector onto the receive-side null space of the Mallory->Bob link.
 
     Weights drawn from the range of this projector annihilate anything
-    arriving along the jamming link's receive signature.
+    arriving along the jamming link's unit receive steering vector ``a``:
+    the projector is ``I - a a^H``.
     """
-    m = ch_mb.matrix  # (n_rx, n_tx)
-    gram = m.conj().T @ m  # (n_tx, n_tx), rank one
-    n_rx = m.shape[0]
-    return np.eye(n_rx) - m @ pinv_hpsd(gram) @ m.conj().T
+    a = ch_mb.rx_steering.entries
+    return np.eye(a.shape[0]) - np.outer(a, a.conj())

@@ -87,18 +87,6 @@ class SweepSpec:
     seed: int
     workers: int
 
-    def __post_init__(self) -> None:
-        if not self.values:
-            raise DomainError("sweep needs at least one axis value")
-        if any(b <= a for a, b in zip(self.values, self.values[1:])):
-            raise DomainError("axis values must be strictly increasing")
-        if not self.methods:
-            raise DomainError("sweep needs at least one method")
-        if self.n_symbols < 1:
-            raise DomainError(f"n_symbols must be >= 1, got {self.n_symbols}")
-        if self.workers < 1:
-            raise DomainError(f"workers must be >= 1, got {self.workers}")
-
 
 def _parse_methods(raw: str | None) -> tuple[Method, ...]:
     if raw is None:

@@ -22,10 +22,10 @@ from .errors import ConditioningError, DimensionError, NumericalError
 # in the caller, not roundoff.
 HERMITIAN_ATOL = 1e-12
 
-# Eigenvalues below RANK_RTOL * max_eig count as zero in pseudo-inverses.
+# Eigenvalues below RANK_RTOL * max_eig count as zero in rank decisions.
 RANK_RTOL = 1e-12
 
-# inv/inv-sqrt refuse matrices with min_eig <= HPD_RTOL * max_eig.
+# check_hpd refuses matrices with min_eig <= HPD_RTOL * max_eig.
 HPD_RTOL = 1e-14
 
 
@@ -78,56 +78,19 @@ def hermitian_evd(m: np.ndarray) -> HermitianEvd:
     return HermitianEvd(eigvals[::-1].copy(), eigvecs[:, ::-1].copy())
 
 
-def inv_hpd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix.
-
-    Raises
-    ------
-    ConditioningError
-        If ``min_eig <= 1e-14 * max_eig``, i.e. the matrix is numerically
-        singular and inversion would amplify roundoff past any useful bound.
+def check_hpd(evd: HermitianEvd, what: str) -> None:
+    """Raise `ConditioningError`, naming ``what``, unless the matrix behind
+    ``evd`` is numerically positive definite (``min_eig > 1e-14 * max_eig``);
+    inverting a numerically singular matrix amplifies roundoff without bound.
     """
-    evd = hermitian_evd(m)
     lo, hi = float(evd.eigenvalues[-1]), float(evd.eigenvalues[0])
     if hi <= 0.0 or lo <= HPD_RTOL * hi:
-        raise ConditioningError("matrix is not numerically positive definite", lo, hi)
+        raise ConditioningError(f"{what} is not numerically positive definite", lo, hi)
+
+
+def inv_hpd(m: np.ndarray) -> np.ndarray:
+    """Inverse of a Hermitian positive definite matrix (guarded by `check_hpd`)."""
+    evd = hermitian_evd(m)
+    check_hpd(evd, "matrix")
     q = evd.eigenvectors
     return (q / evd.eigenvalues) @ q.conj().T
-
-
-def inv_sqrt_hpd(m: np.ndarray) -> np.ndarray:
-    """Inverse principal square root ``m**(-1/2)`` of a Hermitian PD matrix.
-
-    The result ``s`` is Hermitian and satisfies ``s @ m @ s = I``; it is the
-    whitening transform for a covariance ``m``.
-    """
-    evd = hermitian_evd(m)
-    lo, hi = float(evd.eigenvalues[-1]), float(evd.eigenvalues[0])
-    if hi <= 0.0 or lo <= HPD_RTOL * hi:
-        raise ConditioningError("matrix is not numerically positive definite", lo, hi)
-    q = evd.eigenvectors
-    return (q / np.sqrt(evd.eigenvalues)) @ q.conj().T
-
-
-def pinv_hpsd(m: np.ndarray, rank_rtol: float = RANK_RTOL) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse of a Hermitian positive semidefinite matrix.
-
-    Eigenvalues at or below ``rank_rtol * max_eig`` are treated as exact
-    zeros, so rank-one Gram matrices of unit vectors invert to rank-one
-    results instead of blowing up on noise eigenvalues.
-
-    Parameters
-    ----------
-    m : ndarray, shape (n, n)
-        Hermitian PSD matrix (small negative eigenvalues from roundoff are
-        clipped by the rank cutoff together with the zeros).
-    rank_rtol : float
-        Relative eigenvalue cutoff for rank determination.
-    """
-    evd = hermitian_evd(m)
-    hi = float(evd.eigenvalues[0])
-    if hi <= 0.0:
-        return np.zeros_like(np.asarray(m, dtype=np.complex128))
-    keep = evd.eigenvalues > rank_rtol * hi
-    q = evd.eigenvectors[:, keep]
-    return (q / evd.eigenvalues[keep]) @ q.conj().T

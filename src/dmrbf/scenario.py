@@ -15,6 +15,7 @@ number.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,7 +29,7 @@ from .channel import (
     alice_an_projector,
     los_channel,
 )
-from .errors import ConfigError, ConfigParseError
+from .errors import ConfigError, ConfigParseError, DomainError
 
 _INT_FIELDS = {"n_a", "n_b", "n_m", "n_j", "rng_seed"}
 _STR_FIELDS = {"snr_definition"}
@@ -70,6 +71,10 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in _field_names():
+            value = getattr(self, name)
+            if name not in _INT_FIELDS | _STR_FIELDS and not math.isfinite(value):
+                raise ConfigError(name, f"must be finite, got {value}")
         for name in ("n_a", "n_b", "n_m"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
@@ -99,13 +104,15 @@ class ScenarioConfig:
             angle = getattr(self, name)
             if not 0.0 <= angle <= 180.0:
                 raise ConfigError(name, f"must lie in [0, 180] degrees, got {angle}")
-        for name in ("d_ab_km", "d_am_km", "d_mb_km"):
-            if not getattr(self, name) > 0.0:
-                raise ConfigError(name, f"must be > 0, got {getattr(self, name)}")
         if not self.path_alpha > 0.0:
             raise ConfigError("path_alpha", f"must be > 0, got {self.path_alpha}")
         if self.path_exponent < 0.0:
             raise ConfigError("path_exponent", f"must be >= 0, got {self.path_exponent}")
+        for name in ("d_ab_km", "d_am_km", "d_mb_km"):
+            try:
+                self.path_loss.gain(getattr(self, name))
+            except DomainError as exc:
+                raise ConfigError(name, str(exc)) from None
         if not self.spacing_over_wavelength > 0.0:
             raise ConfigError(
                 "spacing_over_wavelength",

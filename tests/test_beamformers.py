@@ -15,6 +15,7 @@ from dmrbf import (
     UpdateSingularityError,
     build_scene,
     compute,
+    inv_hpd,
     low_complexity_inverse,
     mallory_receiver,
     max_sr,
@@ -25,8 +26,9 @@ from dmrbf import (
     wfmrc,
     whitening_filter,
 )
+from dmrbf.beamformers import _inv_sqrt
 
-from conftest import config_with, random_config
+from conftest import config_with, random_config, random_hpd
 
 EQUIV4 = (Method.MRC, Method.WFMRC, Method.MAX_SR, Method.MMSE)
 
@@ -64,6 +66,17 @@ def test_whitening_filter_sandwich():
         w = whitening_filter(scene.cov.c_nbar)
         sandwich = w @ scene.cov.c_nbar @ w.conj().T
         assert np.linalg.norm(sandwich - np.eye(scene.cfg.n_b)) <= 1e-10
+
+
+def test_inv_sqrt_sandwich():
+    rng = np.random.default_rng(106)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        m = random_hpd(rng, n, cond=1e4)
+        s = _inv_sqrt(FlopCounter(), m, "test matrix")
+        assert np.linalg.norm(s - s.conj().T) <= 1e-12 * np.linalg.norm(s)
+        assert np.linalg.norm(s @ m @ s - np.eye(n)) <= 1e-10
+        assert np.linalg.norm(s @ s - inv_hpd(m)) <= 1e-10 * np.linalg.norm(s @ s)
 
 
 def test_wfmrc_solves_whitened_system():

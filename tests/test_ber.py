@@ -1,4 +1,4 @@
-"""Monte-Carlo BER machinery: intervals, rng discipline, sweeps, kernels."""
+"""Monte-Carlo BER machinery: intervals, rng discipline, detection, sweeps."""
 
 import math
 
@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dmrbf import (
+    DegenerateGeometryError,
     DomainError,
     Method,
     RECEIVE_METHODS,
@@ -16,7 +17,7 @@ from dmrbf import (
     sweep,
     wilson_interval,
 )
-from dmrbf._kernels import count_bit_errors_numba, count_bit_errors_numpy
+from dmrbf.ber import count_bit_errors
 
 from conftest import config_with
 
@@ -67,10 +68,10 @@ def test_point_rng_keying():
     assert not np.array_equal(a, d)
 
 
-def test_kernel_backends_agree():
+def test_count_bit_errors_matches_naive_loop():
     rng = np.random.default_rng(601)
     for _ in range(10):
-        n_b, n_sym = int(rng.integers(1, 9)), int(rng.integers(1, 4000))
+        n_b, n_sym = int(rng.integers(1, 9)), int(rng.integers(1, 400))
         w = rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b)
         rx = rng.standard_normal((n_b, n_sym)) + 1j * rng.standard_normal(
             (n_b, n_sym)
@@ -79,22 +80,12 @@ def test_kernel_backends_agree():
             2
         )
         gain = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        ref = count_bit_errors_numpy(w.conj(), rx, gain, sent)
-        assert count_bit_errors_numba(w.conj(), rx, gain, sent) == ref
-
-
-def test_backend_env_switch(monkeypatch):
-    from dmrbf import _kernels
-
-    monkeypatch.setenv(_kernels.ENV_FLAG, "0")
-    assert _kernels.active_backend() == "numpy"
-    monkeypatch.setenv(_kernels.ENV_FLAG, "1")
-    assert _kernels.active_backend() == "numba"
-    monkeypatch.setenv(_kernels.ENV_FLAG, "auto")
-    assert _kernels.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv(_kernels.ENV_FLAG, "sometimes")
-    with pytest.raises(RuntimeError):
-        _kernels.active_backend()
+        naive = 0
+        for i in range(n_sym):
+            z = sum(w[k].conjugate() * rx[k, i] for k in range(n_b)) / gain
+            naive += (z.real < 0.0) != (sent[i].real < 0.0)
+            naive += (z.imag < 0.0) != (sent[i].imag < 0.0)
+        assert count_bit_errors(w.conj(), rx, gain, sent) == naive
 
 
 def test_simulate_ber_counts_and_reproducibility():
@@ -177,3 +168,21 @@ def test_sweep_workers_do_not_change_results():
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(DomainError):
         sweep(ScenarioConfig(), (Method.MRC,), "distance", (1.0,), 100, seed=0)
+
+
+def test_sweep_validation():
+    cfg = ScenarioConfig()
+    with pytest.raises(DomainError, match="at least one axis value"):
+        sweep(cfg, (Method.MRC,), "snr_db", (), 10, seed=0)
+    with pytest.raises(DomainError, match="strictly increasing"):
+        sweep(cfg, (Method.MRC,), "snr_db", (1.0, 1.0), 10, seed=0)
+    with pytest.raises(DomainError, match="n_symbols"):
+        sweep(cfg, (Method.MRC,), "snr_db", (1.0,), 0, seed=0)
+
+
+def test_sweep_failure_names_method_and_point():
+    # Bob sees Mallory along the signal direction, so the null-space
+    # projection removes the signal; the other methods still succeed
+    cfg = config_with(theta_r_mb_deg=90.0)
+    with pytest.raises(DegenerateGeometryError, match=r"^nsp_wfrp at p_m_watt = 1: "):
+        sweep(cfg, (Method.MRC, Method.NSP_WFRP), "p_m_watt", (1.0, 10.0), 100, 0)

@@ -106,6 +106,12 @@ def test_path_loss_values_and_checks():
         pl.gain(0.0)
     with pytest.raises(DomainError):
         PathLoss(-1.0, 2.0)
+    # distance ** exponent leaving the float range is a domain error,
+    # not a bare ZeroDivisionError or OverflowError
+    with pytest.raises(DomainError, match="distance 1e-200 km"):
+        pl.gain(1e-200)
+    with pytest.raises(DomainError, match="distance 4.0 km"):
+        PathLoss(1.0, 1e300).gain(4.0)
 
 
 def test_build_channels_uses_config_geometry():

@@ -3,7 +3,7 @@
 import pytest
 
 from dmrbf import Method, RECEIVE_METHODS, ScenarioConfig, parse_config
-from dmrbf.cli import PRESETS, SweepSpec, _parse_methods, build_parser, main
+from dmrbf.cli import PRESETS, _parse_methods, build_parser, main
 from dmrbf.errors import DomainError
 
 
@@ -37,18 +37,6 @@ def test_parse_methods():
         _parse_methods("mrc,bogus")
     with pytest.raises(DomainError):
         _parse_methods(",")
-
-
-def test_sweep_spec_validation():
-    cfg = ScenarioConfig()
-    with pytest.raises(DomainError):
-        SweepSpec(cfg, "fig2", "snr_db", (), (Method.MRC,), 10, 0, 1)
-    with pytest.raises(DomainError):
-        SweepSpec(cfg, "fig2", "snr_db", (1.0, 1.0), (Method.MRC,), 10, 0, 1)
-    with pytest.raises(DomainError):
-        SweepSpec(cfg, "fig2", "snr_db", (1.0,), (), 10, 0, 1)
-    with pytest.raises(DomainError):
-        SweepSpec(cfg, "fig2", "snr_db", (1.0,), (Method.MRC,), 0, 0, 1)
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -100,6 +88,26 @@ def test_run_invalid_config_names_field(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "error:" in err and "beta1" in err
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ("rho = nan", "rho: must be finite"),
+        ("d_am_km = 1e-200", "d_am_km: path gain at distance 1e-200 km"),
+        ("path_exponent = 1e300", "(exponent 1e+300)"),
+        ("theta_r_mb_deg = 90", "nsp_wfrp at snr_db = -5: signal signature"),
+    ],
+)
+def test_run_failure_is_one_named_error_line(tmp_path, capsys, line, named):
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text(line + "\n")
+    rc = run_cli(
+        "run", str(cfg_path), "--preset", "fig2", "--out", str(tmp_path), "--symbols", "100"
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
 def test_run_unknown_method_fails(tmp_path, capsys):

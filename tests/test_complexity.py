@@ -72,9 +72,19 @@ def test_measured_equals_compute_flops():
 
 
 def test_mrc_measured_value_frozen():
-    # matched filter at (4, 4): one 4x16 matvec, one norm, one rescale,
-    # under the counter's cost model (8 per complex multiply-add)
-    assert measured_flops(Method.MRC) == 154
+    # the matched filter at (4, 4) is one 4x4 matvec, one norm and one
+    # rescale under the counter's cost model (8 per complex multiply-add);
+    # the others are pinned so a refactor cannot move any count silently
+    frozen = {
+        Method.MRC: 154,
+        Method.WFMRC: 2516,
+        Method.MAX_SR: 3039,
+        Method.MMSE: 837,
+        Method.LC_MMSE: 3003,
+        Method.NSP_WFRP: 3910,
+        Method.MALLORY: 3135,
+    }
+    assert {m: measured_flops(m) for m in frozen} == frozen
 
 
 def test_measured_tracks_formula_loosely():

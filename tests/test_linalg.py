@@ -8,8 +8,6 @@ from dmrbf import (
     DimensionError,
     hermitian_evd,
     inv_hpd,
-    inv_sqrt_hpd,
-    pinv_hpsd,
 )
 
 from conftest import random_hermitian, random_hpd
@@ -91,39 +89,3 @@ def test_inv_hpd_rejects_near_singular():
     with pytest.raises(ConditioningError) as exc:
         inv_hpd(m)
     assert exc.value.min_eig <= 1e-14 * exc.value.max_eig
-
-
-def test_inv_sqrt_hpd_sandwich():
-    rng = np.random.default_rng(106)
-    for _ in range(60):
-        n = int(rng.integers(2, 9))
-        m = random_hpd(rng, n, cond=1e4)
-        s = inv_sqrt_hpd(m)
-        assert np.linalg.norm(s - s.conj().T) <= 1e-12 * np.linalg.norm(s)
-        assert np.linalg.norm(s @ m @ s - np.eye(n)) <= 1e-10
-        assert np.linalg.norm(s @ s - inv_hpd(m)) <= 1e-10 * np.linalg.norm(s @ s)
-
-
-def test_pinv_hpsd_penrose_conditions():
-    rng = np.random.default_rng(107)
-    for _ in range(60):
-        n = int(rng.integers(2, 9))
-        r = int(rng.integers(1, n + 1))
-        z = rng.standard_normal((n, r)) + 1j * rng.standard_normal((n, r))
-        m = z @ z.conj().T
-        m = (m + m.conj().T) / 2
-        p = pinv_hpsd(m)
-        scale = max(1.0, np.linalg.norm(m), np.linalg.norm(p))
-        assert np.linalg.norm(m @ p @ m - m) <= 1e-9 * scale
-        assert np.linalg.norm(p @ m @ p - p) <= 1e-9 * scale
-        assert np.linalg.norm((m @ p) - (m @ p).conj().T) <= 1e-10 * scale
-        assert np.linalg.norm(p - np.linalg.pinv(m, hermitian=True)) <= 1e-8 * scale
-
-
-def test_pinv_hpsd_rank_one_and_zero():
-    rng = np.random.default_rng(108)
-    u = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-    uu = np.vdot(u, u).real
-    p = pinv_hpsd(np.outer(u, u.conj()))
-    assert np.linalg.norm(p - np.outer(u, u.conj()) / uu**2) <= 1e-12
-    assert np.linalg.norm(pinv_hpsd(np.zeros((4, 4), dtype=complex))) == 0.0

@@ -95,6 +95,28 @@ def test_validation_errors():
     assert config_with(p_m_watt=0.0).p_m_watt == 0.0
 
 
+_FLOAT_FIELDS = [
+    f.name for f in dataclasses.fields(ScenarioConfig) if f.type in (float, "float")
+]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", _FLOAT_FIELDS)
+def test_non_finite_values_name_the_field(field, value):
+    with pytest.raises(ConfigError) as exc:
+        config_with(**{field: value})
+    assert exc.value.field == field
+
+
+def test_unrepresentable_path_gain_names_the_distance():
+    with pytest.raises(ConfigError) as exc:
+        config_with(d_am_km=1e-200)
+    assert exc.value.field == "d_am_km"
+    with pytest.raises(ConfigError) as exc:
+        config_with(path_exponent=1e300)  # 1 km keeps gain 1; 4 km overflows
+    assert exc.value.field == "d_am_km"
+
+
 def test_transmit_setup_beacons():
     cfg = ScenarioConfig()
     chans = build_channels(cfg)
