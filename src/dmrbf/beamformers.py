@@ -21,12 +21,13 @@ covariances; building those is charged to no method).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .channel import bob_nsp_projector
+from .channel import null_projector
 from .counting import FlopCounter
 from .errors import (
     ConditioningError,
@@ -86,7 +87,7 @@ class Beamformer:
 
 def _unit(fc: FlopCounter, x: np.ndarray, err: Exception) -> np.ndarray:
     nrm = fc.norm(x)
-    if nrm <= _NORM_EPS:
+    if not _NORM_EPS < nrm < math.inf:  # also refuses a NaN norm
         raise err
     fc.scalar()  # reciprocal
     return fc.rscale(1.0 / nrm, x)
@@ -110,6 +111,24 @@ def _inv_sqrt(fc: FlopCounter, c: np.ndarray, what: str) -> np.ndarray:
     check_hpd(evd, what)
     half = fc.col_rescale(evd.eigenvectors, 1.0 / np.sqrt(evd.eigenvalues))
     return fc.matmul(half, evd.eigenvectors.conj().T)
+
+
+def _whiten_match(
+    fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, power: float, what: str
+) -> np.ndarray:
+    """Max-SINR direction for the rank-one signal ``power * sig sig^H`` in
+    the interference-plus-noise ``cov`` (named ``what`` in errors).
+
+    Whitening by ``cov**-0.5`` leaves a rank-one signal covariance, so its
+    dominant eigenvector is written down directly as ``a / ||a||`` instead
+    of calling a general eigensolver; ``cov**-0.5`` lifts it back.
+    """
+    s = _inv_sqrt(fc, cov, what)
+    fc.scalar(3)
+    a = fc.rscale(np.sqrt(power), fc.matvec(s, sig))
+    v_dom = _unit(fc, a, DegenerateChannelError(f"whitened signal has zero norm ({what})"))
+    w = fc.matvec(s, v_dom)
+    return _unit(fc, w, DegenerateChannelError(f"whitened direction is zero ({what})"))
 
 
 def mrc(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
@@ -140,37 +159,31 @@ def wfmrc(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
 
 
 def max_sr(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
-    """SINR-optimal beamformer via the whiten-then-match construction.
-
-    The whitened signal covariance is rank one, so its dominant
-    eigenvector is written down directly as ``a / ||a||`` instead of
-    calling a general eigensolver.
-    """
+    """SINR-optimal beamformer via the whiten-then-match construction."""
     fc = fc or FlopCounter()
     cfg = scene.cfg
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    s = _inv_sqrt(fc, scene.cov.c_nbar, "interference-plus-noise covariance")
+    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
+    w = _whiten_match(fc, u, scene.cov.c_nbar, c1, "interference-plus-noise covariance")
+    return Beamformer(Method.MAX_SR, w, fc.total)
+
+
+def _mmse(scene: Scene, fc: FlopCounter, o_inv: np.ndarray, method: Method) -> Beamformer:
+    """MMSE weights ``sqrt(c1) * O^{-1} u`` from a receive-covariance inverse."""
+    cfg = scene.cfg
+    u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
     c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
     fc.scalar(3)
-    a = fc.rscale(np.sqrt(c1), fc.matvec(s, u))
-    v_dom = _unit(fc, a, DegenerateChannelError("whitened signal signature has zero norm"))
-    w = fc.matvec(s, v_dom)
-    w = _unit(fc, w, DegenerateChannelError("optimal direction lifts to zero"))
-    return Beamformer(Method.MAX_SR, w, fc.total)
+    w = fc.rscale(np.sqrt(c1), fc.matvec(o_inv, u))
+    w = _unit(fc, w, DegenerateChannelError("MMSE weights have zero norm"))
+    return Beamformer(method, w, fc.total)
 
 
 def mmse_conventional(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
     """MMSE weights through one direct inverse of the receive covariance."""
     fc = fc or FlopCounter()
-    cfg = scene.cfg
-    u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    o = fc.add(scene.cov.a, scene.cov.c_nbar)
-    o_inv = fc.inv_hpd(o)
-    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    fc.scalar(3)
-    w = fc.rscale(np.sqrt(c1), fc.matvec(o_inv, u))
-    w = _unit(fc, w, DegenerateChannelError("MMSE weights have zero norm"))
-    return Beamformer(Method.MMSE, w, fc.total)
+    o_inv = fc.inv_hpd(fc.add(scene.cov.a, scene.cov.c_nbar))
+    return _mmse(scene, fc, o_inv, Method.MMSE)
 
 
 def _rank_one_update(
@@ -221,7 +234,10 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.nd
     fc.scalar(3)
     if abs(den_n) <= _SM_DEN_EPS:
         raise UpdateSingularityError("N", den_n)
-    coef = -c1 / (sig2 * sig2 * den_n)
+    scale = sig2 * sig2 * den_n
+    if not scale > 0.0:  # sigma^4 underflows to zero for tiny noise
+        raise UpdateSingularityError("N", scale)
+    coef = -c1 / scale
     fc.scalar(3)
     z_inv = fc.add(
         fc.rscale(1.0 / sig2, np.eye(cfg.n_b)),
@@ -248,14 +264,7 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.nd
 def mmse_low_complexity(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
     """MMSE weights using the rank-one update chain for the inverse."""
     fc = fc or FlopCounter()
-    cfg = scene.cfg
-    o_inv = low_complexity_inverse(scene, fc)
-    u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    fc.scalar(3)
-    w = fc.rscale(np.sqrt(c1), fc.matvec(o_inv, u))
-    w = _unit(fc, w, DegenerateChannelError("MMSE weights have zero norm"))
-    return Beamformer(Method.LC_MMSE, w, fc.total)
+    return _mmse(scene, fc, low_complexity_inverse(scene, fc), Method.LC_MMSE)
 
 
 def nsp_max_wfrp(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
@@ -273,7 +282,7 @@ def nsp_max_wfrp(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
         raise UnsupportedScenarioError(
             "null-space projection needs n_b >= 2 (one dimension is spent on the null)"
         )
-    proj = bob_nsp_projector(scene.channels.mb)
+    proj = null_projector(scene.channels.mb.rx_steering.entries)
     fc.charge(8 * cfg.n_b * cfg.n_b)  # rank-one projector assembly
 
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
@@ -282,7 +291,7 @@ def nsp_max_wfrp(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
 
     evd = fc.evd(c_proj)
     hi = float(evd.eigenvalues[0])
-    if hi <= 0.0:
+    if not hi > 0.0:  # also refuses NaN
         raise ConditioningError("projected noise covariance vanished", 0.0, hi)
     keep = evd.eigenvalues > RANK_RTOL * hi
     w_red = fc.row_rescale(
@@ -317,15 +326,8 @@ def mallory_receiver(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
         fc.add(scene.cov.f, scene.cov.r_m),
         fc.rscale(cfg.sigma_m2_watt, np.eye(cfg.n_m)),
     )
-    s = _inv_sqrt(fc, c_m, "eavesdropper covariance")
     c_e = scene.channels.am.gain * cfg.beta1 * cfg.p_a_watt
-    fc.scalar(3)
-    a = fc.rscale(np.sqrt(c_e), fc.matvec(s, e))
-    v_dom = _unit(
-        fc, a, DegenerateChannelError("intercepted signal signature has zero norm")
-    )
-    w = fc.matvec(s, v_dom)
-    w = _unit(fc, w, DegenerateChannelError("eavesdropper weights have zero norm"))
+    w = _whiten_match(fc, e, c_m, c_e, "eavesdropper covariance")
     return Beamformer(Method.MALLORY, w, fc.total)
 
 

@@ -168,20 +168,6 @@ def _ber_runs(
     return runs
 
 
-def simulate_ber(
-    cfg: ScenarioConfig,
-    methods: tuple[Method, ...],
-    n_symbols: int,
-    seed: int,
-) -> dict[Method, BerRun]:
-    """Standalone BER estimate at one operating point (single block)."""
-    if n_symbols < 1:
-        raise DomainError(f"n_symbols must be >= 1, got {n_symbols}")
-    scene = build_scene(cfg)
-    weights = {Method(m): compute(m, scene).weights for m in methods}
-    return _ber_runs(scene, weights, n_symbols, point_rng(seed, 0))
-
-
 _AXES = ("snr_db", "p_m_watt")
 
 
@@ -272,3 +258,18 @@ def sweep(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(job, range(len(values))))
     return [report for chunk in chunks for report in chunk]
+
+
+def simulate_ber(
+    cfg: ScenarioConfig,
+    methods: tuple[Method, ...],
+    n_symbols: int,
+    seed: int,
+) -> dict[Method, BerRun]:
+    """Standalone BER estimate at one operating point (single block).
+
+    A one-point sweep over ``p_m_watt`` at the config's own value, so it
+    draws point 0's stream and fails like a sweep does.
+    """
+    reports = sweep(cfg, methods, "p_m_watt", (cfg.p_m_watt,), n_symbols, seed)
+    return {r.method: r.ber for r in reports}

@@ -142,23 +142,13 @@ class ChannelSet:
     mb: LosChannel  # Mallory -> Bob
 
 
-def alice_an_projector(ch_ab: LosChannel) -> np.ndarray:
-    """Projector onto the transmit-side null space of the Alice->Bob link.
+def null_projector(a: np.ndarray) -> np.ndarray:
+    """Orthogonal projector ``I - a a^H`` onto the complement of unit ``a``.
 
-    The link is rank one, so this is ``I - a a^H`` with ``a`` the unit
-    transmit steering vector.  Artificial noise shaped by this projector
-    arrives at Bob with zero power.
+    A LoS link is rank one, so with ``a`` its unit transmit steering
+    vector this is the null space of the link (artificial noise shaped by
+    it arrives with zero power), and with ``a`` its unit receive steering
+    vector, weights drawn from its range annihilate anything arriving
+    along the link.
     """
-    a = ch_ab.tx_steering.entries
-    return np.eye(a.shape[0]) - np.outer(a, a.conj())
-
-
-def bob_nsp_projector(ch_mb: LosChannel) -> np.ndarray:
-    """Projector onto the receive-side null space of the Mallory->Bob link.
-
-    Weights drawn from the range of this projector annihilate anything
-    arriving along the jamming link's unit receive steering vector ``a``:
-    the projector is ``I - a a^H``.
-    """
-    a = ch_mb.rx_steering.entries
     return np.eye(a.shape[0]) - np.outer(a, a.conj())

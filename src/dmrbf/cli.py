@@ -32,44 +32,32 @@ _PM_GRID = tuple(10.0 ** (-1.0 + 0.5 * k) for k in range(9))  # 0.1 .. 1000 W
 
 @dataclass(frozen=True)
 class Preset:
-    name: str
     description: str
-    axis: str
+    axis: str  # 'snr_db', or 'p_m_watt' on a log x axis
     values: tuple[float, ...]
-    plot_quantity: str  # 'sr' or 'ber'
-    xlog: bool
-    ylog: bool
+    plot_quantity: str  # 'sr', or 'ber' on a log y axis
     pin_snr_db: float | None = None
 
 
 PRESETS: dict[str, Preset] = {
     "fig2": Preset(
-        name="fig2",
         description="secrecy rate vs SNR (-5 to 25 dB in 2.5 dB steps)",
         axis="snr_db",
         values=_SNR_GRID,
         plot_quantity="sr",
-        xlog=False,
-        ylog=False,
     ),
     "fig3": Preset(
-        name="fig3",
         description="secrecy rate vs jamming power (0.1 to 1000 W, noise pinned at 15 dB SNR)",
         axis="p_m_watt",
         values=_PM_GRID,
         plot_quantity="sr",
-        xlog=True,
-        ylog=False,
         pin_snr_db=15.0,
     ),
     "fig4": Preset(
-        name="fig4",
         description="bit error rate vs SNR (-5 to 25 dB in 2.5 dB steps)",
         axis="snr_db",
         values=_SNR_GRID,
         plot_quantity="ber",
-        xlog=False,
-        ylog=True,
     ),
 }
 
@@ -213,8 +201,8 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         title=f"{title} ({spec.preset})",
         xlabel=xlabel,
         ylabel=ylabel,
-        xlog=preset.xlog,
-        ylog=preset.ylog,
+        xlog=preset.axis == "p_m_watt",
+        ylog=preset.plot_quantity == "ber",
     )
     _print_summary(spec, reports, preset.plot_quantity)
     return csv_path, svg_path

@@ -11,7 +11,7 @@ agree, which is what the asymptotic claims rest on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from .beamformers import Method, compute
 from .errors import DomainError
@@ -113,18 +113,6 @@ _ORDERS = {
 }
 
 
-@dataclass(frozen=True)
-class FlopReport:
-    """Closed-form and measured cost of one method at one size."""
-
-    method: Method
-    n_a: int
-    n_b: int
-    n_m: int
-    formula: int
-    measured: int
-
-
 def formula_flops(method: Method, n_a: int, n_b: int, n_m: int) -> int:
     """Closed-form operation count of a method at the given array sizes."""
     method = Method(method)
@@ -158,20 +146,3 @@ def measured_flops(
     base = cfg if cfg is not None else ScenarioConfig()
     scene = build_scene(replace(base, n_a=n_a, n_b=n_b, n_m=n_m))
     return compute(method, scene).flops
-
-
-def flop_report(
-    method: Method,
-    n_a: int = 4,
-    n_b: int = 4,
-    n_m: int = 4,
-    cfg: ScenarioConfig | None = None,
-) -> FlopReport:
-    return FlopReport(
-        method=Method(method),
-        n_a=n_a,
-        n_b=n_b,
-        n_m=n_m,
-        formula=formula_flops(method, n_a, n_b, n_m),
-        measured=measured_flops(method, n_a, n_b, n_m, cfg),
-    )

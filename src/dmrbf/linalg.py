@@ -84,7 +84,7 @@ def check_hpd(evd: HermitianEvd, what: str) -> None:
     inverting a numerically singular matrix amplifies roundoff without bound.
     """
     lo, hi = float(evd.eigenvalues[-1]), float(evd.eigenvalues[0])
-    if hi <= 0.0 or lo <= HPD_RTOL * hi:
+    if not (hi > 0.0 and lo > HPD_RTOL * hi):  # NaN fails too
         raise ConditioningError(f"{what} is not numerically positive definite", lo, hi)
 
 

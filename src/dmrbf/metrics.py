@@ -64,14 +64,6 @@ def sinr_mallory(weights: np.ndarray, cov: CovarianceSet, sigma_m2_watt: float) 
     return num / den
 
 
-def rate_bob(weights: np.ndarray, cov: CovarianceSet, sigma_b2_watt: float) -> float:
-    return float(np.log2(1.0 + sinr_bob(weights, cov, sigma_b2_watt)))
-
-
-def rate_mallory(weights: np.ndarray, cov: CovarianceSet, sigma_m2_watt: float) -> float:
-    return float(np.log2(1.0 + sinr_mallory(weights, cov, sigma_m2_watt)))
-
-
 def secrecy_rate(rate_bob_bits: float, rate_mallory_bits: float) -> float:
     """Nonnegative part of the rate advantage of the legitimate link."""
     return max(0.0, rate_bob_bits - rate_mallory_bits)

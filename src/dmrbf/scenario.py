@@ -26,8 +26,8 @@ from .channel import (
     ChannelSet,
     LosChannel,
     PathLoss,
-    alice_an_projector,
     los_channel,
+    null_projector,
 )
 from .errors import ConfigError, ConfigParseError, DomainError
 
@@ -231,7 +231,7 @@ def build_transmit_setup(cfg: ScenarioConfig, channels: ChannelSet) -> TransmitS
     """Precoder, noise projectors and the RSI draw for one scenario."""
     v_a = channels.ab.tx_steering.entries.copy()
 
-    proj = alice_an_projector(channels.ab)
+    proj = null_projector(channels.ab.tx_steering.entries)
     # trace(P P^H) = rank for an orthogonal projector: n_a - 1 here
     power = float(np.real(np.trace(proj @ proj.conj().T)))
     if power > 1e-12:

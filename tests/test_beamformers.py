@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dmrbf import (
+    ConditioningError,
     DegenerateGeometryError,
     FlopCounter,
     Method,
@@ -154,6 +155,33 @@ def test_chain_detects_singular_level():
     assert exc.value.level == "L"
     assert "level 'L'" in str(exc.value)
     assert abs(exc.value.denominator) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the covariance overflows
+@pytest.mark.parametrize(
+    "overrides, method",
+    [
+        ({"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}, Method.WFMRC),
+        ({"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}, Method.MAX_SR),
+        ({"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}, Method.MMSE),
+        ({"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}, Method.NSP_WFRP),
+        ({"sigma_m2_watt": 8.98846567431158e307}, Method.MALLORY),
+    ],
+)
+def test_non_finite_covariance_is_refused(overrides, method):
+    # symmetrizing a covariance near the float maximum overflows; the NaN
+    # eigenvalues must fail the guards instead of yielding NaN weights
+    scene = build_scene(config_with(**overrides))
+    with pytest.raises(ConditioningError):
+        compute(method, scene)
+
+
+def test_chain_refuses_underflowing_noise_level():
+    # sigma^4 underflows to zero, so the N-level coefficient cannot be formed
+    scene = build_scene(config_with(sigma_b2_watt=1e-300))
+    with pytest.raises(UpdateSingularityError) as exc:
+        low_complexity_inverse(scene)
+    assert exc.value.level == "N"
 
 
 def test_nsp_annihilates_jamming_link():

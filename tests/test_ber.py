@@ -186,3 +186,6 @@ def test_sweep_failure_names_method_and_point():
     cfg = config_with(theta_r_mb_deg=90.0)
     with pytest.raises(DegenerateGeometryError, match=r"^nsp_wfrp at p_m_watt = 1: "):
         sweep(cfg, (Method.MRC, Method.NSP_WFRP), "p_m_watt", (1.0, 10.0), 100, 0)
+    # simulate_ber is a one-point sweep at the config's own jamming power
+    with pytest.raises(DegenerateGeometryError, match=r"^nsp_wfrp at p_m_watt = 10: "):
+        simulate_ber(cfg, (Method.NSP_WFRP,), 100, seed=0)

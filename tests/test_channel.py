@@ -10,10 +10,9 @@ from dmrbf import (
     ArrayGeometry,
     DomainError,
     PathLoss,
-    alice_an_projector,
-    bob_nsp_projector,
     build_channels,
     los_channel,
+    null_projector,
     steering,
 )
 
@@ -123,8 +122,14 @@ def test_build_channels_uses_config_geometry():
     assert chans.ab.gain == pytest.approx(cfg.path_loss.gain(2.0), rel=1e-15)
 
 
-def test_alice_an_projector_closed_form():
-    # single-stream LoS: projector is I - h_t h_t^H with unit h_t
+def _assert_orthogonal_projector(proj: np.ndarray, a: np.ndarray) -> None:
+    assert np.linalg.norm(proj @ proj - proj) <= 1e-12
+    assert np.linalg.norm(proj - proj.conj().T) <= 1e-13
+    assert np.linalg.norm(proj @ a) <= 1e-12
+    assert np.trace(proj).real == pytest.approx(a.size - 1, abs=1e-12)
+
+
+def test_null_projector_of_alice_transmit_steering():
     rng = np.random.default_rng(205)
     for _ in range(30):
         cfg = config_with(
@@ -132,17 +137,13 @@ def test_alice_an_projector_closed_form():
             theta_r_ab_deg=float(rng.uniform(0, 180)),
         )
         ch = build_channels(cfg).ab
-        proj = alice_an_projector(ch)
-        h_t = ch.tx_steering.entries
-        ref = np.eye(cfg.n_a) - np.outer(h_t, h_t.conj())
-        assert np.linalg.norm(proj - ref) <= 1e-12
-        assert np.linalg.norm(proj @ proj - proj) <= 1e-12
-        assert np.linalg.norm(proj - proj.conj().T) <= 1e-13
+        proj = null_projector(ch.tx_steering.entries)
+        _assert_orthogonal_projector(proj, ch.tx_steering.entries)
         # artificial noise sent through the projector never reaches Bob
         assert np.linalg.norm(ch.matrix @ proj) <= 1e-12
 
 
-def test_bob_nsp_projector_closed_form():
+def test_null_projector_of_bob_jamming_steering():
     rng = np.random.default_rng(206)
     for _ in range(30):
         cfg = config_with(
@@ -150,8 +151,7 @@ def test_bob_nsp_projector_closed_form():
             theta_r_mb_deg=float(rng.uniform(0, 180)),
         )
         ch = build_channels(cfg).mb
-        proj = bob_nsp_projector(ch)
-        h_r = ch.rx_steering.entries
-        ref = np.eye(cfg.n_b) - np.outer(h_r, h_r.conj())
-        assert np.linalg.norm(proj - ref) <= 1e-12
+        proj = null_projector(ch.rx_steering.entries)
+        _assert_orthogonal_projector(proj, ch.rx_steering.entries)
+        # weights in the projector's range never see the jamming link
         assert np.linalg.norm(proj @ ch.matrix) <= 1e-12

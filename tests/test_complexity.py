@@ -12,7 +12,6 @@ from dmrbf import (
     asymptotic_order,
     build_scene,
     compute,
-    flop_report,
     formula_flops,
     measured_flops,
 )
@@ -119,9 +118,3 @@ def test_counter_primitive_costs():
     fc.inv_hpd(np.eye(3, dtype=complex))
     assert fc.total == 8 * 27
 
-
-def test_flop_report_bundle():
-    rep = flop_report(Method.LC_MMSE)
-    assert rep.method is Method.LC_MMSE
-    assert rep.formula == 818
-    assert rep.measured == measured_flops(Method.LC_MMSE)

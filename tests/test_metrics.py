@@ -11,8 +11,6 @@ from dmrbf import (
     build_scene,
     compute,
     mallory_receiver,
-    rate_bob,
-    rate_mallory,
     rate_point,
     secrecy_rate,
     sigma2_for_snr_db,
@@ -61,9 +59,8 @@ def test_rates_and_secrecy():
     scene = build_scene(ScenarioConfig())
     w = compute(Method.MAX_SR, scene).weights
     s = sinr_bob(w, scene.cov, scene.cfg.sigma_b2_watt)
-    assert rate_bob(w, scene.cov, scene.cfg.sigma_b2_watt) == pytest.approx(
-        math.log2(1.0 + s), rel=1e-12
-    )
+    pt = rate_point(scene, w, mallory_receiver(scene).weights)
+    assert pt.rate_bob_bits == pytest.approx(math.log2(1.0 + s), rel=1e-12)
 
 
 def test_rate_point_bundle():
@@ -82,8 +79,9 @@ def test_mallory_rate_grows_as_she_closes_in():
     rates = []
     for d in (4.0, 3.0, 2.0, 1.0):
         scene = build_scene(config_with(d_am_km=d))
+        w_b = compute(Method.MRC, scene).weights
         w_m = mallory_receiver(scene).weights
-        rates.append(rate_mallory(w_m, scene.cov, scene.cfg.sigma_m2_watt))
+        rates.append(rate_point(scene, w_b, w_m).rate_mallory_bits)
     assert all(b > a for a, b in zip(rates, rates[1:]))
 
 
@@ -92,7 +90,9 @@ def test_bob_rate_falls_with_noise():
     scene_hi = build_scene(config_with(sigma_b2_watt=10.0))
     w_lo = compute(Method.MMSE, scene_lo).weights
     w_hi = compute(Method.MMSE, scene_hi).weights
-    assert rate_bob(w_lo, scene_lo.cov, 0.1) > rate_bob(w_hi, scene_hi.cov, 10.0)
+    rate_lo = rate_point(scene_lo, w_lo, mallory_receiver(scene_lo).weights).rate_bob_bits
+    rate_hi = rate_point(scene_hi, w_hi, mallory_receiver(scene_hi).weights).rate_bob_bits
+    assert rate_lo > rate_hi
 
 
 def test_sigma2_for_snr_received_definition():
