@@ -246,8 +246,8 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.nd
 
     # artificial-noise levels: the projector expands into three rank-one
     # terms along the same receive signature (coefficients +1, -2, +1)
-    s = fc.matvec(channels.ab.matrix, channels.ab.tx_steering.entries)
-    row = channels.ab.rx_steering.entries.conj()
+    s = fc.matvec(channels.ab.matrix, channels.ab.tx_steering)
+    row = channels.ab.rx_steering.conj()
     for level, coeff in (("M", c2), ("L", -2.0 * c2), ("K", c2)):
         fc.scalar()
         z_inv = _rank_one_update(fc, z_inv, fc.rscale(coeff, s), row, level)
@@ -282,8 +282,8 @@ def nsp_max_wfrp(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
         raise UnsupportedScenarioError(
             "null-space projection needs n_b >= 2 (one dimension is spent on the null)"
         )
-    proj = null_projector(scene.channels.mb.rx_steering.entries)
-    fc.charge(8 * cfg.n_b * cfg.n_b)  # rank-one projector assembly
+    proj = null_projector(scene.channels.mb.rx_steering)
+    fc.scalar(8 * cfg.n_b * cfg.n_b)  # rank-one projector assembly
 
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
     noise = fc.add(scene.cov.b, fc.rscale(cfg.sigma_b2_watt, np.eye(cfg.n_b)))

@@ -24,7 +24,7 @@ from . import complexity
 from .beamformers import Beamformer, Method, compute, mallory_receiver
 from .errors import DegenerateChannelError, DmrbfError, DomainError
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
-from .scenario import Scene, ScenarioConfig, build_scene
+from .scenario import Scene, ScenarioConfig, build_scene, complex_normal
 
 _WILSON_Z = 1.959963984540054  # two-sided 95 %
 
@@ -112,18 +112,9 @@ def _draw_block(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Common random numbers for one sweep point, in a fixed draw order."""
     sent = QPSK_SYMBOLS[rng.integers(0, 4, n_symbols)]
-    z_a = (
-        rng.standard_normal((cfg.n_a, n_symbols))
-        + 1j * rng.standard_normal((cfg.n_a, n_symbols))
-    ) / np.sqrt(2.0)
-    z_m = (
-        rng.standard_normal((cfg.n_j, n_symbols))
-        + 1j * rng.standard_normal((cfg.n_j, n_symbols))
-    ) / np.sqrt(2.0)
-    noise = (
-        rng.standard_normal((cfg.n_b, n_symbols))
-        + 1j * rng.standard_normal((cfg.n_b, n_symbols))
-    ) / np.sqrt(2.0)
+    z_a = complex_normal(rng, cfg.n_a, n_symbols)
+    z_m = complex_normal(rng, cfg.n_j, n_symbols)
+    noise = complex_normal(rng, cfg.n_b, n_symbols)
     return sent, z_a, z_m, noise
 
 
@@ -171,7 +162,9 @@ def _ber_runs(
 _AXES = ("snr_db", "p_m_watt")
 
 
-def _config_at(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+def config_at(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
+    """``cfg`` moved to ``value`` on a sweep axis (``snr_db`` sets both
+    noise levels)."""
     if axis == "snr_db":
         sigma2 = sigma2_for_snr_db(cfg, value)
         return replace(cfg, sigma_b2_watt=sigma2, sigma_m2_watt=sigma2)
@@ -189,7 +182,7 @@ def _sweep_point(
 ) -> list[PerformanceReport]:
     method = None  # the method whose own step is running, named on failure
     try:
-        scene = build_scene(_config_at(cfg, axis, value))
+        scene = build_scene(config_at(cfg, axis, value))
         eve = mallory_receiver(scene)
         bfs: dict[Method, Beamformer] = {}
         for method in methods:

@@ -36,14 +36,6 @@ class ArrayGeometry:
 
 
 @dataclass(frozen=True)
-class SteeringVector:
-    """Unit-norm array response for one direction."""
-
-    angle_deg: float
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class PathLoss:
     """Power-law path loss ``gain = alpha_ref / distance_km ** exponent``.
 
@@ -84,15 +76,13 @@ class LosChannel:
     ``sqrt(gain) * matrix @ s``.
     """
 
-    rx_angle_deg: float
-    tx_angle_deg: float
     gain: float
-    rx_steering: SteeringVector
-    tx_steering: SteeringVector
+    rx_steering: np.ndarray  # (n_rx,) unit-norm
+    tx_steering: np.ndarray  # (n_tx,) unit-norm
     matrix: np.ndarray  # (n_rx, n_tx) = rx_steering outer tx_steering^H
 
 
-def steering(geometry: ArrayGeometry, angle_deg: float) -> SteeringVector:
+def steering(geometry: ArrayGeometry, angle_deg: float) -> np.ndarray:
     """Array response of a ULA toward ``angle_deg``.
 
     Element n (1-based) carries phase ``2*pi*psi(n)`` with
@@ -106,8 +96,7 @@ def steering(geometry: ArrayGeometry, angle_deg: float) -> SteeringVector:
     psi = -(idx - (n + 1) / 2.0) * geometry.spacing_over_wavelength * np.cos(
         np.deg2rad(angle_deg)
     )
-    entries = np.exp(2j * np.pi * psi) / np.sqrt(n)
-    return SteeringVector(angle_deg=float(angle_deg), entries=entries)
+    return np.exp(2j * np.pi * psi) / np.sqrt(n)
 
 
 def los_channel(
@@ -122,15 +111,8 @@ def los_channel(
         raise DomainError(f"gain must be > 0, got {gain}")
     h_rx = steering(rx_geometry, rx_angle_deg)
     h_tx = steering(tx_geometry, tx_angle_deg)
-    matrix = np.outer(h_rx.entries, h_tx.entries.conj())
-    return LosChannel(
-        rx_angle_deg=float(rx_angle_deg),
-        tx_angle_deg=float(tx_angle_deg),
-        gain=float(gain),
-        rx_steering=h_rx,
-        tx_steering=h_tx,
-        matrix=matrix,
-    )
+    matrix = np.outer(h_rx, h_tx.conj())
+    return LosChannel(gain=float(gain), rx_steering=h_rx, tx_steering=h_tx, matrix=matrix)
 
 
 @dataclass(frozen=True)

@@ -16,13 +16,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .beamformers import METHOD_LABELS, RECEIVE_METHODS, Method
-from .ber import PerformanceReport, sweep
+from .ber import PerformanceReport, config_at, sweep
 from .errors import DmrbfError, DomainError
-from .metrics import sigma2_for_snr_db
 from .scenario import ScenarioConfig, load_config, serialize_config
 from .svgplot import Series, save_line_plot
 
@@ -274,8 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         cfg = validate_config(args.config)
         preset = PRESETS[args.preset]
         if preset.pin_snr_db is not None:
-            sigma2 = sigma2_for_snr_db(cfg, preset.pin_snr_db)
-            cfg = replace(cfg, sigma_b2_watt=sigma2, sigma_m2_watt=sigma2)
+            cfg = config_at(cfg, "snr_db", preset.pin_snr_db)
         spec = SweepSpec(
             cfg=cfg,
             preset=args.preset,

@@ -103,15 +103,6 @@ _FORMULAS = {
     Method.NSP_WFRP: _nsp_wfrp_flops,
 }
 
-_ORDERS = {
-    Method.MRC: "linear",
-    Method.WFMRC: "cubic",
-    Method.MAX_SR: "cubic",
-    Method.MMSE: "cubic",
-    Method.LC_MMSE: "quadratic",
-    Method.NSP_WFRP: "cubic",
-}
-
 
 def formula_flops(method: Method, n_a: int, n_b: int, n_m: int) -> int:
     """Closed-form operation count of a method at the given array sizes."""
@@ -121,14 +112,6 @@ def formula_flops(method: Method, n_a: int, n_b: int, n_m: int) -> int:
     if min(n_a, n_b, n_m) < 1:
         raise DomainError(f"array sizes must be >= 1, got ({n_a}, {n_b}, {n_m})")
     return int(_FORMULAS[method](n_a, n_b, n_m))
-
-
-def asymptotic_order(method: Method) -> str:
-    """Growth class in the receive array size: linear, quadratic or cubic."""
-    method = Method(method)
-    if method not in _ORDERS:
-        raise DomainError(f"no asymptotic order for method {method.value!r}")
-    return _ORDERS[method]
 
 
 def measured_flops(

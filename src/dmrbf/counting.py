@@ -43,12 +43,9 @@ class FlopCounter:
     def __init__(self) -> None:
         self.total = 0
 
-    def charge(self, flops: int) -> None:
-        """Add a precomputed cost for a composite step."""
-        self.total += int(flops)
-
     def scalar(self, n_ops: int = 1) -> None:
-        """Charge ``n_ops`` scalar floating-point operations."""
+        """Charge ``n_ops`` flops counted by the caller: scalar arithmetic
+        or a composite step."""
         self.total += int(n_ops)
 
     # -- products ---------------------------------------------------------

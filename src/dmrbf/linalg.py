@@ -43,6 +43,12 @@ def _as_square_complex(m: np.ndarray, name: str) -> np.ndarray:
     return m
 
 
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """``(m + m^H) / 2``, halved before adding so entries near the float
+    maximum do not overflow."""
+    return m / 2.0 + m.conj().T / 2.0
+
+
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     scale = max(1.0, float(np.abs(m).max()))
     asym = float(np.abs(m - m.conj().T).max())
@@ -51,7 +57,7 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
             f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds "
             f"{HERMITIAN_ATOL:.0e} relative to magnitude {scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return hermitian_part(m)
 
 
 def hermitian_evd(m: np.ndarray) -> HermitianEvd:

@@ -14,8 +14,8 @@ number.
 
 from __future__ import annotations
 
-import dataclasses
 import math
+import typing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -24,15 +24,12 @@ import numpy as np
 from .channel import (
     ArrayGeometry,
     ChannelSet,
-    LosChannel,
     PathLoss,
     los_channel,
     null_projector,
 )
 from .errors import ConfigError, ConfigParseError, DomainError
-
-_INT_FIELDS = {"n_a", "n_b", "n_m", "n_j", "rng_seed"}
-_STR_FIELDS = {"snr_definition"}
+from .linalg import hermitian_part
 
 
 @dataclass(frozen=True)
@@ -71,9 +68,9 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in _field_names():
+        for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if name not in _INT_FIELDS | _STR_FIELDS and not math.isfinite(value):
+            if kind is float and not math.isfinite(value):
                 raise ConfigError(name, f"must be finite, got {value}")
         for name in ("n_a", "n_b", "n_m"):
             if getattr(self, name) < 1:
@@ -131,14 +128,14 @@ class ScenarioConfig:
         return PathLoss(alpha_ref=self.path_alpha, exponent=self.path_exponent)
 
 
-def _field_names() -> list[str]:
-    return [f.name for f in dataclasses.fields(ScenarioConfig)]
+#: Field name -> declared type (int, float or str), in declaration order.
+_FIELD_TYPES: dict[str, type] = typing.get_type_hints(ScenarioConfig)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
     """Render a config in the flat ``key = value`` file format."""
     lines = ["# scenario configuration"]
-    for name in _field_names():
+    for name in _FIELD_TYPES:
         lines.append(f"{name} = {getattr(cfg, name)}")
     return "\n".join(lines) + "\n"
 
@@ -154,7 +151,6 @@ def parse_config(text: str) -> ScenarioConfig:
     ConfigError
         When the parsed values violate a semantic bound.
     """
-    known = set(_field_names())
     values: dict[str, object] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -165,19 +161,14 @@ def parse_config(text: str) -> ScenarioConfig:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in known:
+        if key not in _FIELD_TYPES:
             raise ConfigParseError(f"unknown key {key!r}", line_no)
         if key in values:
             raise ConfigParseError(f"duplicate key {key!r}", line_no)
         if not value:
             raise ConfigParseError(f"empty value for key {key!r}", line_no)
         try:
-            if key in _STR_FIELDS:
-                values[key] = value
-            elif key in _INT_FIELDS:
-                values[key] = int(value)
-            else:
-                values[key] = float(value)
+            values[key] = _FIELD_TYPES[key](value)
         except ValueError as exc:
             raise ConfigParseError(f"bad value for {key!r}: {exc}", line_no) from None
     return ScenarioConfig(**values)
@@ -205,6 +196,12 @@ class TransmitSetup:
     h_m_rsi: np.ndarray  # (n_m, n_m)
 
 
+def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
+    """``rows x cols`` i.i.d. CN(0, 1) draws: real parts first, then imaginary."""
+    shape = (rows, cols)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
 def build_channels(cfg: ScenarioConfig) -> ChannelSet:
     """Instantiate the three LoS links from a config."""
     geom_a = ArrayGeometry(cfg.n_a, cfg.spacing_over_wavelength)
@@ -229,9 +226,9 @@ def _orthonormal_extension(first: np.ndarray, n_cols: int) -> np.ndarray:
 
 def build_transmit_setup(cfg: ScenarioConfig, channels: ChannelSet) -> TransmitSetup:
     """Precoder, noise projectors and the RSI draw for one scenario."""
-    v_a = channels.ab.tx_steering.entries.copy()
+    v_a = channels.ab.tx_steering.copy()
 
-    proj = null_projector(channels.ab.tx_steering.entries)
+    proj = null_projector(channels.ab.tx_steering)
     # trace(P P^H) = rank for an orthogonal projector: n_a - 1 here
     power = float(np.real(np.trace(proj @ proj.conj().T)))
     if power > 1e-12:
@@ -239,14 +236,10 @@ def build_transmit_setup(cfg: ScenarioConfig, channels: ChannelSet) -> TransmitS
     else:
         t_a_an = np.zeros_like(proj)  # single-antenna Alice: no AN dimension
 
-    beams = _orthonormal_extension(channels.mb.tx_steering.entries, cfg.n_j)
+    beams = _orthonormal_extension(channels.mb.tx_steering, cfg.n_j)
     t_m_an = beams / np.sqrt(cfg.n_j)
 
-    rng = np.random.default_rng(cfg.rng_seed)
-    h_m_rsi = (
-        rng.standard_normal((cfg.n_m, cfg.n_m))
-        + 1j * rng.standard_normal((cfg.n_m, cfg.n_m))
-    ) / np.sqrt(2.0)
+    h_m_rsi = complex_normal(np.random.default_rng(cfg.rng_seed), cfg.n_m, cfg.n_m)
     return TransmitSetup(v_a=v_a, t_a_an=t_a_an, t_m_an=t_m_an, h_m_rsi=h_m_rsi)
 
 
@@ -270,10 +263,6 @@ class CovarianceSet:
     c_nbar: np.ndarray
 
 
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    return (m + m.conj().T) / 2.0
-
-
 def build_covariances(
     cfg: ScenarioConfig, channels: ChannelSet, setup: TransmitSetup
 ) -> CovarianceSet:
@@ -283,22 +272,22 @@ def build_covariances(
     g_mb = channels.mb.gain
 
     u = channels.ab.matrix @ setup.v_a  # Bob-side signal signature
-    a = _hermitian_part(g_ab * cfg.beta1 * cfg.p_a_watt * np.outer(u, u.conj()))
+    a = hermitian_part(g_ab * cfg.beta1 * cfg.p_a_watt * np.outer(u, u.conj()))
 
     an_b = channels.ab.matrix @ setup.t_a_an
-    b = _hermitian_part(g_ab * (1.0 - cfg.beta1) * cfg.p_a_watt * (an_b @ an_b.conj().T))
+    b = hermitian_part(g_ab * (1.0 - cfg.beta1) * cfg.p_a_watt * (an_b @ an_b.conj().T))
 
     jam_b = channels.mb.matrix @ setup.t_m_an
-    d = _hermitian_part(g_mb * cfg.p_m_watt * (jam_b @ jam_b.conj().T))
+    d = hermitian_part(g_mb * cfg.p_m_watt * (jam_b @ jam_b.conj().T))
 
     e_vec = channels.am.matrix @ setup.v_a
-    e = _hermitian_part(g_am * cfg.beta1 * cfg.p_a_watt * np.outer(e_vec, e_vec.conj()))
+    e = hermitian_part(g_am * cfg.beta1 * cfg.p_a_watt * np.outer(e_vec, e_vec.conj()))
 
     an_m = channels.am.matrix @ setup.t_a_an
-    f = _hermitian_part(g_am * (1.0 - cfg.beta1) * cfg.p_a_watt * (an_m @ an_m.conj().T))
+    f = hermitian_part(g_am * (1.0 - cfg.beta1) * cfg.p_a_watt * (an_m @ an_m.conj().T))
 
     rsi = setup.h_m_rsi.conj().T @ setup.t_m_an
-    r_m = _hermitian_part(cfg.rho * cfg.p_m_watt * (rsi @ rsi.conj().T))
+    r_m = hermitian_part(cfg.rho * cfg.p_m_watt * (rsi @ rsi.conj().T))
 
     c_nbar = b + d + cfg.sigma_b2_watt * np.eye(cfg.n_b)
     return CovarianceSet(a=a, b=b, d=d, e=e, f=f, r_m=r_m, c_nbar=c_nbar)
@@ -317,11 +306,6 @@ class Scene:
     def bob_signal_vector(self) -> np.ndarray:
         """Signature of the confidential stream at Bob's array."""
         return self.channels.ab.matrix @ self.setup.v_a
-
-    @property
-    def mallory_signal_vector(self) -> np.ndarray:
-        """Signature of the confidential stream at Mallory's array."""
-        return self.channels.am.matrix @ self.setup.v_a
 
 
 def build_scene(cfg: ScenarioConfig) -> Scene:

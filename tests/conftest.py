@@ -28,8 +28,8 @@ def random_config(rng: np.random.Generator, sizes=(2, 4, 8)) -> ScenarioConfig:
     while True:
         theta_r_ab = float(rng.uniform(5.0, 175.0))
         theta_r_mb = float(rng.uniform(5.0, 175.0))
-        h_sig = steering(ArrayGeometry(n_b), theta_r_ab).entries
-        h_jam = steering(ArrayGeometry(n_b), theta_r_mb).entries
+        h_sig = steering(ArrayGeometry(n_b), theta_r_ab)
+        h_jam = steering(ArrayGeometry(n_b), theta_r_mb)
         if abs(np.vdot(h_jam, h_sig)) < 0.99:
             break
     return ScenarioConfig(

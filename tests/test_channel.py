@@ -35,7 +35,7 @@ def test_steering_matches_scalar_oracle():
         n = int(rng.integers(1, 17))
         angle = float(rng.uniform(0.0, 180.0))
         spacing = float(rng.uniform(0.05, 1.0))
-        got = steering(ArrayGeometry(n, spacing), angle).entries
+        got = steering(ArrayGeometry(n, spacing), angle)
         assert np.allclose(got, steering_oracle(n, angle, spacing), atol=1e-14)
 
 
@@ -43,13 +43,13 @@ def test_steering_unit_norm():
     rng = np.random.default_rng(202)
     for _ in range(300):
         n = int(rng.integers(1, 33))
-        v = steering(ArrayGeometry(n), float(rng.uniform(0.0, 180.0))).entries
+        v = steering(ArrayGeometry(n), float(rng.uniform(0.0, 180.0)))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
 def test_steering_broadside_is_real():
     # cos(90 deg) = 0, so every phase vanishes
-    v = steering(ArrayGeometry(4), 90.0).entries
+    v = steering(ArrayGeometry(4), 90.0)
     assert np.allclose(v, np.full(4, 0.5), atol=1e-15)
 
 
@@ -58,8 +58,8 @@ def test_steering_mirror_angles_conjugate():
     for _ in range(50):
         n = int(rng.integers(1, 17))
         angle = float(rng.uniform(0.0, 90.0))
-        a = steering(ArrayGeometry(n), angle).entries
-        b = steering(ArrayGeometry(n), 180.0 - angle).entries
+        a = steering(ArrayGeometry(n), angle)
+        b = steering(ArrayGeometry(n), 180.0 - angle)
         assert np.allclose(b, a.conj(), atol=1e-13)
 
 
@@ -92,7 +92,7 @@ def test_los_channel_rank_one_unit_frobenius():
         assert sv[0] >= 1.0 - 1e-12
         if min(n_r, n_t) > 1:
             assert sv[1] <= 1e-12
-        ref = np.outer(ch.rx_steering.entries, ch.tx_steering.entries.conj())
+        ref = np.outer(ch.rx_steering, ch.tx_steering.conj())
         assert np.allclose(ch.matrix, ref, atol=1e-14)
 
 
@@ -137,8 +137,8 @@ def test_null_projector_of_alice_transmit_steering():
             theta_r_ab_deg=float(rng.uniform(0, 180)),
         )
         ch = build_channels(cfg).ab
-        proj = null_projector(ch.tx_steering.entries)
-        _assert_orthogonal_projector(proj, ch.tx_steering.entries)
+        proj = null_projector(ch.tx_steering)
+        _assert_orthogonal_projector(proj, ch.tx_steering)
         # artificial noise sent through the projector never reaches Bob
         assert np.linalg.norm(ch.matrix @ proj) <= 1e-12
 
@@ -151,7 +151,7 @@ def test_null_projector_of_bob_jamming_steering():
             theta_r_mb_deg=float(rng.uniform(0, 180)),
         )
         ch = build_channels(cfg).mb
-        proj = null_projector(ch.rx_steering.entries)
-        _assert_orthogonal_projector(proj, ch.rx_steering.entries)
+        proj = null_projector(ch.rx_steering)
+        _assert_orthogonal_projector(proj, ch.rx_steering)
         # weights in the projector's range never see the jamming link
         assert np.linalg.norm(proj @ ch.matrix) <= 1e-12

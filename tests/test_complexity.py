@@ -9,7 +9,6 @@ from dmrbf import (
     Method,
     RECEIVE_METHODS,
     ScenarioConfig,
-    asymptotic_order,
     build_scene,
     compute,
     formula_flops,
@@ -32,15 +31,6 @@ def test_formula_rejects_bad_input():
         formula_flops(Method.MALLORY, 4, 4, 4)
     with pytest.raises(DomainError):
         formula_flops(Method.MRC, 0, 4, 4)
-
-
-def test_asymptotic_orders():
-    assert asymptotic_order(Method.MRC) == "linear"
-    assert asymptotic_order(Method.LC_MMSE) == "quadratic"
-    for m in (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.NSP_WFRP):
-        assert asymptotic_order(m) == "cubic"
-    with pytest.raises(DomainError):
-        asymptotic_order(Method.MALLORY)
 
 
 def test_quadratic_vs_cubic_crossover():
