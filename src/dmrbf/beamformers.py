@@ -33,6 +33,7 @@ from .errors import (
     ConditioningError,
     DegenerateChannelError,
     DegenerateGeometryError,
+    NumericalError,
     UnsupportedScenarioError,
     UpdateSingularityError,
 )
@@ -205,6 +206,8 @@ def _rank_one_update(
     return fc.sub(z_inv, upd)
 
 
+# overflow inside the chain is refused at its end, by name, not warned about
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.ndarray:
     """Receive-covariance inverse via the five-level rank-one chain.
 
@@ -218,6 +221,8 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.nd
     UpdateSingularityError
         If any update denominator falls below 1e-12 in modulus; the error
         names the level (N, M, L, K or O) that became singular.
+    NumericalError
+        If the chain overflows, so the inverse is not finite.
     """
     fc = fc or FlopCounter()
     cfg = scene.cfg
@@ -258,6 +263,8 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.nd
     for j in range(cfg.n_j):
         beam = fc.matvec(channels.mb.matrix, scene.setup.t_m_an[:, j])
         z_inv = _rank_one_update(fc, z_inv, fc.rscale(g_jam, beam), beam.conj(), "O")
+    if not np.isfinite(z_inv).all():  # uncharged: a guard, not part of the method
+        raise NumericalError("rank-one update chain (levels N to O) left the float range")
     return z_inv
 
 

@@ -1,15 +1,19 @@
 """Monte-Carlo QPSK bit-error simulation and parameter sweeps.
 
-One sweep point draws a single block of symbols, artificial-noise
-streams, jamming streams and receiver noise, then evaluates every
-requested beamformer on that same block (common random numbers), so
-method-to-method BER differences are not masked by draw-to-draw
-variance.
+Every receive beamformer sees Bob's array only through ``w^H rx``, and
+everything in ``rx`` except the confidential stream (artificial noise,
+jamming and thermal noise) is CN(0, ``c_nbar``).  So a sweep point draws
+symbols plus ``n_b`` complex normals per symbol, colours them by a
+square root of ``c_nbar`` and detects every requested beamformer on the
+same draws (common random numbers), so method-to-method BER differences
+are not masked by draw-to-draw variance.  Draws come in fixed chunks of
+``_CHUNK`` symbols, which bounds memory.
 
-Reproducibility contract: point ``i`` of a sweep with seed ``s`` uses a
-counter-based Philox generator keyed by ``(s, i)``.  Results therefore
-depend neither on the order points are executed in nor on the number of
-worker threads, and repeated runs are bit-identical.
+Reproducibility contract: point ``i`` of a sweep with seed ``s`` draws
+all its chunks, in order, from a counter-based Philox generator keyed by
+``(s, i)``.  Results therefore depend neither on the order points are
+executed in nor on the number of worker threads, and repeated runs are
+bit-identical.  ``RNG_STREAM`` numbers this scheme; CSVs record it.
 """
 
 from __future__ import annotations
@@ -23,10 +27,18 @@ import numpy as np
 from . import complexity
 from .beamformers import Beamformer, Method, compute, mallory_receiver
 from .errors import DegenerateChannelError, DmrbfError, DomainError
+from .linalg import hermitian_evd
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
-from .scenario import Scene, ScenarioConfig, build_scene, complex_normal
+from .scenario import Scene, ScenarioConfig, build_scene
 
 _WILSON_Z = 1.959963984540054  # two-sided 95 %
+
+#: Symbols per random draw.  Fixed, so a point's counts depend only on
+#: (seed, point index, n_symbols) and its memory stays bounded.
+_CHUNK = 1 << 16
+
+#: Version of the Monte-Carlo random stream, written into every CSV.
+RNG_STREAM = 2
 
 #: Gray-mapped QPSK constellation, unit symbol energy.  Both rails carry
 #: one bit as the sign, so adjacent symbols differ in exactly one bit.
@@ -86,19 +98,16 @@ def qpsk_awgn_ber(sinr: float) -> float:
     return 0.5 * math.erfc(math.sqrt(sinr / 2.0))
 
 
-def count_bit_errors(
-    w_conj: np.ndarray, rx: np.ndarray, gain: complex, sent: np.ndarray
-) -> int:
-    """Bit errors after combining ``rx`` with ``w_conj`` and equalizing.
+def count_bit_errors(z: np.ndarray, sent: np.ndarray) -> np.ndarray:
+    """Bit errors per row of the equalized outputs ``z`` (M x N).
 
-    ``sent`` holds the transmitted Gray-mapped QPSK symbols; a bit error
-    is a sign disagreement on either quadrature rail, so each symbol
-    contributes zero, one or two errors.
+    ``sent`` holds the N transmitted Gray-mapped QPSK symbols; a bit
+    error is a sign disagreement on either quadrature rail, so each
+    symbol contributes zero, one or two errors to its row's count.
     """
-    z = (w_conj @ rx) / gain
     wrong_i = (z.real < 0.0) != (sent.real < 0.0)
     wrong_q = (z.imag < 0.0) != (sent.imag < 0.0)
-    return int(np.count_nonzero(wrong_i)) + int(np.count_nonzero(wrong_q))
+    return np.count_nonzero(wrong_i, axis=1) + np.count_nonzero(wrong_q, axis=1)
 
 
 def point_rng(seed: int, index: int) -> np.random.Generator:
@@ -109,13 +118,12 @@ def point_rng(seed: int, index: int) -> np.random.Generator:
 
 def _draw_block(
     rng: np.random.Generator, cfg: ScenarioConfig, n_symbols: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Common random numbers for one sweep point, in a fixed draw order."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """One chunk's symbols and ``n_b`` real-and-imaginary N(0, 1) pairs
+    per symbol, as an ``(n_b, n_symbols)`` complex view (re/im interleaved)."""
     sent = QPSK_SYMBOLS[rng.integers(0, 4, n_symbols)]
-    z_a = complex_normal(rng, cfg.n_a, n_symbols)
-    z_m = complex_normal(rng, cfg.n_j, n_symbols)
-    noise = complex_normal(rng, cfg.n_b, n_symbols)
-    return sent, z_a, z_m, noise
+    white = rng.standard_normal((cfg.n_b, 2 * n_symbols)).view(np.complex128)
+    return sent, white
 
 
 def _ber_runs(
@@ -124,30 +132,38 @@ def _ber_runs(
     n_symbols: int,
     rng: np.random.Generator,
 ) -> dict[Method, BerRun]:
-    """Estimate BER for several beamformers on one shared symbol block."""
+    """Estimate BER for several beamformers on shared symbol chunks.
+
+    Every method detects ``y = w^H rx / g`` with ``g = sqrt(c1) w^H u``,
+    and everything in ``rx`` but the stream is CN(0, ``c_nbar``), so
+    ``y = s + w^H root n / g`` with ``root root^H = c_nbar / 2`` and
+    ``n`` the chunk's white draws.  All methods share one product
+    ``fold @ n`` per chunk.
+    """
     cfg = scene.cfg
-    channels = scene.channels
-    sent, z_a, z_m, noise = _draw_block(rng, cfg, n_symbols)
-
-    c1 = channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    c2 = channels.ab.gain * (1.0 - cfg.beta1) * cfg.p_a_watt
-    u = scene.bob_signal_vector
-    rx = np.sqrt(c1) * np.outer(u, sent)
-    rx += np.sqrt(c2) * (channels.ab.matrix @ scene.setup.t_a_an) @ z_a
-    rx += np.sqrt(channels.mb.gain * cfg.p_m_watt) * (
-        channels.mb.matrix @ scene.setup.t_m_an
-    ) @ z_m
-    rx += np.sqrt(cfg.sigma_b2_watt) * noise
-
-    runs: dict[Method, BerRun] = {}
-    for method, w in weights.items():
-        gain = np.sqrt(c1) * complex(np.vdot(w, u))
+    evd = hermitian_evd(scene.cov.c_nbar)
+    # clamped, not refused: no inverse is taken, and MRC must run at any noise level
+    root = evd.eigenvectors * np.sqrt(np.maximum(evd.eigenvalues, 0.0) / 2.0)
+    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
+    w_h = np.stack([w.conj() for w in weights.values()])
+    gains = np.sqrt(c1) * (w_h @ scene.bob_signal_vector)
+    for method, gain in zip(weights, gains):
         if abs(gain) <= 1e-12:
             raise DegenerateChannelError(
                 f"{Method(method).value}: effective complex gain is zero; "
                 "the stream cannot be equalized"
             )
-        n_err = count_bit_errors(w.conj(), rx, gain, sent)
+    fold = (w_h @ root) / gains[:, None]
+
+    n_errors = np.zeros(len(weights), dtype=np.int64)
+    for start in range(0, n_symbols, _CHUNK):
+        sent, white = _draw_block(rng, cfg, min(_CHUNK, n_symbols - start))
+        z = fold @ white
+        z += sent
+        n_errors += count_bit_errors(z, sent)
+
+    runs: dict[Method, BerRun] = {}
+    for method, n_err in zip(weights, n_errors.tolist()):
         lo, hi = wilson_interval(n_err, 2 * n_symbols)
         runs[method] = BerRun(
             method=Method(method),

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .beamformers import METHOD_LABELS, RECEIVE_METHODS, Method
-from .ber import PerformanceReport, config_at, sweep
+from .ber import RNG_STREAM, PerformanceReport, config_at, sweep
 from .errors import DmrbfError, DomainError
 from .scenario import ScenarioConfig, load_config, serialize_config
 from .svgplot import Series, save_line_plot
@@ -117,6 +117,7 @@ def write_csv(path: Path, spec: SweepSpec, reports: list[PerformanceReport]) -> 
         f"# methods = {','.join(m.value for m in spec.methods)}",
         f"# n_symbols = {spec.n_symbols}",
         f"# sweep_seed = {spec.seed}",
+        f"# rng_stream = {RNG_STREAM}",
     ]
     for f in fields(ScenarioConfig):
         lines.append(f"# {f.name} = {getattr(spec.cfg, f.name)}")

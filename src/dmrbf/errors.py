@@ -20,7 +20,8 @@ class DomainError(DmrbfError):
 
 
 class NumericalError(DmrbfError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed: an eigensolver did not converge, or a
+    result left the float range."""
 
 
 class ConditioningError(DmrbfError):

@@ -196,12 +196,6 @@ class TransmitSetup:
     h_m_rsi: np.ndarray  # (n_m, n_m)
 
 
-def complex_normal(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
-    """``rows x cols`` i.i.d. CN(0, 1) draws: real parts first, then imaginary."""
-    shape = (rows, cols)
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
 def build_channels(cfg: ScenarioConfig) -> ChannelSet:
     """Instantiate the three LoS links from a config."""
     geom_a = ArrayGeometry(cfg.n_a, cfg.spacing_over_wavelength)
@@ -239,7 +233,9 @@ def build_transmit_setup(cfg: ScenarioConfig, channels: ChannelSet) -> TransmitS
     beams = _orthonormal_extension(channels.mb.tx_steering, cfg.n_j)
     t_m_an = beams / np.sqrt(cfg.n_j)
 
-    h_m_rsi = complex_normal(np.random.default_rng(cfg.rng_seed), cfg.n_m, cfg.n_m)
+    rng = np.random.default_rng(cfg.rng_seed)
+    shape = (cfg.n_m, cfg.n_m)  # i.i.d. CN(0, 1): real parts first, then imaginary
+    h_m_rsi = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
     return TransmitSetup(v_a=v_a, t_a_an=t_a_an, t_m_an=t_m_an, h_m_rsi=h_m_rsi)
 
 

@@ -10,6 +10,7 @@ from dmrbf import (
     DegenerateGeometryError,
     FlopCounter,
     Method,
+    NumericalError,
     RECEIVE_METHODS,
     ScenarioConfig,
     UnsupportedScenarioError,
@@ -185,6 +186,17 @@ def test_chain_refuses_underflowing_noise_level():
     with pytest.raises(UpdateSingularityError) as exc:
         low_complexity_inverse(scene)
     assert exc.value.level == "N"
+
+
+def test_chain_refuses_overflow_by_name():
+    # the artificial-noise levels overflow to a NaN inverse; the chain must
+    # say so itself instead of warning or passing NaN on to the MMSE tail
+    cfg = config_with(n_a=1, n_b=1, n_m=2, beta1=0.0, p_a_watt=8.98846567431158e307)
+    scene = build_scene(cfg)
+    with pytest.raises(NumericalError, match="rank-one update chain"):
+        low_complexity_inverse(scene)
+    with pytest.raises(NumericalError, match="rank-one update chain"):
+        compute(Method.LC_MMSE, scene)
 
 
 def test_nsp_annihilates_jamming_link():

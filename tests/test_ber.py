@@ -17,7 +17,7 @@ from dmrbf import (
     sweep,
     wilson_interval,
 )
-from dmrbf.ber import count_bit_errors
+from dmrbf.ber import _CHUNK, count_bit_errors
 
 from conftest import config_with
 
@@ -71,21 +71,78 @@ def test_point_rng_keying():
 def test_count_bit_errors_matches_naive_loop():
     rng = np.random.default_rng(601)
     for _ in range(10):
-        n_b, n_sym = int(rng.integers(1, 9)), int(rng.integers(1, 400))
-        w = rng.standard_normal(n_b) + 1j * rng.standard_normal(n_b)
-        rx = rng.standard_normal((n_b, n_sym)) + 1j * rng.standard_normal(
-            (n_b, n_sym)
-        )
+        rows, n_sym = int(rng.integers(1, 8)), int(rng.integers(1, 400))
+        z = rng.standard_normal((rows, n_sym)) + 1j * rng.standard_normal((rows, n_sym))
         sent = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=n_sym) / math.sqrt(
             2
         )
-        gain = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        naive = 0
-        for i in range(n_sym):
-            z = sum(w[k].conjugate() * rx[k, i] for k in range(n_b)) / gain
-            naive += (z.real < 0.0) != (sent[i].real < 0.0)
-            naive += (z.imag < 0.0) != (sent[i].imag < 0.0)
-        assert count_bit_errors(w.conj(), rx, gain, sent) == naive
+        got = count_bit_errors(z, sent)
+        assert got.shape == (rows,)
+        for row in range(rows):
+            naive = 0
+            for i in range(n_sym):
+                naive += (z[row, i].real < 0.0) != (sent[i].real < 0.0)
+                naive += (z[row, i].imag < 0.0) != (sent[i].imag < 0.0)
+            assert got[row] == naive
+
+
+def _log_binom_pmf(k: int, n: int, p: float) -> float:
+    return (
+        math.lgamma(n + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+
+
+def binomial_two_sided_p(k: int, n: int, p: float) -> float:
+    """Exact two-sided tail of Binomial(n, p) at ``k`` (twice the smaller
+    one-sided tail, capped at 1)."""
+    if p <= 0.0:
+        return 1.0 if k == 0 else 0.0
+    # the pmf falls monotonically away from the mode, so sum the tail
+    # beyond k outward and stop once the terms no longer count
+    step = -1 if k <= n * p else 1
+    tail, j = 0.0, k
+    while 0 <= j <= n:
+        term = math.exp(_log_binom_pmf(j, n, p))
+        tail += term
+        if term < 1e-17 * tail:
+            break
+        j += step
+    return min(1.0, 2.0 * tail)
+
+
+def test_binomial_tail_helper():
+    # Binomial(10, 1/2): P(X <= 1) = 11 / 1024
+    assert binomial_two_sided_p(1, 10, 0.5) == pytest.approx(22 / 1024, rel=1e-12)
+    assert binomial_two_sided_p(9, 10, 0.5) == pytest.approx(22 / 1024, rel=1e-12)
+    assert binomial_two_sided_p(5, 10, 0.5) == 1.0
+    assert binomial_two_sided_p(0, 10, 0.0) == 1.0
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_error_counts_follow_exact_binomial(n):
+    # Bob's interference plus noise is circular Gaussian, so each method's
+    # errors over N symbols are exactly Binomial(2N, Q(sqrt(SINR)))
+    cfg = config_with(n_a=n, n_b=n, n_m=n)
+    snrs = (-5.0, 0.0, 5.0)
+    reports = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 20_000, seed=11)
+    assert len(reports) == len(snrs) * len(RECEIVE_METHODS)
+    for r in reports:
+        p = qpsk_awgn_ber(r.rates.sinr_bob)
+        tail = binomial_two_sided_p(r.ber.n_errors, 2 * r.ber.n_symbols, p)
+        assert tail > 1e-6, (r.axis_value, r.method, r.ber.n_errors, p)
+
+
+@pytest.mark.parametrize("n_symbols", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+def test_chunk_boundaries(n_symbols):
+    cfg = config_with(p_m_watt=100.0)
+    runs = simulate_ber(cfg, (Method.MRC, Method.NSP_WFRP), n_symbols, seed=2)
+    again = simulate_ber(cfg, (Method.MRC, Method.NSP_WFRP), n_symbols, seed=2)
+    assert runs == again
+    assert all(r.n_symbols == n_symbols for r in runs.values())
 
 
 def test_simulate_ber_counts_and_reproducibility():

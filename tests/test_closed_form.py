@@ -1,0 +1,77 @@
+"""Bob's SINR for every method against closed forms of the LoS model.
+
+Every link is rank one and Alice's artificial noise is nulled at Bob, so
+Bob's interference-plus-noise covariance is ``sigma^2 I + kappa h h^H``
+with ``h`` the Mallory->Bob receive steering vector and
+``kappa = g_mb p_m / n_j`` (only the first jamming beam reaches Bob).
+With ``gamma = |h_ab^H h_mb|^2`` for the two receive steering vectors
+and ``c1 = g_ab beta1 p_a`` the single-interferer SINRs are those of
+Van Trees, *Optimum Array Processing*, ch. 6:
+
+* MRC: ``c1 / (kappa gamma + sigma^2)``;
+* WF-MRC, Max-SR, MMSE and LC-MMSE (the optimum direction):
+  ``(c1 / sigma^2) (1 - kappa gamma / (sigma^2 + kappa))``;
+* NSP-WFRP (jamming nulled outright): ``(c1 / sigma^2) (1 - gamma)``.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from dmrbf import Method, build_scene, compute, mallory_receiver, rate_point
+from dmrbf.ber import config_at
+
+from conftest import config_with
+
+OPTIMUM = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
+ANGLES = ((90.0, 45.0), (60.0, 120.0), (100.0, 30.0))  # (theta_r_ab, theta_r_mb)
+P_M = (0.1, 10.0, 1000.0)
+SNR_DB = (-5.0, 10.0, 25.0)
+RTOL = 1e-12
+
+
+def _expected(method, c1, sigma2, kappa, gamma):
+    if method == Method.MRC:
+        return c1 / (kappa * gamma + sigma2)
+    if method == Method.NSP_WFRP:
+        return (c1 / sigma2) * (1.0 - gamma)
+    return (c1 / sigma2) * (1.0 - kappa * gamma / (sigma2 + kappa))
+
+
+@pytest.mark.parametrize("n", [2, 4, 16, 64])
+def test_bob_sinr_matches_closed_form(n):
+    checked = 0
+    # a Latin square over (angles, p_m): every pair once, every SNR with each
+    for n_j, (i, (th_ab, th_mb)), (k, p_m) in itertools.product(
+        (1, 3), enumerate(ANGLES), enumerate(P_M)
+    ):
+        if n_j >= n:
+            continue
+        snr = SNR_DB[(i + k) % len(SNR_DB)]
+        base = config_with(
+            n_a=n, n_b=n, n_m=n, n_j=n_j, p_m_watt=p_m,
+            theta_r_ab_deg=th_ab, theta_r_mb_deg=th_mb,
+        )
+        cfg = config_at(base, "snr_db", snr)
+        scene = build_scene(cfg)
+        ch = scene.channels
+        c1 = ch.ab.gain * cfg.beta1 * cfg.p_a_watt
+        sigma2 = cfg.sigma_b2_watt
+        kappa = ch.mb.gain * p_m / n_j
+        h = ch.mb.rx_steering
+        gamma = abs(np.vdot(ch.ab.rx_steering, h)) ** 2
+
+        # the structure the closed forms rest on
+        c2 = ch.ab.gain * (1.0 - cfg.beta1) * cfg.p_a_watt
+        assert np.abs(scene.cov.b).max() <= 1e-12 * c2
+        d_expected = kappa * np.outer(h, h.conj())
+        assert np.abs(scene.cov.d - d_expected).max() <= 1e-12 * kappa
+
+        eve = mallory_receiver(scene).weights
+        for method in (Method.MRC, *OPTIMUM, Method.NSP_WFRP):
+            got = rate_point(scene, compute(method, scene).weights, eve).sinr_bob
+            want = _expected(method, c1, sigma2, kappa, gamma)
+            assert got == pytest.approx(want, rel=RTOL), (method, n_j, th_ab, th_mb, p_m, snr)
+            checked += 1
+    assert checked > 0
