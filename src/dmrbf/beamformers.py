@@ -306,16 +306,18 @@ def nsp_max_wfrp(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
     )
 
     u_proj = fc.matvec(proj, u)
+    # uncharged: a guard, not part of the method; relative, so a small
+    # scale is not mistaken for a signal inside the null
+    if np.linalg.norm(u_proj) <= RANK_RTOL * np.linalg.norm(u):
+        raise DegenerateGeometryError(
+            "signal signature lies inside the nulled jamming subspace"
+        )
     matched = fc.matvec(w_red, u_proj)
     matched = _unit(
-        fc,
-        matched,
-        DegenerateGeometryError(
-            "signal signature lies inside the nulled jamming subspace"
-        ),
+        fc, matched, DegenerateChannelError("whitened projected signal has zero norm")
     )
     w = fc.matvec(proj, fc.matvec(w_red.conj().T, matched))
-    w = _unit(fc, w, DegenerateGeometryError("projected weights have zero norm"))
+    w = _unit(fc, w, DegenerateChannelError("projected weights have zero norm"))
     return Beamformer(Method.NSP_WFRP, w, fc.total)
 
 

@@ -2,9 +2,12 @@
 
 Every receive beamformer sees Bob's array only through ``w^H rx``, and
 everything in ``rx`` except the confidential stream (artificial noise,
-jamming and thermal noise) is CN(0, ``c_nbar``).  So a sweep point draws
-symbols plus ``n_b`` complex normals per symbol, colours them by a
-square root of ``c_nbar`` and detects every requested beamformer on the
+jamming and thermal noise) is CN(0, ``c_nbar``).  So the M stacked
+detector outputs of a sweep point carry jointly Gaussian noise whose
+covariance has rank ``r <= min(M, n_b)``; in the line-of-sight model
+every weight lies in span{u, h}, so ``r <= 2``.  A point draws symbols
+plus ``r`` complex normals per symbol, maps them onto the outputs by a
+factor of that covariance and detects every requested beamformer on the
 same draws (common random numbers), so method-to-method BER differences
 are not masked by draw-to-draw variance.  Draws come in fixed chunks of
 ``_CHUNK`` symbols, which bounds memory.
@@ -26,8 +29,8 @@ import numpy as np
 
 from . import complexity
 from .beamformers import Beamformer, Method, compute, mallory_receiver
-from .errors import DegenerateChannelError, DmrbfError, DomainError
-from .linalg import hermitian_evd
+from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError
+from .linalg import RANK_RTOL, hermitian_evd
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
 from .scenario import Scene, ScenarioConfig, build_scene
 
@@ -38,7 +41,7 @@ _WILSON_Z = 1.959963984540054  # two-sided 95 %
 _CHUNK = 1 << 16
 
 #: Version of the Monte-Carlo random stream, written into every CSV.
-RNG_STREAM = 2
+RNG_STREAM = 3
 
 #: Gray-mapped QPSK constellation, unit symbol energy.  Both rails carry
 #: one bit as the sign, so adjacent symbols differ in exactly one bit.
@@ -99,15 +102,17 @@ def qpsk_awgn_ber(sinr: float) -> float:
 
 
 def count_bit_errors(z: np.ndarray, sent: np.ndarray) -> np.ndarray:
-    """Bit errors per row of the equalized outputs ``z`` (M x N).
+    """Bit errors per row of the equalized complex128 outputs ``z`` (M x N).
 
     ``sent`` holds the N transmitted Gray-mapped QPSK symbols; a bit
     error is a sign disagreement on either quadrature rail, so each
     symbol contributes zero, one or two errors to its row's count.
     """
-    wrong_i = (z.real < 0.0) != (sent.real < 0.0)
-    wrong_q = (z.imag < 0.0) != (sent.imag < 0.0)
-    return np.count_nonzero(wrong_i, axis=1) + np.count_nonzero(wrong_q, axis=1)
+    # on the interleaved re/im float views both rails compare in one pass;
+    # an in-place xor is the sign disagreement without a third bool array
+    wrong = z.view(np.float64) < 0.0
+    wrong ^= sent.view(np.float64) < 0.0
+    return np.count_nonzero(wrong, axis=1)
 
 
 def point_rng(seed: int, index: int) -> np.random.Generator:
@@ -117,13 +122,47 @@ def point_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _draw_block(
-    rng: np.random.Generator, cfg: ScenarioConfig, n_symbols: int
+    rng: np.random.Generator, rank: int, n_symbols: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk's symbols and ``n_b`` real-and-imaginary N(0, 1) pairs
-    per symbol, as an ``(n_b, n_symbols)`` complex view (re/im interleaved)."""
+    """One chunk's symbols and ``rank`` real-and-imaginary N(0, 1) pairs
+    per symbol, as a ``(rank, n_symbols)`` complex view (re/im interleaved)."""
     sent = QPSK_SYMBOLS[rng.integers(0, 4, n_symbols)]
-    white = rng.standard_normal((cfg.n_b, 2 * n_symbols)).view(np.complex128)
+    white = rng.standard_normal((rank, 2 * n_symbols)).view(np.complex128)
     return sent, white
+
+
+def _output_root(scene: Scene, weights: dict[Method, np.ndarray]) -> np.ndarray:
+    """Factor ``G`` (M x r) of the stacked detector outputs' noise.
+
+    Every method detects ``y = w^H rx / g`` with ``g = sqrt(c1) w^H u``,
+    and everything in ``rx`` but the stream is CN(0, ``c_nbar``), so the
+    outputs are ``s + fold n`` with ``fold = W^H root / g``,
+    ``root root^H = c_nbar / 2`` and ``n`` white.  The thin SVD
+    ``fold = U S V^H`` keeps the ``r`` singular values above
+    ``RANK_RTOL * s_0``, and ``G = U_r S_r`` gives ``G G^H = fold fold^H``
+    up to directions of relative variance ``RANK_RTOL**2``, so ``G`` fed
+    with ``r`` white normals per symbol reproduces every output's noise
+    and their correlations.
+    """
+    evd = hermitian_evd(scene.cov.c_nbar)
+    # clamped, not refused: no inverse is taken, and MRC must run at any noise level
+    root = evd.eigenvectors * np.sqrt(np.maximum(evd.eigenvalues, 0.0) / 2.0)
+    c1 = scene.channels.ab.gain * scene.cfg.beta1 * scene.cfg.p_a_watt
+    w_h = np.stack([w.conj() for w in weights.values()])
+    gains = np.sqrt(c1) * (w_h @ scene.bob_signal_vector)
+    for method, gain in zip(weights, gains):
+        if abs(gain) <= 1e-12:
+            raise DegenerateChannelError(
+                f"{Method(method).value}: effective complex gain is zero; "
+                "the stream cannot be equalized"
+            )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
+        fold = (w_h @ root) / gains[:, None]
+    if not np.isfinite(fold).all():
+        raise NumericalError("stacked detector noise matrix is not finite")
+    left, sv, _ = np.linalg.svd(fold, full_matrices=False)
+    keep = sv > RANK_RTOL * sv[0]
+    return left[:, keep] * sv[keep]
 
 
 def _ber_runs(
@@ -134,31 +173,16 @@ def _ber_runs(
 ) -> dict[Method, BerRun]:
     """Estimate BER for several beamformers on shared symbol chunks.
 
-    Every method detects ``y = w^H rx / g`` with ``g = sqrt(c1) w^H u``,
-    and everything in ``rx`` but the stream is CN(0, ``c_nbar``), so
-    ``y = s + w^H root n / g`` with ``root root^H = c_nbar / 2`` and
-    ``n`` the chunk's white draws.  All methods share one product
-    ``fold @ n`` per chunk.
+    Each chunk draws ``r`` white normals per symbol, ``r`` the rank of the
+    stacked outputs' noise (see `_output_root`), and all methods share one
+    product ``G @ n`` per chunk.
     """
-    cfg = scene.cfg
-    evd = hermitian_evd(scene.cov.c_nbar)
-    # clamped, not refused: no inverse is taken, and MRC must run at any noise level
-    root = evd.eigenvectors * np.sqrt(np.maximum(evd.eigenvalues, 0.0) / 2.0)
-    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    w_h = np.stack([w.conj() for w in weights.values()])
-    gains = np.sqrt(c1) * (w_h @ scene.bob_signal_vector)
-    for method, gain in zip(weights, gains):
-        if abs(gain) <= 1e-12:
-            raise DegenerateChannelError(
-                f"{Method(method).value}: effective complex gain is zero; "
-                "the stream cannot be equalized"
-            )
-    fold = (w_h @ root) / gains[:, None]
+    g = _output_root(scene, weights)
 
     n_errors = np.zeros(len(weights), dtype=np.int64)
     for start in range(0, n_symbols, _CHUNK):
-        sent, white = _draw_block(rng, cfg, min(_CHUNK, n_symbols - start))
-        z = fold @ white
+        sent, white = _draw_block(rng, g.shape[1], min(_CHUNK, n_symbols - start))
+        z = g @ white
         z += sent
         n_errors += count_bit_errors(z, sent)
 

@@ -210,6 +210,8 @@ def build_channels(cfg: ScenarioConfig) -> ChannelSet:
 
 def _orthonormal_extension(first: np.ndarray, n_cols: int) -> np.ndarray:
     """Orthonormal columns whose first column is exactly ``first``."""
+    if n_cols == 1:
+        return first[:, None].copy()
     n = first.shape[0]
     basis = np.column_stack([first, np.eye(n, dtype=np.complex128)])
     q, _ = np.linalg.qr(basis)

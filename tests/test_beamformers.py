@@ -167,7 +167,7 @@ _FAR_BOB = {"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}
         (_FAR_BOB, Method.WFMRC, DegenerateChannelError),
         (_FAR_BOB, Method.MAX_SR, DegenerateChannelError),
         (_FAR_BOB, Method.MMSE, DegenerateChannelError),
-        (_FAR_BOB, Method.NSP_WFRP, DegenerateGeometryError),
+        (_FAR_BOB, Method.NSP_WFRP, DegenerateChannelError),
         ({"sigma_m2_watt": 8.98846567431158e307}, Method.MALLORY, DegenerateChannelError),
     ],
 )

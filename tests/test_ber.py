@@ -9,15 +9,19 @@ from dmrbf import (
     DegenerateGeometryError,
     DomainError,
     Method,
+    NumericalError,
     RECEIVE_METHODS,
     ScenarioConfig,
+    build_scene,
+    compute,
     point_rng,
     qpsk_awgn_ber,
     simulate_ber,
     sweep,
     wilson_interval,
 )
-from dmrbf.ber import _CHUNK, count_bit_errors
+from dmrbf import ber
+from dmrbf.ber import _CHUNK, _output_root, count_bit_errors
 
 from conftest import config_with
 
@@ -134,6 +138,59 @@ def test_error_counts_follow_exact_binomial(n):
         p = qpsk_awgn_ber(r.rates.sinr_bob)
         tail = binomial_two_sided_p(r.ber.n_errors, 2 * r.ber.n_symbols, p)
         assert tail > 1e-6, (r.axis_value, r.method, r.ber.n_errors, p)
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_output_root_reproduces_output_noise(n):
+    # 2 fold fold^H is the stacked outputs' noise covariance
+    # W^H c_nbar W / (g g^H); the rank-r factor G must reproduce it
+    scene = build_scene(config_with(n_a=n, n_b=n, n_m=n))
+    weights = {m: compute(m, scene).weights for m in RECEIVE_METHODS}
+    g = _output_root(scene, weights)
+    cfg = scene.cfg
+    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
+    w = np.stack(list(weights.values()), axis=1)
+    gains = np.sqrt(c1) * (w.conj().T @ scene.bob_signal_vector)
+    want = (w.conj().T @ scene.cov.c_nbar @ w) / np.outer(gains, gains.conj())
+    got = 2.0 * (g @ g.conj().T)
+    diag = np.real(np.diag(want))
+    np.testing.assert_allclose(np.real(np.diag(got)), diag, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * diag.max())
+
+
+@pytest.mark.parametrize(
+    "overrides, rank",
+    [
+        ({"n_a": 4, "n_b": 4, "n_m": 4}, 2),
+        ({"n_a": 16, "n_b": 16, "n_m": 16}, 2),
+        ({"n_a": 64, "n_b": 64, "n_m": 64}, 2),
+        # Mallory's signature at Bob is orthogonal to Alice's (gamma = 0),
+        # so every method's weights are collinear with u
+        ({"theta_r_mb_deg": 60.0, "theta_t_mb_deg": 60.0}, 1),
+        ({"n_b": 1}, 1),
+    ],
+)
+def test_point_draws_rank_normals_per_symbol(overrides, rank, monkeypatch):
+    draw = ber._draw_block
+    ranks = []
+
+    def spy(rng, r, n_symbols):
+        ranks.append(r)
+        return draw(rng, r, n_symbols)
+
+    monkeypatch.setattr(ber, "_draw_block", spy)
+    cfg = config_with(**overrides)
+    # null-space projection needs n_b >= 2
+    methods = tuple(m for m in RECEIVE_METHODS if cfg.n_b > 1 or m != Method.NSP_WFRP)
+    simulate_ber(cfg, methods, 100, seed=0)
+    assert ranks == [rank]
+
+
+def test_non_finite_stacked_matrix_is_refused():
+    scene = build_scene(ScenarioConfig())
+    nan_weights = np.full(scene.cfg.n_b, np.nan, dtype=np.complex128)
+    with pytest.raises(NumericalError, match="not finite"):
+        _output_root(scene, {Method.MRC: nan_weights})
 
 
 @pytest.mark.parametrize("n_symbols", [_CHUNK - 1, _CHUNK, _CHUNK + 1])

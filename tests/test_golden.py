@@ -5,8 +5,10 @@
 rate, SINR, BER or flop count, or the random stream, fails here.  A change
 that alters the output on purpose regenerates the files with that command
 and checks that only the columns it meant to move did.  The files hold
-random stream 2 (``# rng_stream = 2``, the sufficient-statistic draw);
-moving from stream 1 changed only the ``ber`` and ``ber_ci95`` columns.
+random stream 3 (``# rng_stream = 3``, the draw in the range of the
+stacked detector outputs); moving from stream 2 (the sufficient-statistic
+draw in Bob's array), as from stream 1 before it, changed only the
+``ber`` and ``ber_ci95`` columns.
 """
 
 from pathlib import Path
