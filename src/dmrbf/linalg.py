@@ -45,8 +45,11 @@ def _as_square_complex(m: np.ndarray, name: str) -> np.ndarray:
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
     """``(m + m^H) / 2``, halved before adding so entries near the float
-    maximum do not overflow."""
-    return m / 2.0 + m.conj().T / 2.0
+    maximum do not overflow.  Halving multiplies by ``0.5``: numpy divides
+    complex by real through the reciprocal, so this returns the division's
+    bits (only the sign of an exact zero may differ) at a fraction of its
+    cost."""
+    return m * 0.5 + m.conj().T * 0.5
 
 
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
@@ -99,4 +102,4 @@ def inv_hpd(m: np.ndarray) -> np.ndarray:
     evd = hermitian_evd(m)
     check_hpd(evd, "matrix")
     q = evd.eigenvectors
-    return (q / evd.eigenvalues) @ q.conj().T
+    return (q * (1.0 / evd.eigenvalues)) @ q.conj().T  # = q / eigenvalues, see hermitian_part

@@ -14,9 +14,10 @@ number.
 
 from __future__ import annotations
 
+import functools
 import math
 import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -265,6 +266,13 @@ def build_covariances(
     cfg: ScenarioConfig, channels: ChannelSet, setup: TransmitSetup
 ) -> CovarianceSet:
     """Assemble all second-order receive statistics for one scenario."""
+    return _with_noise(cfg, _noise_free_covariances(cfg, channels, setup))
+
+
+def _noise_free_covariances(
+    cfg: ScenarioConfig, channels: ChannelSet, setup: TransmitSetup
+) -> dict[str, np.ndarray]:
+    """Every `CovarianceSet` term except ``c_nbar``: none depends on the noise."""
     g_ab = channels.ab.gain
     g_am = channels.am.gain
     g_mb = channels.mb.gain
@@ -286,9 +294,12 @@ def build_covariances(
 
     rsi = setup.h_m_rsi.conj().T @ setup.t_m_an
     r_m = hermitian_part(cfg.rho * cfg.p_m_watt * (rsi @ rsi.conj().T))
+    return {"a": a, "b": b, "d": d, "e": e, "f": f, "r_m": r_m}
 
-    c_nbar = b + d + cfg.sigma_b2_watt * np.eye(cfg.n_b)
-    return CovarianceSet(a=a, b=b, d=d, e=e, f=f, r_m=r_m, c_nbar=c_nbar)
+
+def _with_noise(cfg: ScenarioConfig, terms: dict[str, np.ndarray]) -> CovarianceSet:
+    c_nbar = terms["b"] + terms["d"] + cfg.sigma_b2_watt * np.eye(cfg.n_b)
+    return CovarianceSet(**terms, c_nbar=c_nbar)
 
 
 @dataclass(frozen=True)
@@ -306,8 +317,58 @@ class Scene:
         return self.channels.ab.matrix @ self.setup.v_a
 
 
+#: The fields that the noise-free part of a scene depends on.
+_NOISE_FREE_FIELDS = tuple(
+    name for name in _FIELD_TYPES if name not in ("sigma_b2_watt", "sigma_m2_watt")
+)
+
+
+@dataclass(frozen=True)
+class _NoiseFreeKey:
+    """Memo key of `build_scene`: the ``repr`` of every noise-free field.
+
+    ``repr`` tells ``-0.0`` from ``0.0``, which compare equal but need not
+    give the same bits downstream.  ``cfg`` is not compared; it is the config
+    the noise-free part is built from on a miss.
+    """
+
+    reprs: tuple[str, ...]
+    cfg: ScenarioConfig = field(compare=False)
+
+
+def _freeze(*parts: object) -> None:
+    """Make every array in ``parts`` (nested dataclasses and dicts) read-only."""
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part.flags.writeable = False
+        elif isinstance(part, dict):
+            _freeze(*part.values())
+        elif is_dataclass(part):
+            _freeze(*(getattr(part, f.name) for f in fields(part)))
+
+
+# A sweep varies the noise at one geometry, so one entry serves a whole SNR
+# sweep; a few more let alternating geometries (several array sizes) stay
+# cached without holding many n^2 arrays.
+@functools.lru_cache(maxsize=4)
+def _noise_free_scene(
+    key: _NoiseFreeKey,
+) -> tuple[ChannelSet, TransmitSetup, dict[str, np.ndarray]]:
+    channels = build_channels(key.cfg)
+    setup = build_transmit_setup(key.cfg, channels)
+    terms = _noise_free_covariances(key.cfg, channels, setup)
+    _freeze(channels, setup, terms)
+    return channels, setup, terms
+
+
 def build_scene(cfg: ScenarioConfig) -> Scene:
-    channels = build_channels(cfg)
-    setup = build_transmit_setup(cfg, channels)
-    cov = build_covariances(cfg, channels, setup)
-    return Scene(cfg=cfg, channels=channels, setup=setup, cov=cov)
+    """The scene of one config.
+
+    Only ``cov.c_nbar`` depends on the noise powers; the channels, the
+    transmit setup (with its RSI draw) and the other covariance terms are
+    built once per noise-free config and shared, read-only, by every scene
+    built from it.  Copy an array before editing it in place.
+    """
+    key = _NoiseFreeKey(tuple(repr(getattr(cfg, name)) for name in _NOISE_FREE_FIELDS), cfg)
+    channels, setup, terms = _noise_free_scene(key)
+    return Scene(cfg=cfg, channels=channels, setup=setup, cov=_with_noise(cfg, terms))

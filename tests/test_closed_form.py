@@ -12,6 +12,10 @@ Van Trees, *Optimum Array Processing*, ch. 6:
 * WF-MRC, Max-SR, MMSE and LC-MMSE (the optimum direction):
   ``(c1 / sigma^2) (1 - kappa gamma / (sigma^2 + kappa))``;
 * NSP-WFRP (jamming nulled outright): ``(c1 / sigma^2) (1 - gamma)``.
+
+The paper's comparisons follow as inequalities: NSP-WFRP beats MRC exactly
+when ``(1 - gamma) (kappa gamma + sigma^2) > sigma^2``, and as the jamming
+power grows the optimum SINR falls toward NSP-WFRP's from above.
 """
 
 import itertools
@@ -75,3 +79,65 @@ def test_bob_sinr_matches_closed_form(n):
             assert got == pytest.approx(want, rel=RTOL), (method, n_j, th_ab, th_mb, p_m, snr)
             checked += 1
     assert checked > 0
+
+
+def _scene_sinrs(cfg, methods):
+    scene = build_scene(cfg)
+    eve = mallory_receiver(scene).weights
+    ch = scene.channels
+    kappa = ch.mb.gain * cfg.p_m_watt / cfg.n_j
+    gamma = abs(np.vdot(ch.ab.rx_steering, ch.mb.rx_steering)) ** 2
+    sinrs = [rate_point(scene, compute(m, scene).weights, eve).sinr_bob for m in methods]
+    return sinrs, kappa, gamma
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_nsp_beats_mrc_exactly_when_the_closed_forms_say(n):
+    outcomes = set()
+    for (th_ab, th_mb), p_m, snr in itertools.product(
+        (*ANGLES, (90.0, 60.0), (90.0, 88.0)), (0.01, 1.0, 100.0), SNR_DB
+    ):
+        cfg = config_at(
+            config_with(
+                n_a=n, n_b=n, n_m=n, p_m_watt=p_m,
+                theta_r_ab_deg=th_ab, theta_r_mb_deg=th_mb,
+            ),
+            "snr_db",
+            snr,
+        )
+        (mrc, nsp), kappa, gamma = _scene_sinrs(cfg, (Method.MRC, Method.NSP_WFRP))
+        sigma2 = cfg.sigma_b2_watt
+        lhs, rhs = (1.0 - gamma) * (kappa * gamma + sigma2), sigma2
+        if abs(lhs - rhs) <= 1e-9 * rhs:  # a tie: the two SINRs agree
+            assert nsp == pytest.approx(mrc, rel=1e-9)
+            outcomes.add("tie")
+        else:
+            assert (nsp > mrc) == (lhs > rhs), (th_ab, th_mb, p_m, snr)
+            outcomes.add(lhs > rhs)
+    assert outcomes == {True, False, "tie"}
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_optimum_falls_toward_nsp_as_jamming_grows(n):
+    # up to kappa / sigma^2 ~ 1e5, where the SINRs still hold to RTOL (further
+    # up the optimum-minus-NSP gap sinks into the roundoff of c_nbar^-1)
+    p_m = 10.0 ** np.arange(-3.0, 7.0)
+    for th_ab, th_mb in ((90.0, 45.0), (100.0, 30.0), (90.0, 75.0)):  # all with gamma > 0
+        base = config_at(
+            config_with(n_a=n, n_b=n, n_m=n, theta_r_ab_deg=th_ab, theta_r_mb_deg=th_mb),
+            "snr_db",
+            10.0,
+        )
+        opt, nsp, gaps = [], [], []
+        for p in p_m:
+            (*optimum, null), _, gamma = _scene_sinrs(
+                config_at(base, "p_m_watt", p), (*OPTIMUM, Method.NSP_WFRP)
+            )
+            assert gamma > 1e-6  # the jammer is seen, so the optimum has room above NSP
+            opt.append(max(optimum))
+            nsp.append(null)
+            gaps.append(min(optimum) - null)
+        opt, nsp = np.array(opt), np.array(nsp)
+        assert np.all(opt[1:] <= opt[:-1] * (1.0 + RTOL))  # never increases
+        assert np.all(np.array(gaps) >= -RTOL * nsp)  # never below NSP
+        assert gaps[-1] <= 1e-5 * gaps[0]  # and the optimum approaches it

@@ -9,6 +9,7 @@ from dmrbf import (
     hermitian_evd,
     inv_hpd,
 )
+from dmrbf.linalg import hermitian_part
 
 from conftest import random_hermitian, random_hpd
 
@@ -89,3 +90,30 @@ def test_inv_hpd_rejects_near_singular():
     with pytest.raises(ConditioningError) as exc:
         inv_hpd(m)
     assert exc.value.min_eig <= 1e-14 * exc.value.max_eig
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_reciprocal_products_equal_the_divisions_bit_for_bit(n):
+    # numpy divides complex by real through the reciprocal, so the products
+    # hermitian_part and inv_hpd use return the divisions' bits, at scales
+    # from 1e-300 to 1e300
+    rng = np.random.default_rng(106 + n)
+    for scale in (1e-300, 1e-3, 1.0, 1e3, 1e300):
+        m = scale * random_hermitian(rng, n)
+        z = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        for x in (m, z):
+            assert hermitian_part(x).tobytes() == (x / 2.0 + x.conj().T / 2.0).tobytes()
+        h = scale * random_hpd(rng, n, cond=1e6)
+        evd = hermitian_evd(h)
+        q = evd.eigenvectors
+        assert inv_hpd(h).tobytes() == ((q / evd.eigenvalues) @ q.conj().T).tobytes()
+
+
+def test_hermitian_part_stays_finite_near_float_max():
+    rng = np.random.default_rng(107)
+    for n in (4, 16, 64):
+        m = random_hermitian(rng, n)
+        m = m / np.abs(m).max() * 1.7e308  # largest entry at 1.7e308
+        assert np.array_equal(hermitian_part(m), m)
+        z = 1.7e308 * np.exp(2j * np.pi * rng.random((n, n)))
+        assert np.all(np.isfinite(hermitian_part(z)))

@@ -9,6 +9,7 @@ from dmrbf import (
     ConfigError,
     ConfigParseError,
     ScenarioConfig,
+    Scene,
     build_channels,
     build_covariances,
     build_scene,
@@ -17,6 +18,8 @@ from dmrbf import (
     parse_config,
     serialize_config,
 )
+from dmrbf.ber import config_at
+from dmrbf.scenario import _noise_free_scene
 
 from conftest import config_with, random_config
 
@@ -222,3 +225,76 @@ def test_scene_signal_vectors():
     chans = scene.channels
     # v_a equals h_t(AB), so the noiseless receive signature is h_r(AB)
     assert np.allclose(scene.bob_signal_vector, chans.ab.rx_steering, atol=1e-12)
+
+
+def _arrays(part, path="scene"):
+    """Every array of a scene, keyed by its attribute path."""
+    if isinstance(part, np.ndarray):
+        return {path: part}
+    if not dataclasses.is_dataclass(part):
+        return {}
+    out = {}
+    for f in dataclasses.fields(part):
+        out.update(_arrays(getattr(part, f.name), f"{path}.{f.name}"))
+    return out
+
+
+def _bytes(scene: Scene) -> dict[str, bytes]:
+    return {path: a.tobytes() for path, a in _arrays(scene).items()}
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_memoized_scene_equals_a_fresh_build_bit_for_bit(n):
+    for n_j in (1, 3):
+        base = config_with(n_a=n, n_b=n, n_m=n, n_j=n_j)
+        _noise_free_scene.cache_clear()
+        build_scene(config_at(base, "snr_db", 0.0))  # fills the memo
+        for snr in (-5.0, 7.25, 25.0):
+            cfg = config_at(base, "snr_db", snr)
+            cached = build_scene(cfg)
+            assert _noise_free_scene.cache_info().misses == 1
+            _noise_free_scene.cache_clear()
+            fresh = build_scene(cfg)
+            assert _bytes(cached) == _bytes(fresh)
+            chans = build_channels(cfg)
+            setup = build_transmit_setup(cfg, chans)
+            staged = Scene(cfg, chans, setup, build_covariances(cfg, chans, setup))
+            assert _bytes(cached) == _bytes(staged)
+
+
+def test_noise_levels_share_the_noise_free_part():
+    cfg_lo = config_with(sigma_b2_watt=0.1, sigma_m2_watt=0.2)
+    cfg_hi = config_with(sigma_b2_watt=10.0, sigma_m2_watt=20.0)
+    lo, hi = build_scene(cfg_lo), build_scene(cfg_hi)
+    assert lo.cfg is cfg_lo and hi.cfg is cfg_hi
+    assert lo.channels is hi.channels
+    assert lo.setup is hi.setup
+    for name in ("a", "b", "d", "e", "f", "r_m"):
+        assert getattr(lo.cov, name) is getattr(hi.cov, name)
+    for scene in (lo, hi):
+        cov, sigma2 = scene.cov, scene.cfg.sigma_b2_watt
+        assert np.array_equal(cov.c_nbar, cov.b + cov.d + sigma2 * np.eye(cfg_lo.n_b))
+    assert not np.array_equal(lo.cov.c_nbar, hi.cov.c_nbar)
+
+
+def test_shared_arrays_are_read_only():
+    scene = build_scene(config_with(n_j=3, sigma_b2_watt=0.5))
+    shared = {path: a for path, a in _arrays(scene).items() if path != "scene.cov.c_nbar"}
+    assert len(shared) == 3 * 3 + 4 + 6  # three links, transmit setup, six terms
+    for path, a in shared.items():
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    # a scene built afterwards still sees the untouched arrays
+    again = build_scene(config_with(n_j=3, sigma_b2_watt=0.7))
+    assert all(again_a is shared[p] for p, again_a in _arrays(again).items() if p in shared)
+
+
+def test_signed_zero_fields_do_not_share_an_entry():
+    cfg_pos, cfg_neg = config_with(p_m_watt=0.0), config_with(p_m_watt=-0.0)
+    assert cfg_pos == cfg_neg  # so the memo cannot key on the config itself
+    _noise_free_scene.cache_clear()
+    pos, neg = build_scene(cfg_pos), build_scene(cfg_neg)
+    assert _noise_free_scene.cache_info().misses == 2
+    assert neg.cov.d is not pos.cov.d and neg.setup is not pos.setup
+    _noise_free_scene.cache_clear()
+    assert _bytes(build_scene(cfg_neg)) == _bytes(neg)
