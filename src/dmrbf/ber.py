@@ -5,18 +5,28 @@ everything in ``rx`` except the confidential stream (artificial noise,
 jamming and thermal noise) is CN(0, ``c_nbar``).  So the M stacked
 detector outputs of a sweep point carry jointly Gaussian noise whose
 covariance has rank ``r <= min(M, n_b)``; in the line-of-sight model
-every weight lies in span{u, h}, so ``r <= 2``.  A point draws symbols
-plus ``r`` complex normals per symbol, maps them onto the outputs by a
-factor of that covariance and detects every requested beamformer on the
-same draws (common random numbers), so method-to-method BER differences
-are not masked by draw-to-draw variance.  Draws come in fixed chunks of
-``_CHUNK`` symbols, which bounds memory.
+every weight lies in span{u, h}, so ``r <= 2``.  A point draws ``r``
+complex normals per symbol, maps them onto the outputs by a factor of
+that covariance and detects every requested beamformer on the same
+draws (common random numbers), so method-to-method BER differences are
+not masked by draw-to-draw variance.
+
+Every symbol sent is the reference symbol ``(1 + j) / sqrt(2)``.  Each
+output is ``s + n`` with ``n`` circular Gaussian and independent of
+``s``; a rail is in error exactly when ``sign(s_rail) n_rail < -1/sqrt(2)``,
+and ``sign(s_rail) n_rail`` has the law of ``n_rail``.  So every Gray-QPSK
+symbol has the same error law, and with the reference symbol a rail is
+wrong exactly when ``n_rail < -1/sqrt(2)``: each method's count is still
+exactly Binomial(2N, Q(sqrt(SINR))), with no data to draw, add or
+compare (Jeruchim, IEEE JSAC 1984).
 
 Reproducibility contract: point ``i`` of a sweep with seed ``s`` draws
-all its chunks, in order, from a counter-based Philox generator keyed by
-``(s, i)``.  Results therefore depend neither on the order points are
-executed in nor on the number of worker threads, and repeated runs are
-bit-identical.  ``RNG_STREAM`` numbers this scheme; CSVs record it.
+its normals symbol-major from a counter-based Philox generator keyed by
+``(s, i)``.  The draw comes in chunks of ``_CHUNK`` symbols, which only
+bounds memory: the chunks concatenate into one stream, so no count
+depends on the chunk size.  Results depend neither on the order points
+are executed in nor on the number of worker threads, and repeated runs
+are bit-identical.  ``RNG_STREAM`` numbers this scheme; CSVs record it.
 """
 
 from __future__ import annotations
@@ -36,18 +46,16 @@ from .scenario import Scene, ScenarioConfig, build_scene
 
 _WILSON_Z = 1.959963984540054  # two-sided 95 %
 
-#: Symbols per random draw.  Fixed, so a point's counts depend only on
-#: (seed, point index, n_symbols) and its memory stays bounded.
-_CHUNK = 1 << 16
+#: Symbols per random draw.  It bounds memory and keeps a chunk's
+#: outputs in cache; the counts do not depend on it.
+_CHUNK = 1 << 13
 
 #: Version of the Monte-Carlo random stream, written into every CSV.
-RNG_STREAM = 3
+RNG_STREAM = 4
 
-#: Gray-mapped QPSK constellation, unit symbol energy.  Both rails carry
-#: one bit as the sign, so adjacent symbols differ in exactly one bit.
-QPSK_SYMBOLS = np.array(
-    [1.0 + 1.0j, 1.0 - 1.0j, -1.0 + 1.0j, -1.0 - 1.0j], dtype=np.complex128
-) / np.sqrt(2.0)
+#: A rail of the reference symbol ``(1 + j) / sqrt(2)`` is detected wrong
+#: when its noise falls below this.
+_RAIL_THRESHOLD = -1.0 / math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -101,18 +109,15 @@ def qpsk_awgn_ber(sinr: float) -> float:
     return 0.5 * math.erfc(math.sqrt(sinr / 2.0))
 
 
-def count_bit_errors(z: np.ndarray, sent: np.ndarray) -> np.ndarray:
-    """Bit errors per row of the equalized complex128 outputs ``z`` (M x N).
+def count_bit_errors(z: np.ndarray) -> np.ndarray:
+    """Bit errors per row of the complex128 output noise ``z`` (M x N).
 
-    ``sent`` holds the N transmitted Gray-mapped QPSK symbols; a bit
-    error is a sign disagreement on either quadrature rail, so each
+    The reference symbol ``(1 + j) / sqrt(2)`` was sent at every symbol,
+    so a rail is in error when its noise is below ``-1/sqrt(2)``; each
     symbol contributes zero, one or two errors to its row's count.
     """
-    # on the interleaved re/im float views both rails compare in one pass;
-    # an in-place xor is the sign disagreement without a third bool array
-    wrong = z.view(np.float64) < 0.0
-    wrong ^= sent.view(np.float64) < 0.0
-    return np.count_nonzero(wrong, axis=1)
+    # on the interleaved re/im float view both rails compare in one pass
+    return np.count_nonzero(z.view(np.float64) < _RAIL_THRESHOLD, axis=1)
 
 
 def point_rng(seed: int, index: int) -> np.random.Generator:
@@ -121,14 +126,10 @@ def point_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_block(
-    rng: np.random.Generator, rank: int, n_symbols: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One chunk's symbols and ``rank`` real-and-imaginary N(0, 1) pairs
-    per symbol, as a ``(rank, n_symbols)`` complex view (re/im interleaved)."""
-    sent = QPSK_SYMBOLS[rng.integers(0, 4, n_symbols)]
-    white = rng.standard_normal((rank, 2 * n_symbols)).view(np.complex128)
-    return sent, white
+def _draw_block(rng: np.random.Generator, rank: int, n_symbols: int) -> np.ndarray:
+    """One chunk's ``rank`` real-and-imaginary N(0, 1) pairs per symbol, as
+    a symbol-major ``(n_symbols, rank)`` complex view (re/im interleaved)."""
+    return rng.standard_normal((n_symbols, 2 * rank)).view(np.complex128)
 
 
 def _output_root(scene: Scene, weights: dict[Method, np.ndarray]) -> np.ndarray:
@@ -175,16 +176,15 @@ def _ber_runs(
 
     Each chunk draws ``r`` white normals per symbol, ``r`` the rank of the
     stacked outputs' noise (see `_output_root`), and all methods share one
-    product ``G @ n`` per chunk.
+    product ``G @ n`` per chunk; the reference symbol is never added, it
+    only sets the detection threshold.
     """
     g = _output_root(scene, weights)
 
     n_errors = np.zeros(len(weights), dtype=np.int64)
     for start in range(0, n_symbols, _CHUNK):
-        sent, white = _draw_block(rng, g.shape[1], min(_CHUNK, n_symbols - start))
-        z = g @ white
-        z += sent
-        n_errors += count_bit_errors(z, sent)
+        white = _draw_block(rng, g.shape[1], min(_CHUNK, n_symbols - start))
+        n_errors += count_bit_errors(g @ white.T)
 
     runs: dict[Method, BerRun] = {}
     for method, n_err in zip(weights, n_errors.tolist()):
@@ -278,6 +278,8 @@ def sweep(
         raise DomainError(f"n_symbols must be >= 1, got {n_symbols}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    if not 0 <= seed < 2**64:  # point_rng keys Philox with a uint64
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
     methods = tuple(Method(m) for m in methods)
     if not methods:
         return []

@@ -177,6 +177,10 @@ def _print_summary(spec: SweepSpec, reports: list[PerformanceReport], quantity: 
 def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
     """Execute a sweep spec and write its CSV and SVG outputs."""
     preset = PRESETS[spec.preset]
+    try:  # before the sweep, so a bad --out fails fast
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DomainError(f"--out {out_dir} is not a usable directory: {exc}") from exc
     reports = sweep(
         spec.cfg,
         spec.methods,
@@ -186,7 +190,6 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         spec.seed,
         spec.workers,
     )
-    out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / f"{spec.preset}.csv"
     svg_path = out_dir / f"{spec.preset}.svg"
     write_csv(csv_path, spec, reports)

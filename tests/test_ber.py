@@ -21,7 +21,7 @@ from dmrbf import (
     wilson_interval,
 )
 from dmrbf import ber
-from dmrbf.ber import _CHUNK, _output_root, count_bit_errors
+from dmrbf.ber import _output_root, count_bit_errors
 
 from conftest import config_with
 
@@ -77,17 +77,27 @@ def test_count_bit_errors_matches_naive_loop():
     for _ in range(10):
         rows, n_sym = int(rng.integers(1, 8)), int(rng.integers(1, 400))
         z = rng.standard_normal((rows, n_sym)) + 1j * rng.standard_normal((rows, n_sym))
-        sent = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=n_sym) / math.sqrt(
-            2
-        )
-        got = count_bit_errors(z, sent)
+        got = count_bit_errors(z)
         assert got.shape == (rows,)
         for row in range(rows):
             naive = 0
             for i in range(n_sym):
-                naive += (z[row, i].real < 0.0) != (sent[i].real < 0.0)
-                naive += (z[row, i].imag < 0.0) != (sent[i].imag < 0.0)
+                naive += z[row, i].real < -1.0 / math.sqrt(2.0)
+                naive += z[row, i].imag < -1.0 / math.sqrt(2.0)
             assert got[row] == naive
+
+
+def test_reference_symbol_counts_equal_data_symbol_counts():
+    # a sign detector errs on s + n exactly when the reference symbol errs
+    # on sign(s) n, which has the law of n: data cannot change the count
+    rng = np.random.default_rng(602)
+    n = rng.standard_normal((3, 500)) + 1j * rng.standard_normal((3, 500))
+    s = rng.choice([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j], size=500) / math.sqrt(2)
+    z = s + n
+    data_errors = np.count_nonzero((z.real < 0) != (s.real < 0), axis=1)
+    data_errors += np.count_nonzero((z.imag < 0) != (s.imag < 0), axis=1)
+    flipped = np.sign(s.real) * n.real + 1j * np.sign(s.imag) * n.imag
+    np.testing.assert_array_equal(count_bit_errors(flipped), data_errors)
 
 
 def _log_binom_pmf(k: int, n: int, p: float) -> float:
@@ -126,14 +136,25 @@ def test_binomial_tail_helper():
     assert binomial_two_sided_p(0, 10, 0.0) == 1.0
 
 
-@pytest.mark.parametrize("n", [4, 16])
-def test_error_counts_follow_exact_binomial(n):
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"n_a": 4, "n_b": 4, "n_m": 4}, id="4"),
+        pytest.param({"n_a": 16, "n_b": 16, "n_m": 16}, id="16"),
+        # rank-one output noise (see test_point_draws_rank_normals_per_symbol)
+        pytest.param({"theta_r_mb_deg": 60.0, "theta_t_mb_deg": 60.0}, id="orthogonal"),
+        pytest.param({"n_b": 1}, id="n_b1"),
+    ],
+)
+def test_error_counts_follow_exact_binomial(overrides):
     # Bob's interference plus noise is circular Gaussian, so each method's
     # errors over N symbols are exactly Binomial(2N, Q(sqrt(SINR)))
-    cfg = config_with(n_a=n, n_b=n, n_m=n)
+    cfg = config_with(**overrides)
+    # null-space projection needs n_b >= 2
+    methods = tuple(m for m in RECEIVE_METHODS if cfg.n_b > 1 or m != Method.NSP_WFRP)
     snrs = (-5.0, 0.0, 5.0)
-    reports = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 20_000, seed=11)
-    assert len(reports) == len(snrs) * len(RECEIVE_METHODS)
+    reports = sweep(cfg, methods, "snr_db", snrs, 20_000, seed=11)
+    assert len(reports) == len(snrs) * len(methods)
     for r in reports:
         p = qpsk_awgn_ber(r.rates.sinr_bob)
         tail = binomial_two_sided_p(r.ber.n_errors, 2 * r.ber.n_symbols, p)
@@ -193,13 +214,18 @@ def test_non_finite_stacked_matrix_is_refused():
         _output_root(scene, {Method.MRC: nan_weights})
 
 
-@pytest.mark.parametrize("n_symbols", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
-def test_chunk_boundaries(n_symbols):
+@pytest.mark.parametrize("n_symbols", [65535, 65536, 65537])
+def test_chunk_boundaries(n_symbols, monkeypatch):
+    # the draw is symbol-major, so the chunks concatenate into one stream
+    # and no count depends on the chunk size
     cfg = config_with(p_m_watt=100.0)
-    runs = simulate_ber(cfg, (Method.MRC, Method.NSP_WFRP), n_symbols, seed=2)
-    again = simulate_ber(cfg, (Method.MRC, Method.NSP_WFRP), n_symbols, seed=2)
-    assert runs == again
+    methods = (Method.MRC, Method.NSP_WFRP)
+    runs = simulate_ber(cfg, methods, n_symbols, seed=2)
     assert all(r.n_symbols == n_symbols for r in runs.values())
+    assert all(r.n_errors > 0 for r in runs.values())
+    for chunk in (1000, 4096, 8191, 65536, 1 << 17):
+        monkeypatch.setattr(ber, "_CHUNK", chunk)
+        assert simulate_ber(cfg, methods, n_symbols, seed=2) == runs
 
 
 def test_simulate_ber_counts_and_reproducibility():

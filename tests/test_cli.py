@@ -3,6 +3,7 @@
 import pytest
 
 from dmrbf import Method, RECEIVE_METHODS, ScenarioConfig, parse_config
+from dmrbf import cli
 from dmrbf.cli import PRESETS, _parse_methods, build_parser, main
 from dmrbf.errors import DomainError
 
@@ -147,3 +148,33 @@ def test_repeated_runs_are_byte_identical(tmp_path, capsys):
 def test_parser_rejects_unknown_preset():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["run", "x.cfg", "--preset", "fig9"])
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_run_out_of_range_seed_is_one_error_line(tmp_path, capsys, seed):
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("")
+    rc = run_cli(
+        "run", str(cfg_path), "--preset", "fig2", "--out", str(tmp_path), "--seed", seed
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: seed") and seed in err[0]
+
+
+@pytest.mark.parametrize("sub", ["", "below"])
+def test_run_out_naming_a_file_fails_before_the_sweep(tmp_path, capsys, monkeypatch, sub):
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("")
+    out = tmp_path / "taken"
+    out.write_text("")
+
+    def no_sweep(*_):
+        raise AssertionError("the sweep ran before --out was checked")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    rc = run_cli("run", str(cfg_path), "--preset", "fig2", "--out", str(out / sub))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: --out ")
+    assert out.read_text() == ""

@@ -5,9 +5,10 @@
 rate, SINR, BER or flop count, or the random stream, fails here.  A change
 that alters the output on purpose regenerates the files with that command
 and checks that only the columns it meant to move did.  The files hold
-random stream 3 (``# rng_stream = 3``, the draw in the range of the
-stacked detector outputs); moving from stream 2 (the sufficient-statistic
-draw in Bob's array), as from stream 1 before it, changed only the
+random stream 4 (``# rng_stream = 4``: the reference symbol at every
+symbol and the normals drawn symbol-major, so the chunk size is not part
+of the stream).  Moving from stream 3 (QPSK data and rank-major normals
+in chunks of 65536), as from streams 2 and 1 before it, changed only the
 ``ber`` and ``ber_ci95`` columns.
 """
 
