@@ -20,13 +20,29 @@ wrong exactly when ``n_rail < -1/sqrt(2)``: each method's count is still
 exactly Binomial(2N, Q(sqrt(SINR))), with no data to draw, add or
 compare (Jeruchim, IEEE JSAC 1984).
 
+Only symbols far out can err.  A symbol's noise is ``x ~ N(0, I_2r)``
+and each rail is ``a . x`` with ``|a|`` the norm of its row of the
+output factor, so no rail of any method errs while
+``|x| < rho = (1/sqrt(2)) / max |a|``.  With ``y0 = rho^2 / 2`` a symbol
+leaves that ball with probability ``q = P(Gamma(r, 1) > y0)``.  When
+``q`` is small a point draws how many of its N symbols leave it,
+``Binomial(N, q)``, and draws only those, conditioned to lie outside:
+a uniform direction from ``2r`` normals and ``|x|^2 / 2 = y0 + s`` with
+``s`` from the truncated gamma law (`_Shell`).  The symbols inside the
+ball add no error, so every count vector keeps its exact law.  A
+conditioned symbol costs about 1.75 plain ones, so when ``q`` is above
+that break-even, ``_PLAIN_ABOVE``, a point draws all N symbols plainly.
+
 Reproducibility contract: point ``i`` of a sweep with seed ``s`` draws
-its normals symbol-major from a counter-based Philox generator keyed by
-``(s, i)``.  The draw comes in chunks of ``_CHUNK`` symbols, which only
-bounds memory: the chunks concatenate into one stream, so no count
-depends on the chunk size.  Results depend neither on the order points
-are executed in nor on the number of worker threads, and repeated runs
-are bit-identical.  ``RNG_STREAM`` numbers this scheme; CSVs record it.
+from a counter-based Philox generator keyed by ``(s, i)``: the
+outside count, then the normals, symbol-major; the radii come from
+that generator's ``jumped()`` copy, a fixed ``r + 1`` exponentials per
+symbol, symbol-major too.  The draw comes in chunks of ``_CHUNK``
+symbols, which only bounds memory: the chunks concatenate into one
+stream, so no count depends on the chunk size.  Results depend neither
+on the order points are executed in nor on the number of worker
+threads, and repeated runs are bit-identical.  ``RNG_STREAM`` numbers
+this scheme; CSVs record it.
 """
 
 from __future__ import annotations
@@ -48,10 +64,19 @@ _WILSON_Z = 1.959963984540054  # two-sided 95 %
 
 #: Symbols per random draw.  It bounds memory and keeps a chunk's
 #: outputs in cache; the counts do not depend on it.
-_CHUNK = 1 << 13
+_CHUNK = 1 << 12
 
 #: Version of the Monte-Carlo random stream, written into every CSV.
-RNG_STREAM = 4
+RNG_STREAM = 5
+
+#: Above this chance of leaving the no-error ball a point draws every
+#: symbol plainly: a symbol conditioned to lie outside costs about 1.75
+#: plain ones (rank 1 and 2, chunks of 4096), so this is the break-even.
+_PLAIN_ABOVE = 0.57
+
+#: The ball is shrunk by this relative amount, far above the rounding of
+#: a rail ``a . x``, so no symbol left inside it could err in arithmetic.
+_BALL_SLACK = 1e-9
 
 #: A rail of the reference symbol ``(1 + j) / sqrt(2)`` is detected wrong
 #: when its noise falls below this.
@@ -116,8 +141,10 @@ def count_bit_errors(z: np.ndarray) -> np.ndarray:
     so a rail is in error when its noise is below ``-1/sqrt(2)``; each
     symbol contributes zero, one or two errors to its row's count.
     """
-    # on the interleaved re/im float view both rails compare in one pass
-    return np.count_nonzero(z.view(np.float64) < _RAIL_THRESHOLD, axis=1)
+    # on the interleaved re/im float view both rails compare in one pass;
+    # count_nonzero over a whole row is several times faster than axis=1
+    below = z.view(np.float64) < _RAIL_THRESHOLD
+    return np.fromiter((np.count_nonzero(row) for row in below), np.int64, len(below))
 
 
 def point_rng(seed: int, index: int) -> np.random.Generator:
@@ -126,10 +153,72 @@ def point_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_block(rng: np.random.Generator, rank: int, n_symbols: int) -> np.ndarray:
+def _gamma_tail_terms(y0: float, rank: int) -> np.ndarray:
+    """``exp(-y0) y0^m / m!`` for ``m < rank``.
+
+    They sum to ``P(Gamma(rank, 1) > y0)``, the chance that ``|x|^2 / 2``
+    of ``x ~ N(0, I_2rank)`` exceeds ``y0``; term ``m`` is the chance that
+    exactly ``m`` arrivals of a unit Poisson process fall in ``[0, y0]``.
+    """
+    terms = np.zeros(rank)
+    term = math.exp(-y0)
+    for m in range(rank):
+        if term == 0.0:  # the rest underflow too (and y0 may be inf)
+            break
+        terms[m] = term
+        term *= y0 / (m + 1)
+    return terms
+
+
+@dataclass(frozen=True)
+class _Shell:
+    """Law of ``|x|^2 / 2`` for ``x ~ N(0, I_2r)`` given ``|x|^2 / 2 > y0``.
+
+    ``|x|^2 / 2`` is the ``r``-th arrival of a unit Poisson process.  Given
+    that it comes after ``y0``, ``m < r`` arrivals fell in ``[0, y0]`` with
+    probability ``_gamma_tail_terms(y0, r)[m] / q``, and by memorylessness
+    the ``r``-th lies ``y0 + Gamma(r - m, 1)`` out.
+    """
+
+    y0: float
+    cuts: np.ndarray  # P(Exp(1) >= cuts[j]) = P(m > j), for j < r - 1
+    rng: np.random.Generator  # the radii's own stream
+
+    @classmethod
+    def outside(cls, y0: float, rank: int, rng: np.random.Generator) -> _Shell:
+        """The shell beyond ``y0`` at rank ``r``, its radii drawn from ``rng``."""
+        terms = _gamma_tail_terms(y0, rank)
+        # used only at q <= _PLAIN_ABOVE, which puts y0 above r - 1 (r <= 6
+        # methods): the terms grow with m, the last is the largest and no cut
+        # is infinite
+        return cls(y0, -np.log1p(-np.cumsum(terms[:-1]) / terms.sum()), rng)
+
+    def radii(self, n_symbols: int) -> np.ndarray:
+        """``n_symbols`` conditioned ``|x|``, from ``r + 1`` exponentials each."""
+        rank = len(self.cuts) + 1
+        e = self.rng.standard_exponential((n_symbols, rank + 1))
+        m = np.searchsorted(self.cuts, e[:, rank], side="right")
+        half_norm2 = self.y0 + e[:, 0]
+        for j in range(1, rank):  # Gamma(r - m, 1) sums e[:, :r - m]
+            half_norm2 += np.where(m < rank - j, e[:, j], 0.0)
+        return np.sqrt(2.0 * half_norm2)
+
+
+def _draw_block(
+    rng: np.random.Generator, rank: int, n_symbols: int, shell: _Shell | None
+) -> np.ndarray:
     """One chunk's ``rank`` real-and-imaginary N(0, 1) pairs per symbol, as
-    a symbol-major ``(n_symbols, rank)`` complex view (re/im interleaved)."""
-    return rng.standard_normal((n_symbols, 2 * rank)).view(np.complex128)
+    a symbol-major ``(n_symbols, rank)`` complex view (re/im interleaved).
+
+    With a ``shell`` each symbol's normals keep only their direction and
+    take their norm from ``shell.radii``: the symbols are conditioned to
+    lie outside the ball.
+    """
+    white = rng.standard_normal((n_symbols, 2 * rank))
+    if shell is not None:
+        norms = np.sqrt(np.einsum("ij,ij->i", white, white))
+        white *= (shell.radii(n_symbols) / norms)[:, None]
+    return white.view(np.complex128)
 
 
 def _output_root(scene: Scene, weights: dict[Method, np.ndarray]) -> np.ndarray:
@@ -177,13 +266,26 @@ def _ber_runs(
     Each chunk draws ``r`` white normals per symbol, ``r`` the rank of the
     stacked outputs' noise (see `_output_root`), and all methods share one
     product ``G @ n`` per chunk; the reference symbol is never added, it
-    only sets the detection threshold.
+    only sets the detection threshold.  When few symbols can leave the
+    no-error ball, only those are drawn (see the module docstring).
     """
     g = _output_root(scene, weights)
+    rank = g.shape[1]
+
+    # no rail errs while |x| < rho = (1/sqrt 2) / max |a|: y0 = rho^2 / 2
+    reach2 = float(np.max(np.sum(g.real**2 + g.imag**2, axis=1)))
+    y0 = (1.0 - _BALL_SLACK) / (4.0 * reach2) if reach2 > 0.0 else math.inf
+    q = float(_gamma_tail_terms(y0, rank).sum())
+    n_out, shell = n_symbols, None
+    if q <= _PLAIN_ABOVE:
+        n_out = int(rng.binomial(n_symbols, q))
+        if n_out:
+            radii_rng = np.random.Generator(rng.bit_generator.jumped())
+            shell = _Shell.outside(y0, rank, radii_rng)
 
     n_errors = np.zeros(len(weights), dtype=np.int64)
-    for start in range(0, n_symbols, _CHUNK):
-        white = _draw_block(rng, g.shape[1], min(_CHUNK, n_symbols - start))
+    for start in range(0, n_out, _CHUNK):
+        white = _draw_block(rng, rank, min(_CHUNK, n_out - start), shell)
         n_errors += count_bit_errors(g @ white.T)
 
     runs: dict[Method, BerRun] = {}

@@ -181,6 +181,11 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DomainError(f"--out {out_dir} is not a usable directory: {exc}") from exc
+    csv_path = out_dir / f"{spec.preset}.csv"
+    svg_path = out_dir / f"{spec.preset}.svg"
+    for path in (csv_path, svg_path):
+        if path.is_dir():
+            raise DomainError(f"{path} is a directory, so the output cannot be written")
     reports = sweep(
         spec.cfg,
         spec.methods,
@@ -190,8 +195,6 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         spec.seed,
         spec.workers,
     )
-    csv_path = out_dir / f"{spec.preset}.csv"
-    svg_path = out_dir / f"{spec.preset}.svg"
     write_csv(csv_path, spec, reports)
     if preset.plot_quantity == "sr":
         ylabel, title = "secrecy rate [bits/channel use]", "Secrecy rate"

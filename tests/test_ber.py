@@ -21,7 +21,7 @@ from dmrbf import (
     wilson_interval,
 )
 from dmrbf import ber
-from dmrbf.ber import _output_root, count_bit_errors
+from dmrbf.ber import _output_root, config_at, count_bit_errors
 
 from conftest import config_with
 
@@ -136,23 +136,38 @@ def test_binomial_tail_helper():
     assert binomial_two_sided_p(0, 10, 0.0) == 1.0
 
 
+_PLAIN_SNRS = (-5.0, 0.0, 5.0)
+# points that draw only the symbols outside the no-error ball, with errors
+_CONDITIONED_SNRS = (7.5, 10.0, 12.5)
+
+
 @pytest.mark.parametrize(
-    "overrides",
+    "overrides, snrs",
     [
-        pytest.param({"n_a": 4, "n_b": 4, "n_m": 4}, id="4"),
-        pytest.param({"n_a": 16, "n_b": 16, "n_m": 16}, id="16"),
+        pytest.param({"n_a": 4, "n_b": 4, "n_m": 4}, _PLAIN_SNRS, id="4"),
+        pytest.param({"n_a": 16, "n_b": 16, "n_m": 16}, _PLAIN_SNRS, id="16"),
         # rank-one output noise (see test_point_draws_rank_normals_per_symbol)
-        pytest.param({"theta_r_mb_deg": 60.0, "theta_t_mb_deg": 60.0}, id="orthogonal"),
-        pytest.param({"n_b": 1}, id="n_b1"),
+        pytest.param(
+            {"theta_r_mb_deg": 60.0, "theta_t_mb_deg": 60.0}, _PLAIN_SNRS, id="orthogonal"
+        ),
+        pytest.param({"n_b": 1}, _PLAIN_SNRS, id="n_b1"),
+        pytest.param({"n_a": 4, "n_b": 4, "n_m": 4}, _CONDITIONED_SNRS, id="4-ball"),
+        pytest.param({"n_a": 16, "n_b": 16, "n_m": 16}, _CONDITIONED_SNRS, id="16-ball"),
+        pytest.param(
+            {"theta_r_mb_deg": 60.0, "theta_t_mb_deg": 60.0},
+            (2.5, 5.0, 7.5),
+            id="orthogonal-ball",
+        ),
+        pytest.param({"n_b": 1}, (2.5, 5.0, 7.5), id="n_b1-ball"),
     ],
 )
-def test_error_counts_follow_exact_binomial(overrides):
+def test_error_counts_follow_exact_binomial(overrides, snrs):
     # Bob's interference plus noise is circular Gaussian, so each method's
-    # errors over N symbols are exactly Binomial(2N, Q(sqrt(SINR)))
+    # errors over N symbols are exactly Binomial(2N, Q(sqrt(SINR))), also
+    # when only the symbols outside the no-error ball are drawn
     cfg = config_with(**overrides)
     # null-space projection needs n_b >= 2
     methods = tuple(m for m in RECEIVE_METHODS if cfg.n_b > 1 or m != Method.NSP_WFRP)
-    snrs = (-5.0, 0.0, 5.0)
     reports = sweep(cfg, methods, "snr_db", snrs, 20_000, seed=11)
     assert len(reports) == len(snrs) * len(methods)
     for r in reports:
@@ -195,16 +210,52 @@ def test_point_draws_rank_normals_per_symbol(overrides, rank, monkeypatch):
     draw = ber._draw_block
     ranks = []
 
-    def spy(rng, r, n_symbols):
+    def spy(rng, r, n_symbols, shell):
         ranks.append(r)
-        return draw(rng, r, n_symbols)
+        return draw(rng, r, n_symbols, shell)
 
     monkeypatch.setattr(ber, "_draw_block", spy)
     cfg = config_with(**overrides)
     # null-space projection needs n_b >= 2
     methods = tuple(m for m in RECEIVE_METHODS if cfg.n_b > 1 or m != Method.NSP_WFRP)
-    simulate_ber(cfg, methods, 100, seed=0)
+    # enough symbols that some leave the no-error ball at seed 0: one chunk
+    simulate_ber(cfg, methods, 10_000, seed=0)
     assert ranks == [rank]
+
+
+def _chi2_half_tail(y: float, rank: int) -> float:
+    """P(|x|^2 / 2 > y) for x ~ N(0, I_2rank), the Erlang tail."""
+    return math.exp(-y) * sum(y**k / math.factorial(k) for k in range(rank))
+
+
+def test_ball_tail_closed_forms():
+    for y0 in (0.0, 0.3, 2.0, 17.5, 700.0):
+        assert ber._gamma_tail_terms(y0, 1).sum() == pytest.approx(math.exp(-y0), rel=1e-14)
+        want = math.exp(-y0) * (1.0 + y0)
+        assert ber._gamma_tail_terms(y0, 2).sum() == pytest.approx(want, rel=1e-14)
+        assert ber._gamma_tail_terms(y0, 3).sum() == pytest.approx(_chi2_half_tail(y0, 3))
+    # beyond the float range nothing is left, not a NaN
+    for y0 in (800.0, math.inf):
+        assert ber._gamma_tail_terms(y0, 2).sum() == 0.0
+
+
+@pytest.mark.parametrize("rank, y0", [(1, 1.5), (2, 2.3), (3, 4.0)])
+def test_conditioned_draw_follows_the_chi2_tail(rank, y0):
+    # outside the ball |x|^2 / 2 > y0 the radius has the chi-square tail
+    # ratio and the direction stays uniform (second moment I / 2r)
+    rng = point_rng(603, rank)
+    shell = ber._Shell.outside(y0, rank, np.random.Generator(rng.bit_generator.jumped()))
+    n = 100_000
+    x = ber._draw_block(rng, rank, n, shell).view(np.float64)
+    assert x.shape == (n, 2 * rank)
+    half_norm2 = np.einsum("ij,ij->i", x, x) / 2.0
+    assert half_norm2.min() > y0
+    for t in (0.25, 0.5, 1.0, 2.0, 4.0):
+        k = int(np.count_nonzero(half_norm2 > y0 + t))
+        p = _chi2_half_tail(y0 + t, rank) / _chi2_half_tail(y0, rank)
+        assert binomial_two_sided_p(k, n, p) > 1e-6, (t, k, n * p)
+    u = x / np.sqrt(2.0 * half_norm2)[:, None]
+    np.testing.assert_allclose(u.T @ u / n, np.eye(2 * rank) / (2 * rank), atol=0.01)
 
 
 def test_non_finite_stacked_matrix_is_refused():
@@ -216,16 +267,18 @@ def test_non_finite_stacked_matrix_is_refused():
 
 @pytest.mark.parametrize("n_symbols", [65535, 65536, 65537])
 def test_chunk_boundaries(n_symbols, monkeypatch):
-    # the draw is symbol-major, so the chunks concatenate into one stream
-    # and no count depends on the chunk size
-    cfg = config_with(p_m_watt=100.0)
+    # the draws are symbol-major, so the chunks concatenate into one stream
+    # and no count depends on the chunk size, whether a point draws every
+    # symbol (at 0 dB) or only those outside the no-error ball
     methods = (Method.MRC, Method.NSP_WFRP)
-    runs = simulate_ber(cfg, methods, n_symbols, seed=2)
-    assert all(r.n_symbols == n_symbols for r in runs.values())
-    assert all(r.n_errors > 0 for r in runs.values())
-    for chunk in (1000, 4096, 8191, 65536, 1 << 17):
-        monkeypatch.setattr(ber, "_CHUNK", chunk)
-        assert simulate_ber(cfg, methods, n_symbols, seed=2) == runs
+    for cfg in (config_at(ScenarioConfig(), "snr_db", 0.0), config_with(p_m_watt=100.0)):
+        monkeypatch.setattr(ber, "_CHUNK", 4096)
+        runs = simulate_ber(cfg, methods, n_symbols, seed=2)
+        assert all(r.n_symbols == n_symbols for r in runs.values())
+        assert all(r.n_errors > 0 for r in runs.values())
+        for chunk in (1000, 8191, 65536, 1 << 17):
+            monkeypatch.setattr(ber, "_CHUNK", chunk)
+            assert simulate_ber(cfg, methods, n_symbols, seed=2) == runs
 
 
 def test_simulate_ber_counts_and_reproducibility():
@@ -241,10 +294,16 @@ def test_simulate_ber_counts_and_reproducibility():
         assert r.ci95_halfwidth == pytest.approx((hi - lo) / 2, rel=1e-12)
 
 
-def test_simulate_ber_zero_errors_at_high_snr():
+def test_simulate_ber_zero_errors_at_high_snr(monkeypatch):
+    # no symbol can leave the no-error ball, so nothing is drawn at all
+    def no_draw(*_):
+        raise AssertionError("a symbol was drawn that cannot err")
+
+    monkeypatch.setattr(ber, "_draw_block", no_draw)
     cfg = config_with(sigma_b2_watt=1e-6, sigma_m2_watt=1e-6, p_m_watt=0.0)
-    runs = simulate_ber(cfg, (Method.MRC,), 2000, seed=0)
-    assert runs[Method.MRC].n_errors == 0
+    runs = simulate_ber(cfg, (Method.MRC, Method.MMSE), 200_000, seed=0)
+    for run in runs.values():
+        assert (run.n_symbols, run.n_errors, run.ber) == (200_000, 0, 0.0)
 
 
 def test_simulate_ber_rejects_empty_block():

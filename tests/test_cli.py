@@ -178,3 +178,22 @@ def test_run_out_naming_a_file_fails_before_the_sweep(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: --out ")
     assert out.read_text() == ""
+
+
+@pytest.mark.parametrize("suffix", ["csv", "svg"])
+def test_run_output_path_naming_a_directory_fails_before_the_sweep(
+    tmp_path, capsys, monkeypatch, suffix
+):
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("")
+    taken = tmp_path / "out" / f"fig2.{suffix}"
+    taken.mkdir(parents=True)
+
+    def no_sweep(*_):
+        raise AssertionError("the sweep ran before the output paths were checked")
+
+    monkeypatch.setattr(cli, "sweep", no_sweep)
+    rc = run_cli("run", str(cfg_path), "--preset", "fig2", "--out", str(tmp_path / "out"))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {taken} is a directory")

@@ -5,10 +5,11 @@
 rate, SINR, BER or flop count, or the random stream, fails here.  A change
 that alters the output on purpose regenerates the files with that command
 and checks that only the columns it meant to move did.  The files hold
-random stream 4 (``# rng_stream = 4``: the reference symbol at every
-symbol and the normals drawn symbol-major, so the chunk size is not part
-of the stream).  Moving from stream 3 (QPSK data and rank-major normals
-in chunks of 65536), as from streams 2 and 1 before it, changed only the
+random stream 5 (``# rng_stream = 5``: the reference symbol at every
+symbol, the normals drawn symbol-major, and at points where few symbols
+can leave the no-error ball only those drawn, with their radii from a
+jumped copy of the point's generator).  Moving from stream 4 (every
+symbol drawn), as from streams 3, 2 and 1 before it, changed only the
 ``ber`` and ``ber_ci95`` columns.
 """
 
@@ -16,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from dmrbf.ber import RNG_STREAM
 from dmrbf.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -31,3 +33,14 @@ def test_preset_csv_matches_golden(preset, tmp_path, capsys):
     capsys.readouterr()
     got = (out / f"{preset}.csv").read_bytes()
     assert got == (GOLDEN / f"{preset}.csv").read_bytes()
+
+
+def test_golden_files_hold_the_current_random_stream():
+    for path in sorted(GOLDEN.glob("*.csv")):
+        header = [ln for ln in path.read_text().splitlines() if ln.startswith("# rng_stream")]
+        assert header == [f"# rng_stream = {RNG_STREAM}"], (
+            f"{path.name} holds {header or 'no rng_stream line'} but ber.RNG_STREAM is "
+            f"{RNG_STREAM}: regenerate it with `dmrbf run <empty config> --preset "
+            f"{path.stem} --seed 0 --symbols 2000 --out tests/golden` and check that "
+            "only the rng_stream line and the ber/ber_ci95 columns moved"
+        )
