@@ -14,12 +14,6 @@ from .beamformers import (
     compute,
     low_complexity_inverse,
     mallory_receiver,
-    max_sr,
-    mmse_conventional,
-    mmse_low_complexity,
-    mrc,
-    nsp_max_wfrp,
-    wfmrc,
     whitening_filter,
 )
 from .ber import (
@@ -120,12 +114,7 @@ __all__ = [
     "load_config",
     "low_complexity_inverse",
     "mallory_receiver",
-    "max_sr",
     "measured_flops",
-    "mmse_conventional",
-    "mmse_low_complexity",
-    "mrc",
-    "nsp_max_wfrp",
     "null_projector",
     "parse_config",
     "point_rng",
@@ -139,7 +128,6 @@ __all__ = [
     "sinr_mallory",
     "steering",
     "sweep",
-    "wfmrc",
     "whitening_filter",
     "wilson_interval",
 ]

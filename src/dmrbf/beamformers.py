@@ -13,10 +13,10 @@ spanning the cost/performance trade:
 * ``nsp_wfrp`` -- project the jamming link out of the array first, then
   whiten what remains and match to the projected signal.
 
-All returned weight vectors are unit norm.  Every builder threads its
-arithmetic through a `FlopCounter`, so ``Beamformer.flops`` is the
-measured cost of the algorithm that actually ran (given precomputed
-covariances; building those is charged to no method).
+``compute(method, scene)`` runs any of them, or Mallory's combiner, on a
+fresh `FlopCounter`, so ``Beamformer.flops`` is the measured cost of that
+one call (given precomputed covariances; building those is charged to no
+method).  All returned weight vectors are unit norm.
 """
 
 from __future__ import annotations
@@ -57,14 +57,7 @@ class Method(str, Enum):
 
 
 #: Bob's six schemes, in presentation order.
-RECEIVE_METHODS: tuple[Method, ...] = (
-    Method.MRC,
-    Method.WFMRC,
-    Method.MAX_SR,
-    Method.MMSE,
-    Method.LC_MMSE,
-    Method.NSP_WFRP,
-)
+RECEIVE_METHODS: tuple[Method, ...] = tuple(m for m in Method if m is not Method.MALLORY)
 
 METHOD_LABELS: dict[Method, str] = {
     Method.MRC: "MRC",
@@ -86,21 +79,21 @@ class Beamformer:
     flops: int
 
 
-def _unit(fc: FlopCounter, x: np.ndarray, err: Exception) -> np.ndarray:
+def _unit(fc: FlopCounter, x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` scaled to unit norm; a zero, huge or NaN norm raises, naming ``what``."""
     nrm = fc.norm(x)
     if not _NORM_EPS < nrm < math.inf:  # also refuses a NaN norm
-        raise err
+        raise DegenerateChannelError(what)
     fc.scalar()  # reciprocal
     return fc.rscale(1.0 / nrm, x)
 
 
-def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter | None = None) -> np.ndarray:
+def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter) -> np.ndarray:
     """Whitening transform ``W`` with ``W @ c_nbar @ W^H = I``.
 
     Built as ``diag(eigenvalues)**-0.5 @ Q^H`` from the eigendecomposition
     of the (positive definite) interference-plus-noise covariance.
     """
-    fc = fc or FlopCounter()
     evd = fc.evd(c_nbar)
     check_hpd(evd, "interference-plus-noise covariance")
     return fc.row_rescale(1.0 / np.sqrt(evd.eigenvalues), evd.eigenvectors.conj().T)
@@ -127,64 +120,54 @@ def _whiten_match(
     s = _inv_sqrt(fc, cov, what)
     fc.scalar(3)
     a = fc.rscale(np.sqrt(power), fc.matvec(s, sig))
-    v_dom = _unit(fc, a, DegenerateChannelError(f"whitened signal has zero norm ({what})"))
+    v_dom = _unit(fc, a, f"whitened signal has zero norm ({what})")
     w = fc.matvec(s, v_dom)
-    return _unit(fc, w, DegenerateChannelError(f"whitened direction is zero ({what})"))
+    return _unit(fc, w, f"whitened direction is zero ({what})")
 
 
-def mrc(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
+def _mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Matched filter on the confidential stream's receive signature."""
-    fc = fc or FlopCounter()
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    w = _unit(fc, u, DegenerateChannelError("signal signature at Bob has zero norm"))
-    return Beamformer(Method.MRC, w, fc.total)
+    return _unit(fc, u, "signal signature at Bob has zero norm")
 
 
-def wfmrc(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
+def _wfmrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Whitening-filter MRC: matched filter in the whitened domain.
 
     The intermediate matched filter lives on the whitened channel
     ``W @ u``; lifting it back with ``W^H`` gives weights collinear with
     ``c_nbar^{-1} @ u``, which are returned renormalized.
     """
-    fc = fc or FlopCounter()
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
     w_wf = whitening_filter(scene.cov.c_nbar, fc)
     matched = fc.matvec(w_wf, u)
-    matched = _unit(
-        fc, matched, DegenerateChannelError("whitened signal signature has zero norm")
-    )
+    matched = _unit(fc, matched, "whitened signal signature has zero norm")
     w = fc.matvec(w_wf.conj().T, matched)
-    w = _unit(fc, w, DegenerateChannelError("whitened matched filter lifts to zero"))
-    return Beamformer(Method.WFMRC, w, fc.total)
+    return _unit(fc, w, "whitened matched filter lifts to zero")
 
 
-def max_sr(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
+def _max_sr(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """SINR-optimal beamformer via the whiten-then-match construction."""
-    fc = fc or FlopCounter()
     cfg = scene.cfg
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
     c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    w = _whiten_match(fc, u, scene.cov.c_nbar, c1, "interference-plus-noise covariance")
-    return Beamformer(Method.MAX_SR, w, fc.total)
+    return _whiten_match(fc, u, scene.cov.c_nbar, c1, "interference-plus-noise covariance")
 
 
-def _mmse(scene: Scene, fc: FlopCounter, o_inv: np.ndarray, method: Method) -> Beamformer:
+def _mmse(scene: Scene, fc: FlopCounter, o_inv: np.ndarray) -> np.ndarray:
     """MMSE weights ``sqrt(c1) * O^{-1} u`` from a receive-covariance inverse."""
     cfg = scene.cfg
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
     c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
     fc.scalar(3)
     w = fc.rscale(np.sqrt(c1), fc.matvec(o_inv, u))
-    w = _unit(fc, w, DegenerateChannelError("MMSE weights have zero norm"))
-    return Beamformer(method, w, fc.total)
+    return _unit(fc, w, "MMSE weights have zero norm")
 
 
-def mmse_conventional(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
+def _mmse_conventional(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """MMSE weights through one direct inverse of the receive covariance."""
-    fc = fc or FlopCounter()
     o_inv = fc.inv_hpd(fc.add(scene.cov.a, scene.cov.c_nbar))
-    return _mmse(scene, fc, o_inv, Method.MMSE)
+    return _mmse(scene, fc, o_inv)
 
 
 def _rank_one_update(
@@ -208,7 +191,7 @@ def _rank_one_update(
 
 # overflow inside the chain is refused at its end, by name, not warned about
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.ndarray:
+def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Receive-covariance inverse via the five-level rank-one chain.
 
     Starts from the closed-form inverse of noise plus signal term, then
@@ -224,7 +207,6 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.nd
     NumericalError
         If the chain overflows, so the inverse is not finite.
     """
-    fc = fc or FlopCounter()
     cfg = scene.cfg
     channels = scene.channels
     sig2 = cfg.sigma_b2_watt
@@ -268,13 +250,12 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter | None = None) -> np.nd
     return z_inv
 
 
-def mmse_low_complexity(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
+def _mmse_low_complexity(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """MMSE weights using the rank-one update chain for the inverse."""
-    fc = fc or FlopCounter()
-    return _mmse(scene, fc, low_complexity_inverse(scene, fc), Method.LC_MMSE)
+    return _mmse(scene, fc, low_complexity_inverse(scene, fc))
 
 
-def nsp_max_wfrp(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
+def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Null-space projection followed by a pseudo-whitened matched filter.
 
     Bob's weights are confined to the orthogonal complement of the
@@ -283,7 +264,6 @@ def nsp_max_wfrp(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
     that subspace the remaining noise is whitened through the reduced
     (pseudo-) whitening transform and the projected signal is matched.
     """
-    fc = fc or FlopCounter()
     cfg = scene.cfg
     if cfg.n_b < 2:
         raise UnsupportedScenarioError(
@@ -313,22 +293,18 @@ def nsp_max_wfrp(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
             "signal signature lies inside the nulled jamming subspace"
         )
     matched = fc.matvec(w_red, u_proj)
-    matched = _unit(
-        fc, matched, DegenerateChannelError("whitened projected signal has zero norm")
-    )
+    matched = _unit(fc, matched, "whitened projected signal has zero norm")
     w = fc.matvec(proj, fc.matvec(w_red.conj().T, matched))
-    w = _unit(fc, w, DegenerateChannelError("projected weights have zero norm"))
-    return Beamformer(Method.NSP_WFRP, w, fc.total)
+    return _unit(fc, w, "projected weights have zero norm")
 
 
-def mallory_receiver(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
+def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Mallory's own max-SINR combiner for intercepting the stream.
 
-    Same whiten-then-match construction as ``max_sr``, applied to the
+    Same whiten-then-match construction as ``_max_sr``, applied to the
     eavesdropper's covariance: artificial noise received from Alice plus
     residual self-interference plus thermal noise.
     """
-    fc = fc or FlopCounter()
     cfg = scene.cfg
     e = fc.matvec(scene.channels.am.matrix, scene.setup.v_a)
     c_m = fc.add(
@@ -336,21 +312,28 @@ def mallory_receiver(scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
         fc.rscale(cfg.sigma_m2_watt, np.eye(cfg.n_m)),
     )
     c_e = scene.channels.am.gain * cfg.beta1 * cfg.p_a_watt
-    w = _whiten_match(fc, e, c_m, c_e, "eavesdropper covariance")
-    return Beamformer(Method.MALLORY, w, fc.total)
+    return _whiten_match(fc, e, c_m, c_e, "eavesdropper covariance")
 
 
 _BUILDERS = {
-    Method.MRC: mrc,
-    Method.WFMRC: wfmrc,
-    Method.MAX_SR: max_sr,
-    Method.MMSE: mmse_conventional,
-    Method.LC_MMSE: mmse_low_complexity,
-    Method.NSP_WFRP: nsp_max_wfrp,
-    Method.MALLORY: mallory_receiver,
+    Method.MRC: _mrc,
+    Method.WFMRC: _wfmrc,
+    Method.MAX_SR: _max_sr,
+    Method.MMSE: _mmse_conventional,
+    Method.LC_MMSE: _mmse_low_complexity,
+    Method.NSP_WFRP: _nsp_max_wfrp,
+    Method.MALLORY: _mallory,
 }
 
 
-def compute(method: Method, scene: Scene, fc: FlopCounter | None = None) -> Beamformer:
-    """Build the requested beamformer for one scene."""
-    return _BUILDERS[Method(method)](scene, fc)
+def compute(method: Method, scene: Scene) -> Beamformer:
+    """Build the requested beamformer for one scene, counting its flops afresh."""
+    method = Method(method)
+    fc = FlopCounter()
+    weights = _BUILDERS[method](scene, fc)
+    return Beamformer(method, weights, fc.total)
+
+
+def mallory_receiver(scene: Scene) -> Beamformer:
+    """Mallory's own max-SINR combiner for intercepting the stream."""
+    return compute(Method.MALLORY, scene)

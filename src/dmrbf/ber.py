@@ -48,13 +48,12 @@ this scheme; CSVs record it.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import complexity
-from .beamformers import Beamformer, Method, compute, mallory_receiver
+from .beamformers import RECEIVE_METHODS, Beamformer, Method, compute, mallory_receiver
 from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError
 from .linalg import RANK_RTOL, hermitian_evd
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
@@ -363,8 +362,9 @@ def sweep(
     """Evaluate the requested methods over one axis.
 
     Returns reports ordered by (axis value, method) following the input
-    order.  An empty method list yields an empty report.  ``workers``
-    only parallelizes; it cannot change any numerical result.
+    order.  Each method must be one of ``RECEIVE_METHODS``, named once; an
+    empty method list yields an empty report.  ``workers`` only
+    parallelizes; it cannot change any numerical result.
 
     The first failure aborts the sweep.  Its error keeps its type; the
     message is prefixed with the axis value and, when one method's own
@@ -382,7 +382,14 @@ def sweep(
         raise DomainError(f"workers must be >= 1, got {workers}")
     if not 0 <= seed < 2**64:  # point_rng keys Philox with a uint64
         raise DomainError(f"seed must be in [0, 2**64), got {seed}")
-    methods = tuple(Method(m) for m in methods)
+    names = [getattr(m, "value", m) for m in methods]
+    for name in names:
+        if name not in RECEIVE_METHODS:  # a str Method equals its value
+            valid = ", ".join(m.value for m in RECEIVE_METHODS)
+            raise DomainError(f"{name!r} is not a receive method; valid names: {valid}")
+        if names.count(name) > 1:
+            raise DomainError(f"method {name!r} is requested more than once")
+    methods = tuple(Method(name) for name in names)
     if not methods:
         return []
 
@@ -392,6 +399,9 @@ def sweep(
     if workers == 1:
         chunks = [job(i) for i in range(len(values))]
     else:
+        # imported on use: it costs start-up time, and most runs have one worker
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(job, range(len(values))))
     return [report for chunk in chunks for report in chunk]

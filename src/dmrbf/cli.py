@@ -214,14 +214,6 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
     return csv_path, svg_path
 
 
-def validate_config(path: str | Path) -> ScenarioConfig:
-    """Load and validate a config file, translating I/O errors."""
-    try:
-        return load_config(path)
-    except OSError as exc:
-        raise DomainError(f"cannot read config file {path}: {exc}") from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dmrbf",
@@ -277,7 +269,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_help()
         return 2
     try:
-        cfg = validate_config(args.config)
+        cfg = load_config(args.config)
         preset = PRESETS[args.preset]
         if preset.pin_snr_db is not None:
             cfg = config_at(cfg, "snr_db", preset.pin_snr_db)

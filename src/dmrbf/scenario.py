@@ -176,8 +176,15 @@ def parse_config(text: str) -> ScenarioConfig:
 
 
 def load_config(path: str | Path) -> ScenarioConfig:
-    """Read a config file; an empty or comment-only file yields defaults."""
-    return parse_config(Path(path).read_text())
+    """Read a UTF-8 config file; an empty or comment-only file yields defaults.
+
+    A file that cannot be read or is not UTF-8 raises `DomainError`.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config(text)
 
 
 @dataclass(frozen=True)

@@ -10,13 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from xml.sax.saxutils import escape
 
 from .errors import DomainError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b")
 
 _FONT = "DejaVu Sans, Helvetica, Arial, sans-serif"
+_XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # for text content
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def render_line_plot(
         f'viewBox="0 0 {width} {height}">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
         f'<text x="{width / 2:.1f}" y="26" text-anchor="middle" font-family="{_FONT}" '
-        f'font-size="17" fill="#222222">{escape(title)}</text>',
+        f'font-size="17" fill="#222222">{title.translate(_XML_TEXT)}</text>',
     ]
     for t in x_ticks:
         x = sx(t)
@@ -150,12 +150,12 @@ def render_line_plot(
     )
     out.append(
         f'<text x="{(px0 + px1) / 2:.1f}" y="{height - 14}" text-anchor="middle" '
-        f'font-family="{_FONT}" font-size="13" fill="#222222">{escape(xlabel)}</text>'
+        f'font-family="{_FONT}" font-size="13" fill="#222222">{xlabel.translate(_XML_TEXT)}</text>'
     )
     out.append(
         f'<text x="20" y="{(py0 + py1) / 2:.1f}" text-anchor="middle" '
         f'font-family="{_FONT}" font-size="13" fill="#222222" '
-        f'transform="rotate(-90 20 {(py0 + py1) / 2:.1f})">{escape(ylabel)}</text>'
+        f'transform="rotate(-90 20 {(py0 + py1) / 2:.1f})">{ylabel.translate(_XML_TEXT)}</text>'
     )
 
     for k, (s, pts) in enumerate(kept):
@@ -186,7 +186,7 @@ def render_line_plot(
         )
         out.append(
             f'<text x="{leg_x + 34}" y="{y}" font-family="{_FONT}" font-size="12" '
-            f'fill="#333333">{escape(s.label)}</text>'
+            f'fill="#333333">{s.label.translate(_XML_TEXT)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

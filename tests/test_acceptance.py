@@ -13,26 +13,22 @@ import numpy as np
 import pytest
 
 from dmrbf import (
+    FlopCounter,
     Method,
     RECEIVE_METHODS,
     ScenarioConfig,
     build_scene,
+    compute,
     formula_flops,
     low_complexity_inverse,
     mallory_receiver,
-    max_sr,
     measured_flops,
-    mmse_conventional,
-    mmse_low_complexity,
-    mrc,
-    nsp_max_wfrp,
     qpsk_awgn_ber,
     rate_point,
     sigma2_for_snr_db,
     simulate_ber,
     sinr_bob,
     sweep,
-    wfmrc,
     whitening_filter,
     wilson_interval,
 )
@@ -40,7 +36,7 @@ from dmrbf.cli import main as cli_main
 
 from conftest import config_with, random_config
 
-EQUIV4 = (wfmrc, max_sr, mmse_conventional, mmse_low_complexity)
+EQUIV4 = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
 
 
 @pytest.fixture(scope="module")
@@ -57,17 +53,10 @@ def at_snr(cfg: ScenarioConfig, snr_db: float) -> ScenarioConfig:
 def secrecy_rates(cfg: ScenarioConfig) -> dict:
     scene = build_scene(cfg)
     eve = mallory_receiver(scene).weights
-    out = {}
-    for name, fn in (
-        ("mrc", mrc),
-        ("wfmrc", wfmrc),
-        ("max_sr", max_sr),
-        ("mmse", mmse_conventional),
-        ("lc_mmse", mmse_low_complexity),
-        ("nsp", nsp_max_wfrp),
-    ):
-        out[name] = rate_point(scene, fn(scene).weights, eve).secrecy_rate_bits
-    return out
+    return {
+        m.value: rate_point(scene, compute(m, scene).weights, eve).secrecy_rate_bits
+        for m in RECEIVE_METHODS
+    }
 
 
 def test_c01_rank_one_chain_matches_direct_inverse(scenarios200):
@@ -78,7 +67,7 @@ def test_c01_rank_one_chain_matches_direct_inverse(scenarios200):
     for cfg in scenarios200:
         scene = build_scene(cfg)
         ref = np.linalg.inv(scene.cov.a + scene.cov.c_nbar)
-        got = low_complexity_inverse(scene)
+        got = low_complexity_inverse(scene, FlopCounter())
         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
@@ -92,8 +81,8 @@ def test_c02_four_way_equivalence(scenarios200):
         scene = build_scene(cfg)
         eve = mallory_receiver(scene).weights
         sinrs, srs = [], []
-        for fn in EQUIV4:
-            w = fn(scene).weights
+        for method in EQUIV4:
+            w = compute(method, scene).weights
             sinrs.append(sinr_bob(w, scene.cov, cfg.sigma_b2_watt))
             srs.append(rate_point(scene, w, eve).secrecy_rate_bits)
         worst_sinr = max(worst_sinr, (max(sinrs) - min(sinrs)) / max(sinrs))
@@ -112,7 +101,7 @@ def test_c03_nsp_flat_while_mrc_collapses():
     nsp_sr, mrc_sr = [], []
     for p_m in grid:
         rates = secrecy_rates(dataclasses.replace(base, p_m_watt=p_m))
-        nsp_sr.append(rates["nsp"])
+        nsp_sr.append(rates["nsp_wfrp"])
         mrc_sr.append(rates["mrc"])
     span = max(nsp_sr) - min(nsp_sr)
     assert span <= 1e-9
@@ -129,13 +118,13 @@ def test_c04_secrecy_rate_ordering_vs_snr():
     for snr in (10.0, 15.0, 20.0, 25.0):
         rates = secrecy_rates(at_snr(cfg, snr))
         four = [rates[k] for k in ("wfmrc", "max_sr", "mmse", "lc_mmse")]
-        assert min(four) >= rates["nsp"] - 1e-9
-        assert rates["nsp"] >= rates["mrc"]
+        assert min(four) >= rates["nsp_wfrp"] - 1e-9
+        assert rates["nsp_wfrp"] >= rates["mrc"]
         if snr == 20.0:
             margin_20 = min(four) - rates["mrc"]
     assert margin_20 > 0.1
     low = secrecy_rates(at_snr(cfg, -5.0))
-    assert low["mrc"] >= low["nsp"]
+    assert low["mrc"] >= low["nsp_wfrp"]
     print(
         f"ACCEPTANCE C4 PASS: ordering holds at 10-25 dB "
         f"(20 dB margin {margin_20:.3f} bits), MRC >= NSP at -5 dB"
@@ -148,7 +137,7 @@ def test_c05_max_sr_eigen_optimality(scenarios200):
     worst_val = 0.0
     for cfg in scenarios200[:50]:
         scene = build_scene(cfg)
-        star = sinr_bob(max_sr(scene).weights, scene.cov, cfg.sigma_b2_watt)
+        star = sinr_bob(compute(Method.MAX_SR, scene).weights, scene.cov, cfg.sigma_b2_watt)
         v = rng.standard_normal((cfg.n_b, 1000)) + 1j * rng.standard_normal(
             (cfg.n_b, 1000)
         )
@@ -176,7 +165,7 @@ def test_c06_whitening_identity(scenarios200):
     worst = 0.0
     for cfg in scenarios200[:50]:
         scene = build_scene(cfg)
-        w = whitening_filter(scene.cov.c_nbar)
+        w = whitening_filter(scene.cov.c_nbar, FlopCounter())
         res = np.linalg.norm(
             w @ scene.cov.c_nbar @ w.conj().T - np.eye(cfg.n_b)
         )
@@ -189,7 +178,7 @@ def test_c07_null_space_constraints(scenarios200):
     worst_nsp = worst_an = 0.0
     for cfg in scenarios200[:50]:
         scene = build_scene(cfg)
-        w = nsp_max_wfrp(scene).weights
+        w = compute(Method.NSP_WFRP, scene).weights
         worst_nsp = max(
             worst_nsp, np.linalg.norm(scene.channels.mb.matrix.conj().T @ w)
         )
@@ -223,7 +212,8 @@ def test_c08_ber_suite():
     clean = dataclasses.replace(at_snr(ScenarioConfig(), 10.0), p_m_watt=0.0)
     run = simulate_ber(clean, (Method.MRC,), n_symbols, seed=0)[Method.MRC]
     scene = build_scene(clean)
-    analytic = qpsk_awgn_ber(sinr_bob(mrc(scene).weights, scene.cov, clean.sigma_b2_watt))
+    w_mrc = compute(Method.MRC, scene).weights
+    analytic = qpsk_awgn_ber(sinr_bob(w_mrc, scene.cov, clean.sigma_b2_watt))
     assert abs(run.ber - analytic) <= 3.0 * run.ci95_halfwidth
     # full fig4 preset, single-threaded, under a minute
     t0 = time.perf_counter()

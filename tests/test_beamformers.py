@@ -20,12 +20,6 @@ from dmrbf import (
     inv_hpd,
     low_complexity_inverse,
     mallory_receiver,
-    max_sr,
-    mmse_conventional,
-    mmse_low_complexity,
-    mrc,
-    nsp_max_wfrp,
-    wfmrc,
     whitening_filter,
 )
 from dmrbf.beamformers import _inv_sqrt
@@ -58,14 +52,14 @@ def test_mrc_matches_receive_signature():
     for _ in range(10):
         scene = build_scene(random_config(rng))
         u = scene.bob_signal_vector
-        assert aligned(mrc(scene).weights, u) >= 1.0 - 1e-12
+        assert aligned(compute(Method.MRC, scene).weights, u) >= 1.0 - 1e-12
 
 
 def test_whitening_filter_sandwich():
     rng = np.random.default_rng(403)
     for _ in range(20):
         scene = build_scene(random_config(rng))
-        w = whitening_filter(scene.cov.c_nbar)
+        w = whitening_filter(scene.cov.c_nbar, FlopCounter())
         sandwich = w @ scene.cov.c_nbar @ w.conj().T
         assert np.linalg.norm(sandwich - np.eye(scene.cfg.n_b)) <= 1e-10
 
@@ -87,7 +81,7 @@ def test_wfmrc_solves_whitened_system():
     for _ in range(20):
         scene = build_scene(random_config(rng))
         ref = np.linalg.solve(scene.cov.c_nbar, scene.bob_signal_vector)
-        assert aligned(wfmrc(scene).weights, ref) >= 1.0 - 1e-10
+        assert aligned(compute(Method.WFMRC, scene).weights, ref) >= 1.0 - 1e-10
 
 
 def test_equivalent_quartet_collinear():
@@ -95,10 +89,10 @@ def test_equivalent_quartet_collinear():
     rng = np.random.default_rng(405)
     for _ in range(20):
         scene = build_scene(random_config(rng))
-        w1 = wfmrc(scene).weights
-        w2 = max_sr(scene).weights
-        w3 = mmse_conventional(scene).weights
-        w4 = mmse_low_complexity(scene).weights
+        w1 = compute(Method.WFMRC, scene).weights
+        w2 = compute(Method.MAX_SR, scene).weights
+        w3 = compute(Method.MMSE, scene).weights
+        w4 = compute(Method.LC_MMSE, scene).weights
         assert aligned(w1, w2) >= 1.0 - 1e-9
         assert aligned(w1, w3) >= 1.0 - 1e-9
         assert aligned(w3, w4) >= 1.0 - 1e-9
@@ -106,15 +100,15 @@ def test_equivalent_quartet_collinear():
 
 def test_zero_jamming_reduces_to_mrc():
     scene = build_scene(config_with(p_m_watt=0.0, beta1=1.0))
-    w_mrc = mrc(scene).weights
-    for fn in (wfmrc, max_sr, mmse_conventional, mmse_low_complexity):
-        assert aligned(fn(scene).weights, w_mrc) >= 1.0 - 1e-10
+    w_mrc = compute(Method.MRC, scene).weights
+    for method in (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE):
+        assert aligned(compute(method, scene).weights, w_mrc) >= 1.0 - 1e-10
 
 
 def test_strong_jamming_pushes_wfmrc_into_null():
     scene = build_scene(config_with(p_m_watt=1e6))
     h_jam = scene.channels.mb.rx_steering
-    assert abs(np.vdot(h_jam, wfmrc(scene).weights)) <= 1e-4
+    assert abs(np.vdot(h_jam, compute(Method.WFMRC, scene).weights)) <= 1e-4
 
 
 def test_chain_inverse_matches_direct():
@@ -123,7 +117,7 @@ def test_chain_inverse_matches_direct():
         scene = build_scene(random_config(rng))
         cfg = scene.cfg
         o_direct = scene.cov.a + scene.cov.c_nbar
-        got = low_complexity_inverse(scene)
+        got = low_complexity_inverse(scene, FlopCounter())
         ref = np.linalg.inv(o_direct)
         assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
         assert cfg.n_b == got.shape[0]
@@ -141,7 +135,7 @@ def test_chain_collapses_to_closed_form_without_an_and_jamming():
     ref = np.eye(cfg.n_b) / sig2 - (
         c1 / (sig2 * sig2 * (1.0 + c1 * uu / sig2))
     ) * np.outer(u, u.conj())
-    got = low_complexity_inverse(scene)
+    got = low_complexity_inverse(scene, FlopCounter())
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -152,7 +146,7 @@ def test_chain_detects_singular_level():
     cfg = config_with(beta1=0.25, p_a_watt=10.0, sigma_b2_watt=5.0, d_ab_km=1.0)
     scene = build_scene(cfg)
     with pytest.raises(UpdateSingularityError) as exc:
-        low_complexity_inverse(scene)
+        low_complexity_inverse(scene, FlopCounter())
     assert exc.value.level == "L"
     assert "level 'L'" in str(exc.value)
     assert abs(exc.value.denominator) <= 1e-12
@@ -184,7 +178,7 @@ def test_chain_refuses_underflowing_noise_level():
     # sigma^4 underflows to zero, so the N-level coefficient cannot be formed
     scene = build_scene(config_with(sigma_b2_watt=1e-300))
     with pytest.raises(UpdateSingularityError) as exc:
-        low_complexity_inverse(scene)
+        low_complexity_inverse(scene, FlopCounter())
     assert exc.value.level == "N"
 
 
@@ -194,7 +188,7 @@ def test_chain_refuses_overflow_by_name():
     cfg = config_with(n_a=1, n_b=1, n_m=2, beta1=0.0, p_a_watt=8.98846567431158e307)
     scene = build_scene(cfg)
     with pytest.raises(NumericalError, match="rank-one update chain"):
-        low_complexity_inverse(scene)
+        low_complexity_inverse(scene, FlopCounter())
     with pytest.raises(NumericalError, match="rank-one update chain"):
         compute(Method.LC_MMSE, scene)
 
@@ -203,7 +197,7 @@ def test_nsp_annihilates_jamming_link():
     rng = np.random.default_rng(407)
     for _ in range(20):
         scene = build_scene(random_config(rng))
-        w = nsp_max_wfrp(scene).weights
+        w = compute(Method.NSP_WFRP, scene).weights
         h_jam = scene.channels.mb.rx_steering
         assert abs(np.vdot(h_jam, w)) <= 1e-10
         # therefore the whole M->B matrix channel is nulled
@@ -212,13 +206,13 @@ def test_nsp_annihilates_jamming_link():
 
 def test_nsp_needs_multiple_antennas():
     with pytest.raises(UnsupportedScenarioError):
-        nsp_max_wfrp(build_scene(config_with(n_b=1)))
+        compute(Method.NSP_WFRP, build_scene(config_with(n_b=1)))
 
 
 def test_nsp_degenerate_when_signal_sits_in_null():
     cfg = config_with(theta_r_ab_deg=45.0, theta_r_mb_deg=45.0)
     with pytest.raises(DegenerateGeometryError):
-        nsp_max_wfrp(build_scene(cfg))
+        compute(Method.NSP_WFRP, build_scene(cfg))
 
 
 def test_noise_scale_invariance_of_directions():
@@ -253,9 +247,7 @@ def test_mallory_receiver_direction():
 
 def test_compute_dispatch_and_flops():
     scene = build_scene(ScenarioConfig())
-    fc = FlopCounter()
-    bf = compute(Method.MRC, scene, fc)
-    assert fc.total == bf.flops
+    bf = compute(Method.MRC, scene)
     assert compute(Method.MALLORY, scene).method is Method.MALLORY
     # a fresh counter per call: two computations do not share state
     assert compute(Method.MRC, scene).flops == bf.flops

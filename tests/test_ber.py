@@ -223,6 +223,36 @@ def test_point_draws_rank_normals_per_symbol(overrides, rank, monkeypatch):
     assert ranks == [rank]
 
 
+def test_outside_count_is_binomial(monkeypatch):
+    # a conditioned point draws Binomial(N, q) symbols: over many seeds the
+    # count has mean N q and variance N q (1 - q); a fixed round(N q) would
+    # have no variance at all
+    scene = build_scene(config_at(config_with(n_a=4, n_b=4, n_m=4), "snr_db", 10.0))
+    weights = {m: compute(m, scene).weights for m in RECEIVE_METHODS}
+    g = _output_root(scene, weights)
+    assert g.shape[1] == 2
+    reach2 = np.max(np.sum(np.abs(g) ** 2, axis=1))
+    y0 = (1.0 - ber._BALL_SLACK) / (4.0 * reach2)
+    q = math.exp(-y0) * (1.0 + y0)  # P(Gamma(2, 1) > y0)
+    assert 0.07 < q < 0.09
+    draw = ber._draw_block
+    drawn = []
+
+    def spy(rng, r, n_symbols, shell):
+        drawn[-1] += n_symbols
+        return draw(rng, r, n_symbols, shell)
+
+    monkeypatch.setattr(ber, "_draw_block", spy)
+    n, seeds = 2000, 300
+    for seed in range(seeds):
+        drawn.append(0)
+        ber._ber_runs(scene, weights, n, point_rng(seed, 0))
+    counts = np.array(drawn, dtype=float)
+    var = n * q * (1.0 - q)
+    assert abs(counts.mean() - n * q) <= 4.0 * math.sqrt(var / seeds)
+    assert 0.67 <= counts.var(ddof=1) / var <= 1.33
+
+
 def _chi2_half_tail(y: float, rank: int) -> float:
     """P(|x|^2 / 2 > y) for x ~ N(0, I_2rank), the Erlang tail."""
     return math.exp(-y) * sum(y**k / math.factorial(k) for k in range(rank))
@@ -369,7 +399,7 @@ def test_sweep_rejects_unknown_axis():
         sweep(ScenarioConfig(), (Method.MRC,), "distance", (1.0,), 100, seed=0)
 
 
-def test_sweep_validation():
+def test_sweep_validation(monkeypatch):
     cfg = ScenarioConfig()
     with pytest.raises(DomainError, match="at least one axis value"):
         sweep(cfg, (Method.MRC,), "snr_db", (), 10, seed=0)
@@ -377,6 +407,15 @@ def test_sweep_validation():
         sweep(cfg, (Method.MRC,), "snr_db", (1.0, 1.0), 10, seed=0)
     with pytest.raises(DomainError, match="n_symbols"):
         sweep(cfg, (Method.MRC,), "snr_db", (1.0,), 0, seed=0)
+    # bad method lists are refused before any point runs
+    monkeypatch.setattr(ber, "build_scene", lambda *a: pytest.fail("a point ran"))
+    for methods, named in (
+        ((Method.MALLORY,), "'mallory' is not a receive method"),
+        ((Method.MRC, Method.MRC), "method 'mrc' is requested more than once"),
+        (("foo",), "'foo' is not a receive method"),
+    ):
+        with pytest.raises(DomainError, match=f"^{named}"):
+            sweep(cfg, methods, "snr_db", (0.0,), 1000, 0)
 
 
 def test_sweep_failure_names_method_and_point():

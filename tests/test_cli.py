@@ -82,6 +82,15 @@ def test_run_missing_config_fails(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_non_utf8_config_is_one_error_line(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(b"n_a = 4\n\xff\xfe = 3\n")
+    rc = run_cli("run", str(cfg_path), "--preset", "fig2", "--out", str(tmp_path))
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot read config file {cfg_path}")
+
+
 def test_run_invalid_config_names_field(tmp_path, capsys):
     cfg_path = tmp_path / "bad.cfg"
     cfg_path.write_text("beta1 = 1.5\n")

@@ -8,6 +8,7 @@ import pytest
 from dmrbf import (
     ConfigError,
     ConfigParseError,
+    DomainError,
     ScenarioConfig,
     Scene,
     build_channels,
@@ -77,6 +78,14 @@ def test_load_config(tmp_path):
     path.write_text("n_b = 8\nrng_seed = 3\n")
     cfg = load_config(path)
     assert cfg.n_b == 8 and cfg.rng_seed == 3
+
+
+def test_load_config_unreadable_is_typed(tmp_path):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"n_a = 4\n\xff\xfe = 3\n")
+    for path in (tmp_path / "missing.cfg", tmp_path, bad):
+        with pytest.raises(DomainError, match=r"^cannot read config file "):
+            load_config(path)
 
 
 def test_validation_errors():
