@@ -33,6 +33,7 @@ from .errors import (
     ConditioningError,
     DegenerateChannelError,
     DegenerateGeometryError,
+    DomainError,
     NumericalError,
     UnsupportedScenarioError,
     UpdateSingularityError,
@@ -58,6 +59,13 @@ class Method(str, Enum):
 
 #: Bob's six schemes, in presentation order.
 RECEIVE_METHODS: tuple[Method, ...] = tuple(m for m in Method if m is not Method.MALLORY)
+
+
+def unknown_method(name: object, valid: tuple[Method, ...], what: str) -> DomainError:
+    """The refusal of a method name outside ``valid``, listing the valid names."""
+    names = ", ".join(m.value for m in valid)
+    return DomainError(f"{getattr(name, 'value', name)!r} is not {what}; valid names: {names}")
+
 
 METHOD_LABELS: dict[Method, str] = {
     Method.MRC: "MRC",
@@ -328,7 +336,10 @@ _BUILDERS = {
 
 def compute(method: Method, scene: Scene) -> Beamformer:
     """Build the requested beamformer for one scene, counting its flops afresh."""
-    method = Method(method)
+    try:
+        method = Method(method)
+    except ValueError:
+        raise unknown_method(method, tuple(Method), "a method") from None
     fc = FlopCounter()
     weights = _BUILDERS[method](scene, fc)
     return Beamformer(method, weights, fc.total)

@@ -42,7 +42,9 @@ symbols, which only bounds memory: the chunks concatenate into one
 stream, so no count depends on the chunk size.  Results depend neither
 on the order points are executed in nor on the number of worker
 threads, and repeated runs are bit-identical.  ``RNG_STREAM`` numbers
-this scheme; CSVs record it.
+this scheme; CSVs record it.  A planned budget (``sweep``'s
+``rel_halfwidth``) is fixed from the point's rates before its generator
+is made, so it sets N and leaves the scheme as it is.
 """
 
 from __future__ import annotations
@@ -53,7 +55,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import complexity
-from .beamformers import RECEIVE_METHODS, Beamformer, Method, compute, mallory_receiver
+from .beamformers import (
+    RECEIVE_METHODS,
+    Beamformer,
+    Method,
+    compute,
+    mallory_receiver,
+    unknown_method,
+)
 from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError
 from .linalg import RANK_RTOL, hermitian_evd
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
@@ -312,6 +321,22 @@ def config_at(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     return replace(cfg, p_m_watt=float(value))  # sweep() admits only _AXES
 
 
+def _planned_symbols(p: float, rel_halfwidth: float, cap: int) -> int:
+    """Symbols that estimate a BER ``p`` to a relative 95 % half-width.
+
+    ``N = min(cap, ceil(z^2 (1 - p) / (2 p rel_halfwidth^2)))``: the normal
+    half-width of ``k / 2N`` over ``2N`` bits, ``z sqrt(p (1 - p) / 2N)``,
+    is then at most ``rel_halfwidth * p`` (Jeruchim, IEEE JSAC 1984).  A
+    ``p`` of 0, or one so small that the quotient is not finite, gets
+    ``cap``.
+    """
+    if p <= 0.0:
+        return cap
+    scale = _WILSON_Z / rel_halfwidth  # x * x, not x**2: ** raises on overflow
+    n = scale * scale * (1.0 - p) / (2.0 * p)
+    return min(cap, math.ceil(n)) if math.isfinite(n) else cap
+
+
 def _sweep_point(
     cfg: ScenarioConfig,
     methods: tuple[Method, ...],
@@ -320,6 +345,7 @@ def _sweep_point(
     n_symbols: int,
     seed: int,
     index: int,
+    rel_halfwidth: float | None,
 ) -> list[PerformanceReport]:
     method = None  # the method whose own step is running, named on failure
     try:
@@ -330,8 +356,13 @@ def _sweep_point(
             bfs[method] = compute(method, scene)
         method = None
         weights = {m: bf.weights for m, bf in bfs.items()}
-        runs = _ber_runs(scene, weights, n_symbols, point_rng(seed, index))
         rates = {m: rate_point(scene, w, eve.weights) for m, w in weights.items()}
+        if rel_halfwidth is not None:
+            # fixed from the rates before the generator is made, so the
+            # budget depends on no draw and every count stays binomial
+            best = max(r.sinr_bob for r in rates.values())
+            n_symbols = _planned_symbols(qpsk_awgn_ber(best), rel_halfwidth, n_symbols)
+        runs = _ber_runs(scene, weights, n_symbols, point_rng(seed, index))
     except DmrbfError as exc:  # same type, message prefixed with where it failed
         who = f"{method.value} " if method is not None else ""
         exc.args = (f"{who}at {axis} = {value:.12g}: {exc}",)
@@ -358,6 +389,7 @@ def sweep(
     n_symbols: int,
     seed: int,
     workers: int = 1,
+    rel_halfwidth: float | None = None,
 ) -> list[PerformanceReport]:
     """Evaluate the requested methods over one axis.
 
@@ -365,6 +397,12 @@ def sweep(
     order.  Each method must be one of ``RECEIVE_METHODS``, named once; an
     empty method list yields an empty report.  ``workers`` only
     parallelizes; it cannot change any numerical result.
+
+    With ``rel_halfwidth`` (in (0, 1)) each point draws the symbols that
+    give its best method's analytic BER that relative 95 % half-width,
+    at most ``n_symbols`` (see `_planned_symbols`); the budget is fixed
+    before any draw, so a point's counts equal a fixed-budget run at that
+    budget, seed and point index.  ``None`` draws ``n_symbols`` everywhere.
 
     The first failure aborts the sweep.  Its error keeps its type; the
     message is prefixed with the axis value and, when one method's own
@@ -382,11 +420,12 @@ def sweep(
         raise DomainError(f"workers must be >= 1, got {workers}")
     if not 0 <= seed < 2**64:  # point_rng keys Philox with a uint64
         raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    if rel_halfwidth is not None and not 0.0 < rel_halfwidth < 1.0:  # NaN fails too
+        raise DomainError(f"rel_halfwidth must be in (0, 1), got {rel_halfwidth}")
     names = [getattr(m, "value", m) for m in methods]
     for name in names:
         if name not in RECEIVE_METHODS:  # a str Method equals its value
-            valid = ", ".join(m.value for m in RECEIVE_METHODS)
-            raise DomainError(f"{name!r} is not a receive method; valid names: {valid}")
+            raise unknown_method(name, RECEIVE_METHODS, "a receive method")
         if names.count(name) > 1:
             raise DomainError(f"method {name!r} is requested more than once")
     methods = tuple(Method(name) for name in names)
@@ -394,7 +433,9 @@ def sweep(
         return []
 
     def job(index: int) -> list[PerformanceReport]:
-        return _sweep_point(cfg, methods, axis, values[index], n_symbols, seed, index)
+        return _sweep_point(
+            cfg, methods, axis, values[index], n_symbols, seed, index, rel_halfwidth
+        )
 
     if workers == 1:
         chunks = [job(i) for i in range(len(values))]

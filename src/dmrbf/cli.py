@@ -9,6 +9,10 @@ an error.
 Presets only define the sweep: the scenario itself (powers, angles,
 geometry) always comes from the config file, except that ``fig3`` pins
 the noise level to its stated operating SNR.
+
+Each point's Monte-Carlo BER draws the symbols that give its best
+method's analytic BER a relative 95 % half-width of
+``BER_REL_HALFWIDTH``, at most ``--symbols``.
 """
 
 from __future__ import annotations
@@ -19,14 +23,17 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .beamformers import METHOD_LABELS, RECEIVE_METHODS, Method
-from .ber import RNG_STREAM, PerformanceReport, config_at, sweep
+from .beamformers import METHOD_LABELS, RECEIVE_METHODS
+from .ber import RNG_STREAM, PerformanceReport, config_at, qpsk_awgn_ber, sweep
 from .errors import DmrbfError, DomainError
 from .scenario import ScenarioConfig, load_config, serialize_config
 from .svgplot import Series, save_line_plot
 
 _SNR_GRID = tuple(2.5 * k for k in range(-2, 11))  # -5 .. 25 dB
 _PM_GRID = tuple(10.0 ** (-1.0 + 0.5 * k) for k in range(9))  # 0.1 .. 1000 W
+
+#: Relative 95 % half-width that sizes each point's Monte-Carlo budget.
+BER_REL_HALFWIDTH = 0.05
 
 
 @dataclass(frozen=True)
@@ -69,30 +76,19 @@ class SweepSpec:
     preset: str
     axis: str
     values: tuple[float, ...]
-    methods: tuple[Method, ...]
-    n_symbols: int
+    methods: tuple[str, ...]  # names; `sweep` refuses an unknown or repeated one
+    max_symbols: int
     seed: int
     workers: int
 
 
-def _parse_methods(raw: str | None) -> tuple[Method, ...]:
+def _parse_methods(raw: str | None) -> tuple[str, ...]:
     if raw is None:
-        return RECEIVE_METHODS
-    valid = {m.value: m for m in RECEIVE_METHODS}
-    out = []
-    for token in raw.split(","):
-        token = token.strip().lower()
-        if not token:
-            continue
-        if token not in valid:
-            raise DomainError(
-                f"unknown method {token!r}; valid names: {', '.join(valid)}"
-            )
-        if valid[token] not in out:
-            out.append(valid[token])
-    if not out:
+        return tuple(m.value for m in RECEIVE_METHODS)
+    names = tuple(name for token in raw.split(",") if (name := token.strip().lower()))
+    if not names:
         raise DomainError("--methods selected nothing")
-    return tuple(out)
+    return names
 
 
 def _fmt(value: float) -> str:
@@ -114,15 +110,17 @@ def write_csv(path: Path, spec: SweepSpec, reports: list[PerformanceReport]) -> 
         "# dmrbf sweep results",
         f"# preset = {spec.preset}",
         f"# axis = {spec.axis}",
-        f"# methods = {','.join(m.value for m in spec.methods)}",
-        f"# n_symbols = {spec.n_symbols}",
+        f"# methods = {','.join(spec.methods)}",
+        f"# max_symbols = {spec.max_symbols}",
+        f"# ber_rel_halfwidth = {BER_REL_HALFWIDTH}",
         f"# sweep_seed = {spec.seed}",
         f"# rng_stream = {RNG_STREAM}",
     ]
     for f in fields(ScenarioConfig):
         lines.append(f"# {f.name} = {getattr(spec.cfg, f.name)}")
     lines.append(
-        "axis_value,method,sr_bits,sinr_bob_db,sinr_mallory_db,ber,ber_ci95,flops_formula"
+        "axis_value,method,sr_bits,sinr_bob_db,sinr_mallory_db,"
+        "n_symbols,ber,ber_ci95,ber_analytic,flops_formula"
     )
     for r in reports:
         lines.append(
@@ -133,8 +131,10 @@ def write_csv(path: Path, spec: SweepSpec, reports: list[PerformanceReport]) -> 
                     _fmt(r.rates.secrecy_rate_bits),
                     _fmt(_db(r.rates.sinr_bob)),
                     _fmt(_db(r.rates.sinr_mallory)),
+                    str(r.ber.n_symbols),
                     _fmt(r.ber.ber),
                     _fmt(r.ber.ci95_halfwidth),
+                    _fmt(qpsk_awgn_ber(r.rates.sinr_bob)),
                     str(r.flops_formula),
                 )
             )
@@ -150,19 +150,22 @@ def _plot_series(
         rows = [r for r in reports if r.method == m]
         xs = tuple(r.axis_value for r in rows)
         if quantity == "sr":
-            ys = tuple(r.rates.secrecy_rate_bits for r in rows)
+            ys, bound = tuple(r.rates.secrecy_rate_bits for r in rows), ()
         else:
-            ys = tuple(r.ber.ber for r in rows)
-        series.append(Series(label=METHOD_LABELS[m], x=xs, y=ys))
+            # a row with no error has Wilson bounds 0 and 2 * ci95: it is
+            # drawn open at the upper one, where a log axis can show it
+            bound = tuple(r.ber.n_errors == 0 for r in rows)
+            ys = tuple(2.0 * r.ber.ci95_halfwidth if b else r.ber.ber for r, b in zip(rows, bound))
+        series.append(Series(label=METHOD_LABELS[m], x=xs, y=ys, hollow=bound))
     return series
 
 
 def _print_summary(spec: SweepSpec, reports: list[PerformanceReport], quantity: str) -> None:
     name = "secrecy rate [bits]" if quantity == "sr" else "bit error rate"
     print(f"\n{name} by {spec.axis}:")
-    header = f"{spec.axis:>12}" + "".join(f"{m.value:>12}" for m in spec.methods)
+    header = f"{spec.axis:>12}" + "".join(f"{m:>12}" for m in spec.methods)
     print(header)
-    by_value: dict[float, dict[Method, PerformanceReport]] = {}
+    by_value: dict[float, dict[str, PerformanceReport]] = {}
     for r in reports:
         by_value.setdefault(r.axis_value, {})[r.method] = r
     for v in spec.values:
@@ -191,9 +194,10 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         spec.methods,
         spec.axis,
         spec.values,
-        spec.n_symbols,
+        spec.max_symbols,
         spec.seed,
         spec.workers,
+        rel_halfwidth=BER_REL_HALFWIDTH,
     )
     write_csv(csv_path, spec, reports)
     if preset.plot_quantity == "sr":
@@ -247,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--symbols",
         type=int,
         default=200_000,
-        help="Monte-Carlo symbols per sweep point (default: 200000)",
+        help="most Monte-Carlo symbols per sweep point; a point draws fewer where a "
+        f"relative 95 %% half-width of {BER_REL_HALFWIDTH} needs fewer (default: 200000)",
     )
     run_p.add_argument(
         "--workers", type=int, default=1, help="worker threads over sweep points"
@@ -279,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
             axis=preset.axis,
             values=preset.values,
             methods=_parse_methods(args.methods),
-            n_symbols=args.symbols,
+            max_symbols=args.symbols,
             seed=args.seed,
             workers=args.workers,
         )

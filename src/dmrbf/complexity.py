@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .beamformers import Method, compute
+from .beamformers import Method, compute, unknown_method
 from .errors import DomainError
 from .scenario import ScenarioConfig, build_scene
 
@@ -106,12 +106,14 @@ _FORMULAS = {
 
 def formula_flops(method: Method, n_a: int, n_b: int, n_m: int) -> int:
     """Closed-form operation count of a method at the given array sizes."""
-    method = Method(method)
-    if method not in _FORMULAS:
-        raise DomainError(f"no closed-form cost for method {method.value!r}")
+    try:
+        formula = _FORMULAS[Method(method)]
+    except (ValueError, KeyError):  # not a Method, or Mallory's
+        valid = tuple(_FORMULAS)
+        raise unknown_method(method, valid, "a method with a closed-form cost") from None
     if min(n_a, n_b, n_m) < 1:
         raise DomainError(f"array sizes must be >= 1, got ({n_a}, {n_b}, {n_m})")
-    return int(_FORMULAS[method](n_a, n_b, n_m))
+    return int(formula(n_a, n_b, n_m))
 
 
 def measured_flops(

@@ -1,8 +1,9 @@
 """Small self-contained SVG line charts.
 
-Deliberately minimal: linear or log10 axes, gridlines, round markers and
-an in-plot legend, written as a single standalone SVG string with no
-plotting dependency.  Output is deterministic for identical inputs.
+Deliberately minimal: linear or log10 axes, gridlines, round markers
+(filled, or open for a point that is only a bound) and an in-plot
+legend, written as a single standalone SVG string with no plotting
+dependency.  Output is deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -21,11 +22,16 @@ _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # for text 
 
 @dataclass(frozen=True)
 class Series:
-    """One labeled curve."""
+    """One labeled curve.
+
+    ``hollow`` flags the points that are bounds, not estimates: they get
+    an open marker and stay off the line.  Empty means no point is.
+    """
 
     label: str
     x: tuple[float, ...]
     y: tuple[float, ...]
+    hollow: tuple[bool, ...] = ()
 
 
 def _nice_step(span: float) -> float:
@@ -71,19 +77,20 @@ def render_line_plot(
 
     Non-finite points are dropped; on a log axis, so are values <= 0
     (a BER of exactly zero has no log-scale position).  Series left with
-    no points are omitted from the plot and the legend.
+    no points are omitted from the plot and the legend.  The line of a
+    series joins its filled points only.
     """
-    kept: list[tuple[Series, list[tuple[float, float]]]] = []
+    kept: list[tuple[Series, list[tuple[float, float, bool]]]] = []
     for s in series:
         pts = []
-        for xv, yv in zip(s.x, s.y):
+        for xv, yv, hollow in zip(s.x, s.y, s.hollow or (False,) * len(s.x)):
             if not (math.isfinite(xv) and math.isfinite(yv)):
                 continue
             if xlog and xv <= 0.0:
                 continue
             if ylog and yv <= 0.0:
                 continue
-            pts.append((float(xv), float(yv)))
+            pts.append((float(xv), float(yv), hollow))
         if pts:
             kept.append((s, pts))
     if not kept:
@@ -91,8 +98,8 @@ def render_line_plot(
 
     fx = (lambda v: math.log10(v)) if xlog else (lambda v: v)
     fy = (lambda v: math.log10(v)) if ylog else (lambda v: v)
-    xs = [fx(x) for _, pts in kept for x, _ in pts]
-    ys = [fy(y) for _, pts in kept for _, y in pts]
+    xs = [fx(x) for _, pts in kept for x, _, _ in pts]
+    ys = [fy(y) for _, pts in kept for _, y, _ in pts]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys), max(ys)
     if x_hi - x_lo < 1e-12:
@@ -160,15 +167,22 @@ def render_line_plot(
 
     for k, (s, pts) in enumerate(kept):
         color = PALETTE[k % len(PALETTE)]
-        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y in pts)
-        out.append(
-            f'<polyline points="{coords}" fill="none" stroke="{color}" '
-            f'stroke-width="1.8"/>'
-        )
-        for x, y in pts:
+        coords = " ".join(f"{sx(x):.2f},{sy(y):.2f}" for x, y, hollow in pts if not hollow)
+        if coords:
             out.append(
-                f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.6" fill="{color}"/>'
+                f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                f'stroke-width="1.8"/>'
             )
+        for x, y, hollow in pts:
+            if hollow:
+                out.append(
+                    f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3.2" fill="none" '
+                    f'stroke="{color}" stroke-width="1.2"/>'
+                )
+            else:
+                out.append(
+                    f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="2.6" fill="{color}"/>'
+                )
 
     leg_x = px1 - 150
     leg_y = py1 + 12

@@ -8,6 +8,7 @@ import pytest
 from dmrbf import (
     DegenerateChannelError,
     DegenerateGeometryError,
+    DomainError,
     FlopCounter,
     Method,
     NumericalError,
@@ -249,5 +250,9 @@ def test_compute_dispatch_and_flops():
     scene = build_scene(ScenarioConfig())
     bf = compute(Method.MRC, scene)
     assert compute(Method.MALLORY, scene).method is Method.MALLORY
+    # an unknown name is a typed refusal that lists the valid ones
+    valid = "valid names: mrc, wfmrc, max_sr, mmse, lc_mmse, nsp_wfrp, mallory$"
+    with pytest.raises(DomainError, match=f"^'foo' is not a method; {valid}"):
+        compute("foo", scene)
     # a fresh counter per call: two computations do not share state
     assert compute(Method.MRC, scene).flops == bf.flops

@@ -176,6 +176,87 @@ def test_error_counts_follow_exact_binomial(overrides, snrs):
         assert tail > 1e-6, (r.axis_value, r.method, r.ber.n_errors, p)
 
 
+def test_planned_counts_follow_exact_binomial():
+    # a planned budget is fixed before any draw, so each count is still
+    # exactly Binomial(2N, Q(sqrt(SINR))) at the N that point drew
+    reports = []
+    for n in (4, 16):
+        cfg = config_with(n_a=n, n_b=n, n_m=n)
+        snrs = (-5.0, 0.0, 5.0, 7.5, 10.0)
+        reports += sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 100_000, 13, rel_halfwidth=0.05)
+    assert len({r.ber.n_symbols for r in reports}) > 5  # budgets differ by point
+    for r in reports:
+        p = qpsk_awgn_ber(r.rates.sinr_bob)
+        tail = binomial_two_sided_p(r.ber.n_errors, 2 * r.ber.n_symbols, p)
+        assert tail > 1e-6, (r.axis_value, r.method, r.ber.n_symbols, r.ber.n_errors, p)
+
+
+def test_planned_budget_formula():
+    # N = ceil(z^2 (1 - p) / (2 p eps^2)): 76060.88... at p = 0.01, eps = 5 %
+    assert ber._planned_symbols(0.01, 0.05, 10**9) == 76_061
+    assert ber._planned_symbols(0.01, 0.05, 50_000) == 50_000
+    # that N is the least one whose normal half-width is within eps p
+    for p, eps in ((0.3, 0.05), (0.01, 0.05), (1e-6, 0.2)):
+        n = ber._planned_symbols(p, eps, 10**12)
+        halfwidth = [1.959963984540054 * math.sqrt(p * (1 - p) / (2 * k)) for k in (n, n - 1)]
+        assert halfwidth[0] <= eps * p < halfwidth[1]
+    # p = 0, a p too small for the quotient, or an eps too small: the cap
+    for p, eps in ((0.0, 0.05), (5e-324, 0.05), (qpsk_awgn_ber(1e4), 0.05), (0.1, 1e-200)):
+        assert ber._planned_symbols(p, eps, 777) == 777
+
+
+def test_planned_budget_is_fixed_before_any_draw(monkeypatch):
+    # each point fixes its budget before its generator exists, and the
+    # budget is the same under every seed
+    plan, make_rng = ber._planned_symbols, ber.point_rng
+    events = []
+
+    def plan_spy(p, eps, cap):
+        events.append(("plan", plan(p, eps, cap)))
+        return events[-1][1]
+
+    def rng_spy(seed, index):
+        events.append(("rng", index))
+        return make_rng(seed, index)
+
+    monkeypatch.setattr(ber, "_planned_symbols", plan_spy)
+    monkeypatch.setattr(ber, "point_rng", rng_spy)
+    snrs = (-5.0, 5.0, 10.0)
+    budgets = []
+    for seed in (0, 1, 2):
+        events.clear()
+        reports = sweep(
+            ScenarioConfig(), RECEIVE_METHODS, "snr_db", snrs, 200_000, seed, rel_halfwidth=0.05
+        )
+        assert [what for what, _ in events] == ["plan", "rng"] * len(snrs)
+        assert [index for _, index in events[1::2]] == [0, 1, 2]
+        planned = [n for _, n in events[0::2]]
+        drawn = [r.ber.n_symbols for r in reports]
+        assert drawn == [n for n in planned for _ in RECEIVE_METHODS]
+        budgets.append(planned)
+    assert budgets[0] == budgets[1] == budgets[2]
+    assert budgets[0][0] < budgets[0][1] < budgets[0][2] == 200_000
+
+
+def test_planned_point_equals_fixed_budget_run():
+    # the budget is sized for the best method's analytic BER, and a planned
+    # point's counts are _ber_runs at that N on the point's own generator:
+    # a fixed-budget sweep at the same N, seed and point index
+    cfg, seed, snrs, k = ScenarioConfig(), 4, (-5.0, 0.0, 7.5), len(RECEIVE_METHODS)
+    planned = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 100_000, seed, rel_halfwidth=0.05)
+    for i, value in enumerate(snrs):
+        rows = planned[i * k : (i + 1) * k]
+        n = rows[0].ber.n_symbols
+        best = qpsk_awgn_ber(max(r.rates.sinr_bob for r in rows))
+        assert n == ber._planned_symbols(best, 0.05, 100_000) < 100_000
+        scene = build_scene(config_at(cfg, "snr_db", value))
+        weights = {m: compute(m, scene).weights for m in RECEIVE_METHODS}
+        runs = ber._ber_runs(scene, weights, n, point_rng(seed, i))
+        assert runs == {r.method: r.ber for r in rows}
+        fixed = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, n, seed)
+        assert fixed[i * k : (i + 1) * k] == rows
+
+
 @pytest.mark.parametrize("n", [4, 16, 64])
 def test_output_root_reproduces_output_noise(n):
     # 2 fold fold^H is the stacked outputs' noise covariance
@@ -407,6 +488,9 @@ def test_sweep_validation(monkeypatch):
         sweep(cfg, (Method.MRC,), "snr_db", (1.0, 1.0), 10, seed=0)
     with pytest.raises(DomainError, match="n_symbols"):
         sweep(cfg, (Method.MRC,), "snr_db", (1.0,), 0, seed=0)
+    for bad in (0.0, 1.0, -0.05, math.nan, math.inf):
+        with pytest.raises(DomainError, match=r"rel_halfwidth must be in \(0, 1\)"):
+            sweep(cfg, (Method.MRC,), "snr_db", (1.0,), 10, seed=0, rel_halfwidth=bad)
     # bad method lists are refused before any point runs
     monkeypatch.setattr(ber, "build_scene", lambda *a: pytest.fail("a point ran"))
     for methods, named in (

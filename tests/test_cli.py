@@ -2,8 +2,8 @@
 
 import pytest
 
-from dmrbf import Method, RECEIVE_METHODS, ScenarioConfig, parse_config
-from dmrbf import cli
+from dmrbf import Method, RECEIVE_METHODS, ScenarioConfig, parse_config, wilson_interval
+from dmrbf import ber, cli
 from dmrbf.cli import PRESETS, _parse_methods, build_parser, main
 from dmrbf.errors import DomainError
 
@@ -31,13 +31,33 @@ def test_no_command_prints_help(capsys):
 
 
 def test_parse_methods():
+    # the CLI only splits, strips and case-folds; `sweep` judges the names
     assert _parse_methods(None) == RECEIVE_METHODS
     assert _parse_methods("mrc,mmse") == (Method.MRC, Method.MMSE)
-    assert _parse_methods("MRC, mrc") == (Method.MRC,)  # case folded, deduped
-    with pytest.raises(DomainError, match="unknown method"):
-        _parse_methods("mrc,bogus")
+    assert _parse_methods("MRC, mrc") == ("mrc", "mrc")
+    assert _parse_methods(" mrc,,bogus ") == ("mrc", "bogus")
     with pytest.raises(DomainError):
         _parse_methods(",")
+
+
+@pytest.mark.parametrize(
+    "methods, named",
+    [
+        ("mrc,MRC", "method 'mrc' is requested more than once"),
+        ("mrc,mallory", "'mallory' is not a receive method"),
+    ],
+)
+def test_run_refused_methods_are_one_error_line(
+    tmp_path, capsys, monkeypatch, methods, named
+):
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("")
+    monkeypatch.setattr(ber, "build_scene", lambda *a: pytest.fail("a point ran"))
+    out = str(tmp_path)
+    rc = run_cli("run", str(cfg_path), "--preset", "fig2", "--out", out, "--methods", methods)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {named}")
 
 
 def test_run_writes_outputs(tmp_path, capsys):
@@ -64,16 +84,70 @@ def test_run_writes_outputs(tmp_path, capsys):
     # full parameter header, including the fig3 noise pin at 15 dB SNR
     assert "# preset = fig3" in text
     assert "# sigma_b2_watt = 0.31622776601683794" in text
+    assert "# max_symbols = 500\n# ber_rel_halfwidth = 0.05\n" in text
     header = [l for l in text.splitlines() if not l.startswith("#")][0]
     assert header == (
-        "axis_value,method,sr_bits,sinr_bob_db,sinr_mallory_db,ber,"
-        "ber_ci95,flops_formula"
+        "axis_value,method,sr_bits,sinr_bob_db,sinr_mallory_db,n_symbols,ber,"
+        "ber_ci95,ber_analytic,flops_formula"
     )
     rows = [l for l in text.splitlines() if l and not l.startswith("#")][1:]
     assert len(rows) == len(PRESETS["fig3"].values) * 2
-    assert all(len(r.split(",")) == 8 for r in rows)
+    assert all(len(r.split(",")) == 10 for r in rows)
     out = capsys.readouterr().out
     assert "wrote" in out
+
+
+def _csv_rows(path):
+    lines = [l for l in path.read_text().splitlines() if l and not l.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, l.split(","))) for l in lines[1:]]
+
+
+def test_fig4_rows_state_their_precision(tmp_path, capsys):
+    # every BER rests on at most --symbols symbols, sits within perfbench's
+    # gate of the analytic value, and a point below the cap drew enough
+    # for its stated relative precision
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("")
+    out = tmp_path / "out"
+    rc = run_cli("run", str(cfg_path), "--preset", "fig4", "--out", str(out), "--symbols", "2000")
+    assert rc == 0
+    capsys.readouterr()
+    rows = _csv_rows(out / "fig4.csv")
+    below_cap = 0
+    for row in rows:
+        n, ber, ci95 = int(row["n_symbols"]), float(row["ber"]), float(row["ber_ci95"])
+        assert n <= 2000
+        assert abs(ber - float(row["ber_analytic"])) <= 3.0 * ci95, row
+        if n < 2000:
+            below_cap += 1
+            assert ci95 / ber <= 1.3 * cli.BER_REL_HALFWIDTH, row
+    assert below_cap > 0
+    # a row with no error is drawn open at its Wilson upper bound, 2 * ci95
+    zero = [row for row in rows if float(row["ber"]) == 0.0]
+    assert zero
+    svg = (out / "fig4.svg").read_text()
+    assert svg.count('r="3.2" fill="none"') == len(zero)
+    assert svg.count('r="2.6"') == len(rows) - len(zero)
+
+
+def test_zero_error_rows_plot_at_their_upper_bound():
+    spec = cli.SweepSpec(
+        cfg=ScenarioConfig(),
+        preset="fig4",
+        axis="snr_db",
+        values=(0.0, 25.0),
+        methods=("mrc",),
+        max_symbols=1000,
+        seed=0,
+        workers=1,
+    )
+    reports = cli.sweep(spec.cfg, spec.methods, spec.axis, spec.values, 1000, 0)
+    (series,) = cli._plot_series(spec, reports, "ber")
+    assert [r.ber.n_errors > 0 for r in reports] == [True, False]
+    assert series.hollow == (False, True)
+    assert series.y == (reports[0].ber.ber, 2.0 * reports[1].ber.ci95_halfwidth)
+    assert series.y[1] == wilson_interval(0, 2000)[1]
 
 
 def test_run_missing_config_fails(tmp_path, capsys):
@@ -123,9 +197,12 @@ def test_run_failure_is_one_named_error_line(tmp_path, capsys, line, named):
 def test_run_unknown_method_fails(tmp_path, capsys):
     cfg_path = tmp_path / "scen.cfg"
     cfg_path.write_text("")
-    rc = run_cli("run", str(cfg_path), "--preset", "fig2", "--methods", "zf")
+    out = str(tmp_path)
+    rc = run_cli("run", str(cfg_path), "--preset", "fig2", "--out", out, "--methods", "zf")
     assert rc == 2
-    assert "unknown method" in capsys.readouterr().err
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: 'zf' is not a receive method; valid names: mrc, wfmrc,")
 
 
 def test_repeated_runs_are_byte_identical(tmp_path, capsys):

@@ -27,8 +27,10 @@ def test_formula_values_at_common_size():
 
 
 def test_formula_rejects_bad_input():
-    with pytest.raises(DomainError):
-        formula_flops(Method.MALLORY, 4, 4, 4)
+    valid = "valid names: mrc, wfmrc, max_sr, mmse, lc_mmse, nsp_wfrp$"
+    for name, shown in ((Method.MALLORY, "mallory"), ("foo", "foo")):
+        with pytest.raises(DomainError, match=f"^'{shown}' is not a method .*; {valid}"):
+            formula_flops(name, 4, 4, 4)
     with pytest.raises(DomainError):
         formula_flops(Method.MRC, 0, 4, 4)
 

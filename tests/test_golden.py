@@ -2,15 +2,24 @@
 
 ``tests/golden/<preset>.csv`` holds ``dmrbf run <empty config> --preset
 <preset> --seed 0 --symbols 2000``.  A change that moves any digit of a
-rate, SINR, BER or flop count, or the random stream, fails here.  A change
-that alters the output on purpose regenerates the files with that command
-and checks that only the columns it meant to move did.  The files hold
-random stream 5 (``# rng_stream = 5``: the reference symbol at every
-symbol, the normals drawn symbol-major, and at points where few symbols
-can leave the no-error ball only those drawn, with their radii from a
-jumped copy of the point's generator).  Moving from stream 4 (every
-symbol drawn), as from streams 3, 2 and 1 before it, changed only the
-``ber`` and ``ber_ci95`` columns.
+rate, SINR, BER or flop count, a symbol budget, or the random stream,
+fails here.  A change that alters the output on purpose regenerates the
+files with that command and checks that only the columns it meant to move
+did.  The files hold random stream 5 (``# rng_stream = 5``: the reference
+symbol at every symbol, the normals drawn symbol-major, and at points
+where few symbols can leave the no-error ball only those drawn, with their
+radii from a jumped copy of the point's generator).  Moving from stream 4
+(every symbol drawn), as from streams 3, 2 and 1 before it, changed only
+the ``ber`` and ``ber_ci95`` columns.
+
+Each point draws the symbols its best method needs for a relative 95 %
+half-width of 5 %, at most ``--symbols`` (``# max_symbols = 2000`` and
+``# ber_rel_halfwidth = 0.05``; the ``n_symbols`` column is the budget
+drawn).  At 2000 symbols only the -5 dB point of fig2 and fig4 is below
+the cap (1818 symbols).  Planning the budgets replaced the header line
+``# n_symbols`` by those two lines, added the ``n_symbols`` and
+``ber_analytic`` columns, and moved ``ber`` and ``ber_ci95`` on those
+rows only; every other column kept its bytes.
 """
 
 from pathlib import Path

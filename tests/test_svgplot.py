@@ -36,6 +36,22 @@ def test_log_axis_drops_nonpositive_points():
     assert svg.count("<circle") == 2
 
 
+def test_hollow_points_get_open_markers_off_the_line():
+    x = np.array([1.0, 2.0, 3.0])
+    s = [Series("m", x, np.array([1e-2, 1e-3, 1e-5]), hollow=(False, False, True))]
+    svg = render_line_plot(s, "t", "x", "y", ylog=True)
+    assert svg.count('r="2.6" fill=') == 2
+    assert svg.count('r="3.2" fill="none" stroke="') == 1
+    (line,) = [ln for ln in svg.splitlines() if ln.startswith("<polyline")]
+    assert line.split('"')[1].count(",") == 2  # the line joins the filled points
+    assert render_line_plot(s, "t", "x", "y", ylog=True) == svg
+    # a series of bounds only is drawn without a line, and still listed
+    only = [Series("b", x, np.array([1e-5, 1e-5, 1e-5]), hollow=(True,) * 3)]
+    svg = render_line_plot(only, "t", "x", "y", ylog=True)
+    assert "<polyline" not in svg and svg.count('fill="none" stroke="#1f77b4"') == 3
+    assert ">b</text>" in svg
+
+
 def test_all_points_filtered_is_an_error():
     s = [Series("m", np.array([1.0]), np.array([0.0]))]
     with pytest.raises(DomainError):
