@@ -21,7 +21,6 @@ from .ber import (
     PerformanceReport,
     point_rng,
     qpsk_awgn_ber,
-    simulate_ber,
     sweep,
     wilson_interval,
 )
@@ -34,7 +33,7 @@ from .channel import (
     null_projector,
     steering,
 )
-from .complexity import formula_flops, measured_flops
+from .complexity import formula_flops
 from .counting import FlopCounter
 from .errors import (
     ConditioningError,
@@ -114,7 +113,6 @@ __all__ = [
     "load_config",
     "low_complexity_inverse",
     "mallory_receiver",
-    "measured_flops",
     "null_projector",
     "parse_config",
     "point_rng",
@@ -123,7 +121,6 @@ __all__ = [
     "secrecy_rate",
     "serialize_config",
     "sigma2_for_snr_db",
-    "simulate_ber",
     "sinr_bob",
     "sinr_mallory",
     "steering",

@@ -42,9 +42,9 @@ symbols, which only bounds memory: the chunks concatenate into one
 stream, so no count depends on the chunk size.  Results depend neither
 on the order points are executed in nor on the number of worker
 threads, and repeated runs are bit-identical.  ``RNG_STREAM`` numbers
-this scheme; CSVs record it.  A planned budget (``sweep``'s
-``rel_halfwidth``) is fixed from the point's rates before its generator
-is made, so it sets N and leaves the scheme as it is.
+this scheme; CSVs record it.  A point's symbol budget N (see
+`_planned_symbols`) is fixed from its rates before its generator is
+made, so it sets N and leaves the scheme as it is.
 """
 
 from __future__ import annotations
@@ -69,6 +69,9 @@ from .metrics import RatePoint, rate_point, sigma2_for_snr_db
 from .scenario import Scene, ScenarioConfig, build_scene
 
 _WILSON_Z = 1.959963984540054  # two-sided 95 %
+
+#: Relative 95 % half-width that sizes each point's Monte-Carlo budget.
+BER_REL_HALFWIDTH = 0.05
 
 #: Symbols per random draw.  It bounds memory and keeps a chunk's
 #: outputs in cache; the counts do not depend on it.
@@ -321,18 +324,18 @@ def config_at(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     return replace(cfg, p_m_watt=float(value))  # sweep() admits only _AXES
 
 
-def _planned_symbols(p: float, rel_halfwidth: float, cap: int) -> int:
+def _planned_symbols(p: float, cap: int) -> int:
     """Symbols that estimate a BER ``p`` to a relative 95 % half-width.
 
-    ``N = min(cap, ceil(z^2 (1 - p) / (2 p rel_halfwidth^2)))``: the normal
-    half-width of ``k / 2N`` over ``2N`` bits, ``z sqrt(p (1 - p) / 2N)``,
-    is then at most ``rel_halfwidth * p`` (Jeruchim, IEEE JSAC 1984).  A
-    ``p`` of 0, or one so small that the quotient is not finite, gets
-    ``cap``.
+    ``N = min(cap, ceil(z^2 (1 - p) / (2 p eps^2)))`` with ``eps =
+    BER_REL_HALFWIDTH``: the normal half-width of ``k / 2N`` over ``2N``
+    bits, ``z sqrt(p (1 - p) / 2N)``, is then at most ``eps * p``
+    (Jeruchim, IEEE JSAC 1984).  A ``p`` of 0, or one so small that the
+    quotient is not finite, gets ``cap``.
     """
     if p <= 0.0:
         return cap
-    scale = _WILSON_Z / rel_halfwidth  # x * x, not x**2: ** raises on overflow
+    scale = _WILSON_Z / BER_REL_HALFWIDTH
     n = scale * scale * (1.0 - p) / (2.0 * p)
     return min(cap, math.ceil(n)) if math.isfinite(n) else cap
 
@@ -342,10 +345,9 @@ def _sweep_point(
     methods: tuple[Method, ...],
     axis: str,
     value: float,
-    n_symbols: int,
+    max_symbols: int,
     seed: int,
     index: int,
-    rel_halfwidth: float | None,
 ) -> list[PerformanceReport]:
     method = None  # the method whose own step is running, named on failure
     try:
@@ -357,11 +359,10 @@ def _sweep_point(
         method = None
         weights = {m: bf.weights for m, bf in bfs.items()}
         rates = {m: rate_point(scene, w, eve.weights) for m, w in weights.items()}
-        if rel_halfwidth is not None:
-            # fixed from the rates before the generator is made, so the
-            # budget depends on no draw and every count stays binomial
-            best = max(r.sinr_bob for r in rates.values())
-            n_symbols = _planned_symbols(qpsk_awgn_ber(best), rel_halfwidth, n_symbols)
+        # fixed from the rates before the generator is made, so the budget
+        # depends on no draw and every count stays binomial
+        best = max(r.sinr_bob for r in rates.values())
+        n_symbols = _planned_symbols(qpsk_awgn_ber(best), max_symbols)
         runs = _ber_runs(scene, weights, n_symbols, point_rng(seed, index))
     except DmrbfError as exc:  # same type, message prefixed with where it failed
         who = f"{method.value} " if method is not None else ""
@@ -381,15 +382,49 @@ def _sweep_point(
     ]
 
 
+def check_sweep(
+    methods: tuple[Method, ...],
+    axis: str,
+    values: tuple[float, ...],
+    max_symbols: int,
+    seed: int,
+    workers: int,
+) -> tuple[Method, ...]:
+    """Raise `DomainError` for any argument `sweep` refuses; return the
+    methods as `Method`s.
+
+    ``sweep`` runs it before any point, and ``dmrbf run`` before it makes
+    its output directory, so a refused run leaves nothing behind.
+    """
+    if axis not in _AXES:
+        raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")
+    if not values:
+        raise DomainError("sweep needs at least one axis value")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise DomainError("axis values must be strictly increasing")
+    if not 1 <= max_symbols < 2**63:  # Generator.binomial takes an int64 count
+        raise DomainError(f"max_symbols must be in [1, 2**63), got {max_symbols}")
+    if workers < 1:
+        raise DomainError(f"workers must be >= 1, got {workers}")
+    if not 0 <= seed < 2**64:  # point_rng keys Philox with a uint64
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    names = [getattr(m, "value", m) for m in methods]
+    for name in names:
+        if name not in RECEIVE_METHODS:  # a str Method equals its value
+            raise unknown_method(name, RECEIVE_METHODS, "a receive method")
+        if names.count(name) > 1:
+            raise DomainError(f"method {name!r} is requested more than once")
+    return tuple(Method(name) for name in names)
+
+
 def sweep(
     cfg: ScenarioConfig,
     methods: tuple[Method, ...],
     axis: str,
     values: tuple[float, ...],
-    n_symbols: int,
+    max_symbols: int,
     seed: int,
     workers: int = 1,
-    rel_halfwidth: float | None = None,
 ) -> list[PerformanceReport]:
     """Evaluate the requested methods over one axis.
 
@@ -398,44 +433,22 @@ def sweep(
     empty method list yields an empty report.  ``workers`` only
     parallelizes; it cannot change any numerical result.
 
-    With ``rel_halfwidth`` (in (0, 1)) each point draws the symbols that
-    give its best method's analytic BER that relative 95 % half-width,
-    at most ``n_symbols`` (see `_planned_symbols`); the budget is fixed
-    before any draw, so a point's counts equal a fixed-budget run at that
-    budget, seed and point index.  ``None`` draws ``n_symbols`` everywhere.
+    Each point draws the symbols that give its best method's analytic BER
+    a relative 95 % half-width of ``BER_REL_HALFWIDTH``, at most
+    ``max_symbols`` (see `_planned_symbols`).  The budget is fixed from
+    the point's rates before any draw, so every count stays exactly
+    binomial, and ``BerRun.n_symbols`` is the number drawn.
 
     The first failure aborts the sweep.  Its error keeps its type; the
     message is prefixed with the axis value and, when one method's own
     step failed, that method.
     """
-    if axis not in _AXES:
-        raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")
-    if not values:
-        raise DomainError("sweep needs at least one axis value")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise DomainError("axis values must be strictly increasing")
-    if n_symbols < 1:
-        raise DomainError(f"n_symbols must be >= 1, got {n_symbols}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
-    if not 0 <= seed < 2**64:  # point_rng keys Philox with a uint64
-        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
-    if rel_halfwidth is not None and not 0.0 < rel_halfwidth < 1.0:  # NaN fails too
-        raise DomainError(f"rel_halfwidth must be in (0, 1), got {rel_halfwidth}")
-    names = [getattr(m, "value", m) for m in methods]
-    for name in names:
-        if name not in RECEIVE_METHODS:  # a str Method equals its value
-            raise unknown_method(name, RECEIVE_METHODS, "a receive method")
-        if names.count(name) > 1:
-            raise DomainError(f"method {name!r} is requested more than once")
-    methods = tuple(Method(name) for name in names)
+    methods = check_sweep(methods, axis, values, max_symbols, seed, workers)
     if not methods:
         return []
 
     def job(index: int) -> list[PerformanceReport]:
-        return _sweep_point(
-            cfg, methods, axis, values[index], n_symbols, seed, index, rel_halfwidth
-        )
+        return _sweep_point(cfg, methods, axis, values[index], max_symbols, seed, index)
 
     if workers == 1:
         chunks = [job(i) for i in range(len(values))]
@@ -446,18 +459,3 @@ def sweep(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(job, range(len(values))))
     return [report for chunk in chunks for report in chunk]
-
-
-def simulate_ber(
-    cfg: ScenarioConfig,
-    methods: tuple[Method, ...],
-    n_symbols: int,
-    seed: int,
-) -> dict[Method, BerRun]:
-    """Standalone BER estimate at one operating point (single block).
-
-    A one-point sweep over ``p_m_watt`` at the config's own value, so it
-    draws point 0's stream and fails like a sweep does.
-    """
-    reports = sweep(cfg, methods, "p_m_watt", (cfg.p_m_watt,), n_symbols, seed)
-    return {r.method: r.ber for r in reports}

@@ -24,16 +24,21 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .beamformers import METHOD_LABELS, RECEIVE_METHODS
-from .ber import RNG_STREAM, PerformanceReport, config_at, qpsk_awgn_ber, sweep
+from .ber import (
+    BER_REL_HALFWIDTH,
+    RNG_STREAM,
+    PerformanceReport,
+    check_sweep,
+    config_at,
+    qpsk_awgn_ber,
+    sweep,
+)
 from .errors import DmrbfError, DomainError
 from .scenario import ScenarioConfig, load_config, serialize_config
 from .svgplot import Series, save_line_plot
 
 _SNR_GRID = tuple(2.5 * k for k in range(-2, 11))  # -5 .. 25 dB
 _PM_GRID = tuple(10.0 ** (-1.0 + 0.5 * k) for k in range(9))  # 0.1 .. 1000 W
-
-#: Relative 95 % half-width that sizes each point's Monte-Carlo budget.
-BER_REL_HALFWIDTH = 0.05
 
 
 @dataclass(frozen=True)
@@ -180,6 +185,8 @@ def _print_summary(spec: SweepSpec, reports: list[PerformanceReport], quantity: 
 def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
     """Execute a sweep spec and write its CSV and SVG outputs."""
     preset = PRESETS[spec.preset]
+    # a refused argument must not leave --out behind
+    check_sweep(spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed, spec.workers)
     try:  # before the sweep, so a bad --out fails fast
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -197,7 +204,6 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         spec.max_symbols,
         spec.seed,
         spec.workers,
-        rel_halfwidth=BER_REL_HALFWIDTH,
     )
     write_csv(csv_path, spec, reports)
     if preset.plot_quantity == "sr":

@@ -2,20 +2,17 @@
 
 ``formula_flops`` evaluates the published closed-form operation-count
 polynomials exactly as stated, so its absolute numbers live in that
-accounting convention.  ``measured_flops`` runs a beamformer through the
-instrumented executor (`FlopCounter`) and reports what the algorithm
-actually spent under the cost model documented in ``counting``.  The two
+accounting convention.  ``compute(method, scene).flops`` is what one run
+of a beamformer actually spent, counted by the instrumented executor
+(`FlopCounter`) under the cost model documented in ``counting``.  The two
 conventions differ by a bounded constant factor; their growth orders
 agree, which is what the asymptotic claims rest on.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
-from .beamformers import Method, compute, unknown_method
+from .beamformers import Method, unknown_method
 from .errors import DomainError
-from .scenario import ScenarioConfig, build_scene
 
 
 def _mrc_flops(n_a: int, n_b: int, n_m: int) -> int:
@@ -115,19 +112,3 @@ def formula_flops(method: Method, n_a: int, n_b: int, n_m: int) -> int:
         raise DomainError(f"array sizes must be >= 1, got ({n_a}, {n_b}, {n_m})")
     return int(formula(n_a, n_b, n_m))
 
-
-def measured_flops(
-    method: Method,
-    n_a: int = 4,
-    n_b: int = 4,
-    n_m: int = 4,
-    cfg: ScenarioConfig | None = None,
-) -> int:
-    """Instrumented flop count of one beamformer run at the given sizes.
-
-    The count covers the method's own work given precomputed covariance
-    terms; assembling those is shared by all methods and charged to none.
-    """
-    base = cfg if cfg is not None else ScenarioConfig()
-    scene = build_scene(replace(base, n_a=n_a, n_b=n_b, n_m=n_m))
-    return compute(method, scene).flops

@@ -13,6 +13,7 @@ the model keeps them equal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ def _quad(weights: np.ndarray, m: np.ndarray) -> float:
 
 def _unit_weights(weights: np.ndarray) -> np.ndarray:
     nrm = float(np.linalg.norm(weights))
-    if nrm <= 0.0:
-        raise DomainError("weights must have positive norm")
+    if not 0.0 < nrm < math.inf:  # also refuses a NaN norm
+        raise DomainError(f"weights must have a positive, finite norm, got {nrm}")
     return weights / nrm
 
 

@@ -17,6 +17,7 @@ from .errors import DomainError
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf", "#8c564b")
 
 _FONT = "DejaVu Sans, Helvetica, Arial, sans-serif"
+_WIDTH, _HEIGHT = 880, 560  # pixels
 _XML_TEXT = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})  # for text content
 
 
@@ -70,8 +71,6 @@ def render_line_plot(
     ylabel: str,
     xlog: bool = False,
     ylog: bool = False,
-    width: int = 880,
-    height: int = 560,
 ) -> str:
     """Render curves to an SVG document string.
 
@@ -112,8 +111,8 @@ def render_line_plot(
     y_lo, y_hi = y_lo - pad_y, y_hi + pad_y
 
     left, right, top, bottom = 72, 24, 48, 56
-    px0, px1 = left, width - right
-    py0, py1 = height - bottom, top
+    px0, px1 = left, _WIDTH - right
+    py0, py1 = _HEIGHT - bottom, top
 
     def sx(v: float) -> float:
         return px0 + (fx(v) - x_lo) / (x_hi - x_lo) * (px1 - px0)
@@ -125,10 +124,10 @@ def render_line_plot(
     y_ticks = _log_ticks(y_lo, y_hi) if ylog else _linear_ticks(y_lo, y_hi)
 
     out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'viewBox="0 0 {width} {height}">',
-        f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="26" text-anchor="middle" font-family="{_FONT}" '
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
+        f'viewBox="0 0 {_WIDTH} {_HEIGHT}">',
+        f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
+        f'<text x="{_WIDTH / 2:.1f}" y="26" text-anchor="middle" font-family="{_FONT}" '
         f'font-size="17" fill="#222222">{title.translate(_XML_TEXT)}</text>',
     ]
     for t in x_ticks:
@@ -156,7 +155,7 @@ def render_line_plot(
         f'fill="none" stroke="#333333" stroke-width="1.2"/>'
     )
     out.append(
-        f'<text x="{(px0 + px1) / 2:.1f}" y="{height - 14}" text-anchor="middle" '
+        f'<text x="{(px0 + px1) / 2:.1f}" y="{_HEIGHT - 14}" text-anchor="middle" '
         f'font-family="{_FONT}" font-size="13" fill="#222222">{xlabel.translate(_XML_TEXT)}</text>'
     )
     out.append(

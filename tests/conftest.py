@@ -6,7 +6,8 @@ import dataclasses
 
 import numpy as np
 
-from dmrbf import ArrayGeometry, ScenarioConfig, steering
+from dmrbf import ArrayGeometry, ScenarioConfig, build_scene, compute, point_rng, steering
+from dmrbf import ber
 
 
 def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -72,3 +73,15 @@ def random_hpd(rng: np.random.Generator, n: int, cond: float = 100.0) -> np.ndar
     lam = 10.0 ** np.linspace(-np.log10(cond), 0.0, n)
     m = (q * lam) @ q.conj().T
     return (m + m.conj().T) / 2
+
+
+def fixed_budget_runs(cfg: ScenarioConfig, methods, n_symbols: int, seed: int, index: int = 0):
+    """The Monte-Carlo draw at exactly ``n_symbols`` symbols on sweep point
+    ``index``'s generator, with ``cfg`` already moved to that point.
+
+    A sweep plans each point's budget and may draw fewer; tests of the
+    draw itself pin N here.
+    """
+    scene = build_scene(cfg)
+    weights = {m: compute(m, scene).weights for m in methods}
+    return ber._ber_runs(scene, weights, n_symbols, point_rng(seed, index))

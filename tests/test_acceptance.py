@@ -22,11 +22,9 @@ from dmrbf import (
     formula_flops,
     low_complexity_inverse,
     mallory_receiver,
-    measured_flops,
     qpsk_awgn_ber,
     rate_point,
     sigma2_for_snr_db,
-    simulate_ber,
     sinr_bob,
     sweep,
     whitening_filter,
@@ -34,7 +32,7 @@ from dmrbf import (
 )
 from dmrbf.cli import main as cli_main
 
-from conftest import config_with, random_config
+from conftest import config_with, fixed_budget_runs, random_config
 
 EQUIV4 = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
 
@@ -195,9 +193,10 @@ def test_c07_null_space_constraints(scenarios200):
 
 def test_c08_ber_suite():
     n_symbols = 200_000
-    # ordering and mutual agreement at 25 dB, P_M = 10 W, shared symbols
+    # ordering and mutual agreement at 25 dB, P_M = 10 W, shared symbols,
+    # at a fixed N on a one-point sweep's generator
     cfg = at_snr(ScenarioConfig(), 25.0)
-    runs = simulate_ber(cfg, RECEIVE_METHODS, n_symbols, seed=0)
+    runs = fixed_budget_runs(cfg, RECEIVE_METHODS, n_symbols, seed=0)
     four = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
     assert max(runs[m].ber for m in four) <= runs[Method.NSP_WFRP].ber
     assert runs[Method.NSP_WFRP].ber <= runs[Method.MRC].ber
@@ -210,7 +209,7 @@ def test_c08_ber_suite():
     # jamming-free MRC against the analytic Gray-QPSK curve at 10 dB,
     # where the error floor is comfortably measurable
     clean = dataclasses.replace(at_snr(ScenarioConfig(), 10.0), p_m_watt=0.0)
-    run = simulate_ber(clean, (Method.MRC,), n_symbols, seed=0)[Method.MRC]
+    run = fixed_budget_runs(clean, (Method.MRC,), n_symbols, seed=0)[Method.MRC]
     scene = build_scene(clean)
     w_mrc = compute(Method.MRC, scene).weights
     analytic = qpsk_awgn_ber(sinr_bob(w_mrc, scene.cov, clean.sigma_b2_watt))
@@ -253,9 +252,10 @@ def test_c09_complexity_ordering_and_growth():
         Method.NSP_WFRP: (6.5, 9.5),
     }
     ratios = {}
+    # double the receive array only; the other ends keep their defaults
+    big, small = (build_scene(config_with(n_b=n)) for n in (64, 32))
     for method, (lo, hi) in bands.items():
-        # double the receive array only; the other ends keep their defaults
-        ratio = measured_flops(method, n_b=64) / measured_flops(method, n_b=32)
+        ratio = compute(method, big).flops / compute(method, small).flops
         ratios[method.value] = round(ratio, 2)
         assert lo <= ratio <= hi, f"{method.value}: doubling ratio {ratio:.2f}"
     print(f"ACCEPTANCE C9 PASS: strict chain at N=64; doubling ratios {ratios}")

@@ -16,14 +16,14 @@ from dmrbf import (
     compute,
     point_rng,
     qpsk_awgn_ber,
-    simulate_ber,
+    sinr_bob,
     sweep,
     wilson_interval,
 )
 from dmrbf import ber
 from dmrbf.ber import _output_root, config_at, count_bit_errors
 
-from conftest import config_with
+from conftest import config_with, fixed_budget_runs
 
 
 def test_wilson_interval_basics():
@@ -164,16 +164,20 @@ _CONDITIONED_SNRS = (7.5, 10.0, 12.5)
 def test_error_counts_follow_exact_binomial(overrides, snrs):
     # Bob's interference plus noise is circular Gaussian, so each method's
     # errors over N symbols are exactly Binomial(2N, Q(sqrt(SINR))), also
-    # when only the symbols outside the no-error ball are drawn
+    # when only the symbols outside the no-error ball are drawn; N is fixed
+    # at 20000 on each point's own generator, not planned
     cfg = config_with(**overrides)
     # null-space projection needs n_b >= 2
     methods = tuple(m for m in RECEIVE_METHODS if cfg.n_b > 1 or m != Method.NSP_WFRP)
-    reports = sweep(cfg, methods, "snr_db", snrs, 20_000, seed=11)
-    assert len(reports) == len(snrs) * len(methods)
-    for r in reports:
-        p = qpsk_awgn_ber(r.rates.sinr_bob)
-        tail = binomial_two_sided_p(r.ber.n_errors, 2 * r.ber.n_symbols, p)
-        assert tail > 1e-6, (r.axis_value, r.method, r.ber.n_errors, p)
+    for i, value in enumerate(snrs):
+        scene = build_scene(config_at(cfg, "snr_db", value))
+        weights = {m: compute(m, scene).weights for m in methods}
+        runs = ber._ber_runs(scene, weights, 20_000, point_rng(11, i))
+        assert list(runs) == list(methods)
+        for m, run in runs.items():
+            p = qpsk_awgn_ber(sinr_bob(weights[m], scene.cov, scene.cfg.sigma_b2_watt))
+            tail = binomial_two_sided_p(run.n_errors, 2 * run.n_symbols, p)
+            assert tail > 1e-6, (value, m, run.n_errors, p)
 
 
 def test_planned_counts_follow_exact_binomial():
@@ -183,7 +187,7 @@ def test_planned_counts_follow_exact_binomial():
     for n in (4, 16):
         cfg = config_with(n_a=n, n_b=n, n_m=n)
         snrs = (-5.0, 0.0, 5.0, 7.5, 10.0)
-        reports += sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 100_000, 13, rel_halfwidth=0.05)
+        reports += sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 100_000, 13)
     assert len({r.ber.n_symbols for r in reports}) > 5  # budgets differ by point
     for r in reports:
         p = qpsk_awgn_ber(r.rates.sinr_bob)
@@ -193,16 +197,17 @@ def test_planned_counts_follow_exact_binomial():
 
 def test_planned_budget_formula():
     # N = ceil(z^2 (1 - p) / (2 p eps^2)): 76060.88... at p = 0.01, eps = 5 %
-    assert ber._planned_symbols(0.01, 0.05, 10**9) == 76_061
-    assert ber._planned_symbols(0.01, 0.05, 50_000) == 50_000
+    assert ber.BER_REL_HALFWIDTH == 0.05
+    assert ber._planned_symbols(0.01, 10**9) == 76_061
+    assert ber._planned_symbols(0.01, 50_000) == 50_000
     # that N is the least one whose normal half-width is within eps p
-    for p, eps in ((0.3, 0.05), (0.01, 0.05), (1e-6, 0.2)):
-        n = ber._planned_symbols(p, eps, 10**12)
+    for p in (0.3, 0.01, 1e-6):
+        n = ber._planned_symbols(p, 10**12)
         halfwidth = [1.959963984540054 * math.sqrt(p * (1 - p) / (2 * k)) for k in (n, n - 1)]
-        assert halfwidth[0] <= eps * p < halfwidth[1]
-    # p = 0, a p too small for the quotient, or an eps too small: the cap
-    for p, eps in ((0.0, 0.05), (5e-324, 0.05), (qpsk_awgn_ber(1e4), 0.05), (0.1, 1e-200)):
-        assert ber._planned_symbols(p, eps, 777) == 777
+        assert halfwidth[0] <= 0.05 * p < halfwidth[1]
+    # p = 0, or a p too small for the quotient: the cap
+    for p in (0.0, 5e-324, qpsk_awgn_ber(1e4)):
+        assert ber._planned_symbols(p, 777) == 777
 
 
 def test_planned_budget_is_fixed_before_any_draw(monkeypatch):
@@ -211,8 +216,8 @@ def test_planned_budget_is_fixed_before_any_draw(monkeypatch):
     plan, make_rng = ber._planned_symbols, ber.point_rng
     events = []
 
-    def plan_spy(p, eps, cap):
-        events.append(("plan", plan(p, eps, cap)))
+    def plan_spy(p, cap):
+        events.append(("plan", plan(p, cap)))
         return events[-1][1]
 
     def rng_spy(seed, index):
@@ -225,9 +230,7 @@ def test_planned_budget_is_fixed_before_any_draw(monkeypatch):
     budgets = []
     for seed in (0, 1, 2):
         events.clear()
-        reports = sweep(
-            ScenarioConfig(), RECEIVE_METHODS, "snr_db", snrs, 200_000, seed, rel_halfwidth=0.05
-        )
+        reports = sweep(ScenarioConfig(), RECEIVE_METHODS, "snr_db", snrs, 200_000, seed)
         assert [what for what, _ in events] == ["plan", "rng"] * len(snrs)
         assert [index for _, index in events[1::2]] == [0, 1, 2]
         planned = [n for _, n in events[0::2]]
@@ -240,21 +243,19 @@ def test_planned_budget_is_fixed_before_any_draw(monkeypatch):
 
 def test_planned_point_equals_fixed_budget_run():
     # the budget is sized for the best method's analytic BER, and a planned
-    # point's counts are _ber_runs at that N on the point's own generator:
-    # a fixed-budget sweep at the same N, seed and point index
+    # point's counts are _ber_runs at that N on the point's own generator,
+    # and a sweep capped at that N draws the same point
     cfg, seed, snrs, k = ScenarioConfig(), 4, (-5.0, 0.0, 7.5), len(RECEIVE_METHODS)
-    planned = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 100_000, seed, rel_halfwidth=0.05)
+    planned = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 100_000, seed)
     for i, value in enumerate(snrs):
         rows = planned[i * k : (i + 1) * k]
         n = rows[0].ber.n_symbols
         best = qpsk_awgn_ber(max(r.rates.sinr_bob for r in rows))
-        assert n == ber._planned_symbols(best, 0.05, 100_000) < 100_000
-        scene = build_scene(config_at(cfg, "snr_db", value))
-        weights = {m: compute(m, scene).weights for m in RECEIVE_METHODS}
-        runs = ber._ber_runs(scene, weights, n, point_rng(seed, i))
+        assert n == ber._planned_symbols(best, 100_000) < 100_000
+        runs = fixed_budget_runs(config_at(cfg, "snr_db", value), RECEIVE_METHODS, n, seed, i)
         assert runs == {r.method: r.ber for r in rows}
-        fixed = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, n, seed)
-        assert fixed[i * k : (i + 1) * k] == rows
+        capped = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, n, seed)
+        assert capped[i * k : (i + 1) * k] == rows
 
 
 @pytest.mark.parametrize("n", [4, 16, 64])
@@ -300,7 +301,7 @@ def test_point_draws_rank_normals_per_symbol(overrides, rank, monkeypatch):
     # null-space projection needs n_b >= 2
     methods = tuple(m for m in RECEIVE_METHODS if cfg.n_b > 1 or m != Method.NSP_WFRP)
     # enough symbols that some leave the no-error ball at seed 0: one chunk
-    simulate_ber(cfg, methods, 10_000, seed=0)
+    fixed_budget_runs(cfg, methods, 10_000, seed=0)
     assert ranks == [rank]
 
 
@@ -384,49 +385,47 @@ def test_chunk_boundaries(n_symbols, monkeypatch):
     methods = (Method.MRC, Method.NSP_WFRP)
     for cfg in (config_at(ScenarioConfig(), "snr_db", 0.0), config_with(p_m_watt=100.0)):
         monkeypatch.setattr(ber, "_CHUNK", 4096)
-        runs = simulate_ber(cfg, methods, n_symbols, seed=2)
+        runs = fixed_budget_runs(cfg, methods, n_symbols, seed=2)
         assert all(r.n_symbols == n_symbols for r in runs.values())
         assert all(r.n_errors > 0 for r in runs.values())
         for chunk in (1000, 8191, 65536, 1 << 17):
             monkeypatch.setattr(ber, "_CHUNK", chunk)
-            assert simulate_ber(cfg, methods, n_symbols, seed=2) == runs
+            assert fixed_budget_runs(cfg, methods, n_symbols, seed=2) == runs
 
 
-def test_simulate_ber_counts_and_reproducibility():
+def test_sweep_counts_and_reproducibility():
+    # at the default point every method's BER is low enough that the
+    # planned budget is the 4000 cap
     cfg = ScenarioConfig()
-    runs = simulate_ber(cfg, RECEIVE_METHODS, 4000, seed=5)
-    again = simulate_ber(cfg, RECEIVE_METHODS, 4000, seed=5)
-    for method in RECEIVE_METHODS:
-        r = runs[method]
+    runs = sweep(cfg, RECEIVE_METHODS, "p_m_watt", (cfg.p_m_watt,), 4000, 5)
+    again = sweep(cfg, RECEIVE_METHODS, "p_m_watt", (cfg.p_m_watt,), 4000, 5)
+    assert [r.method for r in runs] == list(RECEIVE_METHODS)
+    for report, repeat in zip(runs, again):
+        r = report.ber
         assert r.n_symbols == 4000
         assert r.ber == r.n_errors / 8000  # two bits per QPSK symbol
-        assert r.ber == again[method].ber
+        assert r.ber == repeat.ber.ber
         lo, hi = wilson_interval(r.n_errors, 8000)
         assert r.ci95_halfwidth == pytest.approx((hi - lo) / 2, rel=1e-12)
 
 
-def test_simulate_ber_zero_errors_at_high_snr(monkeypatch):
+def test_zero_errors_at_high_snr_draw_nothing(monkeypatch):
     # no symbol can leave the no-error ball, so nothing is drawn at all
     def no_draw(*_):
         raise AssertionError("a symbol was drawn that cannot err")
 
     monkeypatch.setattr(ber, "_draw_block", no_draw)
     cfg = config_with(sigma_b2_watt=1e-6, sigma_m2_watt=1e-6, p_m_watt=0.0)
-    runs = simulate_ber(cfg, (Method.MRC, Method.MMSE), 200_000, seed=0)
+    runs = fixed_budget_runs(cfg, (Method.MRC, Method.MMSE), 200_000, seed=0)
     for run in runs.values():
         assert (run.n_symbols, run.n_errors, run.ber) == (200_000, 0, 0.0)
-
-
-def test_simulate_ber_rejects_empty_block():
-    with pytest.raises(DomainError):
-        simulate_ber(ScenarioConfig(), (Method.MRC,), 0, seed=0)
 
 
 def test_common_random_numbers_across_methods():
     # the whitened quartet shares one symbol block, so methods with nearly
     # identical weights must see nearly identical error counts
     cfg = ScenarioConfig()
-    runs = simulate_ber(cfg, (Method.WFMRC, Method.MAX_SR, Method.MMSE), 20_000, 3)
+    runs = fixed_budget_runs(cfg, (Method.WFMRC, Method.MAX_SR, Method.MMSE), 20_000, 3)
     counts = [runs[m].n_errors for m in (Method.WFMRC, Method.MAX_SR, Method.MMSE)]
     assert max(counts) - min(counts) <= 2
 
@@ -486,11 +485,12 @@ def test_sweep_validation(monkeypatch):
         sweep(cfg, (Method.MRC,), "snr_db", (), 10, seed=0)
     with pytest.raises(DomainError, match="strictly increasing"):
         sweep(cfg, (Method.MRC,), "snr_db", (1.0, 1.0), 10, seed=0)
-    with pytest.raises(DomainError, match="n_symbols"):
-        sweep(cfg, (Method.MRC,), "snr_db", (1.0,), 0, seed=0)
-    for bad in (0.0, 1.0, -0.05, math.nan, math.inf):
-        with pytest.raises(DomainError, match=r"rel_halfwidth must be in \(0, 1\)"):
-            sweep(cfg, (Method.MRC,), "snr_db", (1.0,), 10, seed=0, rel_halfwidth=bad)
+    # Generator.binomial takes an int64 count: 2**63 is refused, 2**62 runs
+    for bad in (0, 2**63, 2**64):
+        with pytest.raises(DomainError, match=r"^max_symbols must be in \[1, 2\*\*63\)"):
+            sweep(cfg, (Method.MRC,), "snr_db", (25.0,), bad, seed=0)
+    (report,) = sweep(cfg, (Method.MRC,), "snr_db", (25.0,), 2**62, seed=0)
+    assert report.ber.n_symbols == 2**62
     # bad method lists are refused before any point runs
     monkeypatch.setattr(ber, "build_scene", lambda *a: pytest.fail("a point ran"))
     for methods, named in (
@@ -508,6 +508,3 @@ def test_sweep_failure_names_method_and_point():
     cfg = config_with(theta_r_mb_deg=90.0)
     with pytest.raises(DegenerateGeometryError, match=r"^nsp_wfrp at p_m_watt = 1: "):
         sweep(cfg, (Method.MRC, Method.NSP_WFRP), "p_m_watt", (1.0, 10.0), 100, 0)
-    # simulate_ber is a one-point sweep at the config's own jamming power
-    with pytest.raises(DegenerateGeometryError, match=r"^nsp_wfrp at p_m_watt = 10: "):
-        simulate_ber(cfg, (Method.NSP_WFRP,), 100, seed=0)

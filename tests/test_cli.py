@@ -194,6 +194,26 @@ def test_run_failure_is_one_named_error_line(tmp_path, capsys, line, named):
     assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
 
+@pytest.mark.parametrize(
+    "flag, value, named",
+    [
+        ("--methods", "bogus", "'bogus' is not a receive method"),
+        ("--symbols", "0", "max_symbols must be in [1, 2**63)"),
+        ("--workers", "0", "workers must be >= 1"),
+        ("--seed", "-1", "seed must be in [0, 2**64)"),
+    ],
+)
+def test_run_refused_arguments_leave_no_out_behind(tmp_path, capsys, flag, value, named):
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("")
+    out = tmp_path / "newdir" / "sub"
+    rc = run_cli("run", str(cfg_path), "--preset", "fig2", "--out", str(out), flag, value)
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {named}")
+    assert not (tmp_path / "newdir").exists()
+
+
 def test_run_unknown_method_fails(tmp_path, capsys):
     cfg_path = tmp_path / "scen.cfg"
     cfg_path.write_text("")

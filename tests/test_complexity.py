@@ -12,7 +12,6 @@ from dmrbf import (
     build_scene,
     compute,
     formula_flops,
-    measured_flops,
 )
 
 
@@ -50,16 +49,11 @@ def test_quadratic_vs_cubic_crossover():
 
 
 def test_measured_counts_are_deterministic():
-    for method in RECEIVE_METHODS:
-        a = measured_flops(method)
-        assert a == measured_flops(method)
-        assert a > 0
-
-
-def test_measured_equals_compute_flops():
     scene = build_scene(ScenarioConfig())
     for method in RECEIVE_METHODS:
-        assert measured_flops(method) == compute(method, scene).flops
+        a = compute(method, scene).flops
+        assert a == compute(method, build_scene(ScenarioConfig())).flops
+        assert a > 0
 
 
 def test_mrc_measured_value_frozen():
@@ -75,15 +69,17 @@ def test_mrc_measured_value_frozen():
         Method.NSP_WFRP: 3910,
         Method.MALLORY: 3135,
     }
-    assert {m: measured_flops(m) for m in frozen} == frozen
+    scene = build_scene(ScenarioConfig())
+    assert {m: compute(m, scene).flops for m in frozen} == frozen
 
 
 def test_measured_tracks_formula_loosely():
     # the closed forms count a leaner abstract schedule (e.g. a cubic-term
     # inverse at n^3) than the instrumented EVD-based implementation, so
     # measured counts sit above the formulas by a bounded constant factor
+    scene = build_scene(ScenarioConfig())
     for method in RECEIVE_METHODS:
-        ratio = measured_flops(method) / formula_flops(method, 4, 4, 4)
+        ratio = compute(method, scene).flops / formula_flops(method, 4, 4, 4)
         assert 1.0 <= ratio <= 10.0
 
 

@@ -22,12 +22,14 @@ the cap (1818 symbols).  Planning the budgets replaced the header line
 rows only; every other column kept its bytes.
 """
 
+import csv
 from pathlib import Path
 
 import pytest
 
-from dmrbf.ber import RNG_STREAM
-from dmrbf.cli import main
+from dmrbf import RECEIVE_METHODS, ScenarioConfig, sweep
+from dmrbf.ber import RNG_STREAM, config_at
+from dmrbf.cli import PRESETS, main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -42,6 +44,24 @@ def test_preset_csv_matches_golden(preset, tmp_path, capsys):
     capsys.readouterr()
     got = (out / f"{preset}.csv").read_bytes()
     assert got == (GOLDEN / f"{preset}.csv").read_bytes()
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "fig4"])
+def test_library_sweep_matches_golden(preset):
+    # the library plans budgets by the same rule as `dmrbf run`: a sweep
+    # at the golden seed and cap draws the golden symbols and errors
+    spec = PRESETS[preset]
+    cfg = ScenarioConfig()
+    if spec.pin_snr_db is not None:
+        cfg = config_at(cfg, "snr_db", spec.pin_snr_db)
+    reports = sweep(cfg, RECEIVE_METHODS, spec.axis, spec.values, 2000, 0)
+    text = (GOLDEN / f"{preset}.csv").read_text().splitlines()
+    rows = list(csv.DictReader(ln for ln in text if not ln.startswith("#")))
+    assert len(rows) == len(reports)
+    for row, r in zip(rows, reports):
+        assert row["method"] == r.method.value
+        got = (str(r.ber.n_symbols), f"{r.ber.ber:.12g}", f"{r.ber.ci95_halfwidth:.12g}")
+        assert got == (row["n_symbols"], row["ber"], row["ber_ci95"]), (preset, row)
 
 
 def test_golden_files_hold_the_current_random_stream():

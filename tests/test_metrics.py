@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dmrbf import (
+    DomainError,
     Method,
     ScenarioConfig,
     build_scene,
@@ -51,6 +52,24 @@ def test_sinr_ignores_weight_scale():
     a = sinr_bob(w, scene.cov, scene.cfg.sigma_b2_watt)
     b = sinr_bob(5.5j * w, scene.cov, scene.cfg.sigma_b2_watt)
     assert a == pytest.approx(b, rel=1e-12)
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, 0.0])
+def test_weights_without_a_finite_positive_norm_are_refused(entry):
+    # a NaN, infinite or zero norm has no unit direction: a typed refusal,
+    # never a silent zero SINR or a bare RuntimeWarning
+    scene = build_scene(ScenarioConfig())
+    bad = np.full(scene.cfg.n_b, entry, dtype=np.complex128)
+    good = mallory_receiver(scene).weights
+    calls = (
+        lambda: rate_point(scene, bad, good),
+        lambda: rate_point(scene, compute(Method.MRC, scene).weights, bad),
+        lambda: sinr_bob(bad, scene.cov, scene.cfg.sigma_b2_watt),
+        lambda: sinr_mallory(bad, scene.cov, scene.cfg.sigma_m2_watt),
+    )
+    for call in calls:
+        with pytest.raises(DomainError, match="weights must have a positive, finite norm"):
+            call()
 
 
 def test_rates_and_secrecy():
