@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedScenarioError,
     UpdateSingularityError,
 )
-from .linalg import RANK_RTOL, check_hpd
+from .linalg import RANK_RTOL, check_hpd, vector_norm
 from .scenario import Scene
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
@@ -296,7 +296,7 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
     u_proj = fc.matvec(proj, u)
     # uncharged: a guard, not part of the method; relative, so a small
     # scale is not mistaken for a signal inside the null
-    if np.linalg.norm(u_proj) <= RANK_RTOL * np.linalg.norm(u):
+    if vector_norm(u_proj) <= RANK_RTOL * vector_norm(u):
         raise DegenerateGeometryError(
             "signal signature lies inside the nulled jamming subspace"
         )

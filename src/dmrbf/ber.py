@@ -73,16 +73,20 @@ _WILSON_Z = 1.959963984540054  # two-sided 95 %
 #: Relative 95 % half-width that sizes each point's Monte-Carlo budget.
 BER_REL_HALFWIDTH = 0.05
 
-#: Symbols per random draw.  It bounds memory and keeps a chunk's
-#: outputs in cache; the counts do not depend on it.
-_CHUNK = 1 << 12
+#: Symbols per random draw; the counts do not depend on it.  It sets a
+#: point's working set, which holds one chunk's normals, its radii and one
+#: detector row's outputs at a time: at 2048, one `_ber_runs` call at
+#: fig4's 5 to 10 dB points peaks at 0.11-0.17 MB of tracemalloc, where
+#: 4096 with the whole M x chunk output block peaked at 0.58 MB.
+_CHUNK = 1 << 11
 
 #: Version of the Monte-Carlo random stream, written into every CSV.
 RNG_STREAM = 5
 
 #: Above this chance of leaving the no-error ball a point draws every
 #: symbol plainly: a symbol conditioned to lie outside costs about 1.75
-#: plain ones (rank 1 and 2, chunks of 4096), so this is the break-even.
+#: plain ones (rank 1 and 2, measured with chunks of 4096), so this is the
+#: break-even.
 _PLAIN_ABOVE = 0.57
 
 #: The ball is shrunk by this relative amount, far above the rounding of
@@ -145,17 +149,23 @@ def qpsk_awgn_ber(sinr: float) -> float:
     return 0.5 * math.erfc(math.sqrt(sinr / 2.0))
 
 
-def count_bit_errors(z: np.ndarray) -> np.ndarray:
-    """Bit errors per row of the complex128 output noise ``z`` (M x N).
+def count_bit_errors(g: np.ndarray, white: np.ndarray) -> np.ndarray:
+    """Bit errors of each detector on one chunk of white normals.
 
-    The reference symbol ``(1 + j) / sqrt(2)`` was sent at every symbol,
-    so a rail is in error when its noise is below ``-1/sqrt(2)``; each
-    symbol contributes zero, one or two errors to its row's count.
+    Row ``i`` of the factor ``g`` (M x r) maps a symbol's ``r`` complex
+    normals, a row of ``white`` (N x r, complex128), onto detector ``i``'s
+    output noise, so detector ``i`` sees ``g[i] @ white.T``.  The
+    reference symbol ``(1 + j) / sqrt(2)`` was sent at every symbol, so a
+    rail is in error when its noise is below ``-1/sqrt(2)``; each symbol
+    contributes zero, one or two errors to its row's count.  One row's
+    outputs exist at a time, never the M x N block.
     """
-    # on the interleaved re/im float view both rails compare in one pass;
-    # count_nonzero over a whole row is several times faster than axis=1
-    below = z.view(np.float64) < _RAIL_THRESHOLD
-    return np.fromiter((np.count_nonzero(row) for row in below), np.int64, len(below))
+    counts = np.empty(len(g), np.int64)
+    white_t = white.T
+    for i, row in enumerate(g):
+        # on the interleaved re/im float view both rails compare in one pass
+        counts[i] = np.count_nonzero((row @ white_t).view(np.float64) < _RAIL_THRESHOLD)
+    return counts
 
 
 def point_rng(seed: int, index: int) -> np.random.Generator:
@@ -205,14 +215,17 @@ class _Shell:
         return cls(y0, -np.log1p(-np.cumsum(terms[:-1]) / terms.sum()), rng)
 
     def radii(self, n_symbols: int) -> np.ndarray:
-        """``n_symbols`` conditioned ``|x|``, from ``r + 1`` exponentials each."""
+        """``n_symbols`` conditioned ``|x|``, from ``r + 1`` exponentials each,
+        computed in place in the first exponential's column."""
         rank = len(self.cuts) + 1
         e = self.rng.standard_exponential((n_symbols, rank + 1))
         m = np.searchsorted(self.cuts, e[:, rank], side="right")
-        half_norm2 = self.y0 + e[:, 0]
-        for j in range(1, rank):  # Gamma(r - m, 1) sums e[:, :r - m]
-            half_norm2 += np.where(m < rank - j, e[:, j], 0.0)
-        return np.sqrt(2.0 * half_norm2)
+        radius = e[:, 0]
+        radius += self.y0  # |x|^2 / 2 = y0 + Gamma(r - m, 1), which sums e[:, :r - m]
+        for j in range(1, rank):
+            radius += np.where(m < rank - j, e[:, j], 0.0)
+        radius *= 2.0
+        return np.sqrt(radius, out=radius)
 
 
 def _draw_block(
@@ -227,8 +240,9 @@ def _draw_block(
     """
     white = rng.standard_normal((n_symbols, 2 * rank))
     if shell is not None:
-        norms = np.sqrt(np.einsum("ij,ij->i", white, white))
-        white *= (shell.radii(n_symbols) / norms)[:, None]
+        scale = np.sqrt(np.einsum("ij,ij->i", white, white))
+        np.divide(shell.radii(n_symbols), scale, out=scale)  # new over old norm
+        white *= scale[:, None]
     return white.view(np.complex128)
 
 
@@ -275,9 +289,9 @@ def _ber_runs(
     """Estimate BER for several beamformers on shared symbol chunks.
 
     Each chunk draws ``r`` white normals per symbol, ``r`` the rank of the
-    stacked outputs' noise (see `_output_root`), and all methods share one
-    product ``G @ n`` per chunk; the reference symbol is never added, it
-    only sets the detection threshold.  When few symbols can leave the
+    stacked outputs' noise (see `_output_root`), and every method detects
+    its own row of ``G @ n`` on them; the reference symbol is never added,
+    it only sets the detection threshold.  When few symbols can leave the
     no-error ball, only those are drawn (see the module docstring).
     """
     g = _output_root(scene, weights)
@@ -297,7 +311,8 @@ def _ber_runs(
     n_errors = np.zeros(len(weights), dtype=np.int64)
     for start in range(0, n_out, _CHUNK):
         white = _draw_block(rng, rank, min(_CHUNK, n_out - start), shell)
-        n_errors += count_bit_errors(g @ white.T)
+        n_errors += count_bit_errors(g, white)
+        del white  # so the next chunk is not drawn beside this one
 
     runs: dict[Method, BerRun] = {}
     for method, n_err in zip(weights, n_errors.tolist()):
@@ -343,6 +358,7 @@ def _planned_symbols(p: float, cap: int) -> int:
 def _sweep_point(
     cfg: ScenarioConfig,
     methods: tuple[Method, ...],
+    formula: dict[Method, int],
     axis: str,
     value: float,
     max_symbols: int,
@@ -375,7 +391,7 @@ def _sweep_point(
             method=m,
             rates=rates[m],
             ber=runs[m],
-            flops_formula=complexity.formula_flops(m, cfg.n_a, cfg.n_b, cfg.n_m),
+            flops_formula=formula[m],
             flops_measured=bf.flops,
         )
         for m, bf in bfs.items()
@@ -446,9 +462,13 @@ def sweep(
     methods = check_sweep(methods, axis, values, max_symbols, seed, workers)
     if not methods:
         return []
+    # no axis changes an array size, so each method's closed form is one number
+    formula = {m: complexity.formula_flops(m, cfg.n_a, cfg.n_b, cfg.n_m) for m in methods}
 
     def job(index: int) -> list[PerformanceReport]:
-        return _sweep_point(cfg, methods, axis, values[index], max_symbols, seed, index)
+        return _sweep_point(
+            cfg, methods, formula, axis, values[index], max_symbols, seed, index
+        )
 
     if workers == 1:
         chunks = [job(i) for i in range(len(values))]

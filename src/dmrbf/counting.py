@@ -116,7 +116,7 @@ class FlopCounter:
 
     def norm(self, x: np.ndarray) -> float:
         self.total += 4 * x.shape[0] + 1
-        return float(np.linalg.norm(x))
+        return linalg.vector_norm(x)
 
     # -- factorizations ---------------------------------------------------
 

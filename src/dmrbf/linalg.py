@@ -11,6 +11,7 @@ descending order.
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -52,15 +53,39 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return m * 0.5 + m.conj().T * 0.5
 
 
+def vector_norm(x: np.ndarray) -> float:
+    """Euclidean norm of the entries of ``x``, bit for bit
+    ``float(np.linalg.norm(x))``.
+
+    The same arithmetic as numpy's (ravel, ``re . re + im . im``, sqrt)
+    without its argument dispatch, which at the vector sizes of a scene
+    costs more than the sums.
+    """
+    x = x.ravel(order="K")
+    if x.dtype.kind not in "fc":  # numpy's norm sums integers as floats
+        x = x.astype(float)
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
-    scale = max(1.0, float(np.abs(m).max()))
-    asym = float(np.abs(m - m.conj().T).max())
-    if asym > HERMITIAN_ATOL * scale:
-        raise DimensionError(
-            f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds "
-            f"{HERMITIAN_ATOL:.0e} relative to magnitude {scale:.3e}"
-        )
-    return hermitian_part(m)
+    """`hermitian_part` of ``m``, refused when ``m`` is not Hermitian up to
+    roundoff.  The magnitude that scales the tolerance is only needed when
+    there is some asymmetry, which an exactly Hermitian input has not."""
+    m_h = m.conj().T
+    asym = float(np.abs(m - m_h).max())
+    if asym:  # zero for an exactly Hermitian m
+        scale = max(1.0, float(np.abs(m).max()))
+        if asym > HERMITIAN_ATOL * scale:
+            raise DimensionError(
+                f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds "
+                f"{HERMITIAN_ATOL:.0e} relative to magnitude {scale:.3e}"
+            )
+    # hermitian_part(m); m is complex128, so m.conj() is a copy to halve in place
+    sym = m * 0.5
+    m_h *= 0.5
+    sym += m_h
+    return sym
 
 
 def hermitian_evd(m: np.ndarray) -> HermitianEvd:

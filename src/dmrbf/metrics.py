@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .linalg import vector_norm
 from .scenario import CovarianceSet, Scene, ScenarioConfig
 
 
@@ -35,11 +36,11 @@ class RatePoint:
 
 def _quad(weights: np.ndarray, m: np.ndarray) -> float:
     """Real quadratic form ``w^H M w``, clipped at zero."""
-    return max(0.0, float(np.real(np.vdot(weights, m @ weights))))
+    return max(0.0, float(np.vdot(weights, m @ weights).real))
 
 
 def _unit_weights(weights: np.ndarray) -> np.ndarray:
-    nrm = float(np.linalg.norm(weights))
+    nrm = vector_norm(weights)
     if not 0.0 < nrm < math.inf:  # also refuses a NaN norm
         raise DomainError(f"weights must have a positive, finite norm, got {nrm}")
     return weights / nrm

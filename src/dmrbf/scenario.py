@@ -106,9 +106,10 @@ class ScenarioConfig:
             raise ConfigError("path_alpha", f"must be > 0, got {self.path_alpha}")
         if self.path_exponent < 0.0:
             raise ConfigError("path_exponent", f"must be >= 0, got {self.path_exponent}")
+        loss = self.path_loss
         for name in ("d_ab_km", "d_am_km", "d_mb_km"):
             try:
-                self.path_loss.gain(getattr(self, name))
+                loss.gain(getattr(self, name))
             except DomainError as exc:
                 raise ConfigError(name, str(exc)) from None
         if not self.spacing_over_wavelength > 0.0:

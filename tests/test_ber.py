@@ -1,6 +1,7 @@
 """Monte-Carlo BER machinery: intervals, rng discipline, detection, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -73,11 +74,12 @@ def test_point_rng_keying():
 
 
 def test_count_bit_errors_matches_naive_loop():
+    # with the identity factor detector i's outputs are exactly z[i]
     rng = np.random.default_rng(601)
     for _ in range(10):
         rows, n_sym = int(rng.integers(1, 8)), int(rng.integers(1, 400))
         z = rng.standard_normal((rows, n_sym)) + 1j * rng.standard_normal((rows, n_sym))
-        got = count_bit_errors(z)
+        got = count_bit_errors(np.eye(rows), z.T)
         assert got.shape == (rows,)
         for row in range(rows):
             naive = 0
@@ -97,7 +99,59 @@ def test_reference_symbol_counts_equal_data_symbol_counts():
     data_errors = np.count_nonzero((z.real < 0) != (s.real < 0), axis=1)
     data_errors += np.count_nonzero((z.imag < 0) != (s.imag < 0), axis=1)
     flipped = np.sign(s.real) * n.real + 1j * np.sign(s.imag) * n.imag
-    np.testing.assert_array_equal(count_bit_errors(flipped), data_errors)
+    np.testing.assert_array_equal(count_bit_errors(np.eye(3), flipped.T), data_errors)
+
+
+def _block_count(g: np.ndarray, white: np.ndarray) -> np.ndarray:
+    """Each row's count on the whole M x N output block ``g @ white.T``."""
+    below = (g @ white.T).view(np.float64) < -1.0 / math.sqrt(2.0)
+    return np.count_nonzero(below, axis=1)
+
+
+def test_per_row_count_equals_block_count():
+    # detecting row by row forms no M x N block and counts the same
+    rng = np.random.default_rng(604)
+    for _ in range(200):
+        rows, rank = int(rng.integers(1, 7)), int(rng.integers(1, 3))
+        g = rng.standard_normal((rows, rank)) + 1j * rng.standard_normal((rows, rank))
+        g *= 10.0 ** rng.uniform(-1.0, 1.0)
+        white = rng.standard_normal((int(rng.integers(1, 3000)), 2 * rank))
+        white = white.view(np.complex128)
+        np.testing.assert_array_equal(count_bit_errors(g, white), _block_count(g, white))
+
+
+def test_rails_exactly_at_the_threshold():
+    # a rail exactly at -1/sqrt(2) is right, one ulp below it is wrong, and
+    # factors of 0, 1 and 2 keep every product exact in both counts
+    t = -1.0 / math.sqrt(2.0)
+    rails = np.array([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf), 0.0])
+    white = (rails[:, None] + 1j * rails[::-1, None]) * np.array([1.0, 0.5])
+    g = np.array([[1, 0], [0, 2], [1, 0], [0, 0]], dtype=np.complex128)
+    want = np.array([2, 2, 2, 0])
+    np.testing.assert_array_equal(count_bit_errors(g, white), want)
+    np.testing.assert_array_equal(_block_count(g, white), want)
+
+
+@pytest.mark.parametrize("snr_db", [5.0, 7.5, 10.0])
+def test_point_working_set_stays_small(snr_db):
+    # one point holds one chunk's normals, its radii and one detector row's
+    # outputs at a time: at fig4's points, with the budgets fig4 plans at
+    # its 200k cap, the tracemalloc peak of a point's draw stays below
+    # 0.3 MB (0.58 MB with the M x 4096 output block)
+    scene = build_scene(config_at(ScenarioConfig(), "snr_db", snr_db))
+    weights = {m: compute(m, scene).weights for m in RECEIVE_METHODS}
+    best = max(sinr_bob(w, scene.cov, scene.cfg.sigma_b2_watt) for w in weights.values())
+    n = ber._planned_symbols(qpsk_awgn_ber(best), 200_000)
+    assert n > 2 * ber._CHUNK  # several chunks, so one can outlive the next
+    ber._ber_runs(scene, weights, n, point_rng(0, 0))  # warm caches
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ber._ber_runs(scene, weights, n, point_rng(0, 0))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 300_000, peak
 
 
 def _log_binom_pmf(k: int, n: int, p: float) -> float:

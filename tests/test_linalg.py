@@ -9,7 +9,7 @@ from dmrbf import (
     hermitian_evd,
     inv_hpd,
 )
-from dmrbf.linalg import hermitian_part
+from dmrbf.linalg import hermitian_part, vector_norm
 
 from conftest import random_hermitian, random_hpd
 
@@ -54,6 +54,55 @@ def test_evd_rejects_bad_input():
         hermitian_evd(np.ones((2, 3), dtype=complex))
     with pytest.raises(DimensionError):
         hermitian_evd(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
+
+
+def test_evd_equals_eigh_of_the_hermitian_part():
+    # the asymmetry is tested before the magnitude, and m^H is formed once:
+    # the eigensolver still gets (m + m^H) / 2 with the same bits
+    rng = np.random.default_rng(108)
+    for n in (1, 2, 4, 16, 64):
+        exact = random_hermitian(rng, n)
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        roundoff = exact + 1e-14 * noise
+        assert np.array_equal(exact, exact.conj().T)
+        assert not np.array_equal(roundoff, roundoff.conj().T)
+        for m in (exact, roundoff):
+            lam, q = np.linalg.eigh(m * 0.5 + m.conj().T * 0.5)
+            evd = hermitian_evd(m)
+            assert evd.eigenvalues.tobytes() == lam[::-1].tobytes()
+            assert evd.eigenvectors.tobytes() == q[:, ::-1].tobytes()
+
+
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        ([[1.0, 2.0], [0.0, 1.0]], "max asymmetry 2.000e+00 exceeds 1e-12 relative to magnitude 2.000e+00"),
+        ([[0.0, 1e-3], [0.0, 0.0]], "max asymmetry 1.000e-03 exceeds 1e-12 relative to magnitude 1.000e+00"),
+        ([[5e3, 1e-8], [0.0, 1.0]], "max asymmetry 1.000e-08 exceeds 1e-12 relative to magnitude 5.000e+03"),
+    ],
+)
+def test_evd_refusal_message(m, message):
+    with pytest.raises(DimensionError) as exc:
+        hermitian_evd(np.array(m, dtype=complex))
+    assert str(exc.value) == f"m is not Hermitian: {message}"
+
+
+def test_vector_norm_is_numpy_norm_bit_for_bit():
+    rng = np.random.default_rng(109)
+    cases = []
+    for n in (1, 2, 4, 16, 64, 257):
+        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        cases += [z, z[::2], z.real.copy(), z.real[::3], 1e-200 * z, 1e200 * z]
+    m = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+    cases += [m[:, 1], m.T, np.zeros(4, dtype=complex), np.arange(5)]
+    for bad in (np.inf, -np.inf, np.nan, complex(np.inf, np.nan)):
+        z = np.ones(4, dtype=complex)
+        z[2] = bad
+        cases.append(z)
+    for x in cases:
+        with np.errstate(over="ignore"):  # 1e200 squared overflows in both
+            got, want = vector_norm(x), float(np.linalg.norm(x))
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), (x, got, want)
 
 
 def test_inv_hpd_residual():
