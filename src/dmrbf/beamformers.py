@@ -93,7 +93,7 @@ def _unit(fc: FlopCounter, x: np.ndarray, what: str) -> np.ndarray:
     if not _NORM_EPS < nrm < math.inf:  # also refuses a NaN norm
         raise DegenerateChannelError(what)
     fc.scalar()  # reciprocal
-    return fc.rscale(1.0 / nrm, x)
+    return fc.scale(1.0 / nrm, x)
 
 
 def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter) -> np.ndarray:
@@ -104,31 +104,29 @@ def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter) -> np.ndarray:
     """
     evd = fc.evd(c_nbar)
     check_hpd(evd, "interference-plus-noise covariance")
-    return fc.row_rescale(1.0 / np.sqrt(evd.eigenvalues), evd.eigenvectors.conj().T)
+    return fc.scale(1.0 / np.sqrt(evd.eigenvalues)[:, None], evd.eigenvectors.conj().T)
 
 
 def _inv_sqrt(fc: FlopCounter, c: np.ndarray, what: str) -> np.ndarray:
     """Hermitian ``c**-0.5`` assembled from the EVD (counted)."""
     evd = fc.evd(c)
     check_hpd(evd, what)
-    half = fc.col_rescale(evd.eigenvectors, 1.0 / np.sqrt(evd.eigenvalues))
+    half = fc.scale(1.0 / np.sqrt(evd.eigenvalues), evd.eigenvectors)
     return fc.matmul(half, evd.eigenvectors.conj().T)
 
 
-def _whiten_match(
-    fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, power: float, what: str
-) -> np.ndarray:
-    """Max-SINR direction for the rank-one signal ``power * sig sig^H`` in
-    the interference-plus-noise ``cov`` (named ``what`` in errors).
+def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) -> np.ndarray:
+    """Max-SINR direction for a rank-one signal along ``sig`` in the
+    interference-plus-noise ``cov`` (named ``what`` in errors).
 
     Whitening by ``cov**-0.5`` leaves a rank-one signal covariance, so its
-    dominant eigenvector is written down directly as ``a / ||a||`` instead
-    of calling a general eigensolver; ``cov**-0.5`` lifts it back.
+    dominant eigenvector is written down directly as ``a / ||a||`` with
+    ``a = cov**-0.5 sig`` instead of calling a general eigensolver;
+    ``cov**-0.5`` lifts it back.  The signal's power would only scale
+    ``a``, which the normalization undoes, so it is not applied.
     """
     s = _inv_sqrt(fc, cov, what)
-    fc.scalar(3)
-    a = fc.rscale(np.sqrt(power), fc.matvec(s, sig))
-    v_dom = _unit(fc, a, f"whitened signal has zero norm ({what})")
+    v_dom = _unit(fc, fc.matvec(s, sig), f"whitened signal has zero norm ({what})")
     w = fc.matvec(s, v_dom)
     return _unit(fc, w, f"whitened direction is zero ({what})")
 
@@ -156,20 +154,18 @@ def _wfmrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
 def _max_sr(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """SINR-optimal beamformer via the whiten-then-match construction."""
-    cfg = scene.cfg
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    return _whiten_match(fc, u, scene.cov.c_nbar, c1, "interference-plus-noise covariance")
+    return _whiten_match(fc, u, scene.cov.c_nbar, "interference-plus-noise covariance")
 
 
 def _mmse(scene: Scene, fc: FlopCounter, o_inv: np.ndarray) -> np.ndarray:
-    """MMSE weights ``sqrt(c1) * O^{-1} u`` from a receive-covariance inverse."""
-    cfg = scene.cfg
+    """MMSE direction ``O^{-1} u`` from a receive-covariance inverse.
+
+    The MMSE weights are ``sqrt(c1) * O^{-1} u``; the stream's amplitude
+    ``sqrt(c1)`` is not applied, since the normalization undoes it.
+    """
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    fc.scalar(3)
-    w = fc.rscale(np.sqrt(c1), fc.matvec(o_inv, u))
-    return _unit(fc, w, "MMSE weights have zero norm")
+    return _unit(fc, fc.matvec(o_inv, u), "MMSE weights have zero norm")
 
 
 def _mmse_conventional(scene: Scene, fc: FlopCounter) -> np.ndarray:
@@ -193,7 +189,7 @@ def _rank_one_update(
         raise UpdateSingularityError(level, den)
     r = fc.vecmat(row, z_inv)
     fc.scalar()
-    upd = fc.cscale(1.0 / den, fc.outer_plain(t, r))
+    upd = fc.scale(1.0 / den, fc.outer_plain(t, r))
     return fc.sub(z_inv, upd)
 
 
@@ -235,8 +231,8 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     coef = -c1 / scale
     fc.scalar(3)
     z_inv = fc.add(
-        fc.rscale(1.0 / sig2, np.eye(cfg.n_b)),
-        fc.rscale(coef, fc.outer(u, u)),
+        fc.scale(1.0 / sig2, np.eye(cfg.n_b)),
+        fc.scale(coef, fc.outer(u, u)),
     )
 
     # artificial-noise levels: the projector expands into three rank-one
@@ -245,14 +241,14 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     row = channels.ab.rx_steering.conj()
     for level, coeff in (("M", c2), ("L", -2.0 * c2), ("K", c2)):
         fc.scalar()
-        z_inv = _rank_one_update(fc, z_inv, fc.rscale(coeff, s), row, level)
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff, s), row, level)
 
     # jamming level: one rank-one update per jamming beam
     g_jam = channels.mb.gain * cfg.p_m_watt
     fc.scalar()
     for j in range(cfg.n_j):
         beam = fc.matvec(channels.mb.matrix, scene.setup.t_m_an[:, j])
-        z_inv = _rank_one_update(fc, z_inv, fc.rscale(g_jam, beam), beam.conj(), "O")
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam, beam), beam.conj(), "O")
     if not np.isfinite(z_inv).all():  # uncharged: a guard, not part of the method
         raise NumericalError("rank-one update chain (levels N to O) left the float range")
     return z_inv
@@ -281,7 +277,7 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
     fc.scalar(8 * cfg.n_b * cfg.n_b)  # rank-one projector assembly
 
     u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    noise = fc.add(scene.cov.b, fc.rscale(cfg.sigma_b2_watt, np.eye(cfg.n_b)))
+    noise = fc.add(scene.cov.b, fc.scale(cfg.sigma_b2_watt, np.eye(cfg.n_b)))
     c_proj = fc.matmul(fc.matmul(proj, noise), proj)
 
     evd = fc.evd(c_proj)
@@ -289,8 +285,8 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
     if not hi > 0.0:  # also refuses NaN
         raise ConditioningError("projected noise covariance vanished", 0.0, hi)
     keep = evd.eigenvalues > RANK_RTOL * hi
-    w_red = fc.row_rescale(
-        1.0 / np.sqrt(evd.eigenvalues[keep]), evd.eigenvectors[:, keep].conj().T
+    w_red = fc.scale(
+        1.0 / np.sqrt(evd.eigenvalues[keep])[:, None], evd.eigenvectors[:, keep].conj().T
     )
 
     u_proj = fc.matvec(proj, u)
@@ -317,10 +313,9 @@ def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
     e = fc.matvec(scene.channels.am.matrix, scene.setup.v_a)
     c_m = fc.add(
         fc.add(scene.cov.f, scene.cov.r_m),
-        fc.rscale(cfg.sigma_m2_watt, np.eye(cfg.n_m)),
+        fc.scale(cfg.sigma_m2_watt, np.eye(cfg.n_m)),
     )
-    c_e = scene.channels.am.gain * cfg.beta1 * cfg.p_a_watt
-    return _whiten_match(fc, e, c_m, c_e, "eavesdropper covariance")
+    return _whiten_match(fc, e, c_m, "eavesdropper covariance")
 
 
 _BUILDERS = {

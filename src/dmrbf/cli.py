@@ -144,7 +144,7 @@ def write_csv(path: Path, spec: SweepSpec, reports: list[PerformanceReport]) -> 
                 )
             )
         )
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _plot_series(
@@ -205,21 +205,26 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         spec.seed,
         spec.workers,
     )
-    write_csv(csv_path, spec, reports)
     if preset.plot_quantity == "sr":
         ylabel, title = "secrecy rate [bits/channel use]", "Secrecy rate"
     else:
         ylabel, title = "bit error rate", "Bit error rate"
     xlabel = "SNR [dB]" if spec.axis == "snr_db" else "jamming power [W]"
-    save_line_plot(
-        svg_path,
-        _plot_series(spec, reports, preset.plot_quantity),
-        title=f"{title} ({spec.preset})",
-        xlabel=xlabel,
-        ylabel=ylabel,
-        xlog=preset.axis == "p_m_watt",
-        ylog=preset.plot_quantity == "ber",
-    )
+    path = csv_path
+    try:
+        write_csv(csv_path, spec, reports)
+        path = svg_path
+        save_line_plot(
+            svg_path,
+            _plot_series(spec, reports, preset.plot_quantity),
+            title=f"{title} ({spec.preset})",
+            xlabel=xlabel,
+            ylabel=ylabel,
+            xlog=preset.axis == "p_m_watt",
+            ylog=preset.plot_quantity == "ber",
+        )
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc}") from exc
     _print_summary(spec, reports, preset.plot_quantity)
     return csv_path, svg_path
 

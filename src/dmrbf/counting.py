@@ -12,6 +12,7 @@ complex multiply-add            8   (4 mul + 4 add)
 complex multiply                6
 complex add                     2
 real-by-complex scaling         2 per entry
+complex scaling                 6 per entry
 matrix-vector (m x n)           8*m*n
 matrix-matrix (m x k x n)       8*m*k*n
 outer product (m x n)           6*m*n
@@ -96,23 +97,13 @@ class FlopCounter:
         self.total += 2 * a.size
         return a - b
 
-    def cscale(self, c: complex, a: np.ndarray) -> np.ndarray:
-        self.total += 6 * a.size
-        return c * a
-
-    def rscale(self, r: float, a: np.ndarray) -> np.ndarray:
-        self.total += 2 * a.size
-        return r * a
-
-    def row_rescale(self, d: np.ndarray, a: np.ndarray) -> np.ndarray:
-        """Scale row i of ``a`` by the real factor ``d[i]``."""
-        self.total += 2 * a.size
-        return d[:, None] * a
-
-    def col_rescale(self, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """Scale column j of ``a`` by the real factor ``d[j]``."""
-        self.total += 2 * a.size
-        return a * d[None, :]
+    def scale(self, f: complex | np.ndarray, a: np.ndarray) -> np.ndarray:
+        """``f * a`` for a factor ``f`` that broadcasts against ``a``: a
+        scalar, one factor per column (a vector) or per row (``d[:, None]``).
+        Each entry costs 2 flops for a real factor and 6 for a complex one."""
+        out = f * a
+        self.total += (6 if np.iscomplexobj(f) else 2) * out.size
+        return out
 
     def norm(self, x: np.ndarray) -> float:
         self.total += 4 * x.shape[0] + 1

@@ -46,12 +46,17 @@ def _unit_weights(weights: np.ndarray) -> np.ndarray:
     return weights / nrm
 
 
+def _sinr(
+    weights: np.ndarray, signal: np.ndarray, i1: np.ndarray, i2: np.ndarray, noise: float
+) -> float:
+    """Post-combining SINR ``w^H S w / (w^H I1 w + w^H I2 w + noise)`` at unit ``w``."""
+    w = _unit_weights(weights)
+    return _quad(w, signal) / (_quad(w, i1) + _quad(w, i2) + noise)
+
+
 def sinr_bob(weights: np.ndarray, cov: CovarianceSet, sigma_b2_watt: float) -> float:
     """Bob's post-combining SINR: signal over jamming-plus-noise."""
-    w = _unit_weights(weights)
-    num = _quad(w, cov.a)
-    den = _quad(w, cov.b) + _quad(w, cov.d) + sigma_b2_watt
-    return num / den
+    return _sinr(weights, cov.a, cov.b, cov.d, sigma_b2_watt)
 
 
 def sinr_mallory(weights: np.ndarray, cov: CovarianceSet, sigma_m2_watt: float) -> float:
@@ -60,10 +65,7 @@ def sinr_mallory(weights: np.ndarray, cov: CovarianceSet, sigma_m2_watt: float) 
     The denominator carries the artificial noise from Alice plus
     Mallory's residual self-interference plus thermal noise.
     """
-    w = _unit_weights(weights)
-    num = _quad(w, cov.e)
-    den = _quad(w, cov.f) + _quad(w, cov.r_m) + sigma_m2_watt
-    return num / den
+    return _sinr(weights, cov.e, cov.f, cov.r_m, sigma_m2_watt)
 
 
 def secrecy_rate(rate_bob_bits: float, rate_mallory_bits: float) -> float:

@@ -206,4 +206,4 @@ def render_line_plot(
 
 
 def save_line_plot(path: str | Path, *args, **kwargs) -> None:
-    Path(path).write_text(render_line_plot(*args, **kwargs))
+    Path(path).write_text(render_line_plot(*args, **kwargs), encoding="utf-8")

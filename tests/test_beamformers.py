@@ -21,6 +21,8 @@ from dmrbf import (
     inv_hpd,
     low_complexity_inverse,
     mallory_receiver,
+    sinr_bob,
+    sinr_mallory,
     whitening_filter,
 )
 from dmrbf.beamformers import _inv_sqrt
@@ -97,6 +99,26 @@ def test_equivalent_quartet_collinear():
         assert aligned(w1, w2) >= 1.0 - 1e-9
         assert aligned(w1, w3) >= 1.0 - 1e-9
         assert aligned(w3, w4) >= 1.0 - 1e-9
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{"d_ab_km": 1e150}, {"p_a_watt": 1e-280}, {"d_am_km": 1e150}],
+    ids=["d_ab_km", "p_a_watt", "d_am_km"],
+)
+def test_weak_signals_are_served_by_every_method(overrides):
+    # a signal power near the float minimum scales no direction: the four
+    # equivalent methods return together, with the same SINR, and so do
+    # the others (Mallory's combiner at a distant eavesdropper too)
+    scene = build_scene(config_with(**overrides))
+    weights = {m: compute(m, scene).weights for m in Method}
+    sinrs = [
+        sinr_bob(weights[m], scene.cov, scene.cfg.sigma_b2_watt)
+        for m in (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
+    ]
+    assert min(sinrs) > 0.0
+    assert (max(sinrs) - min(sinrs)) / max(sinrs) <= 1e-9
+    assert sinr_mallory(weights[Method.MALLORY], scene.cov, scene.cfg.sigma_m2_watt) > 0.0
 
 
 def test_zero_jamming_reduces_to_mrc():

@@ -1,5 +1,8 @@
 """Command-line interface: argument handling, outputs, determinism."""
 
+import csv
+import math
+
 import pytest
 
 from dmrbf import Method, RECEIVE_METHODS, ScenarioConfig, parse_config, wilson_interval
@@ -303,3 +306,40 @@ def test_run_output_path_naming_a_directory_fails_before_the_sweep(
     assert rc == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {taken} is a directory")
+
+
+@pytest.mark.parametrize("suffix", ["csv", "svg"])
+def test_run_unwritable_output_is_one_error_line(tmp_path, capsys, suffix):
+    # a dangling symlink passes the up-front directory check; writing
+    # through it fails only once the sweep is done
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("")
+    out = tmp_path / "out"
+    out.mkdir()
+    target = out / f"fig4.{suffix}"
+    target.symlink_to(tmp_path / "missing" / "file")
+    rc = run_cli(
+        "run", str(cfg_path), "--preset", "fig4", "--out", str(out), "--symbols", "100"
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: cannot write {target}: ")
+
+
+def test_run_with_a_distant_eavesdropper(tmp_path, capsys):
+    # Mallory's signal power near the float minimum is a valid scene: her
+    # SINR is tiny but finite, so the secrecy rate is Bob's whole rate
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("d_am_km = 1e150\n")
+    argv = ["run", str(cfg_path), "--preset", "fig2", "--symbols", "2000"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    text = (tmp_path / "fig2.csv").read_text().splitlines()
+    rows = list(csv.DictReader(ln for ln in text if not ln.startswith("#")))
+    assert len(rows) == len(PRESETS["fig2"].values) * len(RECEIVE_METHODS)
+    for row in rows:
+        values = [float(v) for k, v in row.items() if k != "method"]
+        assert all(math.isfinite(v) for v in values), row
+        assert -3030.0 < float(row["sinr_mallory_db"]) < -2980.0
+        rate_bob = math.log2(1.0 + 10.0 ** (float(row["sinr_bob_db"]) / 10.0))
+        assert float(row["sr_bits"]) == pytest.approx(rate_bob, rel=1e-9)

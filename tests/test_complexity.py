@@ -59,18 +59,26 @@ def test_measured_counts_are_deterministic():
 def test_mrc_measured_value_frozen():
     # the matched filter at (4, 4) is one 4x4 matvec, one norm and one
     # rescale under the counter's cost model (8 per complex multiply-add);
-    # the others are pinned so a refactor cannot move any count silently
+    # the others are pinned at n_a = n_b = n_m = n so a refactor cannot
+    # move any count silently.  Max-SR, MMSE, LC-MMSE and Mallory apply no
+    # power factor before normalizing, which would cost 2n + 3 more each.
+    order = (
+        Method.MRC,
+        Method.WFMRC,
+        Method.MAX_SR,
+        Method.MMSE,
+        Method.LC_MMSE,
+        Method.NSP_WFRP,
+        Method.MALLORY,
+    )
     frozen = {
-        Method.MRC: 154,
-        Method.WFMRC: 2516,
-        Method.MAX_SR: 3039,
-        Method.MMSE: 837,
-        Method.LC_MMSE: 3003,
-        Method.NSP_WFRP: 3910,
-        Method.MALLORY: 3135,
+        4: (154, 2516, 3028, 826, 2992, 3910, 3124),
+        16: (2146, 137924, 170692, 37474, 44920, 210334, 172228),
+        64: (33154, 8495876, 10593028, 2171266, 707992, 12803710, 10617604),
     }
-    scene = build_scene(ScenarioConfig())
-    assert {m: compute(m, scene).flops for m in frozen} == frozen
+    for n, counts in frozen.items():
+        scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n))
+        assert {m: compute(m, scene).flops for m in order} == dict(zip(order, counts)), n
 
 
 def test_measured_tracks_formula_loosely():
@@ -99,6 +107,17 @@ def test_counter_primitive_costs():
     fc = FlopCounter()
     fc.norm(x)
     assert fc.total == 4 * 5 + 1
+    # scaling charges per entry by the factor's type: 2 real, 6 complex
+    d = rng.standard_normal(5)
+    for f, want, cost in (
+        (d, a * d[None, :], 2 * 15),
+        (d[:3, None], d[:3, None] * a, 2 * 15),
+        (2.5, 2.5 * a, 2 * 15),
+        (1.5 - 0.5j, (1.5 - 0.5j) * a, 6 * 15),
+    ):
+        fc = FlopCounter()
+        assert np.array_equal(fc.scale(f, a), want)
+        assert fc.total == cost
     fc = FlopCounter()
     fc.evd(np.eye(3, dtype=complex))
     assert fc.total == 32 * 27
