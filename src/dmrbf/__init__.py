@@ -60,6 +60,7 @@ from .metrics import (
 from .scenario import (
     CovarianceSet,
     Scene,
+    SceneStack,
     ScenarioConfig,
     TransmitSetup,
     build_channels,
@@ -69,6 +70,7 @@ from .scenario import (
     load_config,
     parse_config,
     serialize_config,
+    stack_scenes,
 )
 
 __version__ = "0.1.0"
@@ -98,6 +100,7 @@ __all__ = [
     "RECEIVE_METHODS",
     "RatePoint",
     "Scene",
+    "SceneStack",
     "ScenarioConfig",
     "TransmitSetup",
     "UnsupportedScenarioError",
@@ -123,6 +126,7 @@ __all__ = [
     "sigma2_for_snr_db",
     "sinr_bob",
     "sinr_mallory",
+    "stack_scenes",
     "steering",
     "sweep",
     "whitening_filter",

@@ -17,6 +17,14 @@ spanning the cost/performance trade:
 fresh `FlopCounter`, so ``Beamformer.flops`` is the measured cost of that
 one call (given precomputed covariances; building those is charged to no
 method).  All returned weight vectors are unit norm.
+
+Every builder takes a `SceneStack`, its arrays stacked on a leading
+point axis, and runs all its points at once: numpy's batched products
+and eigensolvers treat each slice exactly as one matrix, so each point
+gets the weights (bit for bit) and the flop count it gets alone.  A
+guard refuses the whole stack when any point fails it, before the
+arithmetic it protects.  A `Scene` is a stack with no point axis, so
+``compute(method, scene)`` runs the same builder on one point.
 """
 
 from __future__ import annotations
@@ -38,8 +46,8 @@ from .errors import (
     UnsupportedScenarioError,
     UpdateSingularityError,
 )
-from .linalg import RANK_RTOL, check_hpd, vector_norm
-from .scenario import Scene
+from .linalg import RANK_RTOL, HermitianEvd, check_hpd, point_values, vector_norm
+from .scenario import Scene, SceneStack
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
 _SM_DEN_EPS = 1e-12  # rank-one update denominators below this are singular
@@ -80,39 +88,48 @@ METHOD_LABELS: dict[Method, str] = {
 
 @dataclass(frozen=True)
 class Beamformer:
-    """Unit-norm receive weights and the measured cost of computing them."""
+    """Unit-norm receive weights and the measured cost of computing them.
+
+    For a `SceneStack` of P scenes, ``weights`` is ``(P, n)`` and ``flops``
+    a ``(P,)`` array, one row and one count per point.
+    """
 
     method: Method
     weights: np.ndarray
-    flops: int
+    flops: int | np.ndarray
 
 
 def _unit(fc: FlopCounter, x: np.ndarray, what: str) -> np.ndarray:
-    """``x`` scaled to unit norm; a zero, huge or NaN norm raises, naming ``what``."""
+    """Each vector of ``x`` scaled to unit norm; a zero, huge or NaN norm
+    raises, naming ``what``."""
     nrm = fc.norm(x)
-    if not _NORM_EPS < nrm < math.inf:  # also refuses a NaN norm
-        raise DegenerateChannelError(what)
+    for v in point_values(nrm):
+        if not _NORM_EPS < v < math.inf:  # also refuses a NaN norm
+            raise DegenerateChannelError(what)
     fc.scalar()  # reciprocal
-    return fc.scale(1.0 / nrm, x)
+    return fc.scale((1.0 / nrm)[..., None], x)
 
 
 def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter) -> np.ndarray:
-    """Whitening transform ``W`` with ``W @ c_nbar @ W^H = I``.
+    """Whitening transform ``W`` with ``W @ c_nbar @ W^H = I`` (of each
+    matrix of a stack).
 
     Built as ``diag(eigenvalues)**-0.5 @ Q^H`` from the eigendecomposition
     of the (positive definite) interference-plus-noise covariance.
     """
     evd = fc.evd(c_nbar)
     check_hpd(evd, "interference-plus-noise covariance")
-    return fc.scale(1.0 / np.sqrt(evd.eigenvalues)[:, None], evd.eigenvectors.conj().T)
+    return fc.scale(
+        (1.0 / np.sqrt(evd.eigenvalues))[..., :, None], evd.eigenvectors.conj().swapaxes(-1, -2)
+    )
 
 
 def _inv_sqrt(fc: FlopCounter, c: np.ndarray, what: str) -> np.ndarray:
     """Hermitian ``c**-0.5`` assembled from the EVD (counted)."""
     evd = fc.evd(c)
     check_hpd(evd, what)
-    half = fc.scale(1.0 / np.sqrt(evd.eigenvalues), evd.eigenvectors)
-    return fc.matmul(half, evd.eigenvectors.conj().T)
+    half = fc.scale((1.0 / np.sqrt(evd.eigenvalues))[..., None, :], evd.eigenvectors)
+    return fc.matmul(half, evd.eigenvectors.conj().swapaxes(-1, -2))
 
 
 def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) -> np.ndarray:
@@ -131,44 +148,48 @@ def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) 
     return _unit(fc, w, f"whitened direction is zero ({what})")
 
 
-def _mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
+def _signature(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+    """The confidential stream's receive signature ``u`` at Bob (counted)."""
+    return fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
+
+
+def _mrc(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     """Matched filter on the confidential stream's receive signature."""
-    u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    return _unit(fc, u, "signal signature at Bob has zero norm")
+    return _unit(fc, _signature(scene, fc), "signal signature at Bob has zero norm")
 
 
-def _wfmrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
+def _wfmrc(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     """Whitening-filter MRC: matched filter in the whitened domain.
 
     The intermediate matched filter lives on the whitened channel
     ``W @ u``; lifting it back with ``W^H`` gives weights collinear with
     ``c_nbar^{-1} @ u``, which are returned renormalized.
     """
-    u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
+    u = _signature(scene, fc)
     w_wf = whitening_filter(scene.cov.c_nbar, fc)
     matched = fc.matvec(w_wf, u)
     matched = _unit(fc, matched, "whitened signal signature has zero norm")
-    w = fc.matvec(w_wf.conj().T, matched)
+    w = fc.matvec(w_wf.conj().swapaxes(-1, -2), matched)
     return _unit(fc, w, "whitened matched filter lifts to zero")
 
 
-def _max_sr(scene: Scene, fc: FlopCounter) -> np.ndarray:
+def _max_sr(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     """SINR-optimal beamformer via the whiten-then-match construction."""
-    u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
+    u = _signature(scene, fc)
     return _whiten_match(fc, u, scene.cov.c_nbar, "interference-plus-noise covariance")
 
 
-def _mmse(scene: Scene, fc: FlopCounter, o_inv: np.ndarray) -> np.ndarray:
+def _mmse(scene: Scene | SceneStack, fc: FlopCounter, o_inv: np.ndarray) -> np.ndarray:
     """MMSE direction ``O^{-1} u`` from a receive-covariance inverse.
 
     The MMSE weights are ``sqrt(c1) * O^{-1} u``; the stream's amplitude
     ``sqrt(c1)`` is not applied, since the normalization undoes it.
     """
-    u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
+    u = _signature(scene, fc)
     return _unit(fc, fc.matvec(o_inv, u), "MMSE weights have zero norm")
 
 
-def _mmse_conventional(scene: Scene, fc: FlopCounter) -> np.ndarray:
+def _mmse_conventional(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     """MMSE weights through one direct inverse of the receive covariance."""
     o_inv = fc.inv_hpd(fc.add(scene.cov.a, scene.cov.c_nbar))
     return _mmse(scene, fc, o_inv)
@@ -185,23 +206,28 @@ def _rank_one_update(
     t = fc.matvec(z_inv, col)
     den = 1.0 + fc.dot_plain(row, t)
     fc.scalar()
-    if abs(den) <= _SM_DEN_EPS:
-        raise UpdateSingularityError(level, den)
+    recip = []
+    for d in point_values(den):
+        if abs(d) <= _SM_DEN_EPS:
+            raise UpdateSingularityError(level, d)
+        recip.append(1.0 / d)  # Python's complex division: numpy's rounds differently
     r = fc.vecmat(row, z_inv)
     fc.scalar()
-    upd = fc.scale(1.0 / den, fc.outer_plain(t, r))
+    upd = fc.scale(np.array(recip).reshape(den.shape)[..., None, None], fc.outer_plain(t, r))
     return fc.sub(z_inv, upd)
 
 
 # overflow inside the chain is refused at its end, by name, not warned about
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
+def low_complexity_inverse(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     """Receive-covariance inverse via the five-level rank-one chain.
 
     Starts from the closed-form inverse of noise plus signal term, then
     folds in the artificial-noise terms (three rank-one updates, one of
     them with a negative coefficient) and the jamming term (one update
     per jamming beam).  No general matrix inverse is formed at any point.
+    A `Scene` gives its ``(n_b, n_b)`` inverse; a stack of P scenes their
+    ``(P, n_b, n_b)`` inverses, counted on ``FlopCounter(P)``.
 
     Raises
     ------
@@ -211,28 +237,29 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     NumericalError
         If the chain overflows, so the inverse is not finite.
     """
-    cfg = scene.cfg
     channels = scene.channels
-    sig2 = cfg.sigma_b2_watt
-    c1 = channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    c2 = channels.ab.gain * (1.0 - cfg.beta1) * cfg.p_a_watt
+    sig2 = scene.sigma_b2_watt
+    c1 = channels.ab.gain * scene.beta1 * scene.p_a_watt
+    c2 = channels.ab.gain * (1.0 - scene.beta1) * scene.p_a_watt
     fc.scalar(4)
 
-    u = fc.matvec(channels.ab.matrix, scene.setup.v_a)
+    u = _signature(scene, fc)
     # signal-plus-noise level: closed-form Sherman-Morrison of sigma^2 I + A
     uu = fc.dot(u, u).real
     den_n = 1.0 + c1 * uu / sig2
     fc.scalar(3)
-    if abs(den_n) <= _SM_DEN_EPS:
-        raise UpdateSingularityError("N", den_n)
+    for d in point_values(den_n):
+        if abs(d) <= _SM_DEN_EPS:
+            raise UpdateSingularityError("N", d)
     scale = sig2 * sig2 * den_n
-    if not scale > 0.0:  # sigma^4 underflows to zero for tiny noise
-        raise UpdateSingularityError("N", scale)
+    for v in point_values(scale):
+        if not v > 0.0:  # sigma^4 underflows to zero for tiny noise
+            raise UpdateSingularityError("N", v)
     coef = -c1 / scale
     fc.scalar(3)
     z_inv = fc.add(
-        fc.scale(1.0 / sig2, np.eye(cfg.n_b)),
-        fc.scale(coef, fc.outer(u, u)),
+        fc.scale((1.0 / sig2)[..., None, None], np.eye(scene.n_b)),
+        fc.scale(coef[..., None, None], fc.outer(u, u)),
     )
 
     # artificial-noise levels: the projector expands into three rank-one
@@ -241,25 +268,25 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     row = channels.ab.rx_steering.conj()
     for level, coeff in (("M", c2), ("L", -2.0 * c2), ("K", c2)):
         fc.scalar()
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff, s), row, level)
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff[..., None], s), row, level)
 
     # jamming level: one rank-one update per jamming beam
-    g_jam = channels.mb.gain * cfg.p_m_watt
+    g_jam = channels.mb.gain * scene.p_m_watt
     fc.scalar()
-    for j in range(cfg.n_j):
-        beam = fc.matvec(channels.mb.matrix, scene.setup.t_m_an[:, j])
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam, beam), beam.conj(), "O")
+    for j in range(scene.n_j):
+        beam = fc.matvec(channels.mb.matrix, scene.setup.t_m_an[..., j])
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam[..., None], beam), beam.conj(), "O")
     if not np.isfinite(z_inv).all():  # uncharged: a guard, not part of the method
         raise NumericalError("rank-one update chain (levels N to O) left the float range")
     return z_inv
 
 
-def _mmse_low_complexity(scene: Scene, fc: FlopCounter) -> np.ndarray:
+def _mmse_low_complexity(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     """MMSE weights using the rank-one update chain for the inverse."""
     return _mmse(scene, fc, low_complexity_inverse(scene, fc))
 
 
-def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
+def _nsp_max_wfrp(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     """Null-space projection followed by a pseudo-whitened matched filter.
 
     Bob's weights are confined to the orthogonal complement of the
@@ -268,52 +295,74 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
     that subspace the remaining noise is whitened through the reduced
     (pseudo-) whitening transform and the projected signal is matched.
     """
-    cfg = scene.cfg
-    if cfg.n_b < 2:
+    n_b = scene.n_b
+    if n_b < 2:
         raise UnsupportedScenarioError(
             "null-space projection needs n_b >= 2 (one dimension is spent on the null)"
         )
     proj = null_projector(scene.channels.mb.rx_steering)
-    fc.scalar(8 * cfg.n_b * cfg.n_b)  # rank-one projector assembly
+    fc.scalar(8 * n_b * n_b)  # rank-one projector assembly
 
-    u = fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
-    noise = fc.add(scene.cov.b, fc.scale(cfg.sigma_b2_watt, np.eye(cfg.n_b)))
+    u = _signature(scene, fc)
+    noise = fc.add(scene.cov.b, fc.scale(scene.sigma_b2_watt[..., None, None], np.eye(n_b)))
     c_proj = fc.matmul(fc.matmul(proj, noise), proj)
 
     evd = fc.evd(c_proj)
-    hi = float(evd.eigenvalues[0])
-    if not hi > 0.0:  # also refuses NaN
-        raise ConditioningError("projected noise covariance vanished", 0.0, hi)
-    keep = evd.eigenvalues > RANK_RTOL * hi
-    w_red = fc.scale(
-        1.0 / np.sqrt(evd.eigenvalues[keep])[:, None], evd.eigenvectors[:, keep].conj().T
-    )
+    hi = evd.eigenvalues[..., 0]
+    for v in point_values(hi):
+        if not v > 0.0:  # also refuses NaN
+            raise ConditioningError("projected noise covariance vanished", 0.0, v)
+    # descending, so each point keeps a leading block of its eigenvalues
+    ranks = (evd.eigenvalues > RANK_RTOL * hi[..., None]).sum(axis=-1)
 
     u_proj = fc.matvec(proj, u)
     # uncharged: a guard, not part of the method; relative, so a small
     # scale is not mistaken for a signal inside the null
-    if vector_norm(u_proj) <= RANK_RTOL * vector_norm(u):
+    if (vector_norm(u_proj, axis=-1) <= RANK_RTOL * vector_norm(u, axis=-1)).any():
         raise DegenerateGeometryError(
             "signal signature lies inside the nulled jamming subspace"
         )
-    matched = fc.matvec(w_red, u_proj)
-    matched = _unit(fc, matched, "whitened projected signal has zero norm")
-    w = fc.matvec(proj, fc.matvec(w_red.conj().T, matched))
+    kept = sorted(set(point_values(ranks)))
+    if len(kept) == 1:  # one rank at every point, as in a sweep of one geometry
+        w = _projected_match(fc, evd, proj, u_proj, kept[0])
+    else:  # each point of a stack charged its own rank's rescale
+        w = np.empty_like(u)
+        charges = np.zeros_like(ranks)
+        for rank in kept:
+            group = ranks == rank
+            sub = FlopCounter(int(group.sum()))
+            evd_group = HermitianEvd(evd.eigenvalues[group], evd.eigenvectors[group])
+            w[group] = _projected_match(sub, evd_group, proj[group], u_proj[group], rank)
+            charges[group] = sub.total
+        fc.scalar(charges)
     return _unit(fc, w, "projected weights have zero norm")
 
 
-def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
+def _projected_match(
+    fc: FlopCounter, evd: HermitianEvd, proj: np.ndarray, u_proj: np.ndarray, rank: int
+) -> np.ndarray:
+    """NSP's matched filter in the ``rank`` leading eigendirections of the
+    projected noise, lifted back through the projector."""
+    # row-major, as the kept rows of one scene's transform always were:
+    # BLAS rounds a product by the layout of its matrix
+    kept_h = np.ascontiguousarray(evd.eigenvectors[..., :rank].conj().swapaxes(-1, -2))
+    w_red = fc.scale((1.0 / np.sqrt(evd.eigenvalues[..., :rank]))[..., None], kept_h)
+    matched = fc.matvec(w_red, u_proj)
+    matched = _unit(fc, matched, "whitened projected signal has zero norm")
+    return fc.matvec(proj, fc.matvec(w_red.conj().swapaxes(-1, -2), matched))
+
+
+def _mallory(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     """Mallory's own max-SINR combiner for intercepting the stream.
 
     Same whiten-then-match construction as ``_max_sr``, applied to the
     eavesdropper's covariance: artificial noise received from Alice plus
     residual self-interference plus thermal noise.
     """
-    cfg = scene.cfg
     e = fc.matvec(scene.channels.am.matrix, scene.setup.v_a)
     c_m = fc.add(
         fc.add(scene.cov.f, scene.cov.r_m),
-        fc.scale(cfg.sigma_m2_watt, np.eye(cfg.n_m)),
+        fc.scale(scene.sigma_m2_watt[..., None, None], np.eye(scene.n_m)),
     )
     return _whiten_match(fc, e, c_m, "eavesdropper covariance")
 
@@ -329,17 +378,28 @@ _BUILDERS = {
 }
 
 
-def compute(method: Method, scene: Scene) -> Beamformer:
-    """Build the requested beamformer for one scene, counting its flops afresh."""
+def compute(method: Method, scene: Scene | SceneStack) -> Beamformer:
+    """Build the requested beamformer for one scene, counting its flops
+    afresh, or for every point of a stack at once.
+
+    A `Scene` is a stack with no point axis.  A stack's `Beamformer` holds
+    every point's weights and flop count; the counts are per point, as if
+    each point ran alone, and every point's weights have the bits of its
+    own one-scene call.
+    """
     try:
         method = Method(method)
     except ValueError:
         raise unknown_method(method, tuple(Method), "a method") from None
-    fc = FlopCounter()
+    if isinstance(scene, Scene):
+        fc = FlopCounter()
+        weights = _BUILDERS[method](scene, fc)
+        return Beamformer(method, weights, int(fc.total))
+    fc = FlopCounter(len(scene))
     weights = _BUILDERS[method](scene, fc)
-    return Beamformer(method, weights, fc.total)
+    return Beamformer(method, weights, np.zeros(len(scene), dtype=np.int64) + fc.total)
 
 
-def mallory_receiver(scene: Scene) -> Beamformer:
+def mallory_receiver(scene: Scene | SceneStack) -> Beamformer:
     """Mallory's own max-SINR combiner for intercepting the stream."""
     return compute(Method.MALLORY, scene)

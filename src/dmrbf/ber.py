@@ -1,5 +1,16 @@
 """Monte-Carlo QPSK bit-error simulation and parameter sweeps.
 
+A sweep runs in two stages.  The first, the deterministic floor, builds
+every point's scene and then runs each step once over the stack of all
+points (`SceneStack`, in groups of at most ``_STACK_ENTRIES`` matrix
+entries): Mallory's combiner, each requested beamformer, both ends'
+SINRs and rates, and the factor of the detector outputs' noise
+(`_output_roots`).  Each point gets the bits it gets alone.  When any
+point fails, the points are replayed one at a time with the same
+functions, so the first failing point raises its own error, with its
+point and method named.  The second stage, the Monte-Carlo draw below,
+runs per point (`_sweep_point`), on worker threads when asked.
+
 Every receive beamformer sees Bob's array only through ``w^H rx``, and
 everything in ``rx`` except the confidential stream (artificial noise,
 jamming and thermal noise) is CN(0, ``c_nbar``).  So the M stacked
@@ -38,19 +49,22 @@ from a counter-based Philox generator keyed by ``(s, i)``: the
 outside count, then the normals, symbol-major; the radii come from
 that generator's ``jumped()`` copy, a fixed ``r + 1`` exponentials per
 symbol, symbol-major too.  The draw comes in chunks of ``_CHUNK``
-symbols, which only bounds memory: the chunks concatenate into one
-stream, so no count depends on the chunk size.  Results depend neither
-on the order points are executed in nor on the number of worker
-threads, and repeated runs are bit-identical.  ``RNG_STREAM`` numbers
-this scheme; CSVs record it.  A point's symbol budget N (see
-`_planned_symbols`) is fixed from its rates before its generator is
-made, so it sets N and leaves the scheme as it is.
+symbols, and the floor in stacks of ``_STACK_ENTRIES`` entries; both
+only bound memory: the chunks concatenate into one stream, and a
+stacked point has the bits of a point alone, so no result depends on
+either.  Results depend neither on the order points are drawn in nor
+on the number of worker threads, and repeated runs are bit-identical.
+``RNG_STREAM`` numbers this scheme; CSVs record it.  A point's symbol
+budget N (see `_planned_symbols`) is fixed from its floor's rates
+before its generator is made, so it sets N and leaves the scheme as it
+is.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,9 +78,9 @@ from .beamformers import (
     unknown_method,
 )
 from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError
-from .linalg import RANK_RTOL, hermitian_evd
+from .linalg import RANK_RTOL, hermitian_evd, vector_norm
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
-from .scenario import Scene, ScenarioConfig, build_scene
+from .scenario import Scene, SceneStack, ScenarioConfig, build_scene, stack_scenes
 
 _WILSON_Z = 1.959963984540054  # two-sided 95 %
 
@@ -79,6 +93,12 @@ BER_REL_HALFWIDTH = 0.05
 #: fig4's 5 to 10 dB points peaks at 0.11-0.17 MB of tracemalloc, where
 #: 4096 with the whole M x chunk output block peaked at 0.58 MB.
 _CHUNK = 1 << 11
+
+#: Most entries of one stacked matrix in a sweep's floor: the points are
+#: stacked in consecutive groups of ``max(1, _STACK_ENTRIES // n**2)``,
+#: ``n`` the largest array size, so 2048 points at n = 4 and 8 at n = 64.
+#: Like ``_CHUNK`` it bounds the working set and changes no result.
+_STACK_ENTRIES = 1 << 15
 
 #: Version of the Monte-Carlo random stream, written into every CSV.
 RNG_STREAM = 5
@@ -246,8 +266,8 @@ def _draw_block(
     return white.view(np.complex128)
 
 
-def _output_root(scene: Scene, weights: dict[Method, np.ndarray]) -> np.ndarray:
-    """Factor ``G`` (M x r) of the stacked detector outputs' noise.
+def _output_roots(stack: SceneStack, weights: dict[Method, np.ndarray]) -> list[np.ndarray]:
+    """Each point's factor ``G`` (M x r) of its stacked detector outputs' noise.
 
     Every method detects ``y = w^H rx / g`` with ``g = sqrt(c1) w^H u``,
     and everything in ``rx`` but the stream is CN(0, ``c_nbar``), so the
@@ -257,27 +277,42 @@ def _output_root(scene: Scene, weights: dict[Method, np.ndarray]) -> np.ndarray:
     ``RANK_RTOL * s_0``, and ``G = U_r S_r`` gives ``G G^H = fold fold^H``
     up to directions of relative variance ``RANK_RTOL**2``, so ``G`` fed
     with ``r`` white normals per symbol reproduces every output's noise
-    and their correlations.
+    and their correlations.  ``weights`` holds each method's ``(P, n_b)``
+    weights; ``r`` may differ between points.
+
+    A weight at right angles to ``u`` (``|w^H u| <= RANK_RTOL |w| |u|``),
+    or a gain that is exactly zero (no stream power), cannot equalize the
+    stream and is refused, naming its method; the angle test is relative,
+    so a weak but valid signal is not mistaken for none.
     """
-    evd = hermitian_evd(scene.cov.c_nbar)
+    evd = hermitian_evd(stack.cov.c_nbar)
     # clamped, not refused: no inverse is taken, and MRC must run at any noise level
-    root = evd.eigenvectors * np.sqrt(np.maximum(evd.eigenvalues, 0.0) / 2.0)
-    c1 = scene.channels.ab.gain * scene.cfg.beta1 * scene.cfg.p_a_watt
-    w_h = np.stack([w.conj() for w in weights.values()])
-    gains = np.sqrt(c1) * (w_h @ scene.bob_signal_vector)
-    for method, gain in zip(weights, gains):
-        if abs(gain) <= 1e-12:
+    root = evd.eigenvectors * np.sqrt(np.maximum(evd.eigenvalues, 0.0) / 2.0)[:, None, :]
+    c1 = stack.channels.ab.gain * stack.beta1 * stack.p_a_watt
+    u = stack.bob_signal_vector
+    w_h = np.stack([w.conj() for w in weights.values()], axis=1)
+    along = (w_h @ u[..., None])[..., 0]
+    gains = np.sqrt(c1)[:, None] * along
+    lengths = vector_norm(w_h, axis=-1) * vector_norm(u, axis=-1)[:, None]
+    zero = (abs(along) <= RANK_RTOL * lengths) | (gains == 0.0)
+    for method, refused in zip(weights, zero.T):
+        if refused.any():
             raise DegenerateChannelError(
                 f"{Method(method).value}: effective complex gain is zero; "
                 "the stream cannot be equalized"
             )
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
-        fold = (w_h @ root) / gains[:, None]
+        fold = (w_h @ root) / gains[..., None]
     if not np.isfinite(fold).all():
         raise NumericalError("stacked detector noise matrix is not finite")
     left, sv, _ = np.linalg.svd(fold, full_matrices=False)
-    keep = sv > RANK_RTOL * sv[0]
-    return left[:, keep] * sv[keep]
+    keep = sv > RANK_RTOL * sv[:, :1]
+    return [lf[:, k] * s[k] for lf, s, k in zip(left, sv, keep)]
+
+
+def _output_root(scene: Scene, weights: dict[Method, np.ndarray]) -> np.ndarray:
+    """`_output_roots` of one scene, for its ``(n_b,)`` weights."""
+    return _output_roots(stack_scenes((scene,)), {m: w[None] for m, w in weights.items()})[0]
 
 
 def _ber_runs(
@@ -286,15 +321,25 @@ def _ber_runs(
     n_symbols: int,
     rng: np.random.Generator,
 ) -> dict[Method, BerRun]:
+    """`_draw_runs` on one scene's detector-noise factor (`_output_root`)."""
+    return _draw_runs(_output_root(scene, weights), tuple(weights), n_symbols, rng)
+
+
+def _draw_runs(
+    g: np.ndarray,
+    methods: tuple[Method, ...],
+    n_symbols: int,
+    rng: np.random.Generator,
+) -> dict[Method, BerRun]:
     """Estimate BER for several beamformers on shared symbol chunks.
 
     Each chunk draws ``r`` white normals per symbol, ``r`` the rank of the
-    stacked outputs' noise (see `_output_root`), and every method detects
-    its own row of ``G @ n`` on them; the reference symbol is never added,
-    it only sets the detection threshold.  When few symbols can leave the
-    no-error ball, only those are drawn (see the module docstring).
+    stacked outputs' noise (``g`` is its M x r factor, see `_output_roots`),
+    and every method detects its own row of ``G @ n`` on them; the
+    reference symbol is never added, it only sets the detection
+    threshold.  When few symbols can leave the no-error ball, only those
+    are drawn (see the module docstring).
     """
-    g = _output_root(scene, weights)
     rank = g.shape[1]
 
     # no rail errs while |x| < rho = (1/sqrt 2) / max |a|: y0 = rho^2 / 2
@@ -308,14 +353,14 @@ def _ber_runs(
             radii_rng = np.random.Generator(rng.bit_generator.jumped())
             shell = _Shell.outside(y0, rank, radii_rng)
 
-    n_errors = np.zeros(len(weights), dtype=np.int64)
+    n_errors = np.zeros(len(methods), dtype=np.int64)
     for start in range(0, n_out, _CHUNK):
         white = _draw_block(rng, rank, min(_CHUNK, n_out - start), shell)
         n_errors += count_bit_errors(g, white)
         del white  # so the next chunk is not drawn beside this one
 
     runs: dict[Method, BerRun] = {}
-    for method, n_err in zip(weights, n_errors.tolist()):
+    for method, n_err in zip(methods, n_errors.tolist()):
         lo, hi = wilson_interval(n_err, 2 * n_symbols)
         runs[method] = BerRun(
             method=Method(method),
@@ -355,9 +400,66 @@ def _planned_symbols(p: float, cap: int) -> int:
     return min(cap, math.ceil(n)) if math.isfinite(n) else cap
 
 
+class _Floor(NamedTuple):
+    """The deterministic part of one sweep point: each requested method's
+    rates and measured flops, and the factor of the detector outputs'
+    noise (`_output_roots`)."""
+
+    rates: dict[Method, RatePoint]
+    flops: dict[Method, int]
+    root: np.ndarray
+
+
+def _stacked_floors(
+    cfg: ScenarioConfig, methods: tuple[Method, ...], axis: str, values: tuple[float, ...]
+) -> list[_Floor]:
+    """Every point's floor, each step run once over the stack of all points.
+
+    Raises the first step's `DmrbfError`; with one point its message is
+    prefixed with the point and, when one method's own step failed, that
+    method.
+    """
+    method = None  # the method whose own step is running, named on failure
+    try:
+        stack = stack_scenes([build_scene(config_at(cfg, axis, value)) for value in values])
+        eve = mallory_receiver(stack)
+        bfs: dict[Method, Beamformer] = {}
+        for method in methods:
+            bfs[method] = compute(method, stack)
+        method = None
+        rates = {m: rate_point(stack, bf.weights, eve.weights) for m, bf in bfs.items()}
+        roots = _output_roots(stack, {m: bf.weights for m, bf in bfs.items()})
+    except DmrbfError as exc:
+        if len(values) == 1:  # same type, message prefixed with where it failed
+            who = f"{method.value} " if method is not None else ""
+            exc.args = (f"{who}at {axis} = {values[0]:.12g}: {exc}",)
+        raise
+    return [
+        _Floor(
+            {m: r.at(p) for m, r in rates.items()},
+            {m: int(bf.flops[p]) for m, bf in bfs.items()},
+            root,
+        )
+        for p, root in enumerate(roots)
+    ]
+
+
+def _floors(
+    cfg: ScenarioConfig, methods: tuple[Method, ...], axis: str, values: tuple[float, ...]
+) -> list[_Floor]:
+    """`_stacked_floors` of the points; when the stack fails, the points are
+    replayed one at a time, so the first point that fails raises its own
+    error, as a sweep of single points would have met it."""
+    try:
+        return _stacked_floors(cfg, methods, axis, values)
+    except DmrbfError:
+        for value in values:
+            _stacked_floors(cfg, methods, axis, (value,))
+        raise
+
+
 def _sweep_point(
-    cfg: ScenarioConfig,
-    methods: tuple[Method, ...],
+    floor: _Floor,
     formula: dict[Method, int],
     axis: str,
     value: float,
@@ -365,36 +467,23 @@ def _sweep_point(
     seed: int,
     index: int,
 ) -> list[PerformanceReport]:
-    method = None  # the method whose own step is running, named on failure
-    try:
-        scene = build_scene(config_at(cfg, axis, value))
-        eve = mallory_receiver(scene)
-        bfs: dict[Method, Beamformer] = {}
-        for method in methods:
-            bfs[method] = compute(method, scene)
-        method = None
-        weights = {m: bf.weights for m, bf in bfs.items()}
-        rates = {m: rate_point(scene, w, eve.weights) for m, w in weights.items()}
-        # fixed from the rates before the generator is made, so the budget
-        # depends on no draw and every count stays binomial
-        best = max(r.sinr_bob for r in rates.values())
-        n_symbols = _planned_symbols(qpsk_awgn_ber(best), max_symbols)
-        runs = _ber_runs(scene, weights, n_symbols, point_rng(seed, index))
-    except DmrbfError as exc:  # same type, message prefixed with where it failed
-        who = f"{method.value} " if method is not None else ""
-        exc.args = (f"{who}at {axis} = {value:.12g}: {exc}",)
-        raise
+    """The Monte-Carlo stage of one point, on its floor."""
+    # fixed from the rates before the generator is made, so the budget
+    # depends on no draw and every count stays binomial
+    best = max(r.sinr_bob for r in floor.rates.values())
+    n_symbols = _planned_symbols(qpsk_awgn_ber(best), max_symbols)
+    runs = _draw_runs(floor.root, tuple(floor.rates), n_symbols, point_rng(seed, index))
     return [
         PerformanceReport(
             axis=axis,
             axis_value=float(value),
             method=m,
-            rates=rates[m],
+            rates=rates,
             ber=runs[m],
             flops_formula=formula[m],
-            flops_measured=bf.flops,
+            flops_measured=floor.flops[m],
         )
-        for m, bf in bfs.items()
+        for m, rates in floor.rates.items()
     ]
 
 
@@ -464,10 +553,16 @@ def sweep(
         return []
     # no axis changes an array size, so each method's closed form is one number
     formula = {m: complexity.formula_flops(m, cfg.n_a, cfg.n_b, cfg.n_m) for m in methods}
+    group = max(1, _STACK_ENTRIES // max(cfg.n_a, cfg.n_b, cfg.n_m) ** 2)
+    floors = [
+        floor
+        for start in range(0, len(values), group)
+        for floor in _floors(cfg, methods, axis, tuple(values[start : start + group]))
+    ]
 
     def job(index: int) -> list[PerformanceReport]:
         return _sweep_point(
-            cfg, methods, formula, axis, values[index], max_symbols, seed, index
+            floors[index], formula, axis, values[index], max_symbols, seed, index
         )
 
     if workers == 1:

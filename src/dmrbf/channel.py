@@ -131,6 +131,7 @@ def null_projector(a: np.ndarray) -> np.ndarray:
     vector this is the null space of the link (artificial noise shaped by
     it arrives with zero power), and with ``a`` its unit receive steering
     vector, weights drawn from its range annihilate anything arriving
-    along the link.
+    along the link.  A stack of vectors ``(..., n)`` gives a stack of
+    projectors.
     """
-    return np.eye(a.shape[0]) - np.outer(a, a.conj())
+    return np.eye(a.shape[-1]) - a[..., :, None] * a.conj()[..., None, :]

@@ -26,6 +26,14 @@ Conjugation and array allocation are free.  Scalar arithmetic is charged
 explicitly by the caller where it matters.  Counters are cheap plain
 objects; create one per beamformer invocation (they are not shared
 across threads).
+
+A counter can run a stack of ``points`` problems at once, their arrays
+stacked on a leading axis (vectors ``(P, n)``, matrices ``(P, m, n)``,
+one factor per point ``(P, 1)`` or ``(P, 1, 1)``).  Products and
+factorizations are charged by their trailing (matrix) dimensions and
+elementwise operations per point, so ``total`` stays the count of one
+point.  A charge that differs between points is passed to `scalar` as
+a ``(P,)`` array, which makes ``total`` one too.
 """
 
 from __future__ import annotations
@@ -41,81 +49,87 @@ INV_FLOPS_PER_N3 = 8
 class FlopCounter:
     """Executes array math while accumulating a flop count in ``total``."""
 
-    def __init__(self) -> None:
+    def __init__(self, points: int = 1) -> None:
+        self.points = points
         self.total = 0
 
-    def scalar(self, n_ops: int = 1) -> None:
+    def scalar(self, n_ops: int | np.ndarray = 1) -> None:
         """Charge ``n_ops`` flops counted by the caller: scalar arithmetic
-        or a composite step."""
-        self.total += int(n_ops)
+        or a composite step, or a ``(P,)`` array of them, one per point."""
+        self.total = self.total + n_ops
+
+    def _per_point(self, out: np.ndarray) -> int:
+        return out.size // self.points
 
     # -- products ---------------------------------------------------------
 
     def matvec(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
-        m, n = a.shape
+        m, n = a.shape[-2:]
         self.total += 8 * m * n
-        return a @ x
+        return np.matvec(a, x)
 
     def vecmat(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        m, n = a.shape
+        m, n = a.shape[-2:]
         self.total += 8 * m * n
-        return x @ a
+        return np.matvec(a.swapaxes(-1, -2), x)  # x @ a, the same BLAS call
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        m, k = a.shape
-        n = b.shape[1]
+        m, k = a.shape[-2:]
+        n = b.shape[-1]
         self.total += 8 * m * k * n
         return a @ b
 
     def outer(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Outer product ``x y^H``."""
-        self.total += 6 * x.shape[0] * y.shape[0]
-        return np.outer(x, y.conj())
+        return self.outer_plain(x, y.conj())
 
     def outer_plain(self, x: np.ndarray, row: np.ndarray) -> np.ndarray:
         """Outer product ``x row`` without conjugating the row."""
-        self.total += 6 * x.shape[0] * row.shape[0]
-        return np.outer(x, row)
+        self.total += 6 * x.shape[-1] * row.shape[-1]
+        return x[..., :, None] * row[..., None, :]
 
-    def dot(self, x: np.ndarray, y: np.ndarray) -> complex:
+    def dot(self, x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
         """Inner product ``x^H y``."""
-        self.total += 8 * x.shape[0]
-        return complex(np.vdot(x, y))
+        self.total += 8 * x.shape[-1]
+        return np.vecdot(x, y)
 
-    def dot_plain(self, row: np.ndarray, x: np.ndarray) -> complex:
+    def dot_plain(self, row: np.ndarray, x: np.ndarray) -> complex | np.ndarray:
         """Plain product ``row @ x`` without conjugation."""
-        self.total += 8 * row.shape[0]
-        return complex(row @ x)
+        self.total += 8 * row.shape[-1]
+        return np.vecdot(row.conj(), x)  # conjugating twice flips signs exactly
 
     # -- elementwise ------------------------------------------------------
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.total += 2 * a.size
-        return a + b
+        out = a + b
+        self.total += 2 * self._per_point(out)
+        return out
 
     def sub(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        self.total += 2 * a.size
-        return a - b
+        out = a - b
+        self.total += 2 * self._per_point(out)
+        return out
 
     def scale(self, f: complex | np.ndarray, a: np.ndarray) -> np.ndarray:
         """``f * a`` for a factor ``f`` that broadcasts against ``a``: a
         scalar, one factor per column (a vector) or per row (``d[:, None]``).
         Each entry costs 2 flops for a real factor and 6 for a complex one."""
         out = f * a
-        self.total += (6 if np.iscomplexobj(f) else 2) * out.size
+        self.total += (6 if np.asarray(f).dtype.kind == "c" else 2) * self._per_point(out)
         return out
 
-    def norm(self, x: np.ndarray) -> float:
-        self.total += 4 * x.shape[0] + 1
-        return linalg.vector_norm(x)
+    def norm(self, x: np.ndarray) -> float | np.ndarray:
+        """Norm of ``x``, or of each vector of a stack."""
+        self.total += 4 * x.shape[-1] + 1
+        return linalg.vector_norm(x, axis=-1)
 
     # -- factorizations ---------------------------------------------------
 
     def evd(self, m: np.ndarray) -> linalg.HermitianEvd:
-        self.total += EVD_FLOPS_PER_N3 * m.shape[0] ** 3
+        self.total += EVD_FLOPS_PER_N3 * m.shape[-1] ** 3
         return linalg.hermitian_evd(m)
 
     def inv_hpd(self, m: np.ndarray) -> np.ndarray:
         """Direct HPD inverse, charged at the standard n^3 dense cost."""
-        self.total += INV_FLOPS_PER_N3 * m.shape[0] ** 3
+        self.total += INV_FLOPS_PER_N3 * m.shape[-1] ** 3
         return linalg.inv_hpd(m)

@@ -6,7 +6,9 @@ refuse near-singular matrices instead of amplifying noise, and rank
 decisions use a single documented cutoff.
 
 All routines operate on complex128 arrays.  Eigenvalues are returned in
-descending order.
+descending order.  The matrix routines also take a stack of matrices
+(leading axes first, as numpy's batched linear algebra does) and treat
+each slice exactly as they treat one matrix: same guards, same bits.
 """
 
 from __future__ import annotations
@@ -39,9 +41,16 @@ class HermitianEvd(NamedTuple):
 
 def _as_square_complex(m: np.ndarray, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise DimensionError(f"{name} must be a non-empty square matrix, got shape {m.shape}")
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
+        raise DimensionError(
+            f"{name} must be a non-empty square matrix or a stack of them, got shape {m.shape}"
+        )
     return m
+
+
+def _h(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
 
 
 def hermitian_part(m: np.ndarray) -> np.ndarray:
@@ -50,37 +59,56 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     complex by real through the reciprocal, so this returns the division's
     bits (only the sign of an exact zero may differ) at a fraction of its
     cost."""
-    return m * 0.5 + m.conj().T * 0.5
+    return m * 0.5 + _h(m) * 0.5
 
 
-def vector_norm(x: np.ndarray) -> float:
+def vector_norm(x: np.ndarray, axis: int | None = None) -> float | np.ndarray:
     """Euclidean norm of the entries of ``x``, bit for bit
-    ``float(np.linalg.norm(x))``.
+    ``float(np.linalg.norm(x))``; with ``axis=-1`` (the one axis taken),
+    the norm of each vector along the last axis, bit for bit `vector_norm`
+    of each.
 
-    The same arithmetic as numpy's (ravel, ``re . re + im . im``, sqrt)
-    without its argument dispatch, which at the vector sizes of a scene
-    costs more than the sums.
+    The same arithmetic as numpy's (``re . re + im . im`` by BLAS ``ddot``,
+    then sqrt) without its argument dispatch, which at the vector sizes of
+    a scene costs more than the sums.  ``np.vecdot`` hands each vector of
+    a stack to the same ``ddot``, so each norm keeps its bits.
     """
-    x = x.ravel(order="K")
+    if axis is None:
+        x = x.ravel(order="K")
     if x.dtype.kind not in "fc":  # numpy's norm sums integers as floats
         x = x.astype(float)
     re, im = x.real, x.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
+    if x.ndim == 1:  # ndarray.dot is the cheaper call to the same ddot
+        sq = re.dot(re) + im.dot(im)
+    else:
+        sq = np.vecdot(re, re) + np.vecdot(im, im)
+    return math.sqrt(sq) if axis is None else np.sqrt(sq)
+
+
+def point_values(x: np.ndarray | np.generic) -> list:
+    """The entries of a stack's ``(P,)`` array, or the one value of a
+    scene's scalar, as a list of Python scalars."""
+    values = x.tolist()
+    return values if isinstance(values, list) else [values]
 
 
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
-    """`hermitian_part` of ``m``, refused when ``m`` is not Hermitian up to
-    roundoff.  The magnitude that scales the tolerance is only needed when
-    there is some asymmetry, which an exactly Hermitian input has not."""
-    m_h = m.conj().T
-    asym = float(np.abs(m - m_h).max())
-    if asym:  # zero for an exactly Hermitian m
-        scale = max(1.0, float(np.abs(m).max()))
-        if asym > HERMITIAN_ATOL * scale:
-            raise DimensionError(
-                f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds "
-                f"{HERMITIAN_ATOL:.0e} relative to magnitude {scale:.3e}"
-            )
+    """`hermitian_part` of each matrix of ``m``, refused when one is not
+    Hermitian up to roundoff, relative to its own magnitude.  The magnitude
+    is only needed when there is some asymmetry, which an exactly Hermitian
+    input has not."""
+    m_h = _h(m)
+    asym = np.abs(m - m_h)
+    if asym.any():  # all zero for exactly Hermitian matrices
+        asym = point_values(asym.max(axis=(-2, -1)))
+        scale = point_values(np.abs(m).max(axis=(-2, -1)))
+        for asym_p, scale_p in zip(asym, scale):
+            scale_p = max(1.0, scale_p)
+            if asym_p > HERMITIAN_ATOL * scale_p:
+                raise DimensionError(
+                    f"{name} is not Hermitian: max asymmetry {asym_p:.3e} exceeds "
+                    f"{HERMITIAN_ATOL:.0e} relative to magnitude {scale_p:.3e}"
+                )
     # hermitian_part(m); m is complex128, so m.conj() is a copy to halve in place
     sym = m * 0.5
     m_h *= 0.5
@@ -93,15 +121,16 @@ def hermitian_evd(m: np.ndarray) -> HermitianEvd:
 
     Parameters
     ----------
-    m : ndarray, shape (n, n)
-        Hermitian matrix.  Asymmetry up to roundoff is removed by averaging
-        with the conjugate transpose; larger asymmetry raises.
+    m : ndarray, shape (..., n, n)
+        Hermitian matrix, or a stack of them.  Asymmetry up to roundoff is
+        removed by averaging with the conjugate transpose; larger asymmetry
+        raises.
 
     Returns
     -------
     HermitianEvd
         Real eigenvalues in descending order and the matching unitary
-        eigenvector matrix.
+        eigenvector matrix (stacked like ``m``).
     """
     m = _as_square_complex(m, "m")
     sym = _symmetrized(m, "m")
@@ -109,22 +138,26 @@ def hermitian_evd(m: np.ndarray) -> HermitianEvd:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
         raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    return HermitianEvd(eigvals[::-1].copy(), eigvecs[:, ::-1].copy())
+    return HermitianEvd(eigvals[..., ::-1].copy(), eigvecs[..., ::-1].copy())
 
 
 def check_hpd(evd: HermitianEvd, what: str) -> None:
-    """Raise `ConditioningError`, naming ``what``, unless the matrix behind
+    """Raise `ConditioningError`, naming ``what``, unless every matrix behind
     ``evd`` is numerically positive definite (``min_eig > 1e-14 * max_eig``);
     inverting a numerically singular matrix amplifies roundoff without bound.
+    The error carries the first refused matrix's extreme eigenvalues.
     """
-    lo, hi = float(evd.eigenvalues[-1]), float(evd.eigenvalues[0])
-    if not (hi > 0.0 and lo > HPD_RTOL * hi):  # NaN fails too
-        raise ConditioningError(f"{what} is not numerically positive definite", lo, hi)
+    lo, hi = evd.eigenvalues[..., -1], evd.eigenvalues[..., 0]
+    for lo_p, hi_p in zip(point_values(lo), point_values(hi)):
+        if not (hi_p > 0.0 and lo_p > HPD_RTOL * hi_p):  # NaN fails too
+            raise ConditioningError(f"{what} is not numerically positive definite", lo_p, hi_p)
 
 
 def inv_hpd(m: np.ndarray) -> np.ndarray:
-    """Inverse of a Hermitian positive definite matrix (guarded by `check_hpd`)."""
+    """Inverse of a Hermitian positive definite matrix, or of each of a
+    stack (guarded by `check_hpd`)."""
     evd = hermitian_evd(m)
     check_hpd(evd, "matrix")
     q = evd.eigenvectors
-    return (q * (1.0 / evd.eigenvalues)) @ q.conj().T  # = q / eigenvalues, see hermitian_part
+    # = q / eigenvalues, see hermitian_part
+    return (q * (1.0 / evd.eigenvalues)[..., None, :]) @ _h(q)

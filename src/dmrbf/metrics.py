@@ -3,7 +3,8 @@
 Rates are in bits per channel use.  SINRs are computed from the
 covariance terms as ratios of quadratic forms in the (unit-norm) receive
 weights; tiny negative values from roundoff are clipped to zero before
-the logarithm.
+the logarithm.  Every point of a `SceneStack` is evaluated at once, with
+the bits each point gets alone.
 
 The SNR knob used by the sweeps is defined at Bob: ``received`` means
 ``p_a * g_ab / sigma_b2`` (path loss folded in), ``transmit`` means
@@ -19,44 +20,66 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .linalg import vector_norm
-from .scenario import CovarianceSet, Scene, ScenarioConfig
+from .linalg import point_values, vector_norm
+from .scenario import CovarianceSet, Scene, SceneStack, ScenarioConfig
 
 
 @dataclass(frozen=True)
 class RatePoint:
-    """Rates of one (scenario, beamformer) pair."""
+    """Rates of one (scenario, beamformer) pair; for a `SceneStack`, each
+    field is a ``(P,)`` array, one entry per point (see `at`)."""
 
-    sinr_bob: float
-    sinr_mallory: float
-    rate_bob_bits: float
-    rate_mallory_bits: float
-    secrecy_rate_bits: float
+    sinr_bob: float | np.ndarray
+    sinr_mallory: float | np.ndarray
+    rate_bob_bits: float | np.ndarray
+    rate_mallory_bits: float | np.ndarray
+    secrecy_rate_bits: float | np.ndarray
+
+    def at(self, point: int) -> RatePoint:
+        """The rates of one point of a stacked `RatePoint`, as floats."""
+        return RatePoint(
+            float(self.sinr_bob[point]),
+            float(self.sinr_mallory[point]),
+            float(self.rate_bob_bits[point]),
+            float(self.rate_mallory_bits[point]),
+            float(self.secrecy_rate_bits[point]),
+        )
 
 
-def _quad(weights: np.ndarray, m: np.ndarray) -> float:
-    """Real quadratic form ``w^H M w``, clipped at zero."""
-    return max(0.0, float(np.vdot(weights, m @ weights).real))
-
-
-def _unit_weights(weights: np.ndarray) -> np.ndarray:
-    nrm = vector_norm(weights)
-    if not 0.0 < nrm < math.inf:  # also refuses a NaN norm
-        raise DomainError(f"weights must have a positive, finite norm, got {nrm}")
-    return weights / nrm
+def _positive_part(x: np.ndarray) -> np.ndarray:
+    """``max(0.0, x)`` of each entry, bit for bit: ``fmax`` turns NaN into
+    0.0 as Python's ``max`` does, and adding 0.0 makes -0.0 0.0."""
+    return np.fmax(0.0, x) + 0.0
 
 
 def _sinr(
-    weights: np.ndarray, signal: np.ndarray, i1: np.ndarray, i2: np.ndarray, noise: float
-) -> float:
-    """Post-combining SINR ``w^H S w / (w^H I1 w + w^H I2 w + noise)`` at unit ``w``."""
-    w = _unit_weights(weights)
-    return _quad(w, signal) / (_quad(w, i1) + _quad(w, i2) + noise)
+    weights: np.ndarray,
+    signal: np.ndarray,
+    i1: np.ndarray,
+    i2: np.ndarray,
+    noise: float | np.ndarray,
+) -> np.ndarray:
+    """Post-combining SINR ``w^H S w / (w^H I1 w + w^H I2 w + noise)`` at
+    unit ``w``, for one point or each of a stack (weights ``(..., n)``,
+    matrices ``(..., n, n)``, noise ``(...)``).
+
+    The three real quadratic forms ``w^H (M w)`` are clipped at zero;
+    ``np.vecdot`` conjugates its first argument and hands each to the BLAS
+    dot product ``np.vdot`` uses, so each keeps its one-point bits.
+    """
+    nrm = vector_norm(weights, axis=-1)
+    for v in point_values(nrm):
+        if not 0.0 < v < math.inf:  # also refuses a NaN norm
+            raise DomainError(f"weights must have a positive, finite norm, got {v}")
+    w = weights / nrm[..., None]
+    mw = np.array([np.matvec(m, w) for m in (signal, i1, i2)])
+    quad = _positive_part(np.vecdot(w, mw).real)
+    return quad[0] / (quad[1] + quad[2] + noise)
 
 
 def sinr_bob(weights: np.ndarray, cov: CovarianceSet, sigma_b2_watt: float) -> float:
     """Bob's post-combining SINR: signal over jamming-plus-noise."""
-    return _sinr(weights, cov.a, cov.b, cov.d, sigma_b2_watt)
+    return float(_sinr(weights, cov.a, cov.b, cov.d, sigma_b2_watt))
 
 
 def sinr_mallory(weights: np.ndarray, cov: CovarianceSet, sigma_m2_watt: float) -> float:
@@ -65,7 +88,7 @@ def sinr_mallory(weights: np.ndarray, cov: CovarianceSet, sigma_m2_watt: float) 
     The denominator carries the artificial noise from Alice plus
     Mallory's residual self-interference plus thermal noise.
     """
-    return _sinr(weights, cov.e, cov.f, cov.r_m, sigma_m2_watt)
+    return float(_sinr(weights, cov.e, cov.f, cov.r_m, sigma_m2_watt))
 
 
 def secrecy_rate(rate_bob_bits: float, rate_mallory_bits: float) -> float:
@@ -74,20 +97,20 @@ def secrecy_rate(rate_bob_bits: float, rate_mallory_bits: float) -> float:
 
 
 def rate_point(
-    scene: Scene, bob_weights: np.ndarray, mallory_weights: np.ndarray
+    scene: Scene | SceneStack, bob_weights: np.ndarray, mallory_weights: np.ndarray
 ) -> RatePoint:
-    """Assemble both ends' rates and the secrecy rate for one scene."""
-    gb = sinr_bob(bob_weights, scene.cov, scene.cfg.sigma_b2_watt)
-    gm = sinr_mallory(mallory_weights, scene.cov, scene.cfg.sigma_m2_watt)
-    rb = float(np.log2(1.0 + gb))
-    rm = float(np.log2(1.0 + gm))
-    return RatePoint(
-        sinr_bob=gb,
-        sinr_mallory=gm,
-        rate_bob_bits=rb,
-        rate_mallory_bits=rm,
-        secrecy_rate_bits=secrecy_rate(rb, rm),
-    )
+    """Assemble both ends' rates and the secrecy rate for one scene (a
+    stack with no point axis), or for every point of a stack at once
+    (weights ``(P, n)``)."""
+    cov = scene.cov
+    gb = _sinr(bob_weights, cov.a, cov.b, cov.d, scene.sigma_b2_watt)
+    gm = _sinr(mallory_weights, cov.e, cov.f, cov.r_m, scene.sigma_m2_watt)
+    rb = np.log2(1.0 + gb)
+    rm = np.log2(1.0 + gm)
+    sr = _positive_part(rb - rm)
+    if isinstance(scene, Scene):
+        return RatePoint(float(gb), float(gm), float(rb), float(rm), float(sr))
+    return RatePoint(gb, gm, rb, rm, sr)
 
 
 def sigma2_for_snr_db(cfg: ScenarioConfig, snr_db: float) -> float:
@@ -96,7 +119,10 @@ def sigma2_for_snr_db(cfg: ScenarioConfig, snr_db: float) -> float:
         reference = cfg.p_a_watt * cfg.path_loss.gain(cfg.d_ab_km)
     else:  # 'transmit'
         reference = cfg.p_a_watt
-    sigma2 = reference / 10.0 ** (snr_db / 10.0)
+    try:
+        sigma2 = reference / 10.0 ** (snr_db / 10.0)
+    except OverflowError:  # the power ratio left the float range
+        sigma2 = 0.0
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
         raise DomainError(f"snr_db={snr_db} yields unusable noise variance {sigma2}")
     return sigma2

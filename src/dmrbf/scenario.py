@@ -29,7 +29,7 @@ from .channel import (
     los_channel,
     null_projector,
 )
-from .errors import ConfigError, ConfigParseError, DomainError
+from .errors import ConfigError, ConfigParseError, DimensionError, DomainError
 from .linalg import hermitian_part
 
 
@@ -274,16 +274,19 @@ def build_covariances(
     cfg: ScenarioConfig, channels: ChannelSet, setup: TransmitSetup
 ) -> CovarianceSet:
     """Assemble all second-order receive statistics for one scenario."""
-    return _with_noise(cfg, _noise_free_covariances(cfg, channels, setup))
+    fixed = _fixed_terms(cfg, channels, setup)
+    return _with_noise(cfg, fixed, *_jamming(cfg, channels, fixed))
 
 
-def _noise_free_covariances(
+def _fixed_terms(
     cfg: ScenarioConfig, channels: ChannelSet, setup: TransmitSetup
 ) -> dict[str, np.ndarray]:
-    """Every `CovarianceSet` term except ``c_nbar``: none depends on the noise."""
+    """The `CovarianceSet` terms that depend on neither noise power nor
+    ``p_m_watt`` (``a``, ``b``, ``e``, ``f``), and the factors ``jam_b``
+    (n_b x n_j) and ``rsi`` (n_m x n_j) whose Gram products ``d`` and
+    ``r_m`` scale (see `_jamming`)."""
     g_ab = channels.ab.gain
     g_am = channels.am.gain
-    g_mb = channels.mb.gain
 
     u = channels.ab.matrix @ setup.v_a  # Bob-side signal signature
     a = hermitian_part(g_ab * cfg.beta1 * cfg.p_a_watt * np.outer(u, u.conj()))
@@ -292,7 +295,6 @@ def _noise_free_covariances(
     b = hermitian_part(g_ab * (1.0 - cfg.beta1) * cfg.p_a_watt * (an_b @ an_b.conj().T))
 
     jam_b = channels.mb.matrix @ setup.t_m_an
-    d = hermitian_part(g_mb * cfg.p_m_watt * (jam_b @ jam_b.conj().T))
 
     e_vec = channels.am.matrix @ setup.v_a
     e = hermitian_part(g_am * cfg.beta1 * cfg.p_a_watt * np.outer(e_vec, e_vec.conj()))
@@ -301,13 +303,34 @@ def _noise_free_covariances(
     f = hermitian_part(g_am * (1.0 - cfg.beta1) * cfg.p_a_watt * (an_m @ an_m.conj().T))
 
     rsi = setup.h_m_rsi.conj().T @ setup.t_m_an
+    return {
+        "a": a,
+        "b": b,
+        "e": e,
+        "f": f,
+        "jam_b": jam_b,
+        "rsi": rsi,
+    }
+
+
+def _jamming(
+    cfg: ScenarioConfig, channels: ChannelSet, fixed: dict[str, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The jamming term ``d`` at Bob and the residual self-interference
+    ``r_m`` at Mallory, the two terms that scale with ``p_m_watt``."""
+    jam_b, rsi = fixed["jam_b"], fixed["rsi"]
+    d = hermitian_part(channels.mb.gain * cfg.p_m_watt * (jam_b @ jam_b.conj().T))
     r_m = hermitian_part(cfg.rho * cfg.p_m_watt * (rsi @ rsi.conj().T))
-    return {"a": a, "b": b, "d": d, "e": e, "f": f, "r_m": r_m}
+    return d, r_m
 
 
-def _with_noise(cfg: ScenarioConfig, terms: dict[str, np.ndarray]) -> CovarianceSet:
-    c_nbar = terms["b"] + terms["d"] + cfg.sigma_b2_watt * np.eye(cfg.n_b)
-    return CovarianceSet(**terms, c_nbar=c_nbar)
+def _with_noise(
+    cfg: ScenarioConfig, fixed: dict[str, np.ndarray], d: np.ndarray, r_m: np.ndarray
+) -> CovarianceSet:
+    c_nbar = fixed["b"] + d + cfg.sigma_b2_watt * np.eye(cfg.n_b)
+    return CovarianceSet(
+        a=fixed["a"], b=fixed["b"], d=d, e=fixed["e"], f=fixed["f"], r_m=r_m, c_nbar=c_nbar
+    )
 
 
 @dataclass(frozen=True)
@@ -324,20 +347,106 @@ class Scene:
         """Signature of the confidential stream at Bob's array."""
         return self.channels.ab.matrix @ self.setup.v_a
 
+    # What the beamformers, rates and detector factors read of a point,
+    # named as on a `SceneStack`: a scene is a stack with no point axis.
+    # The powers are numpy scalars, which index as a stack's (P,) arrays do.
+    sigma_b2_watt = property(lambda self: np.float64(self.cfg.sigma_b2_watt))
+    sigma_m2_watt = property(lambda self: np.float64(self.cfg.sigma_m2_watt))
+    p_a_watt = property(lambda self: np.float64(self.cfg.p_a_watt))
+    p_m_watt = property(lambda self: np.float64(self.cfg.p_m_watt))
+    beta1 = property(lambda self: np.float64(self.cfg.beta1))
+    n_b = property(lambda self: self.cfg.n_b)
+    n_m = property(lambda self: self.cfg.n_m)
+    n_j = property(lambda self: self.cfg.n_j)
 
-#: The fields that the noise-free part of a scene depends on.
-_NOISE_FREE_FIELDS = tuple(
-    name for name in _FIELD_TYPES if name not in ("sigma_b2_watt", "sigma_m2_watt")
+
+#: The config fields that beamformers, rates and detector factors read
+#: per point; a `SceneStack` holds each as a ``(P,)`` array.
+_STACKED_FIELDS = ("sigma_b2_watt", "sigma_m2_watt", "p_a_watt", "p_m_watt", "beta1")
+
+
+@dataclass(frozen=True, eq=False)  # no equality: the fields are arrays
+class SceneStack:
+    """Scenes of one array size, stacked on a leading point axis.
+
+    Every array of the scenes' ``channels``, ``setup`` and ``cov`` gains a
+    leading axis of length ``P``, the number of scenes; each link's
+    ``gain`` and the powers and ``beta1`` of the configs become ``(P,)``
+    arrays.  The arrays are views or copies of the scenes' own; do not edit
+    them in place.  A `Scene` offers the same names without the point axis.
+    """
+
+    channels: ChannelSet
+    setup: TransmitSetup
+    cov: CovarianceSet
+    sigma_b2_watt: np.ndarray
+    sigma_m2_watt: np.ndarray
+    p_a_watt: np.ndarray
+    p_m_watt: np.ndarray
+    beta1: np.ndarray
+
+    n_b = property(lambda self: self.cov.a.shape[-1])
+    n_m = property(lambda self: self.cov.e.shape[-1])
+    n_j = property(lambda self: self.setup.t_m_an.shape[-1])
+
+    def __len__(self) -> int:
+        return len(self.sigma_b2_watt)
+
+    @property
+    def bob_signal_vector(self) -> np.ndarray:
+        """``(P, n_b)`` signatures of the confidential stream at Bob."""
+        return np.matvec(self.channels.ab.matrix, self.setup.v_a)
+
+
+def _stacked(parts: list) -> object:
+    """``parts`` (arrays, numbers, or dataclasses of them, all of one
+    structure) stacked on a new leading axis."""
+    first = parts[0]
+    if isinstance(first, np.ndarray):
+        if all(p is first for p in parts):  # one array the scenes share: a view
+            return np.broadcast_to(first, (len(parts), *first.shape))
+        return np.stack(parts)
+    if is_dataclass(first):
+        return type(first)(*[_stacked([getattr(p, f.name) for p in parts]) for f in fields(first)])
+    return np.array(parts, dtype=np.float64)
+
+
+def stack_scenes(scenes: typing.Sequence[Scene]) -> SceneStack:
+    """The scenes stacked on a leading point axis (see `SceneStack`).
+
+    Raises `DimensionError` unless there is at least one scene and all
+    have the same array sizes and number of jamming beams.
+    """
+    scenes = tuple(scenes)
+    sizes = {(s.cfg.n_a, s.cfg.n_b, s.cfg.n_m, s.cfg.n_j) for s in scenes}
+    if len(sizes) != 1:
+        raise DimensionError(
+            f"a scene stack needs one or more scenes of one size, got sizes {sorted(sizes)}"
+        )
+    return SceneStack(
+        _stacked([s.channels for s in scenes]),
+        _stacked([s.setup for s in scenes]),
+        _stacked([s.cov for s in scenes]),
+        *(_stacked([getattr(s.cfg, name) for s in scenes]) for name in _STACKED_FIELDS),
+    )
+
+
+#: The fields that the memoized part of a scene depends on: all but the
+#: noise powers and the jamming power.
+_MEMO_FIELDS = tuple(
+    name
+    for name in _FIELD_TYPES
+    if name not in ("sigma_b2_watt", "sigma_m2_watt", "p_m_watt")
 )
 
 
 @dataclass(frozen=True)
-class _NoiseFreeKey:
-    """Memo key of `build_scene`: the ``repr`` of every noise-free field.
+class _MemoKey:
+    """Memo key of `build_scene`: the ``repr`` of every field in `_MEMO_FIELDS`.
 
     ``repr`` tells ``-0.0`` from ``0.0``, which compare equal but need not
     give the same bits downstream.  ``cfg`` is not compared; it is the config
-    the noise-free part is built from on a miss.
+    the memoized part is built from on a miss.
     """
 
     reprs: tuple[str, ...]
@@ -355,28 +464,43 @@ def _freeze(*parts: object) -> None:
             _freeze(*(getattr(part, f.name) for f in fields(part)))
 
 
-# A sweep varies the noise at one geometry, so one entry serves a whole SNR
-# sweep; a few more let alternating geometries (several array sizes) stay
-# cached without holding many n^2 arrays.
+# An SNR sweep varies the noise and a jamming sweep the jamming power at
+# one geometry, so one entry serves a whole sweep; a few more let
+# alternating geometries (several array sizes) stay cached without holding
+# many n^2 arrays.
 @functools.lru_cache(maxsize=4)
 def _noise_free_scene(
-    key: _NoiseFreeKey,
+    key: _MemoKey,
 ) -> tuple[ChannelSet, TransmitSetup, dict[str, np.ndarray]]:
     channels = build_channels(key.cfg)
     setup = build_transmit_setup(key.cfg, channels)
-    terms = _noise_free_covariances(key.cfg, channels, setup)
-    _freeze(channels, setup, terms)
-    return channels, setup, terms
+    fixed = _fixed_terms(key.cfg, channels, setup)
+    _freeze(channels, setup, fixed)
+    return channels, setup, fixed
+
+
+@functools.lru_cache(maxsize=4)
+def _jamming_terms(key: _MemoKey, p_m_repr: str) -> tuple[np.ndarray, np.ndarray]:
+    """`_jamming` of ``key.cfg``, whose ``p_m_watt`` has the ``repr``
+    ``p_m_repr``: scenes that differ only in their noise share it."""
+    channels, _, fixed = _noise_free_scene(key)
+    terms = _jamming(key.cfg, channels, fixed)
+    _freeze(*terms)
+    return terms
 
 
 def build_scene(cfg: ScenarioConfig) -> Scene:
     """The scene of one config.
 
-    Only ``cov.c_nbar`` depends on the noise powers; the channels, the
-    transmit setup (with its RSI draw) and the other covariance terms are
-    built once per noise-free config and shared, read-only, by every scene
-    built from it.  Copy an array before editing it in place.
+    Only ``cov.c_nbar`` depends on the noise powers, and only ``cov.d``,
+    ``cov.r_m`` and ``cov.c_nbar`` on the jamming power.  The channels,
+    the transmit setup (with its RSI draw) and the other covariance terms
+    are built once per config that differs in neither and shared,
+    read-only, by every scene built from it, and so are ``d`` and ``r_m``
+    by scenes that differ only in their noise.  Copy an array before
+    editing it in place.
     """
-    key = _NoiseFreeKey(tuple(repr(getattr(cfg, name)) for name in _NOISE_FREE_FIELDS), cfg)
-    channels, setup, terms = _noise_free_scene(key)
-    return Scene(cfg=cfg, channels=channels, setup=setup, cov=_with_noise(cfg, terms))
+    key = _MemoKey(tuple(repr(getattr(cfg, name)) for name in _MEMO_FIELDS), cfg)
+    channels, setup, fixed = _noise_free_scene(key)
+    d, r_m = _jamming_terms(key, repr(cfg.p_m_watt))
+    return Scene(cfg=cfg, channels=channels, setup=setup, cov=_with_noise(cfg, fixed, d, r_m))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dmrbf import (
+    ConditioningError,
     DegenerateChannelError,
     DegenerateGeometryError,
     DomainError,
@@ -23,6 +24,7 @@ from dmrbf import (
     mallory_receiver,
     sinr_bob,
     sinr_mallory,
+    stack_scenes,
     whitening_filter,
 )
 from dmrbf.beamformers import _inv_sqrt
@@ -278,3 +280,41 @@ def test_compute_dispatch_and_flops():
         compute("foo", scene)
     # a fresh counter per call: two computations do not share state
     assert compute(Method.MRC, scene).flops == bf.flops
+
+
+def test_stacked_compute_gives_each_point_its_own_bits_and_flops():
+    # one stack of scenes that differ in every field but the sizes: each
+    # point's weights, flop count and chain inverse are those of its own
+    # one-scene call, bit for bit
+    rng = np.random.default_rng(409)
+    scenes = [build_scene(dataclasses.replace(random_config(rng), n_a=4, n_b=4, n_m=4))
+              for _ in range(5)]
+    stack = stack_scenes(scenes)
+    for method in Method:
+        bf = compute(method, stack)
+        assert bf.weights.shape == (5, 4) and bf.flops.shape == (5,)
+        for p, scene in enumerate(scenes):
+            one = compute(method, scene)
+            assert bf.weights[p].tobytes() == one.weights.tobytes(), (method, p)
+            assert bf.flops[p] == one.flops
+    inverses = low_complexity_inverse(stack, FlopCounter(len(scenes)))
+    for p, scene in enumerate(scenes):
+        assert inverses[p].tobytes() == low_complexity_inverse(scene, FlopCounter()).tobytes()
+
+
+def test_nsp_charges_each_point_its_own_rank():
+    # at a noise power of 1e-100 the projected noise keeps one eigenvalue
+    # above the rank cutoff instead of three, so its rescale costs less
+    scenes = [build_scene(config_with(sigma_b2_watt=s)) for s in (1.0, 1e-100, 0.5)]
+    bf = compute(Method.NSP_WFRP, stack_scenes(scenes))
+    assert bf.flops.tolist() == [compute(Method.NSP_WFRP, s).flops for s in scenes]
+    assert bf.flops[0] > bf.flops[1]
+    for p, scene in enumerate(scenes):
+        assert bf.weights[p].tobytes() == compute(Method.NSP_WFRP, scene).weights.tobytes()
+
+
+def test_a_stack_is_refused_when_any_point_fails():
+    # the guard refuses the whole stack; sweep() replays the points to name one
+    scenes = [build_scene(config_with(sigma_b2_watt=s)) for s in (1.0, 1e-100)]
+    with pytest.raises(ConditioningError, match="^interference-plus-noise covariance"):
+        compute(Method.WFMRC, stack_scenes(scenes))

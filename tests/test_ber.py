@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from dmrbf import (
+    ConditioningError,
+    DegenerateChannelError,
     DegenerateGeometryError,
     DomainError,
     Method,
@@ -15,8 +17,10 @@ from dmrbf import (
     ScenarioConfig,
     build_scene,
     compute,
+    mallory_receiver,
     point_rng,
     qpsk_awgn_ber,
+    rate_point,
     sinr_bob,
     sweep,
     wilson_interval,
@@ -562,3 +566,72 @@ def test_sweep_failure_names_method_and_point():
     cfg = config_with(theta_r_mb_deg=90.0)
     with pytest.raises(DegenerateGeometryError, match=r"^nsp_wfrp at p_m_watt = 1: "):
         sweep(cfg, (Method.MRC, Method.NSP_WFRP), "p_m_watt", (1.0, 10.0), 100, 0)
+
+
+# fig4 at n = 4, and fig3 at n = 16 with four jamming beams, pinned at 15 dB
+_FIG4 = (ScenarioConfig(), "snr_db", tuple(2.5 * k for k in range(-2, 11)))
+_FIG3_N16 = (
+    config_at(config_with(n_a=16, n_b=16, n_m=16, n_j=4), "snr_db", 15.0),
+    "p_m_watt",
+    tuple(10.0 ** (-1.0 + 0.5 * k) for k in range(9)),
+)
+
+
+@pytest.mark.parametrize("cfg, axis, values", [_FIG4, _FIG3_N16], ids=["fig4", "fig3_n16"])
+def test_stacked_floor_matches_one_point_at_a_time(cfg, axis, values, monkeypatch):
+    # the whole sweep in one stack, in stacks of two points (longer than
+    # the bound) and one point at a time give the same reports, bit for
+    # bit; each point's rates and flops are those of its own scene
+    reports = sweep(cfg, RECEIVE_METHODS, axis, values, 2000, 3)
+    for entries in (2 * cfg.n_b**2, 1):
+        monkeypatch.setattr(ber, "_STACK_ENTRIES", entries)
+        assert sweep(cfg, RECEIVE_METHODS, axis, values, 2000, 3) == reports
+    for value in values:
+        scene = build_scene(config_at(cfg, axis, value))
+        eve = mallory_receiver(scene).weights
+        for r in (r for r in reports if r.axis_value == value):
+            bf = compute(r.method, scene)
+            assert r.rates == rate_point(scene, bf.weights, eve)
+            assert r.flops_measured == bf.flops
+
+
+@pytest.mark.parametrize(
+    "methods, axis, values, error, message",
+    [
+        # point 1 fails at Mallory's combiner, point 2 already in its scene
+        (
+            RECEIVE_METHODS,
+            "snr_db",
+            (0.0, 3000.0, 4000.0),
+            ConditioningError,
+            "at snr_db = 3000: eavesdropper covariance is not numerically positive "
+            "definite (min eigenvalue -1.111953e-18, max 2.041187e-02)",
+        ),
+        # point 1 fails in WF-MRC's own step, point 2 earlier, at Mallory's
+        (
+            (Method.MRC, Method.WFMRC),
+            "p_m_watt",
+            (1.0, 1e16, 1e300),
+            ConditioningError,
+            "wfmrc at p_m_watt = 1e+16: interference-plus-noise covariance is not "
+            "numerically positive definite (min eigenvalue 1.000982e+00, max 1.111111e+15)",
+        ),
+    ],
+    ids=["scene-after-mallory", "mallory-after-method"],
+)
+def test_sweep_raises_the_first_failing_point(methods, axis, values, error, message):
+    # the stacked floor fails at the later point's earlier step; the sweep
+    # still reports the earlier point, as one point at a time would
+    with pytest.raises(error) as exc:
+        sweep(ScenarioConfig(), methods, axis, values, 100, 0)
+    assert str(exc.value) == message
+
+
+def test_output_root_refuses_a_weight_at_right_angles_to_the_signal():
+    scene = build_scene(ScenarioConfig())
+    u = scene.bob_signal_vector
+    w = np.roll(u, 1)
+    w = w - np.vdot(u, w) / np.vdot(u, u) * u
+    weights = {Method.MRC: compute(Method.MRC, scene).weights, Method.MMSE: w}
+    with pytest.raises(DegenerateChannelError, match="^mmse: effective complex gain is zero"):
+        _output_root(scene, weights)

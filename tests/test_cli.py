@@ -343,3 +343,19 @@ def test_run_with_a_distant_eavesdropper(tmp_path, capsys):
         assert -3030.0 < float(row["sinr_mallory_db"]) < -2980.0
         rate_bob = math.log2(1.0 + 10.0 ** (float(row["sinr_bob_db"]) / 10.0))
         assert float(row["sr_bits"]) == pytest.approx(rate_bob, rel=1e-9)
+
+
+def test_run_with_a_weak_bob(tmp_path, capsys):
+    # Bob's signal power near the float minimum is a valid scene too: every
+    # method still detects, at a BER of about one half
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("d_ab_km = 1e150\nsnr_definition = transmit\n")
+    argv = ["run", str(cfg_path), "--preset", "fig4", "--symbols", "2000"]
+    assert run_cli(*argv, "--out", str(tmp_path)) == 0
+    capsys.readouterr()
+    rows = _csv_rows(tmp_path / "fig4.csv")
+    assert len(rows) == len(PRESETS["fig4"].values) * len(RECEIVE_METHODS)
+    for row in rows:
+        values = [float(v) for k, v in row.items() if k != "method"]
+        assert all(math.isfinite(v) for v in values), row
+        assert abs(float(row["ber"]) - 0.5) < 0.05

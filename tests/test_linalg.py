@@ -166,3 +166,32 @@ def test_hermitian_part_stays_finite_near_float_max():
         assert np.array_equal(hermitian_part(m), m)
         z = 1.7e308 * np.exp(2j * np.pi * rng.random((n, n)))
         assert np.all(np.isfinite(hermitian_part(z)))
+
+
+def test_stacks_keep_each_matrix_bits():
+    # a stack of matrices is decomposed, inverted and measured slice by
+    # slice with the bits of one matrix at a time
+    rng = np.random.default_rng(110)
+    for n in (1, 4, 16):
+        hpd = np.stack([random_hpd(rng, n, cond=1e3) for _ in range(3)])
+        evd = hermitian_evd(hpd)
+        inverse = inv_hpd(hpd)
+        for m, lam, q, inv in zip(hpd, evd.eigenvalues, evd.eigenvectors, inverse):
+            one = hermitian_evd(m)
+            assert lam.tobytes() == one.eigenvalues.tobytes()
+            assert q.tobytes() == one.eigenvectors.tobytes()
+            assert inv.tobytes() == inv_hpd(m).tobytes()
+        x = hpd[:, 0]
+        norms = vector_norm(x, axis=-1)
+        assert [float(v) for v in norms] == [vector_norm(row) for row in x]
+
+
+def test_stack_refusals_name_the_first_bad_matrix():
+    good = np.eye(2, dtype=complex)
+    skew = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+    with pytest.raises(DimensionError, match="max asymmetry 2.000e"):
+        hermitian_evd(np.stack([good, skew, 3.0 * skew]))
+    singular = np.diag([1.0, 1e-16]).astype(complex)
+    with pytest.raises(ConditioningError) as exc:
+        inv_hpd(np.stack([good, singular]))
+    assert (exc.value.min_eig, exc.value.max_eig) == (1e-16, 1.0)

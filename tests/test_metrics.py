@@ -17,6 +17,7 @@ from dmrbf import (
     sigma2_for_snr_db,
     sinr_bob,
     sinr_mallory,
+    stack_scenes,
 )
 
 from conftest import config_with, random_config
@@ -126,6 +127,23 @@ def test_sigma2_for_snr_received_definition():
 def test_sigma2_for_snr_transmit_definition():
     near = config_with(snr_definition="transmit", d_ab_km=2.0)
     assert sigma2_for_snr_db(near, 0.0) == pytest.approx(10.0, rel=1e-12)
+
+
+def test_sigma2_for_an_snr_beyond_the_float_range_is_refused():
+    # 10 ** 400 overflows a float; the SNR is refused, not raised bare
+    with pytest.raises(DomainError, match="snr_db=4000.0 yields unusable noise variance 0.0"):
+        sigma2_for_snr_db(ScenarioConfig(), 4000.0)
+
+
+def test_stacked_rate_point_gives_each_point_its_own_bits():
+    scenes = [build_scene(config_with(sigma_b2_watt=s, sigma_m2_watt=s)) for s in (0.1, 1.0, 7.0)]
+    stack = stack_scenes(scenes)
+    eve = mallory_receiver(stack).weights
+    for method in (Method.MRC, Method.NSP_WFRP):
+        rates = rate_point(stack, compute(method, stack).weights, eve)
+        for p, scene in enumerate(scenes):
+            one = rate_point(scene, compute(method, scene).weights, mallory_receiver(scene).weights)
+            assert rates.at(p) == one  # dataclass equality: bitwise-identical floats
 
 
 def test_sinr_mallory_oracle():

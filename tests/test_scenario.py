@@ -8,7 +8,9 @@ import pytest
 from dmrbf import (
     ConfigError,
     ConfigParseError,
+    DimensionError,
     DomainError,
+    RECEIVE_METHODS,
     ScenarioConfig,
     Scene,
     build_channels,
@@ -18,9 +20,12 @@ from dmrbf import (
     load_config,
     parse_config,
     serialize_config,
+    stack_scenes,
+    sweep,
 )
 from dmrbf.ber import config_at
-from dmrbf.scenario import _noise_free_scene
+from dmrbf.cli import PRESETS
+from dmrbf.scenario import _jamming_terms, _noise_free_scene
 
 from conftest import config_with, random_config
 
@@ -299,11 +304,38 @@ def test_shared_arrays_are_read_only():
 
 
 def test_signed_zero_fields_do_not_share_an_entry():
-    cfg_pos, cfg_neg = config_with(p_m_watt=0.0), config_with(p_m_watt=-0.0)
-    assert cfg_pos == cfg_neg  # so the memo cannot key on the config itself
+    # rho keys the memo of the noise-free part; p_m_watt keys only the
+    # jamming terms d and r_m, which scenes of one p_m_watt share
+    for name, misses in (("rho", 2), ("p_m_watt", 1)):
+        cfg_pos, cfg_neg = config_with(**{name: 0.0}), config_with(**{name: -0.0})
+        assert cfg_pos == cfg_neg  # so the memo cannot key on the config itself
+        _noise_free_scene.cache_clear()
+        _jamming_terms.cache_clear()
+        pos, neg = build_scene(cfg_pos), build_scene(cfg_neg)
+        assert _noise_free_scene.cache_info().misses == misses
+        assert (neg.setup is pos.setup) == (misses == 1)
+        assert neg.cov.r_m is not pos.cov.r_m
+        _noise_free_scene.cache_clear()
+        _jamming_terms.cache_clear()
+        assert _bytes(build_scene(cfg_neg)) == _bytes(neg)
+
+
+def test_a_jamming_sweep_builds_its_geometry_once():
+    # fig3 moves only p_m_watt: its points share one memo entry, and only
+    # d, r_m and c_nbar are formed per point
+    cfg = config_at(config_with(n_a=16, n_b=16, n_m=16, n_j=4), "snr_db", 15.0)
+    values = PRESETS["fig3"].values
     _noise_free_scene.cache_clear()
-    pos, neg = build_scene(cfg_pos), build_scene(cfg_neg)
-    assert _noise_free_scene.cache_info().misses == 2
-    assert neg.cov.d is not pos.cov.d and neg.setup is not pos.setup
-    _noise_free_scene.cache_clear()
-    assert _bytes(build_scene(cfg_neg)) == _bytes(neg)
+    sweep(cfg, RECEIVE_METHODS, "p_m_watt", values, 100, 0)
+    assert _noise_free_scene.cache_info().misses == 1
+    assert _jamming_terms.cache_info().misses >= len(values)
+
+
+def test_stack_scenes_needs_one_size():
+    small, large = build_scene(config_with()), build_scene(config_with(n_b=5))
+    for scenes in ((), (small, large)):
+        with pytest.raises(DimensionError, match="^a scene stack needs one or more scenes"):
+            stack_scenes(scenes)
+    stack = stack_scenes((small, small))
+    assert len(stack) == 2 and stack.cov.c_nbar.shape == (2, 4, 4)
+    assert stack.sigma_b2_watt.tolist() == [small.cfg.sigma_b2_watt] * 2
