@@ -52,7 +52,6 @@ from .linalg import HermitianEvd, hermitian_evd, inv_hpd
 from .metrics import (
     RatePoint,
     rate_point,
-    secrecy_rate,
     sigma2_for_snr_db,
     sinr_bob,
     sinr_mallory,
@@ -60,7 +59,6 @@ from .metrics import (
 from .scenario import (
     CovarianceSet,
     Scene,
-    SceneStack,
     ScenarioConfig,
     TransmitSetup,
     build_channels,
@@ -100,7 +98,6 @@ __all__ = [
     "RECEIVE_METHODS",
     "RatePoint",
     "Scene",
-    "SceneStack",
     "ScenarioConfig",
     "TransmitSetup",
     "UnsupportedScenarioError",
@@ -121,7 +118,6 @@ __all__ = [
     "point_rng",
     "qpsk_awgn_ber",
     "rate_point",
-    "secrecy_rate",
     "serialize_config",
     "sigma2_for_snr_db",
     "sinr_bob",

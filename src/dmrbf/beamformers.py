@@ -18,13 +18,13 @@ fresh `FlopCounter`, so ``Beamformer.flops`` is the measured cost of that
 one call (given precomputed covariances; building those is charged to no
 method).  All returned weight vectors are unit norm.
 
-Every builder takes a `SceneStack`, its arrays stacked on a leading
-point axis, and runs all its points at once: numpy's batched products
-and eigensolvers treat each slice exactly as one matrix, so each point
-gets the weights (bit for bit) and the flop count it gets alone.  A
-guard refuses the whole stack when any point fails it, before the
-arithmetic it protects.  A `Scene` is a stack with no point axis, so
-``compute(method, scene)`` runs the same builder on one point.
+Every builder takes a `Scene` of one point or a stacked `Scene`, its
+arrays stacked on a leading point axis, and runs all its points at once:
+numpy's batched products and eigensolvers treat each slice exactly as
+one matrix, so each point gets the weights (bit for bit) and the flop
+count it gets alone.  A guard refuses the whole stack when any point
+fails it, before the arithmetic it protects.  A one-point scene has no
+point axis, so the same builder runs it without stacking.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ from .errors import (
     UpdateSingularityError,
 )
 from .linalg import RANK_RTOL, HermitianEvd, check_hpd, point_values, vector_norm
-from .scenario import Scene, SceneStack
+from .scenario import Scene
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
 _SM_DEN_EPS = 1e-12  # rank-one update denominators below this are singular
+# largest backward error of the chain's O^{-1} u; random scenes, with
+# jamming up to 1e14 W and noise down to 1e-6 W, measured at most 9e-10
+_BACKWARD_ERROR_BOUND = 1e-6
 
 
 class Method(str, Enum):
@@ -90,8 +93,8 @@ METHOD_LABELS: dict[Method, str] = {
 class Beamformer:
     """Unit-norm receive weights and the measured cost of computing them.
 
-    For a `SceneStack` of P scenes, ``weights`` is ``(P, n)`` and ``flops``
-    a ``(P,)`` array, one row and one count per point.
+    For a stacked `Scene` of P points, ``weights`` is ``(P, n)`` and
+    ``flops`` a ``(P,)`` array, one row and one count per point.
     """
 
     method: Method
@@ -148,17 +151,17 @@ def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) 
     return _unit(fc, w, f"whitened direction is zero ({what})")
 
 
-def _signature(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def _signature(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """The confidential stream's receive signature ``u`` at Bob (counted)."""
     return fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
 
 
-def _mrc(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def _mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Matched filter on the confidential stream's receive signature."""
     return _unit(fc, _signature(scene, fc), "signal signature at Bob has zero norm")
 
 
-def _wfmrc(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def _wfmrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Whitening-filter MRC: matched filter in the whitened domain.
 
     The intermediate matched filter lives on the whitened channel
@@ -173,13 +176,13 @@ def _wfmrc(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
     return _unit(fc, w, "whitened matched filter lifts to zero")
 
 
-def _max_sr(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def _max_sr(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """SINR-optimal beamformer via the whiten-then-match construction."""
     u = _signature(scene, fc)
     return _whiten_match(fc, u, scene.cov.c_nbar, "interference-plus-noise covariance")
 
 
-def _mmse(scene: Scene | SceneStack, fc: FlopCounter, o_inv: np.ndarray) -> np.ndarray:
+def _mmse(scene: Scene, fc: FlopCounter, o_inv: np.ndarray) -> np.ndarray:
     """MMSE direction ``O^{-1} u`` from a receive-covariance inverse.
 
     The MMSE weights are ``sqrt(c1) * O^{-1} u``; the stream's amplitude
@@ -189,7 +192,7 @@ def _mmse(scene: Scene | SceneStack, fc: FlopCounter, o_inv: np.ndarray) -> np.n
     return _unit(fc, fc.matvec(o_inv, u), "MMSE weights have zero norm")
 
 
-def _mmse_conventional(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def _mmse_conventional(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """MMSE weights through one direct inverse of the receive covariance."""
     o_inv = fc.inv_hpd(fc.add(scene.cov.a, scene.cov.c_nbar))
     return _mmse(scene, fc, o_inv)
@@ -219,15 +222,15 @@ def _rank_one_update(
 
 # overflow inside the chain is refused at its end, by name, not warned about
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def low_complexity_inverse(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Receive-covariance inverse via the five-level rank-one chain.
 
     Starts from the closed-form inverse of noise plus signal term, then
     folds in the artificial-noise terms (three rank-one updates, one of
     them with a negative coefficient) and the jamming term (one update
     per jamming beam).  No general matrix inverse is formed at any point.
-    A `Scene` gives its ``(n_b, n_b)`` inverse; a stack of P scenes their
-    ``(P, n_b, n_b)`` inverses, counted on ``FlopCounter(P)``.
+    A one-point `Scene` gives its ``(n_b, n_b)`` inverse; a stack of P
+    points their ``(P, n_b, n_b)`` inverses, counted on ``FlopCounter(P)``.
 
     Raises
     ------
@@ -235,7 +238,11 @@ def low_complexity_inverse(scene: Scene | SceneStack, fc: FlopCounter) -> np.nda
         If any update denominator falls below 1e-12 in modulus; the error
         names the level (N, M, L, K or O) that became singular.
     NumericalError
-        If the chain overflows, so the inverse is not finite.
+        If the chain overflows, or if ``x = O^{-1} u`` fails ``O x = u``
+        (``O = A + c_nbar``): its normwise backward error
+        ``|O x - u| / (|O|_F |x| + |u|)`` is not finite or exceeds 1e-6, or
+        its denominator overflows (Higham, *Accuracy and Stability of
+        Numerical Algorithms*, 2002, §7.1).
     """
     channels = scene.channels
     sig2 = scene.sigma_b2_watt
@@ -276,17 +283,26 @@ def low_complexity_inverse(scene: Scene | SceneStack, fc: FlopCounter) -> np.nda
     for j in range(scene.n_j):
         beam = fc.matvec(channels.mb.matrix, scene.setup.t_m_an[..., j])
         z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam[..., None], beam), beam.conj(), "O")
-    if not np.isfinite(z_inv).all():  # uncharged: a guard, not part of the method
+    # uncharged, both O(n^2): guards, not part of the method
+    if not np.isfinite(z_inv).all():
         raise NumericalError("rank-one update chain (levels N to O) left the float range")
+    o, x = scene.cov.a + scene.cov.c_nbar, np.matvec(z_inv, u)
+    r = np.matvec(o, x) - u
+    # |O|_F |x| + |u| from squared norms (uu = |u|^2); if it overflows, refuse
+    den = np.sqrt(np.vecdot(o, o).real.sum(axis=-1) * np.vecdot(x, x).real) + np.sqrt(uu)
+    eta = np.sqrt(np.vecdot(r, r).real) / den
+    for v, d in zip(point_values(eta), point_values(den)):
+        if not (v <= _BACKWARD_ERROR_BOUND and d < math.inf):  # also refuses NaN
+            raise NumericalError(f"rank-one update chain solves O x = u to backward error {v:.3e}")
     return z_inv
 
 
-def _mmse_low_complexity(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def _mmse_low_complexity(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """MMSE weights using the rank-one update chain for the inverse."""
     return _mmse(scene, fc, low_complexity_inverse(scene, fc))
 
 
-def _nsp_max_wfrp(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Null-space projection followed by a pseudo-whitened matched filter.
 
     Bob's weights are confined to the orthogonal complement of the
@@ -352,7 +368,7 @@ def _projected_match(
     return fc.matvec(proj, fc.matvec(w_red.conj().swapaxes(-1, -2), matched))
 
 
-def _mallory(scene: Scene | SceneStack, fc: FlopCounter) -> np.ndarray:
+def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Mallory's own max-SINR combiner for intercepting the stream.
 
     Same whiten-then-match construction as ``_max_sr``, applied to the
@@ -378,28 +394,25 @@ _BUILDERS = {
 }
 
 
-def compute(method: Method, scene: Scene | SceneStack) -> Beamformer:
+def compute(method: Method, scene: Scene) -> Beamformer:
     """Build the requested beamformer for one scene, counting its flops
     afresh, or for every point of a stack at once.
 
-    A `Scene` is a stack with no point axis.  A stack's `Beamformer` holds
-    every point's weights and flop count; the counts are per point, as if
-    each point ran alone, and every point's weights have the bits of its
-    own one-scene call.
+    A stacked scene's `Beamformer` holds every point's weights and flop
+    count; the counts are per point, as if each point ran alone, and every
+    point's weights have the bits of its own one-point call.
     """
     try:
         method = Method(method)
     except ValueError:
         raise unknown_method(method, tuple(Method), "a method") from None
-    if isinstance(scene, Scene):
-        fc = FlopCounter()
-        weights = _BUILDERS[method](scene, fc)
-        return Beamformer(method, weights, int(fc.total))
     fc = FlopCounter(len(scene))
     weights = _BUILDERS[method](scene, fc)
+    if scene.sigma_b2_watt.ndim == 0:  # one point: no point axis, an int count
+        return Beamformer(method, weights, fc.total)
     return Beamformer(method, weights, np.zeros(len(scene), dtype=np.int64) + fc.total)
 
 
-def mallory_receiver(scene: Scene | SceneStack) -> Beamformer:
+def mallory_receiver(scene: Scene) -> Beamformer:
     """Mallory's own max-SINR combiner for intercepting the stream."""
     return compute(Method.MALLORY, scene)

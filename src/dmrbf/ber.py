@@ -2,8 +2,8 @@
 
 A sweep runs in two stages.  The first, the deterministic floor, builds
 every point's scene and then runs each step once over the stack of all
-points (`SceneStack`, in groups of at most ``_STACK_ENTRIES`` matrix
-entries): Mallory's combiner, each requested beamformer, both ends'
+points (a stacked `Scene`, in groups of at most ``_STACK_ENTRIES``
+matrix entries): Mallory's combiner, each requested beamformer, both ends'
 SINRs and rates, and the factor of the detector outputs' noise
 (`_output_roots`).  Each point gets the bits it gets alone.  When any
 point fails, the points are replayed one at a time with the same
@@ -80,7 +80,7 @@ from .beamformers import (
 from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError
 from .linalg import RANK_RTOL, hermitian_evd, vector_norm
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
-from .scenario import Scene, SceneStack, ScenarioConfig, build_scene, stack_scenes
+from .scenario import Scene, ScenarioConfig, build_scene, stack_scenes
 
 _WILSON_Z = 1.959963984540054  # two-sided 95 %
 
@@ -266,7 +266,7 @@ def _draw_block(
     return white.view(np.complex128)
 
 
-def _output_roots(stack: SceneStack, weights: dict[Method, np.ndarray]) -> list[np.ndarray]:
+def _output_roots(stack: Scene, weights: dict[Method, np.ndarray]) -> list[np.ndarray]:
     """Each point's factor ``G`` (M x r) of its stacked detector outputs' noise.
 
     Every method detects ``y = w^H rx / g`` with ``g = sqrt(c1) w^H u``,

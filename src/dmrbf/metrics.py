@@ -3,8 +3,8 @@
 Rates are in bits per channel use.  SINRs are computed from the
 covariance terms as ratios of quadratic forms in the (unit-norm) receive
 weights; tiny negative values from roundoff are clipped to zero before
-the logarithm.  Every point of a `SceneStack` is evaluated at once, with
-the bits each point gets alone.
+the logarithm.  Every point of a stacked `Scene` is evaluated at once,
+with the bits each point gets alone.
 
 The SNR knob used by the sweeps is defined at Bob: ``received`` means
 ``p_a * g_ab / sigma_b2`` (path loss folded in), ``transmit`` means
@@ -19,15 +19,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DimensionError, DomainError
 from .linalg import point_values, vector_norm
-from .scenario import CovarianceSet, Scene, SceneStack, ScenarioConfig
+from .scenario import CovarianceSet, Scene, ScenarioConfig
 
 
 @dataclass(frozen=True)
 class RatePoint:
-    """Rates of one (scenario, beamformer) pair; for a `SceneStack`, each
-    field is a ``(P,)`` array, one entry per point (see `at`)."""
+    """Rates of one (scenario, beamformer) pair; for a stacked `Scene`,
+    each field is a ``(P,)`` array, one entry per point (see `at`)."""
 
     sinr_bob: float | np.ndarray
     sinr_mallory: float | np.ndarray
@@ -53,6 +53,7 @@ def _positive_part(x: np.ndarray) -> np.ndarray:
 
 
 def _sinr(
+    name: str,
     weights: np.ndarray,
     signal: np.ndarray,
     i1: np.ndarray,
@@ -61,16 +62,22 @@ def _sinr(
 ) -> np.ndarray:
     """Post-combining SINR ``w^H S w / (w^H I1 w + w^H I2 w + noise)`` at
     unit ``w``, for one point or each of a stack (weights ``(..., n)``,
-    matrices ``(..., n, n)``, noise ``(...)``).
+    matrices ``(..., n, n)``, noise ``(...)``).  Weights of another shape,
+    or of no positive finite norm, are refused, naming the argument
+    ``name``.
 
     The three real quadratic forms ``w^H (M w)`` are clipped at zero;
     ``np.vecdot`` conjugates its first argument and hands each to the BLAS
     dot product ``np.vdot`` uses, so each keeps its one-point bits.
     """
+    if np.shape(weights) != signal.shape[:-1]:
+        raise DimensionError(
+            f"{name} must have shape {signal.shape[:-1]}, got {np.shape(weights)}"
+        )
     nrm = vector_norm(weights, axis=-1)
     for v in point_values(nrm):
         if not 0.0 < v < math.inf:  # also refuses a NaN norm
-            raise DomainError(f"weights must have a positive, finite norm, got {v}")
+            raise DomainError(f"{name} must have a positive, finite norm, got {v}")
     w = weights / nrm[..., None]
     mw = np.array([np.matvec(m, w) for m in (signal, i1, i2)])
     quad = _positive_part(np.vecdot(w, mw).real)
@@ -79,7 +86,7 @@ def _sinr(
 
 def sinr_bob(weights: np.ndarray, cov: CovarianceSet, sigma_b2_watt: float) -> float:
     """Bob's post-combining SINR: signal over jamming-plus-noise."""
-    return float(_sinr(weights, cov.a, cov.b, cov.d, sigma_b2_watt))
+    return float(_sinr("weights", weights, cov.a, cov.b, cov.d, sigma_b2_watt))
 
 
 def sinr_mallory(weights: np.ndarray, cov: CovarianceSet, sigma_m2_watt: float) -> float:
@@ -88,27 +95,21 @@ def sinr_mallory(weights: np.ndarray, cov: CovarianceSet, sigma_m2_watt: float) 
     The denominator carries the artificial noise from Alice plus
     Mallory's residual self-interference plus thermal noise.
     """
-    return float(_sinr(weights, cov.e, cov.f, cov.r_m, sigma_m2_watt))
+    return float(_sinr("weights", weights, cov.e, cov.f, cov.r_m, sigma_m2_watt))
 
 
-def secrecy_rate(rate_bob_bits: float, rate_mallory_bits: float) -> float:
-    """Nonnegative part of the rate advantage of the legitimate link."""
-    return max(0.0, rate_bob_bits - rate_mallory_bits)
-
-
-def rate_point(
-    scene: Scene | SceneStack, bob_weights: np.ndarray, mallory_weights: np.ndarray
-) -> RatePoint:
-    """Assemble both ends' rates and the secrecy rate for one scene (a
-    stack with no point axis), or for every point of a stack at once
+def rate_point(scene: Scene, bob_weights: np.ndarray, mallory_weights: np.ndarray) -> RatePoint:
+    """Assemble both ends' SINRs and rates and the secrecy rate, the
+    nonnegative part of Bob's rate advantage, for a one-point scene
+    (weights ``(n,)``), or for every point of a stacked one at once
     (weights ``(P, n)``)."""
     cov = scene.cov
-    gb = _sinr(bob_weights, cov.a, cov.b, cov.d, scene.sigma_b2_watt)
-    gm = _sinr(mallory_weights, cov.e, cov.f, cov.r_m, scene.sigma_m2_watt)
+    gb = _sinr("bob_weights", bob_weights, cov.a, cov.b, cov.d, scene.sigma_b2_watt)
+    gm = _sinr("mallory_weights", mallory_weights, cov.e, cov.f, cov.r_m, scene.sigma_m2_watt)
     rb = np.log2(1.0 + gb)
     rm = np.log2(1.0 + gm)
     sr = _positive_part(rb - rm)
-    if isinstance(scene, Scene):
+    if scene.sigma_b2_watt.ndim == 0:  # one point: no point axis
         return RatePoint(float(gb), float(gm), float(rb), float(rm), float(sr))
     return RatePoint(gb, gm, rb, rm, sr)
 

@@ -333,68 +333,42 @@ def _with_noise(
     )
 
 
-@dataclass(frozen=True)
-class Scene:
-    """Everything derived from one config at one operating point."""
-
-    cfg: ScenarioConfig
-    channels: ChannelSet
-    setup: TransmitSetup
-    cov: CovarianceSet
-
-    @property
-    def bob_signal_vector(self) -> np.ndarray:
-        """Signature of the confidential stream at Bob's array."""
-        return self.channels.ab.matrix @ self.setup.v_a
-
-    # What the beamformers, rates and detector factors read of a point,
-    # named as on a `SceneStack`: a scene is a stack with no point axis.
-    # The powers are numpy scalars, which index as a stack's (P,) arrays do.
-    sigma_b2_watt = property(lambda self: np.float64(self.cfg.sigma_b2_watt))
-    sigma_m2_watt = property(lambda self: np.float64(self.cfg.sigma_m2_watt))
-    p_a_watt = property(lambda self: np.float64(self.cfg.p_a_watt))
-    p_m_watt = property(lambda self: np.float64(self.cfg.p_m_watt))
-    beta1 = property(lambda self: np.float64(self.cfg.beta1))
-    n_b = property(lambda self: self.cfg.n_b)
-    n_m = property(lambda self: self.cfg.n_m)
-    n_j = property(lambda self: self.cfg.n_j)
-
-
-#: The config fields that beamformers, rates and detector factors read
-#: per point; a `SceneStack` holds each as a ``(P,)`` array.
-_STACKED_FIELDS = ("sigma_b2_watt", "sigma_m2_watt", "p_a_watt", "p_m_watt", "beta1")
+#: The per-point fields of a `Scene`, read from its config.
+_POINT_FIELDS = ("sigma_b2_watt", "sigma_m2_watt", "p_a_watt", "p_m_watt", "beta1")
 
 
 @dataclass(frozen=True, eq=False)  # no equality: the fields are arrays
-class SceneStack:
-    """Scenes of one array size, stacked on a leading point axis.
+class Scene:
+    """Everything derived from one config at one operating point, or a
+    stack of such scenes of one array size (see `stack_scenes`).
 
-    Every array of the scenes' ``channels``, ``setup`` and ``cov`` gains a
-    leading axis of length ``P``, the number of scenes; each link's
-    ``gain`` and the powers and ``beta1`` of the configs become ``(P,)``
-    arrays.  The arrays are views or copies of the scenes' own; do not edit
-    them in place.  A `Scene` offers the same names without the point axis.
+    A one-point scene holds its config in ``cfg`` and the config's values
+    of `_POINT_FIELDS` as numpy scalars.  A stack of P points has no
+    ``cfg``; each array of ``channels``, ``setup`` and ``cov`` gains a
+    leading point axis and each link's ``gain`` and per-point field is a
+    ``(P,)`` array.  The arrays may be shared; do not edit them in place.
     """
 
     channels: ChannelSet
     setup: TransmitSetup
     cov: CovarianceSet
-    sigma_b2_watt: np.ndarray
-    sigma_m2_watt: np.ndarray
-    p_a_watt: np.ndarray
-    p_m_watt: np.ndarray
-    beta1: np.ndarray
+    sigma_b2_watt: np.float64 | np.ndarray
+    sigma_m2_watt: np.float64 | np.ndarray
+    p_a_watt: np.float64 | np.ndarray
+    p_m_watt: np.float64 | np.ndarray
+    beta1: np.float64 | np.ndarray
+    cfg: ScenarioConfig | None = None
 
     n_b = property(lambda self: self.cov.a.shape[-1])
     n_m = property(lambda self: self.cov.e.shape[-1])
     n_j = property(lambda self: self.setup.t_m_an.shape[-1])
 
     def __len__(self) -> int:
-        return len(self.sigma_b2_watt)
+        return self.sigma_b2_watt.size  # 1 for a one-point scene
 
     @property
     def bob_signal_vector(self) -> np.ndarray:
-        """``(P, n_b)`` signatures of the confidential stream at Bob."""
+        """Signature(s) of the confidential stream at Bob's array."""
         return np.matvec(self.channels.ab.matrix, self.setup.v_a)
 
 
@@ -411,23 +385,22 @@ def _stacked(parts: list) -> object:
     return np.array(parts, dtype=np.float64)
 
 
-def stack_scenes(scenes: typing.Sequence[Scene]) -> SceneStack:
-    """The scenes stacked on a leading point axis (see `SceneStack`).
+def stack_scenes(scenes: typing.Sequence[Scene]) -> Scene:
+    """One-point scenes stacked on a leading point axis: a `Scene` of
+    ``len(scenes)`` points and no ``cfg``.
 
     Raises `DimensionError` unless there is at least one scene and all
-    have the same array sizes and number of jamming beams.
+    have one point and the same array sizes and number of jamming beams.
     """
     scenes = tuple(scenes)
-    sizes = {(s.cfg.n_a, s.cfg.n_b, s.cfg.n_m, s.cfg.n_j) for s in scenes}
-    if len(sizes) != 1:
+    sizes = {(s.setup.v_a.shape[-1], s.n_b, s.n_m, s.n_j) for s in scenes}
+    if len(sizes) != 1 or any(s.sigma_b2_watt.ndim for s in scenes):
         raise DimensionError(
-            f"a scene stack needs one or more scenes of one size, got sizes {sorted(sizes)}"
+            "a scene stack needs one or more scenes of one size and one point each, "
+            f"got sizes {sorted(sizes)}"
         )
-    return SceneStack(
-        _stacked([s.channels for s in scenes]),
-        _stacked([s.setup for s in scenes]),
-        _stacked([s.cov for s in scenes]),
-        *(_stacked([getattr(s.cfg, name) for s in scenes]) for name in _STACKED_FIELDS),
+    return Scene(
+        *(_stacked([getattr(s, f.name) for s in scenes]) for f in fields(Scene) if f.name != "cfg")
     )
 
 
@@ -503,4 +476,5 @@ def build_scene(cfg: ScenarioConfig) -> Scene:
     key = _MemoKey(tuple(repr(getattr(cfg, name)) for name in _MEMO_FIELDS), cfg)
     channels, setup, fixed = _noise_free_scene(key)
     d, r_m = _jamming_terms(key, repr(cfg.p_m_watt))
-    return Scene(cfg=cfg, channels=channels, setup=setup, cov=_with_noise(cfg, fixed, d, r_m))
+    point = (np.float64(getattr(cfg, name)) for name in _POINT_FIELDS)
+    return Scene(channels, setup, _with_noise(cfg, fixed, d, r_m), *point, cfg)

@@ -218,6 +218,20 @@ def test_chain_refuses_overflow_by_name():
         compute(Method.LC_MMSE, scene)
 
 
+def test_chain_refuses_what_mmse_refuses():
+    # near the float maximum the chain stays finite but no longer solves
+    # O x = u; MMSE's direct inverse refuses this scene, and so must the chain
+    scene = build_scene(config_with(beta1=0.5, p_a_watt=8.98846567431158e307))
+    with pytest.raises(ConditioningError):
+        compute(Method.MMSE, scene)
+    with pytest.raises(NumericalError, match="^rank-one update chain solves O x = u to backward"):
+        compute(Method.LC_MMSE, scene)
+    # one such point refuses a stack
+    stack = stack_scenes((build_scene(config_with(beta1=0.5)), scene))
+    with pytest.raises(NumericalError, match="backward error"):
+        compute(Method.LC_MMSE, stack)
+
+
 def test_nsp_annihilates_jamming_link():
     rng = np.random.default_rng(407)
     for _ in range(20):

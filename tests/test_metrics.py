@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dmrbf import (
+    DimensionError,
     DomainError,
     Method,
     ScenarioConfig,
@@ -13,7 +14,6 @@ from dmrbf import (
     compute,
     mallory_receiver,
     rate_point,
-    secrecy_rate,
     sigma2_for_snr_db,
     sinr_bob,
     sinr_mallory,
@@ -74,13 +74,37 @@ def test_weights_without_a_finite_positive_norm_are_refused(entry):
 
 
 def test_rates_and_secrecy():
-    assert secrecy_rate(3.0, 1.0) == 2.0
-    assert secrecy_rate(1.0, 3.0) == 0.0  # clamped, never negative
+    # Mallory much nearer Alice than Bob is: her rate exceeds his, and the
+    # secrecy rate is clamped at zero, never negative
+    near = build_scene(config_with(d_am_km=0.1, d_ab_km=8.0))
+    pt = rate_point(near, compute(Method.MRC, near).weights, mallory_receiver(near).weights)
+    assert pt.rate_mallory_bits > pt.rate_bob_bits + 0.4
+    assert pt.secrecy_rate_bits == 0.0 and math.copysign(1.0, pt.secrecy_rate_bits) == 1.0
     scene = build_scene(ScenarioConfig())
     w = compute(Method.MAX_SR, scene).weights
     s = sinr_bob(w, scene.cov, scene.cfg.sigma_b2_watt)
     pt = rate_point(scene, w, mallory_receiver(scene).weights)
     assert pt.rate_bob_bits == pytest.approx(math.log2(1.0 + s), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3,), (4, 4), (2, 4), ()])
+def test_mis_shaped_weights_are_refused_by_name(shape):
+    scene = build_scene(ScenarioConfig())
+    bad = np.ones(shape, dtype=np.complex128)
+    bob, eve = compute(Method.MRC, scene).weights, mallory_receiver(scene).weights
+    calls = (
+        (lambda: rate_point(scene, bad, eve), "bob_weights"),
+        (lambda: rate_point(scene, bob, bad), "mallory_weights"),
+        (lambda: sinr_bob(bad, scene.cov, scene.cfg.sigma_b2_watt), "weights"),
+        (lambda: sinr_mallory(bad, scene.cov, scene.cfg.sigma_m2_watt), "weights"),
+    )
+    for call, name in calls:
+        with pytest.raises(DimensionError, match=rf"^{name} must have shape \(4,\), got "):
+            call()
+    # a stack of two wants (2, 4): one point's weights are refused too
+    stack = stack_scenes((scene, scene))
+    with pytest.raises(DimensionError, match=r"^bob_weights must have shape \(2, 4\), got \(4,\)"):
+        rate_point(stack, bob, np.stack([eve, eve]))
 
 
 def test_rate_point_bundle():

@@ -25,7 +25,7 @@ from dmrbf import (
 )
 from dmrbf.ber import config_at
 from dmrbf.cli import PRESETS
-from dmrbf.scenario import _jamming_terms, _noise_free_scene
+from dmrbf.scenario import _POINT_FIELDS, _jamming_terms, _noise_free_scene
 
 from conftest import config_with, random_config
 
@@ -272,7 +272,8 @@ def test_memoized_scene_equals_a_fresh_build_bit_for_bit(n):
             assert _bytes(cached) == _bytes(fresh)
             chans = build_channels(cfg)
             setup = build_transmit_setup(cfg, chans)
-            staged = Scene(cfg, chans, setup, build_covariances(cfg, chans, setup))
+            point = (np.float64(getattr(cfg, f)) for f in _POINT_FIELDS)
+            staged = Scene(chans, setup, build_covariances(cfg, chans, setup), *point, cfg)
             assert _bytes(cached) == _bytes(staged)
 
 
@@ -329,6 +330,29 @@ def test_a_jamming_sweep_builds_its_geometry_once():
     sweep(cfg, RECEIVE_METHODS, "p_m_watt", values, 100, 0)
     assert _noise_free_scene.cache_info().misses == 1
     assert _jamming_terms.cache_info().misses >= len(values)
+
+
+def test_a_built_scene_is_one_point():
+    cfg = config_with(n_a=3, n_b=5, n_m=6, n_j=2, p_m_watt=3.5, beta1=0.75)
+    scene = build_scene(cfg)
+    assert scene.cfg is cfg and len(scene) == 1
+    for name in ("sigma_b2_watt", "sigma_m2_watt", "p_a_watt", "p_m_watt", "beta1"):
+        value = getattr(scene, name)
+        assert type(value) is np.float64 and value == getattr(cfg, name), name
+    assert (scene.n_b, scene.n_m, scene.n_j) == (cfg.n_b, cfg.n_m, cfg.n_j)
+    assert scene.bob_signal_vector.shape == (5,)
+
+
+def test_stacked_scenes_are_one_scene():
+    scenes = [build_scene(config_with(n_j=2, p_m_watt=p)) for p in (1.0, 2.0, 4.0)]
+    stack = stack_scenes(scenes)
+    assert type(stack) is Scene and stack.cfg is None and len(stack) == 3
+    assert stack.p_m_watt.tolist() == [1.0, 2.0, 4.0]
+    assert (stack.n_b, stack.n_m, stack.n_j) == (4, 4, 2)
+    assert stack.bob_signal_vector.shape == (3, 4)
+    # a stack is not stacked again
+    with pytest.raises(DimensionError, match="^a scene stack needs one or more scenes"):
+        stack_scenes((stack,))
 
 
 def test_stack_scenes_needs_one_size():
