@@ -202,21 +202,21 @@ def _rank_one_update(
     fc: FlopCounter,
     z_inv: np.ndarray,
     col: np.ndarray,
-    row: np.ndarray,
+    v: np.ndarray,
     level: str,
 ) -> np.ndarray:
-    """Inverse of ``Z + col @ row`` from ``Z^{-1}`` (Sherman-Morrison)."""
+    """Inverse of ``Z + col v^H`` from ``Z^{-1}`` (Sherman-Morrison)."""
     t = fc.matvec(z_inv, col)
-    den = 1.0 + fc.dot_plain(row, t)
+    den = 1.0 + fc.dot(v, t)
     fc.scalar()
     recip = []
     for d in point_values(den):
         if abs(d) <= _SM_DEN_EPS:
             raise UpdateSingularityError(level, d)
         recip.append(1.0 / d)  # Python's complex division: numpy's rounds differently
-    r = fc.vecmat(row, z_inv)
+    r = fc.vecmat(v.conj(), z_inv)  # v^H Z^{-1}
     fc.scalar()
-    upd = fc.scale(np.array(recip).reshape(den.shape)[..., None, None], fc.outer_plain(t, r))
+    upd = fc.scale(np.array(recip).reshape(den.shape)[..., None, None], fc.outer(t, r.conj()))
     return fc.sub(z_inv, upd)
 
 
@@ -235,14 +235,17 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     Raises
     ------
     UpdateSingularityError
-        If any update denominator falls below 1e-12 in modulus; the error
-        names the level (N, M, L, K or O) that became singular.
+        If an update denominator falls below 1e-12 in modulus; the error
+        names the level (M, L, K or O) that became singular.  Level N's
+        denominator is at least 1; it is refused as level N only when
+        ``sigma^4`` underflows.
     NumericalError
-        If the chain overflows, or if ``x = O^{-1} u`` fails ``O x = u``
-        (``O = A + c_nbar``): its normwise backward error
-        ``|O x - u| / (|O|_F |x| + |u|)`` is not finite or exceeds 1e-6, or
-        its denominator overflows (Higham, *Accuracy and Stability of
-        Numerical Algorithms*, 2002, §7.1).
+        If ``x = O^{-1} u`` fails ``O x = u`` (``O = A + c_nbar``): its
+        normwise backward error ``|O x - u| / (|O|_F |x| + |u|)`` is not
+        finite or exceeds 1e-6, or its denominator overflows (Higham,
+        *Accuracy and Stability of Numerical Algorithms*, 2002, §7.1).
+        This one rule also refuses an overflow anywhere in the chain: a
+        non-finite ``O^{-1}`` leaves ``x`` non-finite.
     """
     channels = scene.channels
     sig2 = scene.sigma_b2_watt
@@ -253,11 +256,8 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     u = _signature(scene, fc)
     # signal-plus-noise level: closed-form Sherman-Morrison of sigma^2 I + A
     uu = fc.dot(u, u).real
-    den_n = 1.0 + c1 * uu / sig2
+    den_n = 1.0 + c1 * uu / sig2  # at least 1: no singular N level
     fc.scalar(3)
-    for d in point_values(den_n):
-        if abs(d) <= _SM_DEN_EPS:
-            raise UpdateSingularityError("N", d)
     scale = sig2 * sig2 * den_n
     for v in point_values(scale):
         if not v > 0.0:  # sigma^4 underflows to zero for tiny noise
@@ -272,20 +272,18 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     # artificial-noise levels: the projector expands into three rank-one
     # terms along the same receive signature (coefficients +1, -2, +1)
     s = fc.matvec(channels.ab.matrix, channels.ab.tx_steering)
-    row = channels.ab.rx_steering.conj()
+    rx = channels.ab.rx_steering
     for level, coeff in (("M", c2), ("L", -2.0 * c2), ("K", c2)):
         fc.scalar()
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff[..., None], s), row, level)
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff[..., None], s), rx, level)
 
     # jamming level: one rank-one update per jamming beam
     g_jam = channels.mb.gain * scene.p_m_watt
     fc.scalar()
     for j in range(scene.n_j):
         beam = fc.matvec(channels.mb.matrix, scene.setup.t_m_an[..., j])
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam[..., None], beam), beam.conj(), "O")
-    # uncharged, both O(n^2): guards, not part of the method
-    if not np.isfinite(z_inv).all():
-        raise NumericalError("rank-one update chain (levels N to O) left the float range")
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam[..., None], beam), beam, "O")
+    # uncharged, O(n^2): a guard, not part of the method
     o, x = scene.cov.a + scene.cov.c_nbar, np.matvec(z_inv, u)
     r = np.matvec(o, x) - u
     # |O|_F |x| + |u| from squared norms (uu = |u|^2); if it overflows, refuse

@@ -63,6 +63,7 @@ is.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -80,7 +81,7 @@ from .beamformers import (
 from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError
 from .linalg import RANK_RTOL, hermitian_evd, vector_norm
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
-from .scenario import Scene, ScenarioConfig, build_scene, stack_scenes
+from .scenario import Scene, ScenarioConfig, admits, build_scene, stack_scenes
 
 _WILSON_Z = 1.959963984540054  # two-sided 95 %
 
@@ -490,7 +491,7 @@ def _sweep_point(
 def check_sweep(
     methods: tuple[Method, ...],
     axis: str,
-    values: tuple[float, ...],
+    values: Sequence[float] | np.ndarray,
     max_symbols: int,
     seed: int,
     workers: int,
@@ -498,15 +499,25 @@ def check_sweep(
     """Raise `DomainError` for any argument `sweep` refuses; return the
     methods as `Method`s.
 
+    ``values`` may be any sequence of real numbers, an ndarray included;
+    ``max_symbols``, ``seed`` and ``workers`` must be integers.  Python
+    and numpy numbers are both taken, a bool as neither.
+
     ``sweep`` runs it before any point, and ``dmrbf run`` before it makes
     its output directory, so a refused run leaves nothing behind.
     """
     if axis not in _AXES:
         raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")
-    if not values:
+    points = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(points, Sequence) or not all(admits(float, v) for v in points):
+        raise DomainError(f"values must be a sequence of real numbers, got {values!r}")
+    if not points:
         raise DomainError("sweep needs at least one axis value")
-    if any(b <= a for a, b in zip(values, values[1:])):
+    if any(b <= a for a, b in zip(points, points[1:])):
         raise DomainError("axis values must be strictly increasing")
+    for name, count in (("max_symbols", max_symbols), ("seed", seed), ("workers", workers)):
+        if not admits(int, count):
+            raise DomainError(f"{name} must be an integer, got {count!r}")
     if not 1 <= max_symbols < 2**63:  # Generator.binomial takes an int64 count
         raise DomainError(f"max_symbols must be in [1, 2**63), got {max_symbols}")
     if workers < 1:
@@ -526,7 +537,7 @@ def sweep(
     cfg: ScenarioConfig,
     methods: tuple[Method, ...],
     axis: str,
-    values: tuple[float, ...],
+    values: Sequence[float] | np.ndarray,
     max_symbols: int,
     seed: int,
     workers: int = 1,
@@ -551,6 +562,8 @@ def sweep(
     methods = check_sweep(methods, axis, values, max_symbols, seed, workers)
     if not methods:
         return []
+    if isinstance(values, np.ndarray):  # run on Python floats, as a tuple of them does
+        values = tuple(values.tolist())
     # no axis changes an array size, so each method's closed form is one number
     formula = {m: complexity.formula_flops(m, cfg.n_a, cfg.n_b, cfg.n_m) for m in methods}
     group = max(1, _STACK_ENTRIES // max(cfg.n_a, cfg.n_b, cfg.n_m) ** 2)

@@ -81,22 +81,13 @@ class FlopCounter:
 
     def outer(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Outer product ``x y^H``."""
-        return self.outer_plain(x, y.conj())
-
-    def outer_plain(self, x: np.ndarray, row: np.ndarray) -> np.ndarray:
-        """Outer product ``x row`` without conjugating the row."""
-        self.total += 6 * x.shape[-1] * row.shape[-1]
-        return x[..., :, None] * row[..., None, :]
+        self.total += 6 * x.shape[-1] * y.shape[-1]
+        return x[..., :, None] * y.conj()[..., None, :]
 
     def dot(self, x: np.ndarray, y: np.ndarray) -> complex | np.ndarray:
         """Inner product ``x^H y``."""
         self.total += 8 * x.shape[-1]
         return np.vecdot(x, y)
-
-    def dot_plain(self, row: np.ndarray, x: np.ndarray) -> complex | np.ndarray:
-        """Plain product ``row @ x`` without conjugation."""
-        self.total += 8 * row.shape[-1]
-        return np.vecdot(row.conj(), x)  # conjugating twice flips signs exactly
 
     # -- elementwise ------------------------------------------------------
 

@@ -71,6 +71,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
+            if not admits(kind, value):
+                raise ConfigError(name, f"must be of type {kind.__name__}, got {value!r}")
             if kind is float and not math.isfinite(value):
                 raise ConfigError(name, f"must be finite, got {value}")
         for name in ("n_a", "n_b", "n_m"):
@@ -132,6 +134,19 @@ class ScenarioConfig:
 
 #: Field name -> declared type (int, float or str), in declaration order.
 _FIELD_TYPES: dict[str, type] = typing.get_type_hints(ScenarioConfig)
+#: Declared type -> the concrete value types a field of it takes (an ABC
+#: check such as ``numbers.Real`` costs several times as much per config).
+_ACCEPTED: dict[type, tuple[type, ...]] = {
+    int: (int, np.integer),
+    float: (int, float, np.integer, np.floating),
+    str: (str,),
+}
+
+
+def admits(kind: type, value: object) -> bool:
+    """Whether a value declared ``kind`` (int, float or str) may be ``value``:
+    numpy scalars count as Python ones, and a bool counts as none."""
+    return isinstance(value, _ACCEPTED[kind]) and not isinstance(value, bool)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:

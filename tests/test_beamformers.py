@@ -216,6 +216,12 @@ def test_chain_refuses_overflow_by_name():
         low_complexity_inverse(scene, FlopCounter())
     with pytest.raises(NumericalError, match="rank-one update chain"):
         compute(Method.LC_MMSE, scene)
+    # one such point refuses a stack, by the same backward-error rule
+    stack = stack_scenes((build_scene(config_with(n_a=1, n_b=1, n_m=2)), scene))
+    with pytest.raises(NumericalError, match="^rank-one update chain"):
+        low_complexity_inverse(stack, FlopCounter(2))
+    with pytest.raises(NumericalError, match="^rank-one update chain"):
+        compute(Method.LC_MMSE, stack)
 
 
 def test_chain_refuses_what_mmse_refuses():

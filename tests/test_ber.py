@@ -549,6 +549,26 @@ def test_sweep_validation(monkeypatch):
             sweep(cfg, (Method.MRC,), "snr_db", (25.0,), bad, seed=0)
     (report,) = sweep(cfg, (Method.MRC,), "snr_db", (25.0,), 2**62, seed=0)
     assert report.ber.n_symbols == 2**62
+    # a mistyped argument is refused by name: a fractional seed would key
+    # Philox with its truncation, uint64(1.5) == 1, and alias seed 1
+    methods, values = (Method.MRC, Method.MMSE), (0.0, 5.0)
+    for args, named in (
+        ((values, 4000, 1.5, 1), "seed must be an integer, got 1.5"),
+        ((values, 1000.5, 0, 1), "max_symbols must be an integer, got 1000.5"),
+        ((values, "1000", 0, 1), "max_symbols must be an integer, got '1000'"),
+        ((values, 1000, "1", 1), "seed must be an integer, got '1'"),
+        ((values, 1000, True, 1), "seed must be an integer, got True"),
+        ((values, 1000, 0, 1.5), "workers must be an integer, got 1.5"),
+        ((("0",), 1000, 0, 1), r"values must be a sequence of real numbers, got \('0',\)"),
+        (((True,), 1000, 0, 1), "values must be a sequence of real numbers"),
+        ((np.array(0.0), 1000, 0, 1), "values must be a sequence of real numbers"),
+        ((np.zeros((2, 1)), 1000, 0, 1), "values must be a sequence of real numbers"),
+    ):
+        with pytest.raises(DomainError, match=f"^{named}"):
+            sweep(cfg, methods, "snr_db", *args)
+    # an ndarray of values, and numpy integers, run as their Python equivalents
+    expected = sweep(cfg, methods, "snr_db", values, 4000, 1)
+    assert sweep(cfg, methods, "snr_db", np.array(values), np.int64(4000), np.uint64(1)) == expected
     # bad method lists are refused before any point runs
     monkeypatch.setattr(ber, "build_scene", lambda *a: pytest.fail("a point ran"))
     for methods, named in (

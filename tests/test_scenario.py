@@ -125,6 +125,30 @@ def test_non_finite_values_name_the_field(field, value):
     assert exc.value.field == field
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_b", 4.5),
+        ("n_j", 1.5),
+        ("rng_seed", 1.5),
+        ("p_a_watt", "10"),
+        ("n_b", True),
+        ("beta1", np.True_),
+        ("snr_definition", 1),
+    ],
+)
+def test_mistyped_values_name_the_field(field, value):
+    # refused where the config is made, not deep inside build_scene
+    with pytest.raises(ConfigError, match=f"^{field}: must be of type ") as exc:
+        config_with(**{field: value})
+    assert exc.value.field == field
+
+
+def test_numpy_scalars_are_accepted():
+    cfg = config_with(n_b=np.int64(8), rng_seed=np.uint32(3), p_a_watt=np.float32(10.0), d_ab_km=2)
+    assert build_scene(cfg).n_b == 8
+
+
 def test_unrepresentable_path_gain_names_the_distance():
     with pytest.raises(ConfigError) as exc:
         config_with(d_am_km=1e-200)
