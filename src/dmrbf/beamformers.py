@@ -45,6 +45,7 @@ from .errors import (
     NumericalError,
     UnsupportedScenarioError,
     UpdateSingularityError,
+    shown,
 )
 from .linalg import RANK_RTOL, HermitianEvd, check_hpd, point_values, vector_norm
 from .scenario import Scene
@@ -75,7 +76,8 @@ RECEIVE_METHODS: tuple[Method, ...] = tuple(m for m in Method if m is not Method
 def unknown_method(name: object, valid: tuple[Method, ...], what: str) -> DomainError:
     """The refusal of a method name outside ``valid``, listing the valid names."""
     names = ", ".join(m.value for m in valid)
-    return DomainError(f"{getattr(name, 'value', name)!r} is not {what}; valid names: {names}")
+    shown_name = shown(getattr(name, "value", name), repr)
+    return DomainError(f"{shown_name} is not {what}; valid names: {names}")
 
 
 METHOD_LABELS: dict[Method, str] = {
@@ -332,7 +334,7 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
     u_proj = fc.matvec(proj, u)
     # uncharged: a guard, not part of the method; relative, so a small
     # scale is not mistaken for a signal inside the null
-    if (vector_norm(u_proj, axis=-1) <= RANK_RTOL * vector_norm(u, axis=-1)).any():
+    if (vector_norm(u_proj) <= RANK_RTOL * vector_norm(u)).any():
         raise DegenerateGeometryError(
             "signal signature lies inside the nulled jamming subspace"
         )

@@ -5,11 +5,12 @@ every point's scene and then runs each step once over the stack of all
 points (a stacked `Scene`, in groups of at most ``_STACK_ENTRIES``
 matrix entries): Mallory's combiner, each requested beamformer, both ends'
 SINRs and rates, and the factor of the detector outputs' noise
-(`_output_roots`).  Each point gets the bits it gets alone.  When any
-point fails, the points are replayed one at a time with the same
-functions, so the first failing point raises its own error, with its
-point and method named.  The second stage, the Monte-Carlo draw below,
-runs per point (`_sweep_point`), on worker threads when asked.
+(`_output_roots`).  Each point gets the bits it gets alone.  When a
+group of several points fails, its points are replayed one at a time
+with the same function, so the first failing point raises its own
+error, with its point and method named; a failing one-point group runs
+once.  The second stage, the Monte-Carlo draw below, runs per point
+(`_sweep_point`), on worker threads when asked.
 
 Every receive beamformer sees Bob's array only through ``w^H rx``, and
 everything in ``rx`` except the confidential stream (artificial noise,
@@ -78,7 +79,7 @@ from .beamformers import (
     mallory_receiver,
     unknown_method,
 )
-from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError
+from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError, shown
 from .linalg import RANK_RTOL, hermitian_evd, vector_norm
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
 from .scenario import Scene, ScenarioConfig, admits, build_scene, stack_scenes
@@ -90,8 +91,8 @@ BER_REL_HALFWIDTH = 0.05
 
 #: Symbols per random draw; the counts do not depend on it.  It sets a
 #: point's working set, which holds one chunk's normals, its radii and one
-#: detector row's outputs at a time: at 2048, one `_ber_runs` call at
-#: fig4's 5 to 10 dB points peaks at 0.11-0.17 MB of tracemalloc, where
+#: detector row's outputs at a time: at 2048, one point's floor and draw at
+#: fig4's 5 to 10 dB points peak at 0.11-0.17 MB of tracemalloc, where
 #: 4096 with the whole M x chunk output block peaked at 0.58 MB.
 _CHUNK = 1 << 11
 
@@ -294,7 +295,7 @@ def _output_roots(stack: Scene, weights: dict[Method, np.ndarray]) -> list[np.nd
     w_h = np.stack([w.conj() for w in weights.values()], axis=1)
     along = (w_h @ u[..., None])[..., 0]
     gains = np.sqrt(c1)[:, None] * along
-    lengths = vector_norm(w_h, axis=-1) * vector_norm(u, axis=-1)[:, None]
+    lengths = vector_norm(w_h) * vector_norm(u)[:, None]
     zero = (abs(along) <= RANK_RTOL * lengths) | (gains == 0.0)
     for method, refused in zip(weights, zero.T):
         if refused.any():
@@ -309,21 +310,6 @@ def _output_roots(stack: Scene, weights: dict[Method, np.ndarray]) -> list[np.nd
     left, sv, _ = np.linalg.svd(fold, full_matrices=False)
     keep = sv > RANK_RTOL * sv[:, :1]
     return [lf[:, k] * s[k] for lf, s, k in zip(left, sv, keep)]
-
-
-def _output_root(scene: Scene, weights: dict[Method, np.ndarray]) -> np.ndarray:
-    """`_output_roots` of one scene, for its ``(n_b,)`` weights."""
-    return _output_roots(stack_scenes((scene,)), {m: w[None] for m, w in weights.items()})[0]
-
-
-def _ber_runs(
-    scene: Scene,
-    weights: dict[Method, np.ndarray],
-    n_symbols: int,
-    rng: np.random.Generator,
-) -> dict[Method, BerRun]:
-    """`_draw_runs` on one scene's detector-noise factor (`_output_root`)."""
-    return _draw_runs(_output_root(scene, weights), tuple(weights), n_symbols, rng)
 
 
 def _draw_runs(
@@ -411,14 +397,16 @@ class _Floor(NamedTuple):
     root: np.ndarray
 
 
-def _stacked_floors(
+def _floors(
     cfg: ScenarioConfig, methods: tuple[Method, ...], axis: str, values: tuple[float, ...]
 ) -> list[_Floor]:
     """Every point's floor, each step run once over the stack of all points.
 
-    Raises the first step's `DmrbfError`; with one point its message is
-    prefixed with the point and, when one method's own step failed, that
-    method.
+    When a step fails on several points, they are replayed one at a time,
+    so the first point that fails raises its own error, as a sweep of
+    single points would have met it.  A single point's `DmrbfError` keeps
+    its type; its message is prefixed with the point and, when one
+    method's own step failed, that method.
     """
     method = None  # the method whose own step is running, named on failure
     try:
@@ -431,7 +419,10 @@ def _stacked_floors(
         rates = {m: rate_point(stack, bf.weights, eve.weights) for m, bf in bfs.items()}
         roots = _output_roots(stack, {m: bf.weights for m, bf in bfs.items()})
     except DmrbfError as exc:
-        if len(values) == 1:  # same type, message prefixed with where it failed
+        if len(values) > 1:
+            for value in values:
+                _floors(cfg, methods, axis, (value,))
+        else:  # same type, message prefixed with where it failed
             who = f"{method.value} " if method is not None else ""
             exc.args = (f"{who}at {axis} = {values[0]:.12g}: {exc}",)
         raise
@@ -443,20 +434,6 @@ def _stacked_floors(
         )
         for p, root in enumerate(roots)
     ]
-
-
-def _floors(
-    cfg: ScenarioConfig, methods: tuple[Method, ...], axis: str, values: tuple[float, ...]
-) -> list[_Floor]:
-    """`_stacked_floors` of the points; when the stack fails, the points are
-    replayed one at a time, so the first point that fails raises its own
-    error, as a sweep of single points would have met it."""
-    try:
-        return _stacked_floors(cfg, methods, axis, values)
-    except DmrbfError:
-        for value in values:
-            _stacked_floors(cfg, methods, axis, (value,))
-        raise
 
 
 def _sweep_point(
@@ -495,42 +472,48 @@ def check_sweep(
     max_symbols: int,
     seed: int,
     workers: int,
-) -> tuple[Method, ...]:
+) -> tuple[tuple[Method, ...], tuple[float, ...]]:
     """Raise `DomainError` for any argument `sweep` refuses; return the
-    methods as `Method`s.
+    methods as `Method`s and the values as Python floats.
 
-    ``values`` may be any sequence of real numbers, an ndarray included;
-    ``max_symbols``, ``seed`` and ``workers`` must be integers.  Python
-    and numpy numbers are both taken, a bool as neither.
+    ``values`` may be any sequence of real numbers that floats can hold,
+    an ndarray included; ``max_symbols``, ``seed`` and ``workers`` must
+    be integers.  Python and numpy numbers are both taken, a bool as
+    neither.
 
     ``sweep`` runs it before any point, and ``dmrbf run`` before it makes
     its output directory, so a refused run leaves nothing behind.
     """
     if axis not in _AXES:
-        raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")
-    points = values.tolist() if isinstance(values, np.ndarray) else values
-    if not isinstance(points, Sequence) or not all(admits(float, v) for v in points):
-        raise DomainError(f"values must be a sequence of real numbers, got {values!r}")
+        raise DomainError(f"axis must be one of {_AXES}, got {shown(axis, repr)}")
+    items = values.tolist() if isinstance(values, np.ndarray) else values
+    if not isinstance(items, Sequence) or not all(admits(float, v) for v in items):
+        raise DomainError(f"values must be a sequence of real numbers, got {shown(values, repr)}")
+    try:
+        points = tuple(map(float, items))
+    except OverflowError:  # the largest value is an int that no float can hold
+        largest = shown(max(items, key=abs))
+        raise DomainError(f"values must fit in a float, got {largest}") from None
     if not points:
         raise DomainError("sweep needs at least one axis value")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise DomainError("axis values must be strictly increasing")
     for name, count in (("max_symbols", max_symbols), ("seed", seed), ("workers", workers)):
         if not admits(int, count):
-            raise DomainError(f"{name} must be an integer, got {count!r}")
+            raise DomainError(f"{name} must be an integer, got {shown(count, repr)}")
     if not 1 <= max_symbols < 2**63:  # Generator.binomial takes an int64 count
-        raise DomainError(f"max_symbols must be in [1, 2**63), got {max_symbols}")
+        raise DomainError(f"max_symbols must be in [1, 2**63), got {shown(max_symbols)}")
     if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {workers}")
+        raise DomainError(f"workers must be >= 1, got {shown(workers)}")
     if not 0 <= seed < 2**64:  # point_rng keys Philox with a uint64
-        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+        raise DomainError(f"seed must be in [0, 2**64), got {shown(seed)}")
     names = [getattr(m, "value", m) for m in methods]
     for name in names:
         if name not in RECEIVE_METHODS:  # a str Method equals its value
             raise unknown_method(name, RECEIVE_METHODS, "a receive method")
         if names.count(name) > 1:
             raise DomainError(f"method {name!r} is requested more than once")
-    return tuple(Method(name) for name in names)
+    return tuple(Method(name) for name in names), points
 
 
 def sweep(
@@ -559,11 +542,9 @@ def sweep(
     message is prefixed with the axis value and, when one method's own
     step failed, that method.
     """
-    methods = check_sweep(methods, axis, values, max_symbols, seed, workers)
+    methods, values = check_sweep(methods, axis, values, max_symbols, seed, workers)
     if not methods:
         return []
-    if isinstance(values, np.ndarray):  # run on Python floats, as a tuple of them does
-        values = tuple(values.tolist())
     # no axis changes an array size, so each method's closed form is one number
     formula = {m: complexity.formula_flops(m, cfg.n_a, cfg.n_b, cfg.n_m) for m in methods}
     group = max(1, _STACK_ENTRIES // max(cfg.n_a, cfg.n_b, cfg.n_m) ** 2)

@@ -112,7 +112,7 @@ class FlopCounter:
     def norm(self, x: np.ndarray) -> float | np.ndarray:
         """Norm of ``x``, or of each vector of a stack."""
         self.total += 4 * x.shape[-1] + 1
-        return linalg.vector_norm(x, axis=-1)
+        return linalg.vector_norm(x)
 
     # -- factorizations ---------------------------------------------------
 

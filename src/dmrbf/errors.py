@@ -6,6 +6,23 @@ class at the CLI boundary and still get specific types in library code.
 
 from __future__ import annotations
 
+from collections.abc import Callable
+
+
+def shown(value: object, form: Callable[[object], str] = str) -> str:
+    """``form(value)`` (``str`` or ``repr``) for a refusal message.
+
+    An int of more than 1024 bits, which no float holds, is given by its
+    bit length, and a container that Python will not print (it holds an
+    int of over 4300 digits, `sys.get_int_max_str_digits`) by its type.
+    """
+    if isinstance(value, int) and value.bit_length() > 1024:
+        return f"an int of {value.bit_length()} bits"
+    try:
+        return form(value)
+    except ValueError:
+        return f"a {type(value).__name__} holding an int of over 4300 digits"
+
 
 class DmrbfError(Exception):
     """Base class for all errors raised by this package."""

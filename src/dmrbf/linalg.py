@@ -13,7 +13,6 @@ each slice exactly as they treat one matrix: same guards, same bits.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -62,19 +61,15 @@ def hermitian_part(m: np.ndarray) -> np.ndarray:
     return m * 0.5 + _h(m) * 0.5
 
 
-def vector_norm(x: np.ndarray, axis: int | None = None) -> float | np.ndarray:
-    """Euclidean norm of the entries of ``x``, bit for bit
-    ``float(np.linalg.norm(x))``; with ``axis=-1`` (the one axis taken),
-    the norm of each vector along the last axis, bit for bit `vector_norm`
-    of each.
+def vector_norm(x: np.ndarray) -> np.floating | np.ndarray:
+    """Euclidean norm of each vector along the last axis of ``x``, bit for
+    bit ``np.linalg.norm`` of each.
 
     The same arithmetic as numpy's (``re . re + im . im`` by BLAS ``ddot``,
     then sqrt) without its argument dispatch, which at the vector sizes of
     a scene costs more than the sums.  ``np.vecdot`` hands each vector of
     a stack to the same ``ddot``, so each norm keeps its bits.
     """
-    if axis is None:
-        x = x.ravel(order="K")
     if x.dtype.kind not in "fc":  # numpy's norm sums integers as floats
         x = x.astype(float)
     re, im = x.real, x.imag
@@ -82,7 +77,7 @@ def vector_norm(x: np.ndarray, axis: int | None = None) -> float | np.ndarray:
         sq = re.dot(re) + im.dot(im)
     else:
         sq = np.vecdot(re, re) + np.vecdot(im, im)
-    return math.sqrt(sq) if axis is None else np.sqrt(sq)
+    return np.sqrt(sq)
 
 
 def point_values(x: np.ndarray | np.generic) -> list:

@@ -74,7 +74,7 @@ def _sinr(
         raise DimensionError(
             f"{name} must have shape {signal.shape[:-1]}, got {np.shape(weights)}"
         )
-    nrm = vector_norm(weights, axis=-1)
+    nrm = vector_norm(weights)
     for v in point_values(nrm):
         if not 0.0 < v < math.inf:  # also refuses a NaN norm
             raise DomainError(f"{name} must have a positive, finite norm, got {v}")

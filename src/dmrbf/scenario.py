@@ -29,7 +29,7 @@ from .channel import (
     los_channel,
     null_projector,
 )
-from .errors import ConfigError, ConfigParseError, DimensionError, DomainError
+from .errors import ConfigError, ConfigParseError, DimensionError, DomainError, shown
 from .linalg import hermitian_part
 
 
@@ -72,17 +72,23 @@ class ScenarioConfig:
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if not admits(kind, value):
-                raise ConfigError(name, f"must be of type {kind.__name__}, got {value!r}")
-            if kind is float and not math.isfinite(value):
-                raise ConfigError(name, f"must be finite, got {value}")
+                got = shown(value, repr)
+                raise ConfigError(name, f"must be of type {kind.__name__}, got {got}")
+            if kind is float:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int that no float can hold
+                    raise ConfigError(name, f"must fit in a float, got {shown(value)}") from None
+                if not finite:
+                    raise ConfigError(name, f"must be finite, got {value}")
         for name in ("n_a", "n_b", "n_m"):
             if getattr(self, name) < 1:
-                raise ConfigError(name, f"must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(name, f"must be >= 1, got {shown(getattr(self, name))}")
         if not 1 <= self.n_j <= self.n_m - 1:
             raise ConfigError(
                 "n_j",
-                f"must lie in {{1, ..., n_m - 1}} = {{1, ..., {self.n_m - 1}}}, "
-                f"got {self.n_j}",
+                f"must lie in {{1, ..., n_m - 1}} = {{1, ..., {shown(self.n_m - 1)}}}, "
+                f"got {shown(self.n_j)}",
             )
         for name in ("p_a_watt", "sigma_b2_watt", "sigma_m2_watt"):
             if not getattr(self, name) > 0.0:
@@ -125,7 +131,7 @@ class ScenarioConfig:
                 f"must be 'received' or 'transmit', got {self.snr_definition!r}",
             )
         if self.rng_seed < 0:
-            raise ConfigError("rng_seed", f"must be >= 0, got {self.rng_seed}")
+            raise ConfigError("rng_seed", f"must be >= 0, got {shown(self.rng_seed)}")
 
     @property
     def path_loss(self) -> PathLoss:

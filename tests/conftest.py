@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 
-from dmrbf import ArrayGeometry, ScenarioConfig, build_scene, compute, point_rng, steering
+from dmrbf import ArrayGeometry, ScenarioConfig, point_rng, steering
 from dmrbf import ber
 
 
@@ -77,11 +77,11 @@ def random_hpd(rng: np.random.Generator, n: int, cond: float = 100.0) -> np.ndar
 
 def fixed_budget_runs(cfg: ScenarioConfig, methods, n_symbols: int, seed: int, index: int = 0):
     """The Monte-Carlo draw at exactly ``n_symbols`` symbols on sweep point
-    ``index``'s generator, with ``cfg`` already moved to that point.
+    ``index``'s generator, with ``cfg`` already moved to that point: the
+    sweep's own floor of a one-point sweep at the config's ``p_m_watt``.
 
     A sweep plans each point's budget and may draw fewer; tests of the
     draw itself pin N here.
     """
-    scene = build_scene(cfg)
-    weights = {m: compute(m, scene).weights for m in methods}
-    return ber._ber_runs(scene, weights, n_symbols, point_rng(seed, index))
+    (floor,) = ber._floors(cfg, tuple(methods), "p_m_watt", (cfg.p_m_watt,))
+    return ber._draw_runs(floor.root, tuple(methods), n_symbols, point_rng(seed, index))

@@ -22,11 +22,12 @@ from dmrbf import (
     qpsk_awgn_ber,
     rate_point,
     sinr_bob,
+    stack_scenes,
     sweep,
     wilson_interval,
 )
 from dmrbf import ber
-from dmrbf.ber import _output_root, config_at, count_bit_errors
+from dmrbf.ber import config_at, count_bit_errors
 
 from conftest import config_with, fixed_budget_runs
 
@@ -65,6 +66,9 @@ def test_qpsk_awgn_reference_curve():
     assert qpsk_awgn_ber(9.0) == pytest.approx(1.349898e-3, rel=1e-5)
     assert qpsk_awgn_ber(0.0) == pytest.approx(0.5, rel=1e-12)
     assert qpsk_awgn_ber(100.0) < 1e-20
+    with pytest.raises(DomainError) as exc:
+        qpsk_awgn_ber(-1.0)
+    assert str(exc.value) == "sinr must be >= 0, got -1.0"
 
 
 def test_point_rng_keying():
@@ -142,16 +146,17 @@ def test_point_working_set_stays_small(snr_db):
     # outputs at a time: at fig4's points, with the budgets fig4 plans at
     # its 200k cap, the tracemalloc peak of a point's draw stays below
     # 0.3 MB (0.58 MB with the M x 4096 output block)
-    scene = build_scene(config_at(ScenarioConfig(), "snr_db", snr_db))
+    cfg = config_at(ScenarioConfig(), "snr_db", snr_db)
+    scene = build_scene(cfg)
     weights = {m: compute(m, scene).weights for m in RECEIVE_METHODS}
     best = max(sinr_bob(w, scene.cov, scene.cfg.sigma_b2_watt) for w in weights.values())
     n = ber._planned_symbols(qpsk_awgn_ber(best), 200_000)
     assert n > 2 * ber._CHUNK  # several chunks, so one can outlive the next
-    ber._ber_runs(scene, weights, n, point_rng(0, 0))  # warm caches
+    fixed_budget_runs(cfg, RECEIVE_METHODS, n, seed=0)  # warm caches
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ber._ber_runs(scene, weights, n, point_rng(0, 0))
+        fixed_budget_runs(cfg, RECEIVE_METHODS, n, seed=0)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -230,7 +235,7 @@ def test_error_counts_follow_exact_binomial(overrides, snrs):
     for i, value in enumerate(snrs):
         scene = build_scene(config_at(cfg, "snr_db", value))
         weights = {m: compute(m, scene).weights for m in methods}
-        runs = ber._ber_runs(scene, weights, 20_000, point_rng(11, i))
+        runs = fixed_budget_runs(scene.cfg, methods, 20_000, 11, i)
         assert list(runs) == list(methods)
         for m, run in runs.items():
             p = qpsk_awgn_ber(sinr_bob(weights[m], scene.cov, scene.cfg.sigma_b2_watt))
@@ -301,7 +306,7 @@ def test_planned_budget_is_fixed_before_any_draw(monkeypatch):
 
 def test_planned_point_equals_fixed_budget_run():
     # the budget is sized for the best method's analytic BER, and a planned
-    # point's counts are _ber_runs at that N on the point's own generator,
+    # point's counts are a fixed-budget draw at that N on the point's own generator,
     # and a sweep capped at that N draws the same point
     cfg, seed, snrs, k = ScenarioConfig(), 4, (-5.0, 0.0, 7.5), len(RECEIVE_METHODS)
     planned = sweep(cfg, RECEIVE_METHODS, "snr_db", snrs, 100_000, seed)
@@ -322,7 +327,7 @@ def test_output_root_reproduces_output_noise(n):
     # W^H c_nbar W / (g g^H); the rank-r factor G must reproduce it
     scene = build_scene(config_with(n_a=n, n_b=n, n_m=n))
     weights = {m: compute(m, scene).weights for m in RECEIVE_METHODS}
-    g = _output_root(scene, weights)
+    (g,) = ber._output_roots(stack_scenes((scene,)), {m: w[None] for m, w in weights.items()})
     cfg = scene.cfg
     c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
     w = np.stack(list(weights.values()), axis=1)
@@ -369,7 +374,7 @@ def test_outside_count_is_binomial(monkeypatch):
     # have no variance at all
     scene = build_scene(config_at(config_with(n_a=4, n_b=4, n_m=4), "snr_db", 10.0))
     weights = {m: compute(m, scene).weights for m in RECEIVE_METHODS}
-    g = _output_root(scene, weights)
+    (g,) = ber._output_roots(stack_scenes((scene,)), {m: w[None] for m, w in weights.items()})
     assert g.shape[1] == 2
     reach2 = np.max(np.sum(np.abs(g) ** 2, axis=1))
     y0 = (1.0 - ber._BALL_SLACK) / (4.0 * reach2)
@@ -386,7 +391,7 @@ def test_outside_count_is_binomial(monkeypatch):
     n, seeds = 2000, 300
     for seed in range(seeds):
         drawn.append(0)
-        ber._ber_runs(scene, weights, n, point_rng(seed, 0))
+        ber._draw_runs(g, RECEIVE_METHODS, n, point_rng(seed, 0))
     counts = np.array(drawn, dtype=float)
     var = n * q * (1.0 - q)
     assert abs(counts.mean() - n * q) <= 4.0 * math.sqrt(var / seeds)
@@ -432,7 +437,7 @@ def test_non_finite_stacked_matrix_is_refused():
     scene = build_scene(ScenarioConfig())
     nan_weights = np.full(scene.cfg.n_b, np.nan, dtype=np.complex128)
     with pytest.raises(NumericalError, match="not finite"):
-        _output_root(scene, {Method.MRC: nan_weights})
+        ber._output_roots(stack_scenes((scene,)), {Method.MRC: nan_weights[None]})
 
 
 @pytest.mark.parametrize("n_symbols", [65535, 65536, 65537])
@@ -563,9 +568,21 @@ def test_sweep_validation(monkeypatch):
         (((True,), 1000, 0, 1), "values must be a sequence of real numbers"),
         ((np.array(0.0), 1000, 0, 1), "values must be a sequence of real numbers"),
         ((np.zeros((2, 1)), 1000, 0, 1), "values must be a sequence of real numbers"),
+        # ints that no float holds, or too long to print, are refused by name
+        (((10**400,), 1000, 0, 1), "values must fit in a float, got an int of 1329 bits$"),
+        (((0.0, 10**5000), 1000, 0, 1), "values must fit in a float, got an int of 16610 bits$"),
+        (
+            ((10**5000, "0"), 1000, 0, 1),
+            "values must be a sequence of real numbers, got a tuple holding an int of over",
+        ),
+        ((values, 1000, 10**5000, 1), r"seed must be in \[0, 2\*\*64\), got an int of 16610"),
+        ((values, 10**5000, 0, 1), r"max_symbols must be in \[1, 2\*\*63\), got an int of 16610"),
+        ((values, 1000, 0, -(10**5000)), "workers must be >= 1, got an int of 16610 bits$"),
     ):
         with pytest.raises(DomainError, match=f"^{named}"):
             sweep(cfg, methods, "snr_db", *args)
+    with pytest.raises(DomainError, match="^values must fit in a float"):
+        sweep(cfg, methods, "p_m_watt", (10**400,), 1000, 0)
     # an ndarray of values, and numpy integers, run as their Python equivalents
     expected = sweep(cfg, methods, "snr_db", values, 4000, 1)
     assert sweep(cfg, methods, "snr_db", np.array(values), np.int64(4000), np.uint64(1)) == expected
@@ -586,6 +603,25 @@ def test_sweep_failure_names_method_and_point():
     cfg = config_with(theta_r_mb_deg=90.0)
     with pytest.raises(DegenerateGeometryError, match=r"^nsp_wfrp at p_m_watt = 1: "):
         sweep(cfg, (Method.MRC, Method.NSP_WFRP), "p_m_watt", (1.0, 10.0), 100, 0)
+
+
+def test_a_failing_one_point_group_runs_once(monkeypatch):
+    # a group of one point fails with its own named error, so it is not
+    # replayed; a group of two is stacked once, then replayed from its first
+    # point, which fails again and stops the replay
+    build, built = ber.build_scene, []
+
+    def spy(cfg):
+        built.append(cfg)
+        return build(cfg)
+
+    monkeypatch.setattr(ber, "build_scene", spy)
+    cfg, methods = config_with(theta_r_mb_deg=90.0), (Method.MRC, Method.NSP_WFRP)
+    for values, scenes in (((1.0,), 1), ((1.0, 10.0), 3)):
+        built.clear()
+        with pytest.raises(DegenerateGeometryError, match=r"^nsp_wfrp at p_m_watt = 1: "):
+            sweep(cfg, methods, "p_m_watt", values, 100, 0)
+        assert len(built) == scenes
 
 
 # fig4 at n = 4, and fig3 at n = 16 with four jamming beams, pinned at 15 dB
@@ -654,4 +690,4 @@ def test_output_root_refuses_a_weight_at_right_angles_to_the_signal():
     w = w - np.vdot(u, w) / np.vdot(u, u) * u
     weights = {Method.MRC: compute(Method.MRC, scene).weights, Method.MMSE: w}
     with pytest.raises(DegenerateChannelError, match="^mmse: effective complex gain is zero"):
-        _output_root(scene, weights)
+        ber._output_roots(stack_scenes((scene,)), {m: w[None] for m, w in weights.items()})

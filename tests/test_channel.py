@@ -94,6 +94,9 @@ def test_los_channel_rank_one_unit_frobenius():
             assert sv[1] <= 1e-12
         ref = np.outer(ch.rx_steering, ch.tx_steering.conj())
         assert np.allclose(ch.matrix, ref, atol=1e-14)
+    with pytest.raises(DomainError) as exc:
+        los_channel(ArrayGeometry(2), ArrayGeometry(2), 90.0, 90.0, gain=0.0)
+    assert str(exc.value) == "gain must be > 0, got 0.0"
 
 
 def test_path_loss_values_and_checks():
@@ -105,6 +108,9 @@ def test_path_loss_values_and_checks():
         pl.gain(0.0)
     with pytest.raises(DomainError):
         PathLoss(-1.0, 2.0)
+    with pytest.raises(DomainError) as exc:
+        PathLoss(1.0, -1.0)
+    assert str(exc.value) == "exponent must be >= 0, got -1.0"
     # distance ** exponent leaving the float range is a domain error,
     # not a bare ZeroDivisionError or OverflowError
     with pytest.raises(DomainError, match="distance 1e-200 km"):

@@ -110,6 +110,31 @@ def test_validation_errors():
         config_with(d_ab_km=-1.0)
     # jamming-free operation is allowed
     assert config_with(p_m_watt=0.0).p_m_watt == 0.0
+    huge = "an int of 16610 bits"  # 10**5000, too long for Python to print
+    for overrides, message in (
+        ({"n_a": 0}, "n_a: must be >= 1, got 0"),
+        ({"p_m_watt": -1.0}, "p_m_watt: must be >= 0, got -1.0"),
+        ({"rho": -1e-12}, "rho: must be >= 0, got -1e-12"),
+        ({"path_alpha": 0.0}, "path_alpha: must be > 0, got 0.0"),
+        ({"path_exponent": -1.0}, "path_exponent: must be >= 0, got -1.0"),
+        ({"spacing_over_wavelength": 0.0}, "spacing_over_wavelength: must be > 0, got 0.0"),
+        ({"rng_seed": -1}, "rng_seed: must be >= 0, got -1"),
+        ({"n_a": -(10**5000)}, f"n_a: must be >= 1, got {huge}"),
+        ({"n_j": 10**5000}, f"n_j: must lie in {{1, ..., n_m - 1}} = {{1, ..., 3}}, got {huge}"),
+        (
+            {"n_m": 10**5000, "n_j": 0},
+            f"n_j: must lie in {{1, ..., n_m - 1}} = {{1, ..., {huge}}}, got 0",
+        ),
+        ({"rng_seed": -(10**5000)}, f"rng_seed: must be >= 0, got {huge}"),
+        ({"p_a_watt": 10**400}, "p_a_watt: must fit in a float, got an int of 1329 bits"),
+        (
+            {"p_a_watt": [10**5000]},
+            "p_a_watt: must be of type float, got a list holding an int of over 4300 digits",
+        ),
+    ):
+        with pytest.raises(ConfigError) as exc:
+            config_with(**overrides)
+        assert str(exc.value) == message
 
 
 _FLOAT_FIELDS = [
@@ -117,7 +142,12 @@ _FLOAT_FIELDS = [
 ]
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+# an int beyond the float range cannot be checked as a float either
+@pytest.mark.parametrize(
+    "value",
+    [float("nan"), float("inf"), float("-inf"), 10**400, -(10**400), 10**5000],
+    ids=["nan", "inf", "-inf", "10**400", "-10**400", "10**5000"],
+)
 @pytest.mark.parametrize("field", _FLOAT_FIELDS)
 def test_non_finite_values_name_the_field(field, value):
     with pytest.raises(ConfigError) as exc:
