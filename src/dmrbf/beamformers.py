@@ -5,13 +5,17 @@ spanning the cost/performance trade:
 
 * ``mrc``      -- matched filter on the signal signature, ignores jamming.
 * ``wfmrc``    -- whiten interference-plus-noise, then matched filter.
-* ``max_sr``   -- SINR-optimal eigenbeamformer (rank-one shortcut, no
-  general eigensolver).
+* ``max_sr``   -- SINR-optimal eigenbeamformer; for a rank-one signal it
+  is WF-MRC's whitened matched filter, bit for bit.
 * ``mmse``     -- conventional MMSE via one direct HPD inverse.
 * ``lc_mmse``  -- the same MMSE weights through a five-level chain of
   rank-one inverse updates; no general inverse is ever formed.
 * ``nsp_wfrp`` -- project the jamming link out of the array first, then
   whiten what remains and match to the projected signal.
+
+``wfmrc``, ``max_sr``, ``nsp_wfrp`` and Mallory's combiner share one
+transform, ``W = diag(eigenvalues)**-0.5 @ Q^H`` from their covariance's
+EVD (NSP keeps its rank's rows), and one match, ``W^H unit(W s)``.
 
 ``compute(method, scene)`` runs any of them, or Mallory's combiner, on a
 fresh `FlopCounter`, so ``Beamformer.flops`` is the measured cost of that
@@ -115,6 +119,20 @@ def _unit(fc: FlopCounter, x: np.ndarray, what: str) -> np.ndarray:
     return fc.scale((1.0 / nrm)[..., None], x)
 
 
+def _whitener(fc: FlopCounter, evd: HermitianEvd, rank: int | None = None) -> np.ndarray:
+    """``diag(eigenvalues[:rank])**-0.5 @ Q[:, :rank]^H`` from a checked EVD
+    (all of it when ``rank`` is None), of each matrix of a stack."""
+    q_h = evd.eigenvectors[..., :rank].conj().swapaxes(-1, -2)
+    return fc.scale((1.0 / np.sqrt(evd.eigenvalues[..., :rank]))[..., :, None], q_h)
+
+
+def _matched_lift(fc: FlopCounter, w: np.ndarray, sig: np.ndarray, what: str) -> np.ndarray:
+    """``W^H unit(W sig)``: the matched filter on the whitened signal, lifted
+    back by ``W^H``; a zero ``W sig`` raises, naming ``what``."""
+    matched = _unit(fc, fc.matvec(w, sig), what)
+    return fc.matvec(w.conj().swapaxes(-1, -2), matched)
+
+
 def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter) -> np.ndarray:
     """Whitening transform ``W`` with ``W @ c_nbar @ W^H = I`` (of each
     matrix of a stack).
@@ -124,32 +142,22 @@ def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter) -> np.ndarray:
     """
     evd = fc.evd(c_nbar)
     check_hpd(evd, "interference-plus-noise covariance")
-    return fc.scale(
-        (1.0 / np.sqrt(evd.eigenvalues))[..., :, None], evd.eigenvectors.conj().swapaxes(-1, -2)
-    )
-
-
-def _inv_sqrt(fc: FlopCounter, c: np.ndarray, what: str) -> np.ndarray:
-    """Hermitian ``c**-0.5`` assembled from the EVD (counted)."""
-    evd = fc.evd(c)
-    check_hpd(evd, what)
-    half = fc.scale((1.0 / np.sqrt(evd.eigenvalues))[..., None, :], evd.eigenvectors)
-    return fc.matmul(half, evd.eigenvectors.conj().swapaxes(-1, -2))
+    return _whitener(fc, evd)
 
 
 def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) -> np.ndarray:
     """Max-SINR direction for a rank-one signal along ``sig`` in the
     interference-plus-noise ``cov`` (named ``what`` in errors).
 
-    Whitening by ``cov**-0.5`` leaves a rank-one signal covariance, so its
-    dominant eigenvector is written down directly as ``a / ||a||`` with
-    ``a = cov**-0.5 sig`` instead of calling a general eigensolver;
-    ``cov**-0.5`` lifts it back.  The signal's power would only scale
-    ``a``, which the normalization undoes, so it is not applied.
+    Any ``W`` with ``W cov W^H = I`` leaves a rank-one signal covariance
+    whose dominant eigenvector is ``W sig`` normalized, so no eigensolver
+    runs; ``W^H`` lifts it to ``W^H W sig = cov^{-1} sig`` (Van Trees,
+    *Optimum Array Processing*, 2002, §6.2): WF-MRC's arithmetic.  The
+    signal's power would only scale ``W sig``, so it is not applied.
     """
-    s = _inv_sqrt(fc, cov, what)
-    v_dom = _unit(fc, fc.matvec(s, sig), f"whitened signal has zero norm ({what})")
-    w = fc.matvec(s, v_dom)
+    evd = fc.evd(cov)
+    check_hpd(evd, what)
+    w = _matched_lift(fc, _whitener(fc, evd), sig, f"whitened signal has zero norm ({what})")
     return _unit(fc, w, f"whitened direction is zero ({what})")
 
 
@@ -172,9 +180,7 @@ def _wfmrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """
     u = _signature(scene, fc)
     w_wf = whitening_filter(scene.cov.c_nbar, fc)
-    matched = fc.matvec(w_wf, u)
-    matched = _unit(fc, matched, "whitened signal signature has zero norm")
-    w = fc.matvec(w_wf.conj().swapaxes(-1, -2), matched)
+    w = _matched_lift(fc, w_wf, u, "whitened signal signature has zero norm")
     return _unit(fc, w, "whitened matched filter lifts to zero")
 
 
@@ -340,7 +346,7 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
         )
     kept = sorted(set(point_values(ranks)))
     if len(kept) == 1:  # one rank at every point, as in a sweep of one geometry
-        w = _projected_match(fc, evd, proj, u_proj, kept[0])
+        w = _projected_match(fc, evd, u_proj, kept[0])
     else:  # each point of a stack charged its own rank's rescale
         w = np.empty_like(u)
         charges = np.zeros_like(ranks)
@@ -348,24 +354,17 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
             group = ranks == rank
             sub = FlopCounter(int(group.sum()))
             evd_group = HermitianEvd(evd.eigenvalues[group], evd.eigenvectors[group])
-            w[group] = _projected_match(sub, evd_group, proj[group], u_proj[group], rank)
+            w[group] = _projected_match(sub, evd_group, u_proj[group], rank)
             charges[group] = sub.total
         fc.scalar(charges)
-    return _unit(fc, w, "projected weights have zero norm")
+    return _unit(fc, fc.matvec(proj, w), "projected weights have zero norm")
 
 
-def _projected_match(
-    fc: FlopCounter, evd: HermitianEvd, proj: np.ndarray, u_proj: np.ndarray, rank: int
-) -> np.ndarray:
-    """NSP's matched filter in the ``rank`` leading eigendirections of the
-    projected noise, lifted back through the projector."""
-    # row-major, as the kept rows of one scene's transform always were:
-    # BLAS rounds a product by the layout of its matrix
-    kept_h = np.ascontiguousarray(evd.eigenvectors[..., :rank].conj().swapaxes(-1, -2))
-    w_red = fc.scale((1.0 / np.sqrt(evd.eigenvalues[..., :rank]))[..., None], kept_h)
-    matched = fc.matvec(w_red, u_proj)
-    matched = _unit(fc, matched, "whitened projected signal has zero norm")
-    return fc.matvec(proj, fc.matvec(w_red.conj().swapaxes(-1, -2), matched))
+def _projected_match(fc: FlopCounter, evd: HermitianEvd, sig: np.ndarray, rank: int) -> np.ndarray:
+    """NSP's match of the projected signal ``sig`` in the ``rank`` leading
+    eigendirections of the projected noise, before the projector lifts it."""
+    w_red = _whitener(fc, evd, rank)
+    return _matched_lift(fc, w_red, sig, "whitened projected signal has zero norm")
 
 
 def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:

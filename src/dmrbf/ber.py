@@ -179,14 +179,19 @@ def count_bit_errors(g: np.ndarray, white: np.ndarray) -> np.ndarray:
     output noise, so detector ``i`` sees ``g[i] @ white.T``.  The
     reference symbol ``(1 + j) / sqrt(2)`` was sent at every symbol, so a
     rail is in error when its noise is below ``-1/sqrt(2)``; each symbol
-    contributes zero, one or two errors to its row's count.  One row's
-    outputs exist at a time, never the M x N block.
+    contributes zero, one or two errors to its row's count.  Each real
+    product forms two detectors' four rails from the re/im interleaved
+    float view of ``white``, never the M x N block.
     """
-    counts = np.empty(len(g), np.int64)
-    white_t = white.T
-    for i, row in enumerate(g):
-        # on the interleaved re/im float view both rails compare in one pass
-        counts[i] = np.count_nonzero((row @ white_t).view(np.float64) < _RAIL_THRESHOLD)
+    x = np.ascontiguousarray(white).view(np.float64)
+    rails = np.empty((len(g), 2, x.shape[1]))  # row i's Re and Im rail
+    rails[:, 0, 0::2], rails[:, 0, 1::2] = g.real, -g.imag
+    rails[:, 1, 0::2], rails[:, 1, 1::2] = g.imag, g.real
+    rails = rails.reshape(-1, x.shape[1])
+    counts = np.zeros(len(g), np.int64)
+    for start in range(0, len(rails), 4):
+        for k, rail in enumerate(rails[start : start + 4] @ x.T, start):
+            counts[k // 2] += np.count_nonzero(rail < _RAIL_THRESHOLD)
     return counts
 
 
@@ -241,11 +246,10 @@ class _Shell:
         computed in place in the first exponential's column."""
         rank = len(self.cuts) + 1
         e = self.rng.standard_exponential((n_symbols, rank + 1))
-        m = np.searchsorted(self.cuts, e[:, rank], side="right")
         radius = e[:, 0]
         radius += self.y0  # |x|^2 / 2 = y0 + Gamma(r - m, 1), which sums e[:, :r - m]
-        for j in range(1, rank):
-            radius += np.where(m < rank - j, e[:, j], 0.0)
+        for j, cut in enumerate(self.cuts[::-1], 1):  # m < r - j: e[:, r] < cuts[r - j - 1]
+            np.add(radius, e[:, j], out=radius, where=e[:, rank] < cut)
         radius *= 2.0
         return np.sqrt(radius, out=radius)
 
@@ -476,8 +480,8 @@ def check_sweep(
     """Raise `DomainError` for any argument `sweep` refuses; return the
     methods as `Method`s and the values as Python floats.
 
-    ``values`` may be any sequence of real numbers that floats can hold,
-    an ndarray included; ``max_symbols``, ``seed`` and ``workers`` must
+    ``values`` may be any sequence of finite real numbers that floats can
+    hold, an ndarray included; ``max_symbols``, ``seed`` and ``workers`` must
     be integers.  Python and numpy numbers are both taken, a bool as
     neither.
 
@@ -496,6 +500,9 @@ def check_sweep(
         raise DomainError(f"values must fit in a float, got {largest}") from None
     if not points:
         raise DomainError("sweep needs at least one axis value")
+    for point in points:  # before the order check, which a NaN would pass
+        if not math.isfinite(point):
+            raise DomainError(f"values must be finite, got {point}")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise DomainError("axis values must be strictly increasing")
     for name, count in (("max_symbols", max_symbols), ("seed", seed), ("workers", workers)):

@@ -27,8 +27,6 @@ from dmrbf import (
     stack_scenes,
     whitening_filter,
 )
-from dmrbf.beamformers import _inv_sqrt
-
 from conftest import config_with, random_config, random_hpd
 
 EQUIV4 = (Method.MRC, Method.WFMRC, Method.MAX_SR, Method.MMSE)
@@ -61,23 +59,41 @@ def test_mrc_matches_receive_signature():
 
 
 def test_whitening_filter_sandwich():
+    # W m W^H = I for every covariance of a scene and for random HPD
+    # matrices up to condition number 1e4, with W^H W their inverse
     rng = np.random.default_rng(403)
     for _ in range(20):
         scene = build_scene(random_config(rng))
         w = whitening_filter(scene.cov.c_nbar, FlopCounter())
         sandwich = w @ scene.cov.c_nbar @ w.conj().T
         assert np.linalg.norm(sandwich - np.eye(scene.cfg.n_b)) <= 1e-10
-
-
-def test_inv_sqrt_sandwich():
     rng = np.random.default_rng(106)
     for _ in range(60):
         n = int(rng.integers(2, 9))
         m = random_hpd(rng, n, cond=1e4)
-        s = _inv_sqrt(FlopCounter(), m, "test matrix")
-        assert np.linalg.norm(s - s.conj().T) <= 1e-12 * np.linalg.norm(s)
-        assert np.linalg.norm(s @ m @ s - np.eye(n)) <= 1e-10
-        assert np.linalg.norm(s @ s - inv_hpd(m)) <= 1e-10 * np.linalg.norm(s @ s)
+        w = whitening_filter(m, FlopCounter())
+        assert np.linalg.norm(w @ m @ w.conj().T - np.eye(n)) <= 1e-10
+        inverse = w.conj().T @ w
+        assert np.linalg.norm(inverse - inv_hpd(m)) <= 1e-10 * np.linalg.norm(inverse)
+    # a stack whitens each matrix as alone, bit for bit
+    stack = np.stack([random_hpd(rng, 5, cond=1e4) for _ in range(3)])
+    w = whitening_filter(stack, FlopCounter(3))
+    sandwiches = w @ stack @ w.conj().swapaxes(-1, -2)
+    assert np.linalg.norm(sandwiches - np.eye(5), axis=(-2, -1)).max() <= 1e-10
+    for p, m in enumerate(stack):
+        assert w[p].tobytes() == whitening_filter(m, FlopCounter()).tobytes()
+
+
+def test_max_sr_is_wfmrc_bit_for_bit():
+    # for a rank-one signal the max-SINR eigenvector is the whitened
+    # matched filter: both run the same arithmetic on the same transform
+    rng = np.random.default_rng(410)
+    scenes = [build_scene(random_config(rng)) for _ in range(10)]
+    stack = stack_scenes([build_scene(config_with(p_m_watt=p)) for p in (0.1, 1.0, 10.0)])
+    for scene in (*scenes, stack):
+        wfmrc, max_sr = compute(Method.WFMRC, scene), compute(Method.MAX_SR, scene)
+        assert max_sr.weights.tobytes() == wfmrc.weights.tobytes()
+        assert np.array_equal(max_sr.flops, wfmrc.flops)
 
 
 def test_wfmrc_solves_whitened_system():

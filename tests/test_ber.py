@@ -586,7 +586,9 @@ def test_sweep_validation(monkeypatch):
     # an ndarray of values, and numpy integers, run as their Python equivalents
     expected = sweep(cfg, methods, "snr_db", values, 4000, 1)
     assert sweep(cfg, methods, "snr_db", np.array(values), np.int64(4000), np.uint64(1)) == expected
-    # bad method lists are refused before any point runs
+    # bad method lists and non-finite values are refused before any point
+    # runs; a NaN would pass the order check, since every comparison with
+    # it is false
     monkeypatch.setattr(ber, "build_scene", lambda *a: pytest.fail("a point ran"))
     for methods, named in (
         ((Method.MALLORY,), "'mallory' is not a receive method"),
@@ -595,6 +597,14 @@ def test_sweep_validation(monkeypatch):
     ):
         with pytest.raises(DomainError, match=f"^{named}"):
             sweep(cfg, methods, "snr_db", (0.0,), 1000, 0)
+    for axis in ("snr_db", "p_m_watt"):
+        for values, named in (
+            ((0.0, float("nan"), 1.0), "nan"),
+            ((1.0, math.inf), "inf"),
+            (np.array([-np.inf, 0.0]), "-inf"),
+        ):
+            with pytest.raises(DomainError, match=f"^values must be finite, got {named}$"):
+                sweep(cfg, (Method.MRC,), axis, values, 1000, 0)
 
 
 def test_sweep_failure_names_method_and_point():
