@@ -6,7 +6,7 @@ spanning the cost/performance trade:
 * ``mrc``      -- matched filter on the signal signature, ignores jamming.
 * ``wfmrc``    -- whiten interference-plus-noise, then matched filter.
 * ``max_sr``   -- SINR-optimal eigenbeamformer; for a rank-one signal it
-  is WF-MRC's whitened matched filter, bit for bit.
+  is WF-MRC's whitened matched filter, so it runs WF-MRC's builder.
 * ``mmse``     -- conventional MMSE via one direct HPD inverse.
 * ``lc_mmse``  -- the same MMSE weights through a five-level chain of
   rank-one inverse updates; no general inverse is ever formed.
@@ -17,10 +17,11 @@ spanning the cost/performance trade:
 transform, ``W = diag(eigenvalues)**-0.5 @ Q^H`` from their covariance's
 EVD (NSP keeps its rank's rows), and one match, ``W^H unit(W s)``.
 
-``compute(method, scene)`` runs any of them, or Mallory's combiner, on a
-fresh `FlopCounter`, so ``Beamformer.flops`` is the measured cost of that
-one call (given precomputed covariances; building those is charged to no
-method).  All returned weight vectors are unit norm.
+``compute(method, scene)`` runs one of them, and ``mallory_receiver(scene)``
+Mallory's combiner, on a fresh `FlopCounter`, so ``Beamformer.flops`` is
+the measured cost of that one call (given precomputed covariances;
+building those is charged to no method).  All returned weight vectors
+are unit norm.
 
 Every builder takes a `Scene` of one point or a stacked `Scene`, its
 arrays stacked on a leading point axis, and runs all its points at once:
@@ -34,6 +35,7 @@ point axis, so the same builder runs it without stacking.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -62,7 +64,7 @@ _BACKWARD_ERROR_BOUND = 1e-6
 
 
 class Method(str, Enum):
-    """Receive beamforming schemes (values double as CLI/CSV names)."""
+    """Bob's receive beamforming schemes (values double as CLI/CSV names)."""
 
     MRC = "mrc"
     WFMRC = "wfmrc"
@@ -70,18 +72,16 @@ class Method(str, Enum):
     MMSE = "mmse"
     LC_MMSE = "lc_mmse"
     NSP_WFRP = "nsp_wfrp"
-    MALLORY = "mallory"  # the eavesdropper's own combiner, not Bob's
 
 
 #: Bob's six schemes, in presentation order.
-RECEIVE_METHODS: tuple[Method, ...] = tuple(m for m in Method if m is not Method.MALLORY)
+RECEIVE_METHODS: tuple[Method, ...] = tuple(Method)
 
 
-def unknown_method(name: object, valid: tuple[Method, ...], what: str) -> DomainError:
-    """The refusal of a method name outside ``valid``, listing the valid names."""
-    names = ", ".join(m.value for m in valid)
-    shown_name = shown(getattr(name, "value", name), repr)
-    return DomainError(f"{shown_name} is not {what}; valid names: {names}")
+def unknown_method(name: object) -> DomainError:
+    """The refusal of a name outside `Method`, listing the valid names."""
+    names = ", ".join(m.value for m in Method)
+    return DomainError(f"{shown(name, repr)} is not a receive method; valid names: {names}")
 
 
 METHOD_LABELS: dict[Method, str] = {
@@ -91,7 +91,6 @@ METHOD_LABELS: dict[Method, str] = {
     Method.MMSE: "MMSE",
     Method.LC_MMSE: "LC-MMSE",
     Method.NSP_WFRP: "NSP-WFRP",
-    Method.MALLORY: "eavesdropper",
 }
 
 
@@ -103,7 +102,6 @@ class Beamformer:
     ``flops`` a ``(P,)`` array, one row and one count per point.
     """
 
-    method: Method
     weights: np.ndarray
     flops: int | np.ndarray
 
@@ -133,15 +131,14 @@ def _matched_lift(fc: FlopCounter, w: np.ndarray, sig: np.ndarray, what: str) ->
     return fc.matvec(w.conj().swapaxes(-1, -2), matched)
 
 
-def whitening_filter(c_nbar: np.ndarray, fc: FlopCounter) -> np.ndarray:
-    """Whitening transform ``W`` with ``W @ c_nbar @ W^H = I`` (of each
-    matrix of a stack).
-
-    Built as ``diag(eigenvalues)**-0.5 @ Q^H`` from the eigendecomposition
-    of the (positive definite) interference-plus-noise covariance.
-    """
-    evd = fc.evd(c_nbar)
-    check_hpd(evd, "interference-plus-noise covariance")
+def whitening_filter(
+    cov: np.ndarray, fc: FlopCounter, what: str = "interference-plus-noise covariance"
+) -> np.ndarray:
+    """Whitening transform ``W = diag(eigenvalues)**-0.5 @ Q^H`` with
+    ``W @ cov @ W^H = I`` (of each matrix of a stack), from the EVD of
+    ``cov``; a ``cov`` that is not positive definite is refused as ``what``."""
+    evd = fc.evd(cov)
+    check_hpd(evd, what)
     return _whitener(fc, evd)
 
 
@@ -155,9 +152,8 @@ def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) 
     *Optimum Array Processing*, 2002, §6.2): WF-MRC's arithmetic.  The
     signal's power would only scale ``W sig``, so it is not applied.
     """
-    evd = fc.evd(cov)
-    check_hpd(evd, what)
-    w = _matched_lift(fc, _whitener(fc, evd), sig, f"whitened signal has zero norm ({what})")
+    w_wf = whitening_filter(cov, fc, what)
+    w = _matched_lift(fc, w_wf, sig, f"whitened signal has zero norm ({what})")
     return _unit(fc, w, f"whitened direction is zero ({what})")
 
 
@@ -171,21 +167,9 @@ def _mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     return _unit(fc, _signature(scene, fc), "signal signature at Bob has zero norm")
 
 
-def _wfmrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """Whitening-filter MRC: matched filter in the whitened domain.
-
-    The intermediate matched filter lives on the whitened channel
-    ``W @ u``; lifting it back with ``W^H`` gives weights collinear with
-    ``c_nbar^{-1} @ u``, which are returned renormalized.
-    """
-    u = _signature(scene, fc)
-    w_wf = whitening_filter(scene.cov.c_nbar, fc)
-    w = _matched_lift(fc, w_wf, u, "whitened signal signature has zero norm")
-    return _unit(fc, w, "whitened matched filter lifts to zero")
-
-
-def _max_sr(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """SINR-optimal beamformer via the whiten-then-match construction."""
+def _whitened_mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
+    """WF-MRC, and Max-SR: for a rank-one signal the max-SINR eigenvector
+    is the whitened matched filter (see `_whiten_match`)."""
     u = _signature(scene, fc)
     return _whiten_match(fc, u, scene.cov.c_nbar, "interference-plus-noise covariance")
 
@@ -234,8 +218,8 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Receive-covariance inverse via the five-level rank-one chain.
 
     Starts from the closed-form inverse of noise plus signal term, then
-    folds in the artificial-noise terms (three rank-one updates, one of
-    them with a negative coefficient) and the jamming term (one update
+    folds in the artificial-noise terms (three rank-one updates, the one
+    with a negative coefficient last) and the jamming term (one update
     per jamming beam).  No general matrix inverse is formed at any point.
     A one-point `Scene` gives its ``(n_b, n_b)`` inverse; a stack of P
     points their ``(P, n_b, n_b)`` inverses, counted on ``FlopCounter(P)``.
@@ -244,9 +228,12 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     ------
     UpdateSingularityError
         If an update denominator falls below 1e-12 in modulus; the error
-        names the level (M, L, K or O) that became singular.  Level N's
-        denominator is at least 1; it is refused as level N only when
-        ``sigma^4`` underflows.
+        names the level (M, K, L or O) that became singular.  In exact
+        arithmetic only L's, ``1 / (1 + 2 c2 rx^H Z^{-1} s)``, can: M's and
+        K's exceed 1 and each O's is at least 1, so L is refused only when
+        the artificial noise outweighs noise plus signal some 1e12-fold
+        (``beta1`` near 0 and tiny noise).  Level N's denominator is at
+        least 1; it is refused as level N only when ``sigma^4`` underflows.
     NumericalError
         If ``x = O^{-1} u`` fails ``O x = u`` (``O = A + c_nbar``): its
         normwise backward error ``|O x - u| / (|O|_F |x| + |u|)`` is not
@@ -278,10 +265,12 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     )
 
     # artificial-noise levels: the projector expands into three rank-one
-    # terms along the same receive signature (coefficients +1, -2, +1)
+    # terms along the same receive signature (coefficients +1, +1, -2),
+    # folded in that order so each intermediate is Z + k c2 s rx^H with
+    # k in {1, 2}; rx^H Z^{-1} s > 0, so no denominator but L's can vanish
     s = fc.matvec(channels.ab.matrix, channels.ab.tx_steering)
     rx = channels.ab.rx_steering
-    for level, coeff in (("M", c2), ("L", -2.0 * c2), ("K", c2)):
+    for level, coeff in (("M", c2), ("K", c2), ("L", -2.0 * c2)):
         fc.scalar()
         z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff[..., None], s), rx, level)
 
@@ -370,7 +359,7 @@ def _projected_match(fc: FlopCounter, evd: HermitianEvd, sig: np.ndarray, rank: 
 def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Mallory's own max-SINR combiner for intercepting the stream.
 
-    Same whiten-then-match construction as ``_max_sr``, applied to the
+    Same whiten-then-match construction as ``_whitened_mrc``, applied to the
     eavesdropper's covariance: artificial noise received from Alice plus
     residual self-interference plus thermal noise.
     """
@@ -384,13 +373,22 @@ def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
 _BUILDERS = {
     Method.MRC: _mrc,
-    Method.WFMRC: _wfmrc,
-    Method.MAX_SR: _max_sr,
+    Method.WFMRC: _whitened_mrc,
+    Method.MAX_SR: _whitened_mrc,
     Method.MMSE: _mmse_conventional,
     Method.LC_MMSE: _mmse_low_complexity,
     Method.NSP_WFRP: _nsp_max_wfrp,
-    Method.MALLORY: _mallory,
 }
+
+
+def _run(builder: Callable[[Scene, FlopCounter], np.ndarray], scene: Scene) -> Beamformer:
+    """``builder``'s weights for ``scene``, with the flops it spent on a
+    fresh `FlopCounter`: an int for one point, a ``(P,)`` array for a stack."""
+    fc = FlopCounter(len(scene))
+    weights = builder(scene, fc)
+    if scene.sigma_b2_watt.ndim == 0:  # one point: no point axis, an int count
+        return Beamformer(weights, fc.total)
+    return Beamformer(weights, np.zeros(len(scene), dtype=np.int64) + fc.total)
 
 
 def compute(method: Method, scene: Scene) -> Beamformer:
@@ -402,16 +400,12 @@ def compute(method: Method, scene: Scene) -> Beamformer:
     point's weights have the bits of its own one-point call.
     """
     try:
-        method = Method(method)
+        builder = _BUILDERS[Method(method)]
     except ValueError:
-        raise unknown_method(method, tuple(Method), "a method") from None
-    fc = FlopCounter(len(scene))
-    weights = _BUILDERS[method](scene, fc)
-    if scene.sigma_b2_watt.ndim == 0:  # one point: no point axis, an int count
-        return Beamformer(method, weights, fc.total)
-    return Beamformer(method, weights, np.zeros(len(scene), dtype=np.int64) + fc.total)
+        raise unknown_method(method) from None
+    return _run(builder, scene)
 
 
 def mallory_receiver(scene: Scene) -> Beamformer:
-    """Mallory's own max-SINR combiner for intercepting the stream."""
-    return compute(Method.MALLORY, scene)
+    """Mallory's own max-SINR combiner, run as `compute` runs Bob's."""
+    return _run(_mallory, scene)

@@ -517,7 +517,7 @@ def check_sweep(
     names = [getattr(m, "value", m) for m in methods]
     for name in names:
         if name not in RECEIVE_METHODS:  # a str Method equals its value
-            raise unknown_method(name, RECEIVE_METHODS, "a receive method")
+            raise unknown_method(name)
         if names.count(name) > 1:
             raise DomainError(f"method {name!r} is requested more than once")
     return tuple(Method(name) for name in names), points

@@ -1,6 +1,7 @@
 """Receive beamformers: directions, equivalences, failure modes."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -22,11 +23,13 @@ from dmrbf import (
     inv_hpd,
     low_complexity_inverse,
     mallory_receiver,
+    sigma2_for_snr_db,
     sinr_bob,
     sinr_mallory,
     stack_scenes,
     whitening_filter,
 )
+from dmrbf.beamformers import _rank_one_update
 from conftest import config_with, random_config, random_hpd
 
 EQUIV4 = (Method.MRC, Method.WFMRC, Method.MAX_SR, Method.MMSE)
@@ -43,7 +46,6 @@ def test_all_weights_unit_norm():
         scene = build_scene(random_config(rng))
         for method in RECEIVE_METHODS:
             bf = compute(method, scene)
-            assert bf.method is method
             assert abs(np.linalg.norm(bf.weights) - 1.0) <= 1e-10
             assert bf.flops > 0
         eve = mallory_receiver(scene)
@@ -130,13 +132,14 @@ def test_weak_signals_are_served_by_every_method(overrides):
     # the others (Mallory's combiner at a distant eavesdropper too)
     scene = build_scene(config_with(**overrides))
     weights = {m: compute(m, scene).weights for m in Method}
+    eve = mallory_receiver(scene).weights
     sinrs = [
         sinr_bob(weights[m], scene.cov, scene.cfg.sigma_b2_watt)
         for m in (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
     ]
     assert min(sinrs) > 0.0
     assert (max(sinrs) - min(sinrs)) / max(sinrs) <= 1e-9
-    assert sinr_mallory(weights[Method.MALLORY], scene.cov, scene.cfg.sigma_m2_watt) > 0.0
+    assert sinr_mallory(eve, scene.cov, scene.cfg.sigma_m2_watt) > 0.0
 
 
 def test_zero_jamming_reduces_to_mrc():
@@ -181,16 +184,45 @@ def test_chain_collapses_to_closed_form_without_an_and_jamming():
 
 
 def test_chain_detects_singular_level():
-    # beta1 = 1/4 makes the sign-flipped level denominator proportional to
-    # sigma^2 + g*(2*beta1 - 1)*P_A = sigma^2 - g*P_A/2, which vanishes for
-    # sigma^2 = 5, g = 1, P_A = 10
-    cfg = config_with(beta1=0.25, p_a_watt=10.0, sigma_b2_watt=5.0, d_ab_km=1.0)
-    scene = build_scene(cfg)
-    with pytest.raises(UpdateSingularityError) as exc:
+    # folded last, level L has the denominator 1 / (1 + 2 c2 rx^H Z^{-1} s),
+    # and rx^H Z^{-1} s = 1 / (sigma^2 + c1 |u|^2) here; in exact arithmetic
+    # no other level's can vanish.  With no signal power (beta1 = 0) and
+    # noise 1e-15 of g*P_A it is 5e-16, but rounding moves the computed one
+    # by about eps * c2 / sigma^2, far more, so the scene is refused either
+    # by name or by the backward-error check
+    scene = build_scene(config_with(beta1=0.0, sigma_b2_watt=1e-14))
+    with pytest.raises((UpdateSingularityError, NumericalError)):
         low_complexity_inverse(scene, FlopCounter())
+    # the refusal names its level: Z + c v^H with 1 + v^H Z^{-1} c = 0
+    z_inv, v = np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex)
+    with pytest.raises(UpdateSingularityError) as exc:
+        _rank_one_update(FlopCounter(), z_inv, -v, v, "L")
     assert exc.value.level == "L"
     assert "level 'L'" in str(exc.value)
     assert abs(exc.value.denominator) <= 1e-12
+
+
+def _mmse_gap(scene) -> float:
+    """Largest entry of LC-MMSE's weights minus MMSE's, phase-aligned."""
+    lc, ref = compute(Method.LC_MMSE, scene).weights, compute(Method.MMSE, scene).weights
+    phase = np.vdot(ref, lc) / abs(np.vdot(ref, lc))
+    return float(np.max(np.abs(lc - phase * ref)))
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_chain_serves_the_curve_where_l_before_k_is_singular(n):
+    # folding L before K would form sigma^2 I + (c1 - c2) u u^H, singular on
+    # sigma^2 = (1 - 2 beta1) g P_A |u|^2: under the received SNR, on the
+    # curve beta1 = (1 - 1/SNR) / 2.  The chain must serve it and agree with MMSE
+    for snr_db in (3.0, 10.0, 20.0):
+        snr = 10.0 ** (snr_db / 10.0)
+        base = config_with(n_a=n, n_b=n, n_m=n, beta1=(1.0 - 1.0 / snr) / 2.0)
+        sigma2 = sigma2_for_snr_db(base, snr_db)
+        scene = build_scene(dataclasses.replace(base, sigma_b2_watt=sigma2, sigma_m2_watt=sigma2))
+        assert _mmse_gap(scene) <= 1e-12, (n, snr_db)
+    # and off the SNR grid: g = 1, P_A = 10, beta1 = 1/4, sigma^2 = 5
+    cfg = config_with(n_a=n, n_b=n, n_m=n, beta1=0.25, p_a_watt=10.0, sigma_b2_watt=5.0)
+    assert _mmse_gap(build_scene(cfg)) <= 1e-12
 
 
 _FAR_BOB = {"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}
@@ -203,7 +235,7 @@ _FAR_BOB = {"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}
         (_FAR_BOB, Method.MAX_SR, DegenerateChannelError),
         (_FAR_BOB, Method.MMSE, DegenerateChannelError),
         (_FAR_BOB, Method.NSP_WFRP, DegenerateChannelError),
-        ({"sigma_m2_watt": 8.98846567431158e307}, Method.MALLORY, DegenerateChannelError),
+        ({"sigma_m2_watt": 8.98846567431158e307}, "mallory", DegenerateChannelError),
     ],
 )
 def test_covariance_near_float_max_is_refused_without_overflow(overrides, method, error):
@@ -212,7 +244,10 @@ def test_covariance_near_float_max_is_refused_without_overflow(overrides, method
     # vanish and the method must refuse with a typed error, not NaN
     scene = build_scene(config_with(**overrides))
     with pytest.raises(error):
-        compute(method, scene)
+        if method == "mallory":  # Mallory's combiner, not one of Bob's methods
+            mallory_receiver(scene)
+        else:
+            compute(method, scene)
 
 
 def test_chain_refuses_underflowing_noise_level():
@@ -309,11 +344,12 @@ def test_mallory_receiver_direction():
 def test_compute_dispatch_and_flops():
     scene = build_scene(ScenarioConfig())
     bf = compute(Method.MRC, scene)
-    assert compute(Method.MALLORY, scene).method is Method.MALLORY
-    # an unknown name is a typed refusal that lists the valid ones
-    valid = "valid names: mrc, wfmrc, max_sr, mmse, lc_mmse, nsp_wfrp, mallory$"
-    with pytest.raises(DomainError, match=f"^'foo' is not a method; {valid}"):
-        compute("foo", scene)
+    # an unknown name is a typed refusal that lists Bob's six methods;
+    # Mallory's combiner is not one of them
+    valid = "valid names: mrc, wfmrc, max_sr, mmse, lc_mmse, nsp_wfrp$"
+    for name in ("foo", "mallory"):
+        with pytest.raises(DomainError, match=f"^'{name}' is not a receive method; {valid}"):
+            compute(name, scene)
     # a fresh counter per call: two computations do not share state
     assert compute(Method.MRC, scene).flops == bf.flops
 
@@ -326,11 +362,13 @@ def test_stacked_compute_gives_each_point_its_own_bits_and_flops():
     scenes = [build_scene(dataclasses.replace(random_config(rng), n_a=4, n_b=4, n_m=4))
               for _ in range(5)]
     stack = stack_scenes(scenes)
-    for method in Method:
-        bf = compute(method, stack)
+    runs = {m: functools.partial(compute, m) for m in Method}
+    runs["mallory"] = mallory_receiver
+    for method, run in runs.items():
+        bf = run(stack)
         assert bf.weights.shape == (5, 4) and bf.flops.shape == (5,)
         for p, scene in enumerate(scenes):
-            one = compute(method, scene)
+            one = run(scene)
             assert bf.weights[p].tobytes() == one.weights.tobytes(), (method, p)
             assert bf.flops[p] == one.flops
     inverses = low_complexity_inverse(stack, FlopCounter(len(scenes)))

@@ -591,7 +591,7 @@ def test_sweep_validation(monkeypatch):
     # it is false
     monkeypatch.setattr(ber, "build_scene", lambda *a: pytest.fail("a point ran"))
     for methods, named in (
-        ((Method.MALLORY,), "'mallory' is not a receive method"),
+        (("mallory",), "'mallory' is not a receive method"),
         ((Method.MRC, Method.MRC), "method 'mrc' is requested more than once"),
         (("foo",), "'foo' is not a receive method"),
     ):
