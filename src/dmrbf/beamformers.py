@@ -15,7 +15,7 @@ spanning the cost/performance trade:
 
 ``wfmrc``, ``max_sr``, ``nsp_wfrp`` and Mallory's combiner share one
 transform, ``W = diag(eigenvalues)**-0.5 @ Q^H`` from their covariance's
-EVD (NSP keeps its rank's rows), and one match, ``W^H unit(W s)``.
+EVD, and one match, ``W^H unit(W s)``.
 
 ``compute(method, scene)`` runs one of them, and ``mallory_receiver(scene)``
 Mallory's combiner, on a fresh `FlopCounter`, so ``Beamformer.flops`` is
@@ -44,7 +44,6 @@ import numpy as np
 from .channel import null_projector
 from .counting import FlopCounter
 from .errors import (
-    ConditioningError,
     DegenerateChannelError,
     DegenerateGeometryError,
     DomainError,
@@ -53,7 +52,7 @@ from .errors import (
     UpdateSingularityError,
     shown,
 )
-from .linalg import RANK_RTOL, HermitianEvd, check_hpd, point_values, vector_norm
+from .linalg import RANK_RTOL, check_hpd, point_values, vector_norm
 from .scenario import Scene
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
@@ -117,20 +116,6 @@ def _unit(fc: FlopCounter, x: np.ndarray, what: str) -> np.ndarray:
     return fc.scale((1.0 / nrm)[..., None], x)
 
 
-def _whitener(fc: FlopCounter, evd: HermitianEvd, rank: int | None = None) -> np.ndarray:
-    """``diag(eigenvalues[:rank])**-0.5 @ Q[:, :rank]^H`` from a checked EVD
-    (all of it when ``rank`` is None), of each matrix of a stack."""
-    q_h = evd.eigenvectors[..., :rank].conj().swapaxes(-1, -2)
-    return fc.scale((1.0 / np.sqrt(evd.eigenvalues[..., :rank]))[..., :, None], q_h)
-
-
-def _matched_lift(fc: FlopCounter, w: np.ndarray, sig: np.ndarray, what: str) -> np.ndarray:
-    """``W^H unit(W sig)``: the matched filter on the whitened signal, lifted
-    back by ``W^H``; a zero ``W sig`` raises, naming ``what``."""
-    matched = _unit(fc, fc.matvec(w, sig), what)
-    return fc.matvec(w.conj().swapaxes(-1, -2), matched)
-
-
 def whitening_filter(
     cov: np.ndarray, fc: FlopCounter, what: str = "interference-plus-noise covariance"
 ) -> np.ndarray:
@@ -139,7 +124,8 @@ def whitening_filter(
     ``cov``; a ``cov`` that is not positive definite is refused as ``what``."""
     evd = fc.evd(cov)
     check_hpd(evd, what)
-    return _whitener(fc, evd)
+    q_h = evd.eigenvectors.conj().swapaxes(-1, -2)
+    return fc.scale((1.0 / np.sqrt(evd.eigenvalues))[..., :, None], q_h)
 
 
 def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) -> np.ndarray:
@@ -153,7 +139,8 @@ def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) 
     signal's power would only scale ``W sig``, so it is not applied.
     """
     w_wf = whitening_filter(cov, fc, what)
-    w = _matched_lift(fc, w_wf, sig, f"whitened signal has zero norm ({what})")
+    matched = _unit(fc, fc.matvec(w_wf, sig), f"whitened signal has zero norm ({what})")
+    w = fc.matvec(w_wf.conj().swapaxes(-1, -2), matched)
     return _unit(fc, w, f"whitened direction is zero ({what})")
 
 
@@ -298,33 +285,31 @@ def _mmse_low_complexity(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
 
 def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """Null-space projection followed by a pseudo-whitened matched filter.
+    """Null-space projection followed by a whitened matched filter.
 
     Bob's weights are confined to the orthogonal complement of the
-    jamming link's receive signature, so the jamming term vanishes from
-    his output identically, independent of the jamming power.  Within
-    that subspace the remaining noise is whitened through the reduced
-    (pseudo-) whitening transform and the projected signal is matched.
+    jamming link's receive signature ``h``, so the jamming term vanishes
+    from his output identically, independent of the jamming power.  Within
+    that subspace the projected signal ``P u`` is matched to the noise
+    ``P N P`` (``P`` the projector, ``N = b + sigma^2 I``) by `_whiten_match`
+    on ``C = P N P + sigma^2 h h^H``.  ``C`` is block diagonal over the range
+    of ``P`` and ``span{h}``, and ``P u`` lies in the first, so
+    ``C^{-1} P u = (P N P)^+ P u``: the nulled direction, filled at the
+    noise level, keeps ``C`` positive definite without moving the weights.
     """
     n_b = scene.n_b
     if n_b < 2:
         raise UnsupportedScenarioError(
             "null-space projection needs n_b >= 2 (one dimension is spent on the null)"
         )
-    proj = null_projector(scene.channels.mb.rx_steering)
+    h = scene.channels.mb.rx_steering
+    proj = null_projector(h)
     fc.scalar(8 * n_b * n_b)  # rank-one projector assembly
 
     u = _signature(scene, fc)
-    noise = fc.add(scene.cov.b, fc.scale(scene.sigma_b2_watt[..., None, None], np.eye(n_b)))
-    c_proj = fc.matmul(fc.matmul(proj, noise), proj)
-
-    evd = fc.evd(c_proj)
-    hi = evd.eigenvalues[..., 0]
-    for v in point_values(hi):
-        if not v > 0.0:  # also refuses NaN
-            raise ConditioningError("projected noise covariance vanished", 0.0, v)
-    # descending, so each point keeps a leading block of its eigenvalues
-    ranks = (evd.eigenvalues > RANK_RTOL * hi[..., None]).sum(axis=-1)
+    sig2 = scene.sigma_b2_watt[..., None, None]
+    noise = fc.add(scene.cov.b, fc.scale(sig2, np.eye(n_b)))
+    c_proj = fc.add(fc.matmul(fc.matmul(proj, noise), proj), fc.scale(sig2, fc.outer(h, h)))
 
     u_proj = fc.matvec(proj, u)
     # uncharged: a guard, not part of the method; relative, so a small
@@ -333,27 +318,8 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
         raise DegenerateGeometryError(
             "signal signature lies inside the nulled jamming subspace"
         )
-    kept = sorted(set(point_values(ranks)))
-    if len(kept) == 1:  # one rank at every point, as in a sweep of one geometry
-        w = _projected_match(fc, evd, u_proj, kept[0])
-    else:  # each point of a stack charged its own rank's rescale
-        w = np.empty_like(u)
-        charges = np.zeros_like(ranks)
-        for rank in kept:
-            group = ranks == rank
-            sub = FlopCounter(int(group.sum()))
-            evd_group = HermitianEvd(evd.eigenvalues[group], evd.eigenvectors[group])
-            w[group] = _projected_match(sub, evd_group, u_proj[group], rank)
-            charges[group] = sub.total
-        fc.scalar(charges)
+    w = _whiten_match(fc, u_proj, c_proj, "projected noise covariance")
     return _unit(fc, fc.matvec(proj, w), "projected weights have zero norm")
-
-
-def _projected_match(fc: FlopCounter, evd: HermitianEvd, sig: np.ndarray, rank: int) -> np.ndarray:
-    """NSP's match of the projected signal ``sig`` in the ``rank`` leading
-    eigendirections of the projected noise, before the projector lifts it."""
-    w_red = _whitener(fc, evd, rank)
-    return _matched_lift(fc, w_red, sig, "whitened projected signal has zero norm")
 
 
 def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
@@ -388,7 +354,7 @@ def _run(builder: Callable[[Scene, FlopCounter], np.ndarray], scene: Scene) -> B
     weights = builder(scene, fc)
     if scene.sigma_b2_watt.ndim == 0:  # one point: no point axis, an int count
         return Beamformer(weights, fc.total)
-    return Beamformer(weights, np.zeros(len(scene), dtype=np.int64) + fc.total)
+    return Beamformer(weights, np.full(len(scene), fc.total, dtype=np.int64))
 
 
 def compute(method: Method, scene: Scene) -> Beamformer:

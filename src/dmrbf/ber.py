@@ -146,6 +146,9 @@ class PerformanceReport:
 
 def wilson_interval(n_errors: int, n_bits: int) -> tuple[float, float]:
     """Wilson score 95 % confidence interval for an error proportion."""
+    for name, count in (("n_errors", n_errors), ("n_bits", n_bits)):
+        if not admits(int, count):
+            raise DomainError(f"{name} must be an integer, got {shown(count, repr)}")
     if n_bits < 1:
         raise DomainError(f"n_bits must be >= 1, got {n_bits}")
     if not 0 <= n_errors <= n_bits:
@@ -166,7 +169,7 @@ def wilson_interval(n_errors: int, n_bits: int) -> tuple[float, float]:
 
 def qpsk_awgn_ber(sinr: float) -> float:
     """Analytic Gray-QPSK bit error rate at a given post-combining SINR."""
-    if sinr < 0.0:
+    if not sinr >= 0.0:  # also refuses NaN
         raise DomainError(f"sinr must be >= 0, got {sinr}")
     return 0.5 * math.erfc(math.sqrt(sinr / 2.0))
 

@@ -17,7 +17,8 @@ n_a = n_b = n_m = 16 (default config otherwise) the formulas rank WF-MRC
 from __future__ import annotations
 
 from .beamformers import Method, unknown_method
-from .errors import DomainError
+from .errors import DomainError, shown
+from .scenario import admits
 
 
 def _mrc_flops(n_a: int, n_b: int, n_m: int) -> int:
@@ -103,7 +104,10 @@ def formula_flops(method: Method, n_a: int, n_b: int, n_m: int) -> int:
         formula = _FORMULAS[Method(method)]
     except ValueError:
         raise unknown_method(method) from None
-    if min(n_a, n_b, n_m) < 1:
+    sizes = (n_a, n_b, n_m)
+    if not all(admits(int, n) for n in sizes):
+        raise DomainError(f"array sizes must be integers, got {shown(sizes, repr)}")
+    if min(sizes) < 1:
         raise DomainError(f"array sizes must be >= 1, got ({n_a}, {n_b}, {n_m})")
     return int(formula(n_a, n_b, n_m))
 

@@ -32,8 +32,7 @@ stacked on a leading axis (vectors ``(P, n)``, matrices ``(P, m, n)``,
 one factor per point ``(P, 1)`` or ``(P, 1, 1)``).  Products and
 factorizations are charged by their trailing (matrix) dimensions and
 elementwise operations per point, so ``total`` stays the count of one
-point.  A charge that differs between points is passed to `scalar` as
-a ``(P,)`` array, which makes ``total`` one too.
+point.
 """
 
 from __future__ import annotations
@@ -53,10 +52,10 @@ class FlopCounter:
         self.points = points
         self.total = 0
 
-    def scalar(self, n_ops: int | np.ndarray = 1) -> None:
+    def scalar(self, n_ops: int = 1) -> None:
         """Charge ``n_ops`` flops counted by the caller: scalar arithmetic
-        or a composite step, or a ``(P,)`` array of them, one per point."""
-        self.total = self.total + n_ops
+        or a composite step."""
+        self.total += n_ops
 
     def _per_point(self, out: np.ndarray) -> int:
         return out.size // self.points

@@ -24,7 +24,8 @@ from .errors import ConditioningError, DimensionError, NumericalError
 # in the caller, not roundoff.
 HERMITIAN_ATOL = 1e-12
 
-# Eigenvalues below RANK_RTOL * max_eig count as zero in rank decisions.
+# Singular values below RANK_RTOL * the largest count as zero in rank
+# decisions; so does a vector's part shorter than RANK_RTOL * its whole.
 RANK_RTOL = 1e-12
 
 # check_hpd refuses matrices with min_eig <= HPD_RTOL * max_eig.

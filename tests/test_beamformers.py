@@ -376,15 +376,46 @@ def test_stacked_compute_gives_each_point_its_own_bits_and_flops():
         assert inverses[p].tobytes() == low_complexity_inverse(scene, FlopCounter()).tobytes()
 
 
-def test_nsp_charges_each_point_its_own_rank():
-    # at a noise power of 1e-100 the projected noise keeps one eigenvalue
-    # above the rank cutoff instead of three, so its rescale costs less
-    scenes = [build_scene(config_with(sigma_b2_watt=s)) for s in (1.0, 1e-100, 0.5)]
-    bf = compute(Method.NSP_WFRP, stack_scenes(scenes))
-    assert bf.flops.tolist() == [compute(Method.NSP_WFRP, s).flops for s in scenes]
-    assert bf.flops[0] > bf.flops[1]
+def test_nsp_refuses_a_singular_projected_covariance_by_name():
+    # at a noise power of 1e-100 W the rounding dust of b (about 1e-33 W)
+    # leaves P N P + sigma^2 h h^H numerically singular: refused as WF-MRC
+    # refuses it, alone and inside a stack
+    what = "^projected noise covariance is not numerically positive definite"
+    scenes = [build_scene(config_with(sigma_b2_watt=s)) for s in (1.0, 1e-100)]
+    with pytest.raises(ConditioningError, match=what):
+        compute(Method.NSP_WFRP, scenes[1])
+    with pytest.raises(ConditioningError, match=what):
+        compute(Method.NSP_WFRP, stack_scenes(scenes))
+    # near the float maximum too, where WF-MRC, Max-SR and MMSE refuse
+    defect = build_scene(config_with(beta1=0.5, p_a_watt=8.98846567431158e307))
+    with pytest.raises(ConditioningError, match=what):
+        compute(Method.NSP_WFRP, defect)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 8])
+def test_nsp_whitens_residual_interference(n):
+    # the scenes built have b = 0 (Alice's AN projector nulls H_ab), so give
+    # Bob a rank-two residual interference b: NSP's weights must be the
+    # projected whitened match unit(P (P N P)^+ P u), N = b + sigma^2 I
+    rng = np.random.default_rng(410 + n)
+    scenes = []
+    for _ in range(4):
+        scene = build_scene(dataclasses.replace(random_config(rng), n_a=n, n_b=n, n_m=n))
+        z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
+        b = 10.0 ** rng.uniform(-2.0, 2.0) * (z @ z.conj().T) / 2.0
+        scene = dataclasses.replace(scene, cov=dataclasses.replace(scene.cov, b=b))
+        h = scene.channels.mb.rx_steering
+        proj = np.eye(n) - np.outer(h, h.conj())
+        u = scene.bob_signal_vector
+        noise = proj @ (b + scene.sigma_b2_watt * np.eye(n)) @ proj
+        ref = proj @ np.linalg.pinv(noise, rcond=1e-10, hermitian=True) @ proj @ u
+        w = compute(Method.NSP_WFRP, scene).weights
+        phase = np.vdot(w, ref) / abs(np.vdot(w, ref))
+        assert np.max(np.abs(w * phase - ref / np.linalg.norm(ref))) <= 1e-12
+        scenes.append(scene)
+    stacked = compute(Method.NSP_WFRP, stack_scenes(scenes))
     for p, scene in enumerate(scenes):
-        assert bf.weights[p].tobytes() == compute(Method.NSP_WFRP, scene).weights.tobytes()
+        assert stacked.weights[p].tobytes() == compute(Method.NSP_WFRP, scene).weights.tobytes()
 
 
 def test_a_stack_is_refused_when_any_point_fails():

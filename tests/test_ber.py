@@ -59,6 +59,11 @@ def test_wilson_interval_rejects_bad_counts():
         wilson_interval(5, 0)
     with pytest.raises(DomainError):
         wilson_interval(11, 10)
+    # counts are integers: a float or a bool is refused by name
+    for args, name in (((1.5, 10), "n_errors"), ((True, 10), "n_errors"), ((1, 10.0), "n_bits")):
+        with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+            wilson_interval(*args)
+    assert wilson_interval(np.int64(5), np.int64(100)) == wilson_interval(5, 100)
 
 
 def test_qpsk_awgn_reference_curve():
@@ -69,6 +74,8 @@ def test_qpsk_awgn_reference_curve():
     with pytest.raises(DomainError) as exc:
         qpsk_awgn_ber(-1.0)
     assert str(exc.value) == "sinr must be >= 0, got -1.0"
+    with pytest.raises(DomainError, match="^sinr must be >= 0, got nan$"):
+        qpsk_awgn_ber(math.nan)
 
 
 def test_point_rng_keying():

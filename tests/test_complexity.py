@@ -33,6 +33,11 @@ def test_formula_rejects_bad_input():
             formula_flops(name, 4, 4, 4)
     with pytest.raises(DomainError):
         formula_flops(Method.MRC, 0, 4, 4)
+    # sizes are integers: a float or a bool is refused by name, not rounded
+    for sizes in ((4.5, 4, 4), (4, True, 4), (4, 4, 4.0)):
+        with pytest.raises(DomainError, match="^array sizes must be integers, got "):
+            formula_flops(Method.MRC, *sizes)
+    assert formula_flops(Method.MRC, np.int64(4), 4, 4) == formula_flops(Method.MRC, 4, 4, 4)
 
 
 def test_quadratic_vs_cubic_crossover():
@@ -76,11 +81,11 @@ def test_mrc_measured_value_frozen():
         "mallory",
     )
     frozen = {  # (n, n_j): counts in the order above, Mallory's combiner last
-        (4, 1): (154, 2516, 2516, 826, 2992, 3910, 2612),
-        (16, 1): (2146, 137924, 137924, 37474, 44920, 210334, 139460),
-        (64, 1): (33154, 8495876, 8495876, 2171266, 707992, 12803710, 8520452),
-        (4, 3): (154, 2516, 2516, 826, 4292, 3910, 2612),
-        (16, 3): (2146, 137924, 137924, 37474, 64700, 210334, 139460),
+        (4, 1): (154, 2516, 2516, 826, 2992, 4174, 2612),
+        (16, 1): (2146, 137924, 137924, 37474, 44920, 213286, 139460),
+        (64, 1): (33154, 8495876, 8495876, 2171266, 707992, 12846214, 8520452),
+        (4, 3): (154, 2516, 2516, 826, 4292, 4174, 2612),
+        (16, 3): (2146, 137924, 137924, 37474, 64700, 213286, 139460),
     }
     for (n, n_j), counts in frozen.items():
         scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))
