@@ -12,7 +12,6 @@ from .beamformers import (
     Method,
     RECEIVE_METHODS,
     compute,
-    low_complexity_inverse,
     mallory_receiver,
     whitening_filter,
 )
@@ -46,7 +45,6 @@ from .errors import (
     DomainError,
     NumericalError,
     UnsupportedScenarioError,
-    UpdateSingularityError,
 )
 from .linalg import HermitianEvd, hermitian_evd, inv_hpd
 from .metrics import (
@@ -101,7 +99,6 @@ __all__ = [
     "ScenarioConfig",
     "TransmitSetup",
     "UnsupportedScenarioError",
-    "UpdateSingularityError",
     "build_channels",
     "build_covariances",
     "build_scene",
@@ -111,7 +108,6 @@ __all__ = [
     "hermitian_evd",
     "inv_hpd",
     "load_config",
-    "low_complexity_inverse",
     "mallory_receiver",
     "null_projector",
     "parse_config",

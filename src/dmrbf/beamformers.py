@@ -49,14 +49,12 @@ from .errors import (
     DomainError,
     NumericalError,
     UnsupportedScenarioError,
-    UpdateSingularityError,
     shown,
 )
 from .linalg import RANK_RTOL, check_hpd, point_values, vector_norm
 from .scenario import Scene
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
-_SM_DEN_EPS = 1e-12  # rank-one update denominators below this are singular
 # largest backward error of the chain's O^{-1} u; random scenes, with
 # jamming up to 1e14 W and noise down to 1e-6 W, measured at most 9e-10
 _BACKWARD_ERROR_BOUND = 1e-6
@@ -97,12 +95,13 @@ METHOD_LABELS: dict[Method, str] = {
 class Beamformer:
     """Unit-norm receive weights and the measured cost of computing them.
 
-    For a stacked `Scene` of P points, ``weights`` is ``(P, n)`` and
-    ``flops`` a ``(P,)`` array, one row and one count per point.
+    For a stacked `Scene` of P points, ``weights`` is ``(P, n)``, one row
+    per point, and ``flops`` still one int: products are charged by their
+    matrix sizes, so every point of a stack costs what it costs alone.
     """
 
     weights: np.ndarray
-    flops: int | np.ndarray
+    flops: int
 
 
 def _unit(fc: FlopCounter, x: np.ndarray, what: str) -> np.ndarray:
@@ -161,73 +160,43 @@ def _whitened_mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     return _whiten_match(fc, u, scene.cov.c_nbar, "interference-plus-noise covariance")
 
 
-def _mmse(scene: Scene, fc: FlopCounter, o_inv: np.ndarray) -> np.ndarray:
-    """MMSE direction ``O^{-1} u`` from a receive-covariance inverse.
+def _mmse_conventional(scene: Scene, fc: FlopCounter) -> np.ndarray:
+    """MMSE direction ``O^{-1} u`` through one direct inverse of the
+    receive covariance ``O``.
 
     The MMSE weights are ``sqrt(c1) * O^{-1} u``; the stream's amplitude
     ``sqrt(c1)`` is not applied, since the normalization undoes it.
     """
-    u = _signature(scene, fc)
-    return _unit(fc, fc.matvec(o_inv, u), "MMSE weights have zero norm")
-
-
-def _mmse_conventional(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """MMSE weights through one direct inverse of the receive covariance."""
     o_inv = fc.inv_hpd(fc.add(scene.cov.a, scene.cov.c_nbar))
-    return _mmse(scene, fc, o_inv)
+    return _unit(fc, fc.matvec(o_inv, _signature(scene, fc)), "MMSE weights have zero norm")
 
 
 def _rank_one_update(
-    fc: FlopCounter,
-    z_inv: np.ndarray,
-    col: np.ndarray,
-    v: np.ndarray,
-    level: str,
+    fc: FlopCounter, z_inv: np.ndarray, col: np.ndarray, v: np.ndarray
 ) -> np.ndarray:
-    """Inverse of ``Z + col v^H`` from ``Z^{-1}`` (Sherman-Morrison)."""
+    """Inverse of ``Z + col v^H`` from ``Z^{-1}`` (Sherman-Morrison); a zero
+    denominator leaves it non-finite."""
     t = fc.matvec(z_inv, col)
     den = 1.0 + fc.dot(v, t)
     fc.scalar()
-    recip = []
-    for d in point_values(den):
-        if abs(d) <= _SM_DEN_EPS:
-            raise UpdateSingularityError(level, d)
-        recip.append(1.0 / d)  # Python's complex division: numpy's rounds differently
+    # Python's complex division: numpy's rounds differently
+    recip = [1.0 / d if d else math.inf for d in point_values(den)]
     r = fc.vecmat(v.conj(), z_inv)  # v^H Z^{-1}
     fc.scalar()
     upd = fc.scale(np.array(recip).reshape(den.shape)[..., None, None], fc.outer(t, r.conj()))
     return fc.sub(z_inv, upd)
 
 
-# overflow inside the chain is refused at its end, by name, not warned about
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """Receive-covariance inverse via the five-level rank-one chain.
+def _chain_inverse(scene: Scene, fc: FlopCounter, u: np.ndarray) -> np.ndarray:
+    """Receive-covariance inverse ``O^{-1}`` via the five-level rank-one
+    chain, from Bob's signature ``u``; no general inverse is formed.
 
     Starts from the closed-form inverse of noise plus signal term, then
     folds in the artificial-noise terms (three rank-one updates, the one
     with a negative coefficient last) and the jamming term (one update
-    per jamming beam).  No general matrix inverse is formed at any point.
-    A one-point `Scene` gives its ``(n_b, n_b)`` inverse; a stack of P
-    points their ``(P, n_b, n_b)`` inverses, counted on ``FlopCounter(P)``.
-
-    Raises
-    ------
-    UpdateSingularityError
-        If an update denominator falls below 1e-12 in modulus; the error
-        names the level (M, K, L or O) that became singular.  In exact
-        arithmetic only L's, ``1 / (1 + 2 c2 rx^H Z^{-1} s)``, can: M's and
-        K's exceed 1 and each O's is at least 1, so L is refused only when
-        the artificial noise outweighs noise plus signal some 1e12-fold
-        (``beta1`` near 0 and tiny noise).  Level N's denominator is at
-        least 1; it is refused as level N only when ``sigma^4`` underflows.
-    NumericalError
-        If ``x = O^{-1} u`` fails ``O x = u`` (``O = A + c_nbar``): its
-        normwise backward error ``|O x - u| / (|O|_F |x| + |u|)`` is not
-        finite or exceeds 1e-6, or its denominator overflows (Higham,
-        *Accuracy and Stability of Numerical Algorithms*, 2002, §7.1).
-        This one rule also refuses an overflow anywhere in the chain: a
-        non-finite ``O^{-1}`` leaves ``x`` non-finite.
+    per jamming beam).  A singular or overflowing level is not refused
+    here: it leaves the inverse non-finite or inaccurate, and the caller's
+    backward-error rule refuses it.
     """
     channels = scene.channels
     sig2 = scene.sigma_b2_watt
@@ -235,17 +204,10 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     c2 = channels.ab.gain * (1.0 - scene.beta1) * scene.p_a_watt
     fc.scalar(4)
 
-    u = _signature(scene, fc)
     # signal-plus-noise level: closed-form Sherman-Morrison of sigma^2 I + A
     uu = fc.dot(u, u).real
-    den_n = 1.0 + c1 * uu / sig2  # at least 1: no singular N level
-    fc.scalar(3)
-    scale = sig2 * sig2 * den_n
-    for v in point_values(scale):
-        if not v > 0.0:  # sigma^4 underflows to zero for tiny noise
-            raise UpdateSingularityError("N", v)
-    coef = -c1 / scale
-    fc.scalar(3)
+    coef = -c1 / (sig2 * sig2 * (1.0 + c1 * uu / sig2))
+    fc.scalar(6)
     z_inv = fc.add(
         fc.scale((1.0 / sig2)[..., None, None], np.eye(scene.n_b)),
         fc.scale(coef[..., None, None], fc.outer(u, u)),
@@ -257,31 +219,46 @@ def low_complexity_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     # k in {1, 2}; rx^H Z^{-1} s > 0, so no denominator but L's can vanish
     s = fc.matvec(channels.ab.matrix, channels.ab.tx_steering)
     rx = channels.ab.rx_steering
-    for level, coeff in (("M", c2), ("K", c2), ("L", -2.0 * c2)):
+    for coeff in (c2, c2, -2.0 * c2):
         fc.scalar()
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff[..., None], s), rx, level)
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff[..., None], s), rx)
 
     # jamming level: one rank-one update per jamming beam
     g_jam = channels.mb.gain * scene.p_m_watt
     fc.scalar()
     for j in range(scene.n_j):
         beam = fc.matvec(channels.mb.matrix, scene.setup.t_m_an[..., j])
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam[..., None], beam), beam, "O")
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam[..., None], beam), beam)
+    return z_inv
+
+
+# a singular level or an overflow in the chain is refused by name below,
+# not warned about
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _mmse_low_complexity(scene: Scene, fc: FlopCounter) -> np.ndarray:
+    """MMSE direction ``x = O^{-1} u`` with ``O^{-1}`` from `_chain_inverse`.
+
+    The chain's one refusal: a `NumericalError` unless ``x`` solves
+    ``O x = u`` (``O = A + c_nbar``) to a normwise backward error
+    ``|O x - u| / (|O|_F |x| + |u|)`` of at most 1e-6, with a finite
+    denominator (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, §7.1).  A singular level or an overflow leaves ``x`` inaccurate
+    or non-finite, so this rule refuses it too.  It bounds the solve, not
+    the SINR.
+    """
+    u = _signature(scene, fc)
+    x = fc.matvec(_chain_inverse(scene, fc, u), u)
     # uncharged, O(n^2): a guard, not part of the method
-    o, x = scene.cov.a + scene.cov.c_nbar, np.matvec(z_inv, u)
+    o = scene.cov.a + scene.cov.c_nbar
     r = np.matvec(o, x) - u
-    # |O|_F |x| + |u| from squared norms (uu = |u|^2); if it overflows, refuse
-    den = np.sqrt(np.vecdot(o, o).real.sum(axis=-1) * np.vecdot(x, x).real) + np.sqrt(uu)
+    # |O|_F |x| + |u| from squared norms; if it overflows, refuse
+    o_f2 = np.vecdot(o, o).real.sum(axis=-1)
+    den = np.sqrt(o_f2 * np.vecdot(x, x).real) + np.sqrt(np.vecdot(u, u).real)
     eta = np.sqrt(np.vecdot(r, r).real) / den
     for v, d in zip(point_values(eta), point_values(den)):
         if not (v <= _BACKWARD_ERROR_BOUND and d < math.inf):  # also refuses NaN
             raise NumericalError(f"rank-one update chain solves O x = u to backward error {v:.3e}")
-    return z_inv
-
-
-def _mmse_low_complexity(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """MMSE weights using the rank-one update chain for the inverse."""
-    return _mmse(scene, fc, low_complexity_inverse(scene, fc))
+    return _unit(fc, x, "MMSE weights have zero norm")
 
 
 def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
@@ -349,21 +326,18 @@ _BUILDERS = {
 
 def _run(builder: Callable[[Scene, FlopCounter], np.ndarray], scene: Scene) -> Beamformer:
     """``builder``'s weights for ``scene``, with the flops it spent on a
-    fresh `FlopCounter`: an int for one point, a ``(P,)`` array for a stack."""
+    fresh `FlopCounter` (one point's count, for a stack too)."""
     fc = FlopCounter(len(scene))
-    weights = builder(scene, fc)
-    if scene.sigma_b2_watt.ndim == 0:  # one point: no point axis, an int count
-        return Beamformer(weights, fc.total)
-    return Beamformer(weights, np.full(len(scene), fc.total, dtype=np.int64))
+    return Beamformer(builder(scene, fc), fc.total)
 
 
 def compute(method: Method, scene: Scene) -> Beamformer:
     """Build the requested beamformer for one scene, counting its flops
     afresh, or for every point of a stack at once.
 
-    A stacked scene's `Beamformer` holds every point's weights and flop
-    count; the counts are per point, as if each point ran alone, and every
-    point's weights have the bits of its own one-point call.
+    A stacked scene's `Beamformer` holds every point's weights, each with
+    the bits of its own one-point call, and the flop count each point
+    spends alone.
     """
     try:
         builder = _BUILDERS[Method(method)]

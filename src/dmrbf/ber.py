@@ -144,15 +144,24 @@ class PerformanceReport:
     flops_measured: int
 
 
+def _check_fits_float(name: str, value: object) -> None:
+    """Refuse an int that no float can hold, naming ``name``."""
+    try:
+        math.isfinite(value)
+    except OverflowError:
+        raise DomainError(f"{name} must fit in a float, got {shown(value)}") from None
+
+
 def wilson_interval(n_errors: int, n_bits: int) -> tuple[float, float]:
     """Wilson score 95 % confidence interval for an error proportion."""
     for name, count in (("n_errors", n_errors), ("n_bits", n_bits)):
         if not admits(int, count):
             raise DomainError(f"{name} must be an integer, got {shown(count, repr)}")
     if n_bits < 1:
-        raise DomainError(f"n_bits must be >= 1, got {n_bits}")
+        raise DomainError(f"n_bits must be >= 1, got {shown(n_bits)}")
     if not 0 <= n_errors <= n_bits:
-        raise DomainError(f"n_errors={n_errors} outside [0, {n_bits}]")
+        raise DomainError(f"n_errors={shown(n_errors)} outside [0, {shown(n_bits)}]")
+    _check_fits_float("n_bits", n_bits)  # so n_errors, at most n_bits, fits too
     z2 = _WILSON_Z * _WILSON_Z
     p = n_errors / n_bits
     denom = 1.0 + z2 / n_bits
@@ -169,6 +178,7 @@ def wilson_interval(n_errors: int, n_bits: int) -> tuple[float, float]:
 
 def qpsk_awgn_ber(sinr: float) -> float:
     """Analytic Gray-QPSK bit error rate at a given post-combining SINR."""
+    _check_fits_float("sinr", sinr)
     if not sinr >= 0.0:  # also refuses NaN
         raise DomainError(f"sinr must be >= 0, got {sinr}")
     return 0.5 * math.erfc(math.sqrt(sinr / 2.0))
@@ -336,8 +346,10 @@ def _draw_runs(
     """
     rank = g.shape[1]
 
-    # no rail errs while |x| < rho = (1/sqrt 2) / max |a|: y0 = rho^2 / 2
-    reach2 = float(np.max(np.sum(g.real**2 + g.imag**2, axis=1)))
+    # no rail errs while |x| < rho = (1/sqrt 2) / max |a|: y0 = rho^2 / 2;
+    # a reach that overflows leaves no ball (y0 = 0), so every symbol is drawn
+    with np.errstate(over="ignore"):
+        reach2 = float(np.max(np.sum(g.real**2 + g.imag**2, axis=1)))
     y0 = (1.0 - _BALL_SLACK) / (4.0 * reach2) if reach2 > 0.0 else math.inf
     q = float(_gamma_tail_terms(y0, rank).sum())
     n_out, shell = n_symbols, None
@@ -436,7 +448,7 @@ def _floors(
     return [
         _Floor(
             {m: r.at(p) for m, r in rates.items()},
-            {m: int(bf.flops[p]) for m, bf in bfs.items()},
+            {m: bf.flops for m, bf in bfs.items()},
             root,
         )
         for p, root in enumerate(roots)

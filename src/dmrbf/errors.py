@@ -53,21 +53,6 @@ class ConditioningError(DmrbfError):
         self.max_eig = max_eig
 
 
-class UpdateSingularityError(DmrbfError):
-    """A rank-one inverse update hit a near-zero denominator.
-
-    ``level`` names the update in the five-level inversion chain that failed.
-    """
-
-    def __init__(self, level: str, denominator: complex):
-        super().__init__(
-            f"rank-one update denominator at level {level!r} has modulus "
-            f"{abs(denominator):.3e} (below 1e-12); the update is singular"
-        )
-        self.level = level
-        self.denominator = denominator
-
-
 class DegenerateChannelError(DmrbfError):
     """The effective signal channel vanished; no meaningful weights exist."""
 

@@ -20,7 +20,6 @@ from dmrbf import (
     build_scene,
     compute,
     formula_flops,
-    low_complexity_inverse,
     mallory_receiver,
     qpsk_awgn_ber,
     rate_point,
@@ -30,6 +29,7 @@ from dmrbf import (
     whitening_filter,
     wilson_interval,
 )
+from dmrbf.beamformers import _chain_inverse
 from dmrbf.cli import main as cli_main
 
 from conftest import config_with, fixed_budget_runs, random_config
@@ -65,7 +65,7 @@ def test_c01_rank_one_chain_matches_direct_inverse(scenarios200):
     for cfg in scenarios200:
         scene = build_scene(cfg)
         ref = np.linalg.inv(scene.cov.a + scene.cov.c_nbar)
-        got = low_complexity_inverse(scene, FlopCounter())
+        got = _chain_inverse(scene, FlopCounter(), scene.bob_signal_vector)
         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8

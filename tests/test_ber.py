@@ -64,6 +64,10 @@ def test_wilson_interval_rejects_bad_counts():
         with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
             wilson_interval(*args)
     assert wilson_interval(np.int64(5), np.int64(100)) == wilson_interval(5, 100)
+    # an int no float can hold is refused by name, not as a bare OverflowError
+    for args in ((10**400, 10**400), (0, 10**400)):
+        with pytest.raises(DomainError, match="^n_bits must fit in a float, got an int of 1329 bits$"):
+            wilson_interval(*args)
 
 
 def test_qpsk_awgn_reference_curve():
@@ -76,6 +80,8 @@ def test_qpsk_awgn_reference_curve():
     assert str(exc.value) == "sinr must be >= 0, got -1.0"
     with pytest.raises(DomainError, match="^sinr must be >= 0, got nan$"):
         qpsk_awgn_ber(math.nan)
+    with pytest.raises(DomainError, match="^sinr must fit in a float, got an int of 1329 bits$"):
+        qpsk_awgn_ber(10**400)
 
 
 def test_point_rng_keying():
@@ -489,6 +495,16 @@ def test_zero_errors_at_high_snr_draw_nothing(monkeypatch):
     runs = fixed_budget_runs(cfg, (Method.MRC, Method.MMSE), 200_000, seed=0)
     for run in runs.values():
         assert (run.n_symbols, run.n_errors, run.ber) == (200_000, 0, 0.0)
+
+
+def test_subnormal_stream_power_draws_every_symbol():
+    # beta1 = 5e-324 leaves the stream a subnormal gain, so the detector
+    # noise factor's squared reach overflows: there is no no-error ball,
+    # every symbol is drawn and about half the bits err, with no warning
+    reports = sweep(config_with(beta1=5e-324), RECEIVE_METHODS, "p_m_watt", (1.0,), 64, 0)
+    for r in reports:
+        assert r.ber.n_symbols == 64
+        assert 0.3 <= r.ber.ber <= 0.7, r.method
 
 
 def test_common_random_numbers_across_methods():

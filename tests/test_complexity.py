@@ -81,11 +81,11 @@ def test_mrc_measured_value_frozen():
         "mallory",
     )
     frozen = {  # (n, n_j): counts in the order above, Mallory's combiner last
-        (4, 1): (154, 2516, 2516, 826, 2992, 4174, 2612),
-        (16, 1): (2146, 137924, 137924, 37474, 44920, 213286, 139460),
-        (64, 1): (33154, 8495876, 8495876, 2171266, 707992, 12846214, 8520452),
-        (4, 3): (154, 2516, 2516, 826, 4292, 4174, 2612),
-        (16, 3): (2146, 137924, 137924, 37474, 64700, 213286, 139460),
+        (4, 1): (154, 2516, 2516, 826, 2864, 4174, 2612),
+        (16, 1): (2146, 137924, 137924, 37474, 42872, 213286, 139460),
+        (64, 1): (33154, 8495876, 8495876, 2171266, 675224, 12846214, 8520452),
+        (4, 3): (154, 2516, 2516, 826, 4164, 4174, 2612),
+        (16, 3): (2146, 137924, 137924, 37474, 62652, 213286, 139460),
     }
     for (n, n_j), counts in frozen.items():
         scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))

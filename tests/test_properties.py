@@ -12,7 +12,6 @@ import dataclasses
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,7 +82,6 @@ def _or_refused(fn, *args, **kwargs):
         return None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to an error
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(configs())
 def test_entry_points_return_finite_values_or_raise_dmrbf_error(fields):
