@@ -23,15 +23,7 @@ from .ber import (
     sweep,
     wilson_interval,
 )
-from .channel import (
-    ArrayGeometry,
-    ChannelSet,
-    LosChannel,
-    PathLoss,
-    los_channel,
-    null_projector,
-    steering,
-)
+from .channel import ChannelSet, LosChannel
 from .complexity import formula_flops
 from .counting import FlopCounter
 from .errors import (
@@ -72,7 +64,6 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ArrayGeometry",
     "Beamformer",
     "BerRun",
     "ChannelSet",
@@ -91,7 +82,6 @@ __all__ = [
     "METHOD_LABELS",
     "Method",
     "NumericalError",
-    "PathLoss",
     "PerformanceReport",
     "RECEIVE_METHODS",
     "RatePoint",
@@ -109,7 +99,6 @@ __all__ = [
     "inv_hpd",
     "load_config",
     "mallory_receiver",
-    "null_projector",
     "parse_config",
     "point_rng",
     "qpsk_awgn_ber",
@@ -119,7 +108,6 @@ __all__ = [
     "sinr_bob",
     "sinr_mallory",
     "stack_scenes",
-    "steering",
     "sweep",
     "whitening_filter",
     "wilson_interval",

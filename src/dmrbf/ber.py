@@ -178,6 +178,8 @@ def wilson_interval(n_errors: int, n_bits: int) -> tuple[float, float]:
 
 def qpsk_awgn_ber(sinr: float) -> float:
     """Analytic Gray-QPSK bit error rate at a given post-combining SINR."""
+    if not admits(float, sinr):
+        raise DomainError(f"sinr must be of type float, got {shown(sinr, repr)}")
     _check_fits_float("sinr", sinr)
     if not sinr >= 0.0:  # also refuses NaN
         raise DomainError(f"sinr must be >= 0, got {sinr}")

@@ -1,8 +1,9 @@
-"""Uniform linear array geometry, steering vectors and LoS channels.
+"""Steering vectors and line-of-sight channels of uniform linear arrays.
 
-Angles are measured in degrees from the array axis (broadside at 90) and
-must lie in [0, 180]; outside that range the direction is ambiguous for a
-linear array, so it is rejected rather than wrapped.
+Internal to the package: every array size, spacing, angle and path gain
+these functions take comes from a checked `ScenarioConfig`, so they
+check none of them again.  Angles are measured in degrees from the array
+axis (broadside at 90) and spacings in carrier wavelengths.
 
 A line-of-sight link is rank one: the normalized channel matrix is the
 outer product of the receive and transmit steering vectors, and the large
@@ -11,59 +12,9 @@ scale power gain is kept as a separate scalar.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import DomainError
-
-
-@dataclass(frozen=True)
-class ArrayGeometry:
-    """Uniform linear array with spacing given in carrier wavelengths."""
-
-    n_elements: int
-    spacing_over_wavelength: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.n_elements < 1:
-            raise DomainError(f"n_elements must be >= 1, got {self.n_elements}")
-        if not self.spacing_over_wavelength > 0.0:
-            raise DomainError(
-                f"spacing_over_wavelength must be > 0, got {self.spacing_over_wavelength}"
-            )
-
-
-@dataclass(frozen=True)
-class PathLoss:
-    """Power-law path loss ``gain = alpha_ref / distance_km ** exponent``.
-
-    ``alpha_ref`` is the power gain at the 1 km reference distance.
-    """
-
-    alpha_ref: float = 1.0
-    exponent: float = 2.0
-
-    def __post_init__(self) -> None:
-        if not self.alpha_ref > 0.0:
-            raise DomainError(f"alpha_ref must be > 0, got {self.alpha_ref}")
-        if self.exponent < 0.0:
-            raise DomainError(f"exponent must be >= 0, got {self.exponent}")
-
-    def gain(self, distance_km: float) -> float:
-        if not distance_km > 0.0:
-            raise DomainError(f"distance_km must be > 0, got {distance_km}")
-        try:
-            g = self.alpha_ref / distance_km**self.exponent
-        except (OverflowError, ZeroDivisionError):
-            g = math.nan  # distance_km ** exponent left the float range
-        if not 0.0 < g < math.inf:
-            raise DomainError(
-                f"path gain at distance {distance_km} km (exponent {self.exponent}) "
-                "is not a positive finite float"
-            )
-        return g
 
 
 @dataclass(frozen=True)
@@ -82,35 +33,29 @@ class LosChannel:
     matrix: np.ndarray  # (n_rx, n_tx) = rx_steering outer tx_steering^H
 
 
-def steering(geometry: ArrayGeometry, angle_deg: float) -> np.ndarray:
-    """Array response of a ULA toward ``angle_deg``.
+def steering(n: int, spacing_over_wavelength: float, angle_deg: float) -> np.ndarray:
+    """Response of an ``n``-element ULA toward ``angle_deg``.
 
-    Element n (1-based) carries phase ``2*pi*psi(n)`` with
-    ``psi(n) = -(n - (N+1)/2) * (d/lambda) * cos(angle)``; the vector is
-    scaled by ``1/sqrt(N)`` so its Euclidean norm is exactly one.
+    Element k (1-based) carries phase ``2*pi*psi(k)`` with
+    ``psi(k) = -(k - (n+1)/2) * (d/lambda) * cos(angle)``; the vector is
+    scaled by ``1/sqrt(n)`` so its Euclidean norm is exactly one.
     """
-    if not 0.0 <= angle_deg <= 180.0:
-        raise DomainError(f"angle_deg must lie in [0, 180], got {angle_deg}")
-    n = geometry.n_elements
     idx = np.arange(1, n + 1, dtype=np.float64)
-    psi = -(idx - (n + 1) / 2.0) * geometry.spacing_over_wavelength * np.cos(
-        np.deg2rad(angle_deg)
-    )
+    psi = -(idx - (n + 1) / 2.0) * spacing_over_wavelength * np.cos(np.deg2rad(angle_deg))
     return np.exp(2j * np.pi * psi) / np.sqrt(n)
 
 
 def los_channel(
-    rx_geometry: ArrayGeometry,
-    tx_geometry: ArrayGeometry,
+    n_rx: int,
+    n_tx: int,
+    spacing_over_wavelength: float,
     rx_angle_deg: float,
     tx_angle_deg: float,
     gain: float,
 ) -> LosChannel:
-    """Rank-one LoS channel between two ULAs."""
-    if not gain > 0.0:
-        raise DomainError(f"gain must be > 0, got {gain}")
-    h_rx = steering(rx_geometry, rx_angle_deg)
-    h_tx = steering(tx_geometry, tx_angle_deg)
+    """Rank-one LoS channel between two ULAs of one element spacing."""
+    h_rx = steering(n_rx, spacing_over_wavelength, rx_angle_deg)
+    h_tx = steering(n_tx, spacing_over_wavelength, tx_angle_deg)
     matrix = np.outer(h_rx, h_tx.conj())
     return LosChannel(gain=float(gain), rx_steering=h_rx, tx_steering=h_tx, matrix=matrix)
 

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, shown
 from .linalg import point_values, vector_norm
-from .scenario import CovarianceSet, Scene, ScenarioConfig
+from .scenario import CovarianceSet, Scene, ScenarioConfig, admits
 
 
 @dataclass(frozen=True)
@@ -62,18 +62,17 @@ def _sinr(
 ) -> np.ndarray:
     """Post-combining SINR ``w^H S w / (w^H I1 w + w^H I2 w + noise)`` at
     unit ``w``, for one point or each of a stack (weights ``(..., n)``,
-    matrices ``(..., n, n)``, noise ``(...)``).  Weights of another shape,
-    or of no positive finite norm, are refused, naming the argument
-    ``name``.
+    matrices ``(..., n, n)``, noise ``(...)``); the weights may be any
+    array-like.  Weights of another shape, or of no positive finite norm,
+    are refused, naming the argument ``name``.
 
     The three real quadratic forms ``w^H (M w)`` are clipped at zero;
     ``np.vecdot`` conjugates its first argument and hands each to the BLAS
     dot product ``np.vdot`` uses, so each keeps its one-point bits.
     """
-    if np.shape(weights) != signal.shape[:-1]:
-        raise DimensionError(
-            f"{name} must have shape {signal.shape[:-1]}, got {np.shape(weights)}"
-        )
+    weights = np.asarray(weights)
+    if weights.shape != signal.shape[:-1]:
+        raise DimensionError(f"{name} must have shape {signal.shape[:-1]}, got {weights.shape}")
     nrm = vector_norm(weights)
     for v in point_values(nrm):
         if not 0.0 < v < math.inf:  # also refuses a NaN norm
@@ -116,8 +115,10 @@ def rate_point(scene: Scene, bob_weights: np.ndarray, mallory_weights: np.ndarra
 
 def sigma2_for_snr_db(cfg: ScenarioConfig, snr_db: float) -> float:
     """Noise variance that realizes ``snr_db`` under the config's definition."""
+    if not admits(float, snr_db):
+        raise DomainError(f"snr_db must be of type float, got {shown(snr_db, repr)}")
     if cfg.snr_definition == "received":
-        reference = cfg.p_a_watt * cfg.path_loss.gain(cfg.d_ab_km)
+        reference = cfg.p_a_watt * cfg.path_gain(cfg.d_ab_km)
     else:  # 'transmit'
         reference = cfg.p_a_watt
     try:
@@ -125,5 +126,5 @@ def sigma2_for_snr_db(cfg: ScenarioConfig, snr_db: float) -> float:
     except OverflowError:  # the power ratio left the float range
         sigma2 = 0.0
     if not np.isfinite(sigma2) or sigma2 <= 0.0:
-        raise DomainError(f"snr_db={snr_db} yields unusable noise variance {sigma2}")
+        raise DomainError(f"snr_db={shown(snr_db)} yields unusable noise variance {sigma2}")
     return sigma2

@@ -22,13 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import (
-    ArrayGeometry,
-    ChannelSet,
-    PathLoss,
-    los_channel,
-    null_projector,
-)
+from .channel import ChannelSet, los_channel, null_projector
 from .errors import ConfigError, ConfigParseError, DimensionError, DomainError, shown
 from .linalg import hermitian_part
 
@@ -114,10 +108,9 @@ class ScenarioConfig:
             raise ConfigError("path_alpha", f"must be > 0, got {self.path_alpha}")
         if self.path_exponent < 0.0:
             raise ConfigError("path_exponent", f"must be >= 0, got {self.path_exponent}")
-        loss = self.path_loss
         for name in ("d_ab_km", "d_am_km", "d_mb_km"):
             try:
-                loss.gain(getattr(self, name))
+                self.path_gain(getattr(self, name))
             except DomainError as exc:
                 raise ConfigError(name, str(exc)) from None
         if not self.spacing_over_wavelength > 0.0:
@@ -133,9 +126,26 @@ class ScenarioConfig:
         if self.rng_seed < 0:
             raise ConfigError("rng_seed", f"must be >= 0, got {shown(self.rng_seed)}")
 
-    @property
-    def path_loss(self) -> PathLoss:
-        return PathLoss(alpha_ref=self.path_alpha, exponent=self.path_exponent)
+    def path_gain(self, distance_km: float) -> float:
+        """Power-law path gain ``path_alpha / distance_km ** path_exponent``.
+
+        Raises `DomainError` unless ``distance_km`` is a number > 0 whose
+        gain is a positive finite float.
+        """
+        if not admits(float, distance_km):
+            raise DomainError(f"distance_km must be of type float, got {shown(distance_km, repr)}")
+        if not distance_km > 0.0:
+            raise DomainError(f"distance_km must be > 0, got {shown(distance_km)}")
+        try:
+            g = self.path_alpha / distance_km**self.path_exponent
+        except (OverflowError, ZeroDivisionError):
+            g = math.nan  # distance_km ** path_exponent left the float range
+        if not 0.0 < g < math.inf:
+            raise DomainError(
+                f"path gain at distance {shown(distance_km)} km (exponent {self.path_exponent}) "
+                "is not a positive finite float"
+            )
+        return g
 
 
 #: Field name -> declared type (int, float or str), in declaration order.
@@ -228,20 +238,15 @@ class TransmitSetup:
 
 def build_channels(cfg: ScenarioConfig) -> ChannelSet:
     """Instantiate the three LoS links from a config."""
-    geom_a = ArrayGeometry(cfg.n_a, cfg.spacing_over_wavelength)
-    geom_b = ArrayGeometry(cfg.n_b, cfg.spacing_over_wavelength)
-    geom_m = ArrayGeometry(cfg.n_m, cfg.spacing_over_wavelength)
-    loss = cfg.path_loss
-    ab = los_channel(geom_b, geom_a, cfg.theta_r_ab_deg, cfg.theta_t_ab_deg, loss.gain(cfg.d_ab_km))
-    am = los_channel(geom_m, geom_a, cfg.theta_r_am_deg, cfg.theta_t_am_deg, loss.gain(cfg.d_am_km))
-    mb = los_channel(geom_b, geom_m, cfg.theta_r_mb_deg, cfg.theta_t_mb_deg, loss.gain(cfg.d_mb_km))
+    d, gain = cfg.spacing_over_wavelength, cfg.path_gain
+    ab = los_channel(cfg.n_b, cfg.n_a, d, cfg.theta_r_ab_deg, cfg.theta_t_ab_deg, gain(cfg.d_ab_km))
+    am = los_channel(cfg.n_m, cfg.n_a, d, cfg.theta_r_am_deg, cfg.theta_t_am_deg, gain(cfg.d_am_km))
+    mb = los_channel(cfg.n_b, cfg.n_m, d, cfg.theta_r_mb_deg, cfg.theta_t_mb_deg, gain(cfg.d_mb_km))
     return ChannelSet(ab=ab, am=am, mb=mb)
 
 
 def _orthonormal_extension(first: np.ndarray, n_cols: int) -> np.ndarray:
     """Orthonormal columns whose first column is exactly ``first``."""
-    if n_cols == 1:
-        return first[:, None].copy()
     n = first.shape[0]
     basis = np.column_stack([first, np.eye(n, dtype=np.complex128)])
     q, _ = np.linalg.qr(basis)

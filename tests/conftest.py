@@ -6,8 +6,9 @@ import dataclasses
 
 import numpy as np
 
-from dmrbf import ArrayGeometry, ScenarioConfig, point_rng, steering
+from dmrbf import ScenarioConfig, point_rng
 from dmrbf import ber
+from dmrbf.channel import steering
 
 
 def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
@@ -29,8 +30,8 @@ def random_config(rng: np.random.Generator, sizes=(2, 4, 8)) -> ScenarioConfig:
     while True:
         theta_r_ab = float(rng.uniform(5.0, 175.0))
         theta_r_mb = float(rng.uniform(5.0, 175.0))
-        h_sig = steering(ArrayGeometry(n_b), theta_r_ab)
-        h_jam = steering(ArrayGeometry(n_b), theta_r_mb)
+        h_sig = steering(n_b, 0.5, theta_r_ab)
+        h_jam = steering(n_b, 0.5, theta_r_mb)
         if abs(np.vdot(h_jam, h_sig)) < 0.99:
             break
     return ScenarioConfig(

@@ -82,6 +82,8 @@ def test_qpsk_awgn_reference_curve():
         qpsk_awgn_ber(math.nan)
     with pytest.raises(DomainError, match="^sinr must fit in a float, got an int of 1329 bits$"):
         qpsk_awgn_ber(10**400)
+    with pytest.raises(DomainError, match="^sinr must be of type float, got '1'$"):
+        qpsk_awgn_ber("1")
 
 
 def test_point_rng_keying():

@@ -1,4 +1,4 @@
-"""Steering vectors, line-of-sight channels, path loss, projectors."""
+"""Steering vectors, line-of-sight channels, path gain, projectors."""
 
 import cmath
 import math
@@ -6,15 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from dmrbf import (
-    ArrayGeometry,
-    DomainError,
-    PathLoss,
-    build_channels,
-    los_channel,
-    null_projector,
-    steering,
-)
+import dmrbf
+from dmrbf import DomainError, ScenarioConfig, build_channels
+from dmrbf.channel import los_channel, null_projector, steering
 
 from conftest import config_with
 
@@ -35,7 +29,7 @@ def test_steering_matches_scalar_oracle():
         n = int(rng.integers(1, 17))
         angle = float(rng.uniform(0.0, 180.0))
         spacing = float(rng.uniform(0.05, 1.0))
-        got = steering(ArrayGeometry(n, spacing), angle)
+        got = steering(n, spacing, angle)
         assert np.allclose(got, steering_oracle(n, angle, spacing), atol=1e-14)
 
 
@@ -43,13 +37,13 @@ def test_steering_unit_norm():
     rng = np.random.default_rng(202)
     for _ in range(300):
         n = int(rng.integers(1, 33))
-        v = steering(ArrayGeometry(n), float(rng.uniform(0.0, 180.0)))
+        v = steering(n, 0.5, float(rng.uniform(0.0, 180.0)))
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
 
 
 def test_steering_broadside_is_real():
     # cos(90 deg) = 0, so every phase vanishes
-    v = steering(ArrayGeometry(4), 90.0)
+    v = steering(4, 0.5, 90.0)
     assert np.allclose(v, np.full(4, 0.5), atol=1e-15)
 
 
@@ -58,20 +52,9 @@ def test_steering_mirror_angles_conjugate():
     for _ in range(50):
         n = int(rng.integers(1, 17))
         angle = float(rng.uniform(0.0, 90.0))
-        a = steering(ArrayGeometry(n), angle)
-        b = steering(ArrayGeometry(n), 180.0 - angle)
+        a = steering(n, 0.5, angle)
+        b = steering(n, 0.5, 180.0 - angle)
         assert np.allclose(b, a.conj(), atol=1e-13)
-
-
-def test_steering_domain_checks():
-    with pytest.raises(DomainError):
-        steering(ArrayGeometry(4), -0.5)
-    with pytest.raises(DomainError):
-        steering(ArrayGeometry(4), 180.5)
-    with pytest.raises(DomainError):
-        ArrayGeometry(0)
-    with pytest.raises(DomainError):
-        ArrayGeometry(4, 0.0)
 
 
 def test_los_channel_rank_one_unit_frobenius():
@@ -83,8 +66,9 @@ def test_los_channel_rank_one_unit_frobenius():
             rx_angle_deg=float(rng.uniform(0, 180)),
             tx_angle_deg=float(rng.uniform(0, 180)),
             gain=float(10.0 ** rng.uniform(-3, 0)),
-            rx_geometry=ArrayGeometry(n_r),
-            tx_geometry=ArrayGeometry(n_t),
+            n_rx=n_r,
+            n_tx=n_t,
+            spacing_over_wavelength=0.5,
         )
         assert ch.matrix.shape == (n_r, n_t)
         assert abs(np.linalg.norm(ch.matrix) - 1.0) <= 1e-12
@@ -94,29 +78,29 @@ def test_los_channel_rank_one_unit_frobenius():
             assert sv[1] <= 1e-12
         ref = np.outer(ch.rx_steering, ch.tx_steering.conj())
         assert np.allclose(ch.matrix, ref, atol=1e-14)
-    with pytest.raises(DomainError) as exc:
-        los_channel(ArrayGeometry(2), ArrayGeometry(2), 90.0, 90.0, gain=0.0)
-    assert str(exc.value) == "gain must be > 0, got 0.0"
 
 
-def test_path_loss_values_and_checks():
-    pl = PathLoss(alpha_ref=1.0, exponent=2.0)
-    assert pl.gain(1.0) == 1.0
-    assert pl.gain(4.0) == pytest.approx(1 / 16, rel=1e-15)
-    assert PathLoss(2.0, 3.0).gain(2.0) == pytest.approx(0.25, rel=1e-15)
+def test_path_gain_values_and_checks():
+    cfg = ScenarioConfig()  # path_alpha 1, path_exponent 2
+    assert cfg.path_gain(1.0) == 1.0
+    assert cfg.path_gain(4.0) == pytest.approx(1 / 16, rel=1e-15)
+    assert config_with(path_alpha=2.0, path_exponent=3.0).path_gain(2.0) == pytest.approx(
+        0.25, rel=1e-15
+    )
     with pytest.raises(DomainError):
-        pl.gain(0.0)
-    with pytest.raises(DomainError):
-        PathLoss(-1.0, 2.0)
-    with pytest.raises(DomainError) as exc:
-        PathLoss(1.0, -1.0)
-    assert str(exc.value) == "exponent must be >= 0, got -1.0"
+        cfg.path_gain(0.0)
     # distance ** exponent leaving the float range is a domain error,
     # not a bare ZeroDivisionError or OverflowError
     with pytest.raises(DomainError, match="distance 1e-200 km"):
-        pl.gain(1e-200)
+        cfg.path_gain(1e-200)
+    steep = config_with(path_exponent=1e300, d_am_km=1.0, d_mb_km=1.0)  # every gain is 1
     with pytest.raises(DomainError, match="distance 4.0 km"):
-        PathLoss(1.0, 1e300).gain(4.0)
+        steep.path_gain(4.0)
+    # an int no float holds, or a string, is refused by name, not raised bare
+    with pytest.raises(DomainError, match="^distance_km must be > 0, got an int of 16610 bits$"):
+        cfg.path_gain(-(10**5000))
+    with pytest.raises(DomainError, match="^distance_km must be of type float, got 'x'$"):
+        cfg.path_gain("x")
 
 
 def test_build_channels_uses_config_geometry():
@@ -125,7 +109,7 @@ def test_build_channels_uses_config_geometry():
     assert chans.ab.matrix.shape == (4, 8)
     assert chans.am.matrix.shape == (2, 8)
     assert chans.mb.matrix.shape == (4, 2)
-    assert chans.ab.gain == pytest.approx(cfg.path_loss.gain(2.0), rel=1e-15)
+    assert chans.ab.gain == pytest.approx(cfg.path_gain(2.0), rel=1e-15)
 
 
 def _assert_orthogonal_projector(proj: np.ndarray, a: np.ndarray) -> None:
@@ -161,3 +145,13 @@ def test_null_projector_of_bob_jamming_steering():
         _assert_orthogonal_projector(proj, ch.rx_steering)
         # weights in the projector's range never see the jamming link
         assert np.linalg.norm(proj @ ch.matrix) <= 1e-12
+
+
+def test_star_import_binds_the_public_names_only():
+    namespace: dict = {}
+    exec("from dmrbf import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(dmrbf.__all__)
+    # of the channel layer, only the types of `Scene.channels` are public
+    layer = vars(dmrbf.channel).items()
+    own = {n for n, v in layer if getattr(v, "__module__", "") == "dmrbf.channel"}
+    assert own & namespace.keys() == {"ChannelSet", "LosChannel"}

@@ -117,6 +117,10 @@ def test_rate_point_bundle():
         math.log2(1 + pt.sinr_mallory), rel=1e-12
     )
     assert pt.secrecy_rate_bits == max(0.0, pt.rate_bob_bits - pt.rate_mallory_bits)
+    # weights given as a list are taken as the array they spell
+    axis = rate_point(scene, np.array([1.0, 0.0, 0.0, 0.0]), w_m)
+    assert rate_point(scene, [1, 0, 0, 0], w_m) == axis
+    assert sinr_bob([1, 0, 0, 0], scene.cov, scene.cfg.sigma_b2_watt) == axis.sinr_bob
 
 
 def test_mallory_rate_grows_as_she_closes_in():
@@ -157,6 +161,11 @@ def test_sigma2_for_an_snr_beyond_the_float_range_is_refused():
     # 10 ** 400 overflows a float; the SNR is refused, not raised bare
     with pytest.raises(DomainError, match="snr_db=4000.0 yields unusable noise variance 0.0"):
         sigma2_for_snr_db(ScenarioConfig(), 4000.0)
+    # an int no float holds, or a string, is refused by name, not raised bare
+    with pytest.raises(DomainError, match="^snr_db=an int of 16610 bits yields unusable noise"):
+        sigma2_for_snr_db(ScenarioConfig(), 10**5000)
+    with pytest.raises(DomainError, match="^snr_db must be of type float, got '3'$"):
+        sigma2_for_snr_db(ScenarioConfig(), "3")
 
 
 def test_stacked_rate_point_gives_each_point_its_own_bits():

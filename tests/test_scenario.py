@@ -242,7 +242,7 @@ def test_covariance_structure():
                 1.0, np.linalg.norm(mat)
             )
         # signal covariance is the claimed rank-one outer product
-        c1 = cfg.path_loss.gain(cfg.d_ab_km) * cfg.beta1 * cfg.p_a_watt
+        c1 = cfg.path_gain(cfg.d_ab_km) * cfg.beta1 * cfg.p_a_watt
         u = scene.bob_signal_vector
         assert np.linalg.norm(cov.a - c1 * np.outer(u, u.conj())) <= 1e-12 * max(
             1.0, np.linalg.norm(cov.a)
@@ -250,7 +250,7 @@ def test_covariance_structure():
         # AN is projected into the A->B null space, so Bob never sees it
         assert np.linalg.norm(cov.b) <= 1e-20 * max(1.0, np.linalg.norm(cov.a))
         # jamming covariance carries the full radiated power times path gain
-        g_mb = cfg.path_loss.gain(cfg.d_mb_km)
+        g_mb = cfg.path_gain(cfg.d_mb_km)
         assert np.trace(cov.d).real == pytest.approx(
             g_mb * cfg.p_m_watt, rel=1e-10, abs=1e-15
         )
