@@ -10,7 +10,7 @@ group of several points fails, its points are replayed one at a time
 with the same function, so the first failing point raises its own
 error, with its point and method named; a failing one-point group runs
 once.  The second stage, the Monte-Carlo draw below, runs per point
-(`_sweep_point`), on worker threads when asked.
+(`_sweep_point`), in order.
 
 Every receive beamformer sees Bob's array only through ``w^H rx``, and
 everything in ``rx`` except the confidential stream (artificial noise,
@@ -53,8 +53,8 @@ symbol, symbol-major too.  The draw comes in chunks of ``_CHUNK``
 symbols, and the floor in stacks of ``_STACK_ENTRIES`` entries; both
 only bound memory: the chunks concatenate into one stream, and a
 stacked point has the bits of a point alone, so no result depends on
-either.  Results depend neither on the order points are drawn in nor
-on the number of worker threads, and repeated runs are bit-identical.
+either.  Results do not depend on the order points are drawn in, and
+repeated runs are bit-identical.
 ``RNG_STREAM`` numbers this scheme; CSVs record it.  A point's symbol
 budget N (see `_planned_symbols`) is fixed from its floor's rates
 before its generator is made, so it sets N and leaves the scheme as it
@@ -492,14 +492,13 @@ def check_sweep(
     values: Sequence[float] | np.ndarray,
     max_symbols: int,
     seed: int,
-    workers: int,
 ) -> tuple[tuple[Method, ...], tuple[float, ...]]:
     """Raise `DomainError` for any argument `sweep` refuses; return the
     methods as `Method`s and the values as Python floats.
 
     ``values`` may be any sequence of finite real numbers that floats can
-    hold, an ndarray included; ``max_symbols``, ``seed`` and ``workers`` must
-    be integers.  Python and numpy numbers are both taken, a bool as
+    hold, an ndarray included; ``max_symbols`` and ``seed`` must be
+    integers.  Python and numpy numbers are both taken, a bool as
     neither.
 
     ``sweep`` runs it before any point, and ``dmrbf run`` before it makes
@@ -522,13 +521,11 @@ def check_sweep(
             raise DomainError(f"values must be finite, got {point}")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise DomainError("axis values must be strictly increasing")
-    for name, count in (("max_symbols", max_symbols), ("seed", seed), ("workers", workers)):
+    for name, count in (("max_symbols", max_symbols), ("seed", seed)):
         if not admits(int, count):
             raise DomainError(f"{name} must be an integer, got {shown(count, repr)}")
     if not 1 <= max_symbols < 2**63:  # Generator.binomial takes an int64 count
         raise DomainError(f"max_symbols must be in [1, 2**63), got {shown(max_symbols)}")
-    if workers < 1:
-        raise DomainError(f"workers must be >= 1, got {shown(workers)}")
     if not 0 <= seed < 2**64:  # point_rng keys Philox with a uint64
         raise DomainError(f"seed must be in [0, 2**64), got {shown(seed)}")
     names = [getattr(m, "value", m) for m in methods]
@@ -547,14 +544,12 @@ def sweep(
     values: Sequence[float] | np.ndarray,
     max_symbols: int,
     seed: int,
-    workers: int = 1,
 ) -> list[PerformanceReport]:
     """Evaluate the requested methods over one axis.
 
     Returns reports ordered by (axis value, method) following the input
     order.  Each method must be one of ``RECEIVE_METHODS``, named once; an
-    empty method list yields an empty report.  ``workers`` only
-    parallelizes; it cannot change any numerical result.
+    empty method list yields an empty report.
 
     Each point draws the symbols that give its best method's analytic BER
     a relative 95 % half-width of ``BER_REL_HALFWIDTH``, at most
@@ -566,7 +561,7 @@ def sweep(
     message is prefixed with the axis value and, when one method's own
     step failed, that method.
     """
-    methods, values = check_sweep(methods, axis, values, max_symbols, seed, workers)
+    methods, values = check_sweep(methods, axis, values, max_symbols, seed)
     if not methods:
         return []
     # no axis changes an array size, so each method's closed form is one number
@@ -577,18 +572,8 @@ def sweep(
         for start in range(0, len(values), group)
         for floor in _floors(cfg, methods, axis, tuple(values[start : start + group]))
     ]
-
-    def job(index: int) -> list[PerformanceReport]:
-        return _sweep_point(
-            floors[index], formula, axis, values[index], max_symbols, seed, index
-        )
-
-    if workers == 1:
-        chunks = [job(i) for i in range(len(values))]
-    else:
-        # imported on use: it costs start-up time, and most runs have one worker
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(job, range(len(values))))
-    return [report for chunk in chunks for report in chunk]
+    return [
+        report
+        for index, (floor, value) in enumerate(zip(floors, values))
+        for report in _sweep_point(floor, formula, axis, value, max_symbols, seed, index)
+    ]

@@ -84,7 +84,6 @@ class SweepSpec:
     methods: tuple[str, ...]  # names; `sweep` refuses an unknown or repeated one
     max_symbols: int
     seed: int
-    workers: int
 
 
 def _parse_methods(raw: str | None) -> tuple[str, ...]:
@@ -186,7 +185,7 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
     """Execute a sweep spec and write its CSV and SVG outputs."""
     preset = PRESETS[spec.preset]
     # a refused argument must not leave --out behind
-    check_sweep(spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed, spec.workers)
+    check_sweep(spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed)
     try:  # before the sweep, so a bad --out fails fast
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -197,13 +196,7 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         if path.is_dir():
             raise DomainError(f"{path} is a directory, so the output cannot be written")
     reports = sweep(
-        spec.cfg,
-        spec.methods,
-        spec.axis,
-        spec.values,
-        spec.max_symbols,
-        spec.seed,
-        spec.workers,
+        spec.cfg, spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed
     )
     if preset.plot_quantity == "sr":
         ylabel, title = "secrecy rate [bits/channel use]", "Secrecy rate"
@@ -265,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="most Monte-Carlo symbols per sweep point; a point draws fewer where a "
         f"relative 95 %% half-width of {BER_REL_HALFWIDTH} needs fewer (default: 200000)",
     )
+    # parsed and ignored, so command lines that pass it (perfbench's do) still run
     run_p.add_argument(
-        "--workers", type=int, default=1, help="worker threads over sweep points"
+        "--workers", type=int, default=1, help="ignored: sweep points run in order on one thread"
     )
     return parser
 
@@ -297,7 +291,6 @@ def main(argv: list[str] | None = None) -> int:
             methods=_parse_methods(args.methods),
             max_symbols=args.symbols,
             seed=args.seed,
-            workers=args.workers,
         )
         csv_path, svg_path = run_sweep(spec, Path(args.out))
     except DmrbfError as exc:

@@ -24,8 +24,7 @@ HPD inverse (n x n)             8*n**3   (n^3 complex multiply-adds)
 
 Conjugation and array allocation are free.  Scalar arithmetic is charged
 explicitly by the caller where it matters.  Counters are cheap plain
-objects; create one per beamformer invocation (they are not shared
-across threads).
+objects; create one per beamformer invocation.
 
 A counter can run a stack of ``points`` problems at once, their arrays
 stacked on a leading axis (vectors ``(P, n)``, matrices ``(P, m, n)``,

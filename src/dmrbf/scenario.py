@@ -136,8 +136,8 @@ class ScenarioConfig:
             raise DomainError(f"distance_km must be of type float, got {shown(distance_km, repr)}")
         if not distance_km > 0.0:
             raise DomainError(f"distance_km must be > 0, got {shown(distance_km)}")
-        try:
-            g = self.path_alpha / distance_km**self.path_exponent
+        try:  # on Python floats, which raise where numpy's would only warn
+            g = float(self.path_alpha) / float(distance_km) ** float(self.path_exponent)
         except (OverflowError, ZeroDivisionError):
             g = math.nan  # distance_km ** path_exponent left the float range
         if not 0.0 < g < math.inf:

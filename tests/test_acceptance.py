@@ -217,9 +217,7 @@ def test_c08_ber_suite():
     # full fig4 preset, single-threaded, under a minute
     t0 = time.perf_counter()
     grid = tuple(2.5 * k for k in range(-2, 11))
-    reports = sweep(
-        ScenarioConfig(), RECEIVE_METHODS, "snr_db", grid, n_symbols, seed=0, workers=1
-    )
+    reports = sweep(ScenarioConfig(), RECEIVE_METHODS, "snr_db", grid, n_symbols, seed=0)
     elapsed = time.perf_counter() - t0
     assert len(reports) == len(grid) * len(RECEIVE_METHODS)
     assert elapsed < 60.0

@@ -553,15 +553,6 @@ def test_sweep_snr_axis_sets_both_noise_floors():
     assert pt.sinr_bob == pytest.approx(9.0, rel=1e-9)
 
 
-def test_sweep_workers_do_not_change_results():
-    cfg = ScenarioConfig()
-    methods = RECEIVE_METHODS
-    values = (0.1, 1.0, 10.0, 100.0)
-    seq = sweep(cfg, methods, "p_m_watt", values, 4000, seed=9, workers=1)
-    par = sweep(cfg, methods, "p_m_watt", values, 4000, seed=9, workers=4)
-    assert seq == par  # dataclass equality: bitwise-identical floats
-
-
 def test_sweep_rejects_unknown_axis():
     with pytest.raises(DomainError):
         sweep(ScenarioConfig(), (Method.MRC,), "distance", (1.0,), 100, seed=0)
@@ -583,26 +574,24 @@ def test_sweep_validation(monkeypatch):
     # Philox with its truncation, uint64(1.5) == 1, and alias seed 1
     methods, values = (Method.MRC, Method.MMSE), (0.0, 5.0)
     for args, named in (
-        ((values, 4000, 1.5, 1), "seed must be an integer, got 1.5"),
-        ((values, 1000.5, 0, 1), "max_symbols must be an integer, got 1000.5"),
-        ((values, "1000", 0, 1), "max_symbols must be an integer, got '1000'"),
-        ((values, 1000, "1", 1), "seed must be an integer, got '1'"),
-        ((values, 1000, True, 1), "seed must be an integer, got True"),
-        ((values, 1000, 0, 1.5), "workers must be an integer, got 1.5"),
-        ((("0",), 1000, 0, 1), r"values must be a sequence of real numbers, got \('0',\)"),
-        (((True,), 1000, 0, 1), "values must be a sequence of real numbers"),
-        ((np.array(0.0), 1000, 0, 1), "values must be a sequence of real numbers"),
-        ((np.zeros((2, 1)), 1000, 0, 1), "values must be a sequence of real numbers"),
+        ((values, 4000, 1.5), "seed must be an integer, got 1.5"),
+        ((values, 1000.5, 0), "max_symbols must be an integer, got 1000.5"),
+        ((values, "1000", 0), "max_symbols must be an integer, got '1000'"),
+        ((values, 1000, "1"), "seed must be an integer, got '1'"),
+        ((values, 1000, True), "seed must be an integer, got True"),
+        ((("0",), 1000, 0), r"values must be a sequence of real numbers, got \('0',\)"),
+        (((True,), 1000, 0), "values must be a sequence of real numbers"),
+        ((np.array(0.0), 1000, 0), "values must be a sequence of real numbers"),
+        ((np.zeros((2, 1)), 1000, 0), "values must be a sequence of real numbers"),
         # ints that no float holds, or too long to print, are refused by name
-        (((10**400,), 1000, 0, 1), "values must fit in a float, got an int of 1329 bits$"),
-        (((0.0, 10**5000), 1000, 0, 1), "values must fit in a float, got an int of 16610 bits$"),
+        (((10**400,), 1000, 0), "values must fit in a float, got an int of 1329 bits$"),
+        (((0.0, 10**5000), 1000, 0), "values must fit in a float, got an int of 16610 bits$"),
         (
-            ((10**5000, "0"), 1000, 0, 1),
+            ((10**5000, "0"), 1000, 0),
             "values must be a sequence of real numbers, got a tuple holding an int of over",
         ),
-        ((values, 1000, 10**5000, 1), r"seed must be in \[0, 2\*\*64\), got an int of 16610"),
-        ((values, 10**5000, 0, 1), r"max_symbols must be in \[1, 2\*\*63\), got an int of 16610"),
-        ((values, 1000, 0, -(10**5000)), "workers must be >= 1, got an int of 16610 bits$"),
+        ((values, 1000, 10**5000), r"seed must be in \[0, 2\*\*64\), got an int of 16610"),
+        ((values, 10**5000, 0), r"max_symbols must be in \[1, 2\*\*63\), got an int of 16610"),
     ):
         with pytest.raises(DomainError, match=f"^{named}"):
             sweep(cfg, methods, "snr_db", *args)

@@ -143,7 +143,6 @@ def test_zero_error_rows_plot_at_their_upper_bound():
         methods=("mrc",),
         max_symbols=1000,
         seed=0,
-        workers=1,
     )
     reports = cli.sweep(spec.cfg, spec.methods, spec.axis, spec.values, 1000, 0)
     (series,) = cli._plot_series(spec, reports, "ber")
@@ -202,7 +201,6 @@ def test_run_failure_is_one_named_error_line(tmp_path, capsys, line, named):
     [
         ("--methods", "bogus", "'bogus' is not a receive method"),
         ("--symbols", "0", "max_symbols must be in [1, 2**63)"),
-        ("--workers", "0", "workers must be >= 1"),
         ("--seed", "-1", "seed must be in [0, 2**64)"),
     ],
 )

@@ -159,8 +159,12 @@ def test_sigma2_for_snr_transmit_definition():
 
 def test_sigma2_for_an_snr_beyond_the_float_range_is_refused():
     # 10 ** 400 overflows a float; the SNR is refused, not raised bare
-    with pytest.raises(DomainError, match="snr_db=4000.0 yields unusable noise variance 0.0"):
-        sigma2_for_snr_db(ScenarioConfig(), 4000.0)
+    for snr_db in (4000.0, np.float64(4000.0)):  # numpy's power would only warn
+        with pytest.raises(DomainError, match="snr_db=4000.0 yields unusable noise variance 0.0"):
+            sigma2_for_snr_db(ScenarioConfig(), snr_db)
+    # 10 ** -400 underflows to zero: the noise variance is infinite
+    with pytest.raises(DomainError, match="snr_db=-4000.0 yields unusable noise variance inf"):
+        sigma2_for_snr_db(ScenarioConfig(), -4000.0)
     # an int no float holds, or a string, is refused by name, not raised bare
     with pytest.raises(DomainError, match="^snr_db=an int of 16610 bits yields unusable noise"):
         sigma2_for_snr_db(ScenarioConfig(), 10**5000)

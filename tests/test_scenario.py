@@ -186,6 +186,13 @@ def test_unrepresentable_path_gain_names_the_distance():
     with pytest.raises(ConfigError) as exc:
         config_with(path_exponent=1e300)  # 1 km keeps gain 1; 4 km overflows
     assert exc.value.field == "d_am_km"
+    # numpy scalars are refused the same way, not with a RuntimeWarning
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig(d_ab_km=np.float64(1e-200))
+    assert exc.value.field == "d_ab_km"
+    with pytest.raises(ConfigError) as exc:
+        ScenarioConfig(path_exponent=np.float64(1e300))
+    assert exc.value.field == "d_am_km"
 
 
 def test_transmit_setup_beacons():
