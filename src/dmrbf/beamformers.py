@@ -167,7 +167,7 @@ def _mmse_conventional(scene: Scene, fc: FlopCounter) -> np.ndarray:
     The MMSE weights are ``sqrt(c1) * O^{-1} u``; the stream's amplitude
     ``sqrt(c1)`` is not applied, since the normalization undoes it.
     """
-    o_inv = fc.inv_hpd(fc.add(scene.cov.a, scene.cov.c_nbar))
+    o_inv = fc.inv_hpd(fc.add(scene.cov.a.dense, scene.cov.c_nbar))
     return _unit(fc, fc.matvec(o_inv, _signature(scene, fc)), "MMSE weights have zero norm")
 
 
@@ -194,15 +194,15 @@ def _chain_inverse(scene: Scene, fc: FlopCounter, u: np.ndarray) -> np.ndarray:
     Starts from the closed-form inverse of noise plus signal term, then
     folds in the artificial-noise terms (three rank-one updates, the one
     with a negative coefficient last) and the jamming term (one update
-    per jamming beam).  A singular or overflowing level is not refused
-    here: it leaves the inverse non-finite or inaccurate, and the caller's
-    backward-error rule refuses it.
+    per jamming beam).  Powers and beams come from the model `scenario`
+    built: ``c1``, ``c2`` are ``cov.a``'s and ``cov.b``'s coefficients, and
+    the beams ``cov.d``'s factor's columns.  A singular or overflowing
+    level is not refused here: it leaves the inverse non-finite or
+    inaccurate, and the caller's backward-error rule refuses it.
     """
-    channels = scene.channels
+    channels, cov = scene.channels, scene.cov
     sig2 = scene.sigma_b2_watt
-    c1 = channels.ab.gain * scene.beta1 * scene.p_a_watt
-    c2 = channels.ab.gain * (1.0 - scene.beta1) * scene.p_a_watt
-    fc.scalar(4)
+    c1, c2 = cov.a.coef, cov.b.coef
 
     # signal-plus-noise level: closed-form Sherman-Morrison of sigma^2 I + A
     uu = fc.dot(u, u).real
@@ -224,11 +224,9 @@ def _chain_inverse(scene: Scene, fc: FlopCounter, u: np.ndarray) -> np.ndarray:
         z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff[..., None], s), rx)
 
     # jamming level: one rank-one update per jamming beam
-    g_jam = channels.mb.gain * scene.p_m_watt
-    fc.scalar()
     for j in range(scene.n_j):
-        beam = fc.matvec(channels.mb.matrix, scene.setup.t_m_an[..., j])
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(g_jam[..., None], beam), beam)
+        beam = cov.d.factor[..., j]
+        z_inv = _rank_one_update(fc, z_inv, fc.scale(cov.d.coef[..., None], beam), beam)
     return z_inv
 
 
@@ -249,7 +247,7 @@ def _mmse_low_complexity(scene: Scene, fc: FlopCounter) -> np.ndarray:
     u = _signature(scene, fc)
     x = fc.matvec(_chain_inverse(scene, fc, u), u)
     # uncharged, O(n^2): a guard, not part of the method
-    o = scene.cov.a + scene.cov.c_nbar
+    o = scene.cov.a.dense + scene.cov.c_nbar
     r = np.matvec(o, x) - u
     # |O|_F |x| + |u| from squared norms; if it overflows, refuse
     o_f2 = np.vecdot(o, o).real.sum(axis=-1)
@@ -285,7 +283,7 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
     u = _signature(scene, fc)
     sig2 = scene.sigma_b2_watt[..., None, None]
-    noise = fc.add(scene.cov.b, fc.scale(sig2, np.eye(n_b)))
+    noise = fc.add(scene.cov.b.dense, fc.scale(sig2, np.eye(n_b)))
     c_proj = fc.add(fc.matmul(fc.matmul(proj, noise), proj), fc.scale(sig2, fc.outer(h, h)))
 
     u_proj = fc.matvec(proj, u)
@@ -308,7 +306,7 @@ def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """
     e = fc.matvec(scene.channels.am.matrix, scene.setup.v_a)
     c_m = fc.add(
-        fc.add(scene.cov.f, scene.cov.r_m),
+        fc.add(scene.cov.f.dense, scene.cov.r_m.dense),
         fc.scale(scene.sigma_m2_watt[..., None, None], np.eye(scene.n_m)),
     )
     return _whiten_match(fc, e, c_m, "eavesdropper covariance")

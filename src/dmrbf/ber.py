@@ -309,8 +309,7 @@ def _output_roots(stack: Scene, weights: dict[Method, np.ndarray]) -> list[np.nd
     evd = hermitian_evd(stack.cov.c_nbar)
     # clamped, not refused: no inverse is taken, and MRC must run at any noise level
     root = evd.eigenvectors * np.sqrt(np.maximum(evd.eigenvalues, 0.0) / 2.0)[:, None, :]
-    c1 = stack.channels.ab.gain * stack.beta1 * stack.p_a_watt
-    u = stack.bob_signal_vector
+    c1, u = stack.cov.a.coef, stack.cov.a.factor[..., 0]
     w_h = np.stack([w.conj() for w in weights.values()], axis=1)
     along = (w_h @ u[..., None])[..., 0]
     gains = np.sqrt(c1)[:, None] * along

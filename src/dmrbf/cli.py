@@ -18,6 +18,7 @@ method's analytic BER a relative 95 % half-width of
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -186,6 +187,7 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
     preset = PRESETS[spec.preset]
     # a refused argument must not leave --out behind
     check_sweep(spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed)
+    made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:  # before the sweep, so a bad --out fails fast
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -195,9 +197,15 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
     for path in (csv_path, svg_path):
         if path.is_dir():
             raise DomainError(f"{path} is a directory, so the output cannot be written")
-    reports = sweep(
-        spec.cfg, spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed
-    )
+    try:
+        reports = sweep(
+            spec.cfg, spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed
+        )
+    except DmrbfError:  # nor a refused scenario: remove the (empty) dirs made for it
+        with contextlib.suppress(OSError):
+            for path in made:  # deepest first
+                path.rmdir()
+        raise
     if preset.plot_quantity == "sr":
         ylabel, title = "secrecy rate [bits/channel use]", "Secrecy rate"
     else:

@@ -1,10 +1,10 @@
 """Achievable rates and the secrecy rate of one operating point.
 
-Rates are in bits per channel use.  SINRs are computed from the
-covariance terms as ratios of quadratic forms in the (unit-norm) receive
-weights; tiny negative values from roundoff are clipped to zero before
-the logarithm.  Every point of a stacked `Scene` is evaluated at once,
-with the bits each point gets alone.
+Rates are in bits per channel use.  SINRs are ratios of quadratic forms
+in the (unit-norm) receive weights, each read as ``coef |V^H w|^2`` from
+the coefficient and thin factor `scenario` keeps for its term: a sum of
+squares, so nothing is clipped.  Every point of a stacked `Scene` is
+evaluated at once, with the bits each point gets alone.
 
 The SNR knob used by the sweeps is defined at Bob: ``received`` means
 ``p_a * g_ab / sigma_b2`` (path loss folded in), ``transmit`` means
@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, shown
 from .linalg import point_values, vector_norm
-from .scenario import CovarianceSet, Scene, ScenarioConfig, admits
+from .scenario import CovarianceSet, Scene, ScenarioConfig, Term, admits
 
 
 @dataclass(frozen=True)
@@ -46,41 +46,38 @@ class RatePoint:
         )
 
 
-def _positive_part(x: np.ndarray) -> np.ndarray:
-    """``max(0.0, x)`` of each entry, bit for bit: ``fmax`` turns NaN into
-    0.0 as Python's ``max`` does, and adding 0.0 makes -0.0 0.0."""
-    return np.fmax(0.0, x) + 0.0
-
-
 def _sinr(
     name: str,
     weights: np.ndarray,
-    signal: np.ndarray,
-    i1: np.ndarray,
-    i2: np.ndarray,
+    signal: Term,
+    i1: Term,
+    i2: Term,
     noise: float | np.ndarray,
 ) -> np.ndarray:
     """Post-combining SINR ``w^H S w / (w^H I1 w + w^H I2 w + noise)`` at
     unit ``w``, for one point or each of a stack (weights ``(..., n)``,
-    matrices ``(..., n, n)``, noise ``(...)``); the weights may be any
-    array-like.  Weights of another shape, or of no positive finite norm,
-    are refused, naming the argument ``name``.
+    terms of factors ``(..., n, k)``, noise ``(...)``); the weights may be
+    any array-like.  Weights of another shape, or of no positive finite
+    norm, are refused, naming the argument ``name``.
 
-    The three real quadratic forms ``w^H (M w)`` are clipped at zero;
-    ``np.vecdot`` conjugates its first argument and hands each to the BLAS
-    dot product ``np.vdot`` uses, so each keeps its one-point bits.
+    Each form is ``coef |V^H w|^2`` (see `Term`), and each point of a
+    stack keeps its one-point bits.
     """
-    weights = np.asarray(weights)
-    if weights.shape != signal.shape[:-1]:
-        raise DimensionError(f"{name} must have shape {signal.shape[:-1]}, got {weights.shape}")
+    weights, shape = np.asarray(weights), signal.factor.shape[:-1]
+    if weights.shape != shape:
+        raise DimensionError(f"{name} must have shape {shape}, got {weights.shape}")
     nrm = vector_norm(weights)
     for v in point_values(nrm):
         if not 0.0 < v < math.inf:  # also refuses a NaN norm
             raise DomainError(f"{name} must have a positive, finite norm, got {v}")
     w = weights / nrm[..., None]
-    mw = np.array([np.matvec(m, w) for m in (signal, i1, i2)])
-    quad = _positive_part(np.vecdot(w, mw).real)
-    return quad[0] / (quad[1] + quad[2] + noise)
+    return _power(signal, w) / (_power(i1, w) + _power(i2, w) + noise)
+
+
+def _power(term: Term, w: np.ndarray) -> np.ndarray:
+    """``w^H (coef V V^H) w = coef |V^H w|^2`` of each point."""
+    y = np.vecmat(w, term.factor)  # w^H V
+    return term.coef * np.vecdot(y, y).real
 
 
 def sinr_bob(weights: np.ndarray, cov: CovarianceSet, sigma_b2_watt: float) -> float:
@@ -107,7 +104,9 @@ def rate_point(scene: Scene, bob_weights: np.ndarray, mallory_weights: np.ndarra
     gm = _sinr("mallory_weights", mallory_weights, cov.e, cov.f, cov.r_m, scene.sigma_m2_watt)
     rb = np.log2(1.0 + gb)
     rm = np.log2(1.0 + gm)
-    sr = _positive_part(rb - rm)
+    # max(0.0, rb - rm) bit for bit: fmax takes NaN to 0.0 as Python's max
+    # does, and adding 0.0 takes -0.0 to 0.0
+    sr = np.fmax(0.0, rb - rm) + 0.0
     if scene.sigma_b2_watt.ndim == 0:  # one point: no point axis
         return RatePoint(float(gb), float(gm), float(rb), float(rm), float(sr))
     return RatePoint(gb, gm, rb, rm, sr)

@@ -277,22 +277,37 @@ def build_transmit_setup(cfg: ScenarioConfig, channels: ChannelSet) -> TransmitS
 
 
 @dataclass(frozen=True)
-class CovarianceSet:
-    """Receive-side covariance terms shared by the beamformers and rates.
+class Term:
+    """One covariance term ``coef V V^H``: its power ``coef`` >= 0, its thin
+    factor ``V`` (n x k), and its matrix ``dense`` for the builders that
+    read one.  The rates read ``w^H dense w`` as ``coef |V^H w|^2``, which
+    has no cancelling terms, so it stays accurate where ``w`` nulls it."""
 
-    At Bob: ``a`` is the confidential-signal term, ``b`` the (projected,
-    hence zero-power) artificial noise leakage, ``d`` the jamming term and
-    ``c_nbar = b + d + sigma_b2 * I`` the full interference-plus-noise
-    covariance.  At Mallory: ``e`` is the intercepted signal term, ``f``
-    the artificial-noise term and ``r_m`` the residual self-interference.
+    coef: np.float64 | np.ndarray
+    factor: np.ndarray
+    dense: np.ndarray
+
+
+@dataclass(frozen=True)
+class CovarianceSet:
+    """The received signal model, built here and only here: no other
+    module forms a coefficient or factor again.
+
+    At Bob, ``a`` is the stream, ``g_ab beta1 p_a`` on ``u = H_ab v_a``;
+    ``b`` the artificial noise (nulled, so zero), ``g_ab (1 - beta1) p_a``
+    on ``H_ab T_a``; ``d`` the jamming, ``g_mb p_m`` on ``H_mb T_m``, one
+    column per beam; ``c_nbar = b + d + sigma_b2 I``, dense.  At Mallory,
+    ``e`` is the stream, ``g_am beta1 p_a`` on ``H_am v_a``; ``f`` the
+    artificial noise, ``g_am (1 - beta1) p_a`` on ``H_am T_a``; ``r_m``
+    the residual self-interference, ``rho p_m`` on ``H_rsi^H T_m``.
     """
 
-    a: np.ndarray
-    b: np.ndarray
-    d: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
-    r_m: np.ndarray
+    a: Term
+    b: Term
+    d: Term
+    e: Term
+    f: Term
+    r_m: Term
     c_nbar: np.ndarray
 
 
@@ -304,63 +319,67 @@ def build_covariances(
     return _with_noise(cfg, fixed, *_jamming(cfg, channels, fixed))
 
 
+def _term(power_field: str, coef: float, factor: np.ndarray, gram: np.ndarray) -> Term:
+    """The term ``coef * gram``, its matrix made Hermitian; the caller forms
+    ``gram = factor factor^H`` (by ``np.outer`` for one column, to keep its
+    bits).  A `ConfigError` naming ``power_field`` refuses a coefficient or
+    matrix that left the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
+        dense = hermitian_part(coef * gram)
+    if not (math.isfinite(coef) and np.isfinite(dense).all()):
+        raise ConfigError(power_field, f"makes a covariance term (power {coef}) that is not finite")
+    return Term(np.float64(coef), factor, dense)
+
+
 def _fixed_terms(
     cfg: ScenarioConfig, channels: ChannelSet, setup: TransmitSetup
-) -> dict[str, np.ndarray]:
+) -> dict[str, Term | np.ndarray]:
     """The `CovarianceSet` terms that depend on neither noise power nor
     ``p_m_watt`` (``a``, ``b``, ``e``, ``f``), and the factors ``jam_b``
-    (n_b x n_j) and ``rsi`` (n_m x n_j) whose Gram products ``d`` and
-    ``r_m`` scale (see `_jamming`)."""
-    g_ab = channels.ab.gain
-    g_am = channels.am.gain
+    (n_b x n_j) and ``rsi`` (n_m x n_j) of ``d`` and ``r_m`` (see
+    `_jamming`).  Coefficients are products of Python floats, which do
+    not warn where they overflow."""
+    g_ab, g_am = channels.ab.gain, channels.am.gain
+    beta1, p_a = float(cfg.beta1), float(cfg.p_a_watt)
 
     u = channels.ab.matrix @ setup.v_a  # Bob-side signal signature
-    a = hermitian_part(g_ab * cfg.beta1 * cfg.p_a_watt * np.outer(u, u.conj()))
-
     an_b = channels.ab.matrix @ setup.t_a_an
-    b = hermitian_part(g_ab * (1.0 - cfg.beta1) * cfg.p_a_watt * (an_b @ an_b.conj().T))
-
-    jam_b = channels.mb.matrix @ setup.t_m_an
-
     e_vec = channels.am.matrix @ setup.v_a
-    e = hermitian_part(g_am * cfg.beta1 * cfg.p_a_watt * np.outer(e_vec, e_vec.conj()))
-
     an_m = channels.am.matrix @ setup.t_a_an
-    f = hermitian_part(g_am * (1.0 - cfg.beta1) * cfg.p_a_watt * (an_m @ an_m.conj().T))
-
-    rsi = setup.h_m_rsi.conj().T @ setup.t_m_an
     return {
-        "a": a,
-        "b": b,
-        "e": e,
-        "f": f,
-        "jam_b": jam_b,
-        "rsi": rsi,
+        "a": _term("p_a_watt", g_ab * beta1 * p_a, u[:, None], np.outer(u, u.conj())),
+        "b": _term("p_a_watt", g_ab * (1.0 - beta1) * p_a, an_b, an_b @ an_b.conj().T),
+        "e": _term("p_a_watt", g_am * beta1 * p_a, e_vec[:, None], np.outer(e_vec, e_vec.conj())),
+        "f": _term("p_a_watt", g_am * (1.0 - beta1) * p_a, an_m, an_m @ an_m.conj().T),
+        "jam_b": channels.mb.matrix @ setup.t_m_an,
+        "rsi": setup.h_m_rsi.conj().T @ setup.t_m_an,
     }
 
 
 def _jamming(
-    cfg: ScenarioConfig, channels: ChannelSet, fixed: dict[str, np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
+    cfg: ScenarioConfig, channels: ChannelSet, fixed: dict[str, Term | np.ndarray]
+) -> tuple[Term, Term]:
     """The jamming term ``d`` at Bob and the residual self-interference
     ``r_m`` at Mallory, the two terms that scale with ``p_m_watt``."""
     jam_b, rsi = fixed["jam_b"], fixed["rsi"]
-    d = hermitian_part(channels.mb.gain * cfg.p_m_watt * (jam_b @ jam_b.conj().T))
-    r_m = hermitian_part(cfg.rho * cfg.p_m_watt * (rsi @ rsi.conj().T))
+    p_m = float(cfg.p_m_watt)
+    d = _term("p_m_watt", channels.mb.gain * p_m, jam_b, jam_b @ jam_b.conj().T)
+    r_m = _term("rho", float(cfg.rho) * p_m, rsi, rsi @ rsi.conj().T)
     return d, r_m
 
 
 def _with_noise(
-    cfg: ScenarioConfig, fixed: dict[str, np.ndarray], d: np.ndarray, r_m: np.ndarray
+    cfg: ScenarioConfig, fixed: dict[str, Term | np.ndarray], d: Term, r_m: Term
 ) -> CovarianceSet:
-    c_nbar = fixed["b"] + d + cfg.sigma_b2_watt * np.eye(cfg.n_b)
+    c_nbar = fixed["b"].dense + d.dense + cfg.sigma_b2_watt * np.eye(cfg.n_b)
     return CovarianceSet(
         a=fixed["a"], b=fixed["b"], d=d, e=fixed["e"], f=fixed["f"], r_m=r_m, c_nbar=c_nbar
     )
 
 
-#: The per-point fields of a `Scene`, read from its config.
-_POINT_FIELDS = ("sigma_b2_watt", "sigma_m2_watt", "p_a_watt", "p_m_watt", "beta1")
+#: The per-point fields of a `Scene`, read from its config; its powers
+#: are the coefficients of its covariance terms.
+_POINT_FIELDS = ("sigma_b2_watt", "sigma_m2_watt")
 
 
 @dataclass(frozen=True, eq=False)  # no equality: the fields are arrays
@@ -371,8 +390,8 @@ class Scene:
     A one-point scene holds its config in ``cfg`` and the config's values
     of `_POINT_FIELDS` as numpy scalars.  A stack of P points has no
     ``cfg``; each array of ``channels``, ``setup`` and ``cov`` gains a
-    leading point axis and each link's ``gain`` and per-point field is a
-    ``(P,)`` array.  The arrays may be shared; do not edit them in place.
+    leading point axis, and each link's ``gain``, each term's ``coef`` and
+    each per-point field is a ``(P,)`` array.  The arrays may be shared; do not edit them in place.
     """
 
     channels: ChannelSet
@@ -380,22 +399,14 @@ class Scene:
     cov: CovarianceSet
     sigma_b2_watt: np.float64 | np.ndarray
     sigma_m2_watt: np.float64 | np.ndarray
-    p_a_watt: np.float64 | np.ndarray
-    p_m_watt: np.float64 | np.ndarray
-    beta1: np.float64 | np.ndarray
     cfg: ScenarioConfig | None = None
 
-    n_b = property(lambda self: self.cov.a.shape[-1])
-    n_m = property(lambda self: self.cov.e.shape[-1])
+    n_b = property(lambda self: self.cov.c_nbar.shape[-1])
+    n_m = property(lambda self: self.cov.e.dense.shape[-1])
     n_j = property(lambda self: self.setup.t_m_an.shape[-1])
 
     def __len__(self) -> int:
         return self.sigma_b2_watt.size  # 1 for a one-point scene
-
-    @property
-    def bob_signal_vector(self) -> np.ndarray:
-        """Signature(s) of the confidential stream at Bob's array."""
-        return np.matvec(self.channels.ab.matrix, self.setup.v_a)
 
 
 def _stacked(parts: list) -> object:
@@ -470,7 +481,7 @@ def _freeze(*parts: object) -> None:
 @functools.lru_cache(maxsize=4)
 def _noise_free_scene(
     key: _MemoKey,
-) -> tuple[ChannelSet, TransmitSetup, dict[str, np.ndarray]]:
+) -> tuple[ChannelSet, TransmitSetup, dict[str, Term | np.ndarray]]:
     channels = build_channels(key.cfg)
     setup = build_transmit_setup(key.cfg, channels)
     fixed = _fixed_terms(key.cfg, channels, setup)
@@ -479,7 +490,7 @@ def _noise_free_scene(
 
 
 @functools.lru_cache(maxsize=4)
-def _jamming_terms(key: _MemoKey, p_m_repr: str) -> tuple[np.ndarray, np.ndarray]:
+def _jamming_terms(key: _MemoKey, p_m_repr: str) -> tuple[Term, Term]:
     """`_jamming` of ``key.cfg``, whose ``p_m_watt`` has the ``repr``
     ``p_m_repr``: scenes that differ only in their noise share it."""
     channels, _, fixed = _noise_free_scene(key)

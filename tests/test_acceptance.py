@@ -64,8 +64,8 @@ def test_c01_rank_one_chain_matches_direct_inverse(scenarios200):
     worst = 0.0
     for cfg in scenarios200:
         scene = build_scene(cfg)
-        ref = np.linalg.inv(scene.cov.a + scene.cov.c_nbar)
-        got = _chain_inverse(scene, FlopCounter(), scene.bob_signal_vector)
+        ref = np.linalg.inv(scene.cov.a.dense + scene.cov.c_nbar)
+        got = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-8
@@ -140,15 +140,15 @@ def test_c05_max_sr_eigen_optimality(scenarios200):
             (cfg.n_b, 1000)
         )
         v /= np.linalg.norm(v, axis=0)
-        num = np.einsum("ij,ij->j", v.conj(), scene.cov.a @ v).real
+        num = np.einsum("ij,ij->j", v.conj(), scene.cov.a.dense @ v).real
         den = (
-            np.einsum("ij,ij->j", v.conj(), (scene.cov.b + scene.cov.d) @ v).real
+            np.einsum("ij,ij->j", v.conj(), (scene.cov.b.dense + scene.cov.d.dense) @ v).real
             + cfg.sigma_b2_watt
         )
         worst_gap = max(worst_gap, float((num / den).max()) - star)
         # achieved value equals the whitened signature's squared norm
         c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-        u = scene.bob_signal_vector
+        u = scene.cov.a.factor[..., 0]
         aa = c1 * np.vdot(u, np.linalg.solve(scene.cov.c_nbar, u)).real
         worst_val = max(worst_val, abs(star - aa) / aa)
     assert worst_gap <= 1e-12  # no random probe beats the claimed optimum

@@ -28,6 +28,7 @@ from dmrbf import (
     whitening_filter,
 )
 from dmrbf.beamformers import _chain_inverse, _rank_one_update
+from dmrbf.scenario import Term
 from conftest import config_with, random_config, random_hpd
 
 EQUIV4 = (Method.MRC, Method.WFMRC, Method.MAX_SR, Method.MMSE)
@@ -54,7 +55,7 @@ def test_mrc_matches_receive_signature():
     rng = np.random.default_rng(402)
     for _ in range(10):
         scene = build_scene(random_config(rng))
-        u = scene.bob_signal_vector
+        u = scene.cov.a.factor[..., 0]
         assert aligned(compute(Method.MRC, scene).weights, u) >= 1.0 - 1e-12
 
 
@@ -101,7 +102,7 @@ def test_wfmrc_solves_whitened_system():
     rng = np.random.default_rng(404)
     for _ in range(20):
         scene = build_scene(random_config(rng))
-        ref = np.linalg.solve(scene.cov.c_nbar, scene.bob_signal_vector)
+        ref = np.linalg.solve(scene.cov.c_nbar, scene.cov.a.factor[..., 0])
         assert aligned(compute(Method.WFMRC, scene).weights, ref) >= 1.0 - 1e-10
 
 
@@ -158,8 +159,8 @@ def test_chain_inverse_matches_direct():
     for _ in range(20):
         scene = build_scene(random_config(rng))
         cfg = scene.cfg
-        o_direct = scene.cov.a + scene.cov.c_nbar
-        got = _chain_inverse(scene, FlopCounter(), scene.bob_signal_vector)
+        o_direct = scene.cov.a.dense + scene.cov.c_nbar
+        got = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
         ref = np.linalg.inv(o_direct)
         assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
         assert cfg.n_b == got.shape[0]
@@ -172,7 +173,7 @@ def test_chain_collapses_to_closed_form_without_an_and_jamming():
     cfg = scene.cfg
     sig2 = cfg.sigma_b2_watt
     c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    u = scene.bob_signal_vector
+    u = scene.cov.a.factor[..., 0]
     uu = np.vdot(u, u).real
     ref = np.eye(cfg.n_b) / sig2 - (
         c1 / (sig2 * sig2 * (1.0 + c1 * uu / sig2))
@@ -330,7 +331,7 @@ def test_mallory_receiver_direction():
     for _ in range(10):
         scene = build_scene(random_config(rng))
         cov = scene.cov
-        c_m = cov.f + cov.r_m + scene.cfg.sigma_m2_watt * np.eye(scene.cfg.n_m)
+        c_m = cov.f.dense + cov.r_m.dense + scene.cfg.sigma_m2_watt * np.eye(scene.cfg.n_m)
         ref = np.linalg.solve(c_m, scene.channels.am.matrix @ scene.setup.v_a)
         assert aligned(mallory_receiver(scene).weights, ref) >= 1.0 - 1e-9
 
@@ -365,9 +366,9 @@ def test_stacked_compute_gives_each_point_its_own_bits_and_flops():
             one = run(scene)
             assert bf.weights[p].tobytes() == one.weights.tobytes(), (method, p)
             assert bf.flops == one.flops
-    inverses = _chain_inverse(stack, FlopCounter(len(scenes)), stack.bob_signal_vector)
+    inverses = _chain_inverse(stack, FlopCounter(len(scenes)), stack.cov.a.factor[..., 0])
     for p, scene in enumerate(scenes):
-        one = _chain_inverse(scene, FlopCounter(), scene.bob_signal_vector)
+        one = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
         assert inverses[p].tobytes() == one.tobytes()
 
 
@@ -397,11 +398,12 @@ def test_nsp_whitens_residual_interference(n):
     for _ in range(4):
         scene = build_scene(dataclasses.replace(random_config(rng), n_a=n, n_b=n, n_m=n))
         z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
-        b = 10.0 ** rng.uniform(-2.0, 2.0) * (z @ z.conj().T) / 2.0
-        scene = dataclasses.replace(scene, cov=dataclasses.replace(scene.cov, b=b))
+        coef = np.float64(10.0 ** rng.uniform(-2.0, 2.0) / 2.0)
+        b = coef * (z @ z.conj().T)
+        scene = dataclasses.replace(scene, cov=dataclasses.replace(scene.cov, b=Term(coef, z, b)))
         h = scene.channels.mb.rx_steering
         proj = np.eye(n) - np.outer(h, h.conj())
-        u = scene.bob_signal_vector
+        u = scene.cov.a.factor[..., 0]
         noise = proj @ (b + scene.sigma_b2_watt * np.eye(n)) @ proj
         ref = proj @ np.linalg.pinv(noise, rcond=1e-10, hermitian=True) @ proj @ u
         w = compute(Method.NSP_WFRP, scene).weights

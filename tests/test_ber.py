@@ -346,7 +346,7 @@ def test_output_root_reproduces_output_noise(n):
     cfg = scene.cfg
     c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
     w = np.stack(list(weights.values()), axis=1)
-    gains = np.sqrt(c1) * (w.conj().T @ scene.bob_signal_vector)
+    gains = np.sqrt(c1) * (w.conj().T @ scene.cov.a.factor[..., 0])
     want = (w.conj().T @ scene.cov.c_nbar @ w) / np.outer(gains, gains.conj())
     got = 2.0 * (g @ g.conj().T)
     diag = np.real(np.diag(want))
@@ -709,7 +709,7 @@ def test_sweep_raises_the_first_failing_point(methods, axis, values, error, mess
 
 def test_output_root_refuses_a_weight_at_right_angles_to_the_signal():
     scene = build_scene(ScenarioConfig())
-    u = scene.bob_signal_vector
+    u = scene.cov.a.factor[..., 0]
     w = np.roll(u, 1)
     w = w - np.vdot(u, w) / np.vdot(u, u) * u
     weights = {Method.MRC: compute(Method.MRC, scene).weights, Method.MMSE: w}

@@ -215,6 +215,21 @@ def test_run_refused_arguments_leave_no_out_behind(tmp_path, capsys, flag, value
     assert not (tmp_path / "newdir").exists()
 
 
+def test_run_refused_scenario_leaves_no_out_behind(tmp_path, capsys):
+    # the sweep itself refuses this config (its received signal power is
+    # not a finite float), so the directories made for its outputs go again
+    cfg_path = tmp_path / "scen.cfg"
+    cfg_path.write_text("p_a_watt = 1e300\nd_ab_km = 1e-5\nsnr_definition = transmit\n")
+    out = tmp_path / "newdir" / "sub"
+    rc = run_cli("run", str(cfg_path), "--preset", "fig2", "--out", str(out), "--symbols", "100")
+    assert rc == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "p_a_watt: " in err[0]
+    assert "Warning" not in captured.err
+    assert not (tmp_path / "newdir").exists()
+
+
 def test_run_unknown_method_fails(tmp_path, capsys):
     cfg_path = tmp_path / "scen.cfg"
     cfg_path.write_text("")

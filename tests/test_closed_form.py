@@ -30,7 +30,7 @@ from conftest import config_with
 
 OPTIMUM = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
 ANGLES = ((90.0, 45.0), (60.0, 120.0), (100.0, 30.0))  # (theta_r_ab, theta_r_mb)
-P_M = (0.1, 10.0, 1000.0)
+P_M = (0.1, 10.0, 1000.0, 1e10)
 SNR_DB = (-5.0, 10.0, 25.0)
 RTOL = 1e-12
 
@@ -68,15 +68,23 @@ def test_bob_sinr_matches_closed_form(n):
 
         # the structure the closed forms rest on
         c2 = ch.ab.gain * (1.0 - cfg.beta1) * cfg.p_a_watt
-        assert np.abs(scene.cov.b).max() <= 1e-12 * c2
+        assert np.abs(scene.cov.b.dense).max() <= 1e-12 * c2
         d_expected = kappa * np.outer(h, h.conj())
-        assert np.abs(scene.cov.d - d_expected).max() <= 1e-12 * kappa
+        assert np.abs(scene.cov.d.dense - d_expected).max() <= 1e-12 * kappa
 
+        # the optimum weights come from c_nbar, of condition about kappa /
+        # sigma^2: a stable factorization leaves their direction an error of
+        # about eps kappa / sigma^2, and the SINR, stationary at its maximum,
+        # loses its square (at most 0.63 of it measured, p_m <= 1e10, n <= 64)
+        deficit = 4.0 * (np.finfo(float).eps * kappa / sigma2) ** 2
         eve = mallory_receiver(scene).weights
         for method in (Method.MRC, *OPTIMUM, Method.NSP_WFRP):
             got = rate_point(scene, compute(method, scene).weights, eve).sinr_bob
             want = _expected(method, c1, sigma2, kappa, gamma)
-            assert got == pytest.approx(want, rel=RTOL), (method, n_j, th_ab, th_mb, p_m, snr)
+            low = RTOL + (deficit if method in OPTIMUM else 0.0)
+            assert want * (1.0 - low) <= got <= want * (1.0 + RTOL), (
+                method, n_j, th_ab, th_mb, p_m, snr, got / want - 1.0,
+            )
             checked += 1
     assert checked > 0
 
@@ -119,9 +127,10 @@ def test_nsp_beats_mrc_exactly_when_the_closed_forms_say(n):
 
 @pytest.mark.parametrize("n", [4, 16])
 def test_optimum_falls_toward_nsp_as_jamming_grows(n):
-    # up to kappa / sigma^2 ~ 1e5, where the SINRs still hold to RTOL (further
-    # up the optimum-minus-NSP gap sinks into the roundoff of c_nbar^-1)
-    p_m = 10.0 ** np.arange(-3.0, 7.0)
+    # up to kappa / sigma^2 ~ 1e9, where the optimum-minus-NSP gap is about
+    # 1e-9 of the SINR: the rates read each term as coef |V^H w|^2, so the
+    # jamming the optimum weights leave is not lost in roundoff of kappa
+    p_m = 10.0 ** np.arange(-3.0, 11.0)
     for th_ab, th_mb in ((90.0, 45.0), (100.0, 30.0), (90.0, 75.0)):  # all with gamma > 0
         base = config_at(
             config_with(n_a=n, n_b=n, n_m=n, theta_r_ab_deg=th_ab, theta_r_mb_deg=th_mb),

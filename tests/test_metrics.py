@@ -27,10 +27,10 @@ def sinr_oracle(w: np.ndarray, scene) -> float:
     """Plain quadratic-form ratio, written out independently."""
     w = w / np.linalg.norm(w)
     cov = scene.cov
-    num = np.vdot(w, cov.a @ w).real
+    num = np.vdot(w, cov.a.dense @ w).real
     den = (
-        np.vdot(w, cov.b @ w).real
-        + np.vdot(w, cov.d @ w).real
+        np.vdot(w, cov.b.dense @ w).real
+        + np.vdot(w, cov.d.dense @ w).real
         + scene.cfg.sigma_b2_watt
     )
     return num / den
@@ -189,10 +189,10 @@ def test_sinr_mallory_oracle():
     w = rng.standard_normal(scene.cfg.n_m) + 1j * rng.standard_normal(scene.cfg.n_m)
     w = w / np.linalg.norm(w)
     cov = scene.cov
-    num = np.vdot(w, cov.e @ w).real
+    num = np.vdot(w, cov.e.dense @ w).real
     den = (
-        np.vdot(w, cov.f @ w).real
-        + np.vdot(w, cov.r_m @ w).real
+        np.vdot(w, cov.f.dense @ w).real
+        + np.vdot(w, cov.r_m.dense @ w).real
         + scene.cfg.sigma_m2_watt
     )
     got = sinr_mallory(w, scene.cov, scene.cfg.sigma_m2_watt)

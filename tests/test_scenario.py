@@ -1,6 +1,7 @@
 """Scenario configuration, transmit setup, covariance assembly."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -243,22 +244,22 @@ def test_covariance_structure():
         scene = build_scene(random_config(rng))
         cov, cfg = scene.cov, scene.cfg
         n_b = cfg.n_b
-        for mat in (cov.a, cov.b, cov.d, cov.c_nbar):
+        for mat in (cov.a.dense, cov.b.dense, cov.d.dense, cov.c_nbar):
             assert mat.shape == (n_b, n_b)
             assert np.linalg.norm(mat - mat.conj().T) <= 1e-12 * max(
                 1.0, np.linalg.norm(mat)
             )
         # signal covariance is the claimed rank-one outer product
         c1 = cfg.path_gain(cfg.d_ab_km) * cfg.beta1 * cfg.p_a_watt
-        u = scene.bob_signal_vector
-        assert np.linalg.norm(cov.a - c1 * np.outer(u, u.conj())) <= 1e-12 * max(
-            1.0, np.linalg.norm(cov.a)
+        u = scene.cov.a.factor[..., 0]
+        assert np.linalg.norm(cov.a.dense - c1 * np.outer(u, u.conj())) <= 1e-12 * max(
+            1.0, np.linalg.norm(cov.a.dense)
         )
         # AN is projected into the A->B null space, so Bob never sees it
-        assert np.linalg.norm(cov.b) <= 1e-20 * max(1.0, np.linalg.norm(cov.a))
+        assert np.linalg.norm(cov.b.dense) <= 1e-20 * max(1.0, np.linalg.norm(cov.a.dense))
         # jamming covariance carries the full radiated power times path gain
         g_mb = cfg.path_gain(cfg.d_mb_km)
-        assert np.trace(cov.d).real == pytest.approx(
+        assert np.trace(cov.d.dense).real == pytest.approx(
             g_mb * cfg.p_m_watt, rel=1e-10, abs=1e-15
         )
         # c_nbar = B + D + sigma^2 I is positive definite
@@ -270,19 +271,39 @@ def test_covariance_mallory_side():
     scene = build_scene(ScenarioConfig())
     cov, cfg = scene.cov, scene.cfg
     n_m = cfg.n_m
-    assert cov.e.shape == cov.f.shape == cov.r_m.shape == (n_m, n_m)
+    assert cov.e.dense.shape == cov.f.dense.shape == cov.r_m.dense.shape == (n_m, n_m)
     # unlike Bob, Mallory sits outside the AN null space and sees the AN
-    assert np.trace(cov.f).real > 1e-6 * np.trace(cov.e).real
+    assert np.trace(cov.f.dense).real > 1e-6 * np.trace(cov.e.dense).real
     # residual self-interference scales with rho * P_M
-    assert np.trace(cov.r_m).real > 0.0
+    assert np.trace(cov.r_m.dense).real > 0.0
     scene0 = build_scene(config_with(rho=0.0))
-    assert np.linalg.norm(scene0.cov.r_m) == 0.0
+    assert np.linalg.norm(scene0.cov.r_m.dense) == 0.0
+
+
+@pytest.mark.parametrize(
+    "fields, power",
+    [
+        ({"p_a_watt": 1e300, "d_ab_km": 1e-5}, "p_a_watt"),
+        ({"p_a_watt": np.float64(1e300), "d_ab_km": 1e-5}, "p_a_watt"),
+        ({"p_m_watt": 1e300, "d_mb_km": 1e-5}, "p_m_watt"),
+        ({"rho": 1e10, "p_m_watt": 1e300}, "rho"),
+    ],
+)
+def test_a_term_beyond_the_float_range_is_refused_by_its_power(fields, power):
+    # each power is finite, but times its gain it leaves the float range:
+    # the term's coefficient is refused, naming the power, before numpy warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = config_with(**fields)
+        with pytest.raises(ConfigError, match=f"^{power}: makes a covariance term") as info:
+            build_scene(cfg)
+    assert info.value.field == power
 
 
 def test_beta1_one_disables_an():
     scene = build_scene(config_with(beta1=1.0))
-    assert np.linalg.norm(scene.cov.b) == 0.0
-    assert np.linalg.norm(scene.cov.f) == 0.0
+    assert np.linalg.norm(scene.cov.b.dense) == 0.0
+    assert np.linalg.norm(scene.cov.f.dense) == 0.0
 
 
 def test_build_scene_composes_stages():
@@ -299,7 +320,7 @@ def test_scene_signal_vectors():
     scene = build_scene(ScenarioConfig())
     chans = scene.channels
     # v_a equals h_t(AB), so the noiseless receive signature is h_r(AB)
-    assert np.allclose(scene.bob_signal_vector, chans.ab.rx_steering, atol=1e-12)
+    assert np.allclose(scene.cov.a.factor[..., 0], chans.ab.rx_steering, atol=1e-12)
 
 
 def _arrays(part, path="scene"):
@@ -349,14 +370,15 @@ def test_noise_levels_share_the_noise_free_part():
         assert getattr(lo.cov, name) is getattr(hi.cov, name)
     for scene in (lo, hi):
         cov, sigma2 = scene.cov, scene.cfg.sigma_b2_watt
-        assert np.array_equal(cov.c_nbar, cov.b + cov.d + sigma2 * np.eye(cfg_lo.n_b))
+        assert np.array_equal(cov.c_nbar, cov.b.dense + cov.d.dense + sigma2 * np.eye(cfg_lo.n_b))
     assert not np.array_equal(lo.cov.c_nbar, hi.cov.c_nbar)
 
 
 def test_shared_arrays_are_read_only():
     scene = build_scene(config_with(n_j=3, sigma_b2_watt=0.5))
     shared = {path: a for path, a in _arrays(scene).items() if path != "scene.cov.c_nbar"}
-    assert len(shared) == 3 * 3 + 4 + 6  # three links, transmit setup, six terms
+    # three links, the transmit setup, and six terms of a factor and a matrix each
+    assert len(shared) == 3 * 3 + 4 + 6 * 2
     for path, a in shared.items():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
@@ -397,20 +419,24 @@ def test_a_built_scene_is_one_point():
     cfg = config_with(n_a=3, n_b=5, n_m=6, n_j=2, p_m_watt=3.5, beta1=0.75)
     scene = build_scene(cfg)
     assert scene.cfg is cfg and len(scene) == 1
-    for name in ("sigma_b2_watt", "sigma_m2_watt", "p_a_watt", "p_m_watt", "beta1"):
+    for name in ("sigma_b2_watt", "sigma_m2_watt"):
         value = getattr(scene, name)
         assert type(value) is np.float64 and value == getattr(cfg, name), name
+    # the powers live in the terms' coefficients
+    assert type(scene.cov.a.coef) is np.float64
+    assert scene.cov.a.coef == cfg.path_gain(cfg.d_ab_km) * 0.75 * cfg.p_a_watt
+    assert scene.cov.d.coef == cfg.path_gain(cfg.d_mb_km) * 3.5
     assert (scene.n_b, scene.n_m, scene.n_j) == (cfg.n_b, cfg.n_m, cfg.n_j)
-    assert scene.bob_signal_vector.shape == (5,)
+    assert scene.cov.a.factor[..., 0].shape == (5,)
 
 
 def test_stacked_scenes_are_one_scene():
     scenes = [build_scene(config_with(n_j=2, p_m_watt=p)) for p in (1.0, 2.0, 4.0)]
     stack = stack_scenes(scenes)
     assert type(stack) is Scene and stack.cfg is None and len(stack) == 3
-    assert stack.p_m_watt.tolist() == [1.0, 2.0, 4.0]
+    assert stack.cov.d.coef.tolist() == [s.cov.d.coef for s in scenes]
     assert (stack.n_b, stack.n_m, stack.n_j) == (4, 4, 2)
-    assert stack.bob_signal_vector.shape == (3, 4)
+    assert stack.cov.a.factor[..., 0].shape == (3, 4)
     # a stack is not stacked again
     with pytest.raises(DimensionError, match="^a scene stack needs one or more scenes"):
         stack_scenes((stack,))

@@ -9,7 +9,7 @@ ends, and forms the interference-plus-noise each end receives:
 * Mallory: ``sqrt(g_am (1 - beta1) p_a) H_am T_a z + sqrt(rho p_m) H_rsi^H T_m w + n_m``
 
 Their sample covariances must match ``cov.c_nbar`` and
-``cov.f + cov.r_m + sigma_m^2 I`` entry by entry.  An entry of the sample
+``cov.f.dense + cov.r_m.dense + sigma_m^2 I`` entry by entry.  An entry of the sample
 covariance of N circular Gaussian vectors has standard deviation
 ``sqrt(C_ii C_jj / N)``, so each is allowed ``_SIGMAS`` of those.
 """
@@ -75,4 +75,4 @@ def test_covariances_match_sampled_interference(n, n_j, snr_db):
     bob, eve = _interference_plus_noise(cfg, np.random.default_rng(n + int(snr_db)))
     cov = build_scene(cfg).cov
     _assert_sampled(bob, cov.c_nbar, "Bob")
-    _assert_sampled(eve, cov.f + cov.r_m + cfg.sigma_m2_watt * np.eye(n), "Mallory")
+    _assert_sampled(eve, cov.f.dense + cov.r_m.dense + cfg.sigma_m2_watt * np.eye(n), "Mallory")
