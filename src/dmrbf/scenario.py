@@ -371,7 +371,16 @@ def _jamming(
 def _with_noise(
     cfg: ScenarioConfig, fixed: dict[str, Term | np.ndarray], d: Term, r_m: Term
 ) -> CovarianceSet:
-    c_nbar = fixed["b"].dense + d.dense + cfg.sigma_b2_watt * np.eye(cfg.n_b)
+    """The `CovarianceSet` at ``cfg``'s noise; a `ConfigError` naming
+    ``sigma_b2_watt`` refuses a ``c_nbar`` whose finite terms sum past the
+    float maximum."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
+        c_nbar = fixed["b"].dense + d.dense + cfg.sigma_b2_watt * np.eye(cfg.n_b)
+    if not np.isfinite(c_nbar).all():
+        raise ConfigError(
+            "sigma_b2_watt",
+            f"makes the interference-plus-noise covariance (jamming power {d.coef}) not finite",
+        )
     return CovarianceSet(
         a=fixed["a"], b=fixed["b"], d=d, e=fixed["e"], f=fixed["f"], r_m=r_m, c_nbar=c_nbar
     )

@@ -6,7 +6,7 @@ import dataclasses
 
 import numpy as np
 
-from dmrbf import ScenarioConfig, point_rng
+from dmrbf import Method, ScenarioConfig, point_rng
 from dmrbf import ber
 from dmrbf.channel import steering
 
@@ -60,6 +60,32 @@ def random_config(rng: np.random.Generator, sizes=(2, 4, 8)) -> ScenarioConfig:
 
 def config_with(**overrides) -> ScenarioConfig:
     return dataclasses.replace(ScenarioConfig(), **overrides)
+
+
+def closed_form_terms(scene) -> tuple[float, float, float, float]:
+    """``(c1, sigma2, kappa, gamma)`` of a one-point scene for
+    `closed_form_sinr`: the stream power ``g_ab beta1 p_a``, Bob's noise,
+    the jamming power per beam ``g_mb p_m / n_j`` and ``|h_ab^H h_mb|^2``
+    for the two receive steering vectors."""
+    cfg, ch = scene.cfg, scene.channels
+    return (
+        ch.ab.gain * cfg.beta1 * cfg.p_a_watt,
+        cfg.sigma_b2_watt,
+        ch.mb.gain * cfg.p_m_watt / cfg.n_j,
+        abs(np.vdot(ch.ab.rx_steering, ch.mb.rx_steering)) ** 2,
+    )
+
+
+def closed_form_sinr(method, c1: float, sigma2: float, kappa: float, gamma: float) -> float:
+    """Bob's SINR for ``method`` in the LoS model, where Alice's artificial
+    noise is nulled at Bob and only one jamming beam reaches him (derived
+    in ``test_closed_form.py``'s docstring); the four optimum methods share
+    one value."""
+    if method == Method.MRC:
+        return c1 / (kappa * gamma + sigma2)
+    if method == Method.NSP_WFRP:
+        return (c1 / sigma2) * (1.0 - gamma)
+    return (c1 / sigma2) * (1.0 - kappa * gamma / (sigma2 + kappa))
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -27,9 +28,16 @@ from dmrbf import (
     stack_scenes,
     whitening_filter,
 )
+from dmrbf.ber import config_at
 from dmrbf.beamformers import _chain_inverse, _rank_one_update
 from dmrbf.scenario import Term
-from conftest import config_with, random_config, random_hpd
+from conftest import (
+    closed_form_sinr,
+    closed_form_terms,
+    config_with,
+    random_config,
+    random_hpd,
+)
 
 EQUIV4 = (Method.MRC, Method.WFMRC, Method.MAX_SR, Method.MMSE)
 
@@ -187,11 +195,14 @@ def test_chain_detects_singular_level():
     # and rx^H Z^{-1} s = 1 / (sigma^2 + c1 |u|^2) here; in exact arithmetic
     # no other level's can vanish.  With no signal power (beta1 = 0) and
     # noise 1e-9 of g*P_A it is 5e-10, but rounding moves the computed one
-    # by about eps * c2 / sigma^2, so the chain cannot solve O x = u and
-    # is refused by its one rule
-    scene = build_scene(config_with(beta1=0.0, sigma_b2_watt=1e-8))
-    with pytest.raises(NumericalError, match="^rank-one update chain"):
-        compute(Method.LC_MMSE, scene)
+    # by about eps * c2 / sigma^2, so the chain cannot solve O x = u, even
+    # refined twice, and is refused by its one rule; likewise at 90 dB
+    for cfg in (
+        config_with(beta1=0.0, sigma_b2_watt=1e-8),
+        config_at(config_with(beta1=0.0), "snr_db", 90.0),
+    ):
+        with pytest.raises(NumericalError, match="^rank-one update chain"):
+            compute(Method.LC_MMSE, build_scene(cfg))
     # an exactly zero denominator (Z + c v^H with 1 + v^H Z^{-1} c = 0)
     # raises nothing itself: it leaves the inverse non-finite, which that
     # rule refuses
@@ -232,7 +243,8 @@ _FAR_BOB = {"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}
     [
         (_FAR_BOB, Method.WFMRC, DegenerateChannelError),
         (_FAR_BOB, Method.MAX_SR, DegenerateChannelError),
-        (_FAR_BOB, Method.MMSE, DegenerateChannelError),
+        # the MMSE solve's backward-error denominator overflows first
+        (_FAR_BOB, Method.MMSE, NumericalError),
         (_FAR_BOB, Method.NSP_WFRP, DegenerateChannelError),
         ({"sigma_m2_watt": 8.98846567431158e307}, "mallory", DegenerateChannelError),
     ],
@@ -282,6 +294,21 @@ def test_chain_refuses_what_mmse_refuses():
     stack = stack_scenes((build_scene(config_with(beta1=0.5)), scene))
     with pytest.raises(NumericalError, match="backward error"):
         compute(Method.LC_MMSE, stack)
+
+
+@pytest.mark.parametrize("n", [2, 4, 16])
+def test_mmse_solves_match_the_closed_form_at_very_high_snr(n):
+    # O's condition grows tenfold per 10 dB (8e8 at 90 dB, n = 4), so an
+    # unrefined solve loses the direction here: on this grid the direct
+    # inverse alone is up to 100 % off, and the chain alone up to 21 % off
+    # or refused in 31 of its 48 scenes
+    for beta1, snr_db in itertools.product((0.05, 0.45, 0.8, 1.0), (90.0, 100.0, 110.0, 120.0)):
+        base = config_with(n_a=n, n_b=n, n_m=n, beta1=beta1)
+        scene = build_scene(config_at(base, "snr_db", snr_db))
+        want = closed_form_sinr(Method.MMSE, *closed_form_terms(scene))
+        for method in (Method.MMSE, Method.LC_MMSE):
+            got = sinr_bob(compute(method, scene).weights, scene.cov, scene.sigma_b2_watt)
+            assert got == pytest.approx(want, rel=1e-6), (method, n, beta1, snr_db)
 
 
 def test_nsp_annihilates_jamming_link():

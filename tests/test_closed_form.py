@@ -26,21 +26,13 @@ import pytest
 from dmrbf import Method, build_scene, compute, mallory_receiver, rate_point
 from dmrbf.ber import config_at
 
-from conftest import config_with
+from conftest import closed_form_sinr, closed_form_terms, config_with
 
 OPTIMUM = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
 ANGLES = ((90.0, 45.0), (60.0, 120.0), (100.0, 30.0))  # (theta_r_ab, theta_r_mb)
 P_M = (0.1, 10.0, 1000.0, 1e10)
 SNR_DB = (-5.0, 10.0, 25.0)
 RTOL = 1e-12
-
-
-def _expected(method, c1, sigma2, kappa, gamma):
-    if method == Method.MRC:
-        return c1 / (kappa * gamma + sigma2)
-    if method == Method.NSP_WFRP:
-        return (c1 / sigma2) * (1.0 - gamma)
-    return (c1 / sigma2) * (1.0 - kappa * gamma / (sigma2 + kappa))
 
 
 @pytest.mark.parametrize("n", [2, 4, 16, 64])
@@ -60,11 +52,8 @@ def test_bob_sinr_matches_closed_form(n):
         cfg = config_at(base, "snr_db", snr)
         scene = build_scene(cfg)
         ch = scene.channels
-        c1 = ch.ab.gain * cfg.beta1 * cfg.p_a_watt
-        sigma2 = cfg.sigma_b2_watt
-        kappa = ch.mb.gain * p_m / n_j
+        c1, sigma2, kappa, gamma = closed_form_terms(scene)
         h = ch.mb.rx_steering
-        gamma = abs(np.vdot(ch.ab.rx_steering, h)) ** 2
 
         # the structure the closed forms rest on
         c2 = ch.ab.gain * (1.0 - cfg.beta1) * cfg.p_a_watt
@@ -80,7 +69,7 @@ def test_bob_sinr_matches_closed_form(n):
         eve = mallory_receiver(scene).weights
         for method in (Method.MRC, *OPTIMUM, Method.NSP_WFRP):
             got = rate_point(scene, compute(method, scene).weights, eve).sinr_bob
-            want = _expected(method, c1, sigma2, kappa, gamma)
+            want = closed_form_sinr(method, c1, sigma2, kappa, gamma)
             low = RTOL + (deficit if method in OPTIMUM else 0.0)
             assert want * (1.0 - low) <= got <= want * (1.0 + RTOL), (
                 method, n_j, th_ab, th_mb, p_m, snr, got / want - 1.0,
@@ -92,9 +81,7 @@ def test_bob_sinr_matches_closed_form(n):
 def _scene_sinrs(cfg, methods):
     scene = build_scene(cfg)
     eve = mallory_receiver(scene).weights
-    ch = scene.channels
-    kappa = ch.mb.gain * cfg.p_m_watt / cfg.n_j
-    gamma = abs(np.vdot(ch.ab.rx_steering, ch.mb.rx_steering)) ** 2
+    _, _, kappa, gamma = closed_form_terms(scene)
     sinrs = [rate_point(scene, compute(m, scene).weights, eve).sinr_bob for m in methods]
     return sinrs, kappa, gamma
 

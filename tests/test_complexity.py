@@ -72,7 +72,8 @@ def test_mrc_measured_value_frozen():
     # With n_j = 3 jamming beams the chain's jamming level runs three
     # updates; no other method's count depends on n_j.  The chain reads
     # its powers and jamming beams from the scene's model, as MMSE reads
-    # the dense terms, so it pays for neither.
+    # the dense terms, so it pays for neither.  Both MMSE builders form
+    # O = A + c_nbar (2n^2) and refine their solve twice (32n^2 + 8n).
     order = (
         Method.MRC,
         Method.WFMRC,
@@ -83,11 +84,11 @@ def test_mrc_measured_value_frozen():
         "mallory",
     )
     frozen = {  # (n, n_j): counts in the order above, Mallory's combiner last
-        (4, 1): (154, 2516, 2516, 826, 2731, 4174, 2612),
-        (16, 1): (2146, 137924, 137924, 37474, 40819, 213286, 139460),
-        (64, 1): (33154, 8495876, 8495876, 2171266, 642451, 12846214, 8520452),
-        (4, 3): (154, 2516, 2516, 826, 3775, 4174, 2612),
-        (16, 3): (2146, 137924, 137924, 37474, 56503, 213286, 139460),
+        (4, 1): (154, 2516, 2516, 1370, 3307, 4174, 2612),
+        (16, 1): (2146, 137924, 137924, 45794, 49651, 213286, 139460),
+        (64, 1): (33154, 8495876, 8495876, 2302850, 782227, 12846214, 8520452),
+        (4, 3): (154, 2516, 2516, 1370, 4351, 4174, 2612),
+        (16, 3): (2146, 137924, 137924, 45794, 65335, 213286, 139460),
     }
     for (n, n_j), counts in frozen.items():
         scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))

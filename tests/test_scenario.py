@@ -300,6 +300,19 @@ def test_a_term_beyond_the_float_range_is_refused_by_its_power(fields, power):
     assert info.value.field == power
 
 
+def test_noise_plus_jamming_beyond_the_float_range_is_refused_by_the_noise():
+    # the noise and the jamming term are each finite, but their sum is not:
+    # c_nbar is refused, naming the noise and stating the jamming power
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = config_with(sigma_b2_watt=1.7e308, p_m_watt=1.7e308, d_mb_km=1.0)
+        with pytest.raises(
+            ConfigError, match=r"^sigma_b2_watt: .* \(jamming power 1\.7e\+308\) not finite"
+        ) as info:
+            build_scene(cfg)
+    assert info.value.field == "sigma_b2_watt"
+
+
 def test_beta1_one_disables_an():
     scene = build_scene(config_with(beta1=1.0))
     assert np.linalg.norm(scene.cov.b.dense) == 0.0
