@@ -52,7 +52,6 @@ from .scenario import (
     ScenarioConfig,
     TransmitSetup,
     build_channels,
-    build_covariances,
     build_scene,
     build_transmit_setup,
     load_config,
@@ -90,7 +89,6 @@ __all__ = [
     "TransmitSetup",
     "UnsupportedScenarioError",
     "build_channels",
-    "build_covariances",
     "build_scene",
     "build_transmit_setup",
     "compute",

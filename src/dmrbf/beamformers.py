@@ -76,10 +76,16 @@ class Method(str, Enum):
 RECEIVE_METHODS: tuple[Method, ...] = tuple(Method)
 
 
-def unknown_method(name: object) -> DomainError:
-    """The refusal of a name outside `Method`, listing the valid names."""
-    names = ", ".join(m.value for m in Method)
-    return DomainError(f"{shown(name, repr)} is not a receive method; valid names: {names}")
+def as_method(name: object) -> Method:
+    """``name``, a `Method` or its value, as a `Method`; any other is
+    refused with one `DomainError` that lists the valid names."""
+    try:
+        return Method(name)
+    except ValueError:
+        names = ", ".join(m.value for m in Method)
+        raise DomainError(
+            f"{shown(name, repr)} is not a receive method; valid names: {names}"
+        ) from None
 
 
 METHOD_LABELS: dict[Method, str] = {
@@ -333,11 +339,7 @@ def compute(method: Method, scene: Scene) -> Beamformer:
     the bits of its own one-point call, and the flop count each point
     spends alone.
     """
-    try:
-        builder = _BUILDERS[Method(method)]
-    except ValueError:
-        raise unknown_method(method) from None
-    return _run(builder, scene)
+    return _run(_BUILDERS[as_method(method)], scene)
 
 
 def mallory_receiver(scene: Scene) -> Beamformer:

@@ -71,18 +71,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import complexity
-from .beamformers import (
-    RECEIVE_METHODS,
-    Beamformer,
-    Method,
-    compute,
-    mallory_receiver,
-    unknown_method,
-)
+from .beamformers import Beamformer, Method, as_method, compute, mallory_receiver
 from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError, shown
 from .linalg import RANK_RTOL, hermitian_evd, vector_norm
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
-from .scenario import Scene, ScenarioConfig, admits, build_scene, stack_scenes
+from .scenario import Scene, ScenarioConfig, admits, as_scalar, build_scene, stack_scenes
 
 _WILSON_Z = 1.959963984540054  # two-sided 95 %
 
@@ -144,24 +137,14 @@ class PerformanceReport:
     flops_measured: int
 
 
-def _check_fits_float(name: str, value: object) -> None:
-    """Refuse an int that no float can hold, naming ``name``."""
-    try:
-        math.isfinite(value)
-    except OverflowError:
-        raise DomainError(f"{name} must fit in a float, got {shown(value)}") from None
-
-
 def wilson_interval(n_errors: int, n_bits: int) -> tuple[float, float]:
     """Wilson score 95 % confidence interval for an error proportion."""
-    for name, count in (("n_errors", n_errors), ("n_bits", n_bits)):
-        if not admits(int, count):
-            raise DomainError(f"{name} must be an integer, got {shown(count, repr)}")
+    n_bits = as_scalar(int, n_bits, "n_bits")
+    n_errors = as_scalar(int, n_errors, "n_errors")
     if n_bits < 1:
-        raise DomainError(f"n_bits must be >= 1, got {shown(n_bits)}")
+        raise DomainError(f"n_bits must be >= 1, got {n_bits}")
     if not 0 <= n_errors <= n_bits:
-        raise DomainError(f"n_errors={shown(n_errors)} outside [0, {shown(n_bits)}]")
-    _check_fits_float("n_bits", n_bits)  # so n_errors, at most n_bits, fits too
+        raise DomainError(f"n_errors={n_errors} outside [0, {n_bits}]")
     z2 = _WILSON_Z * _WILSON_Z
     p = n_errors / n_bits
     denom = 1.0 + z2 / n_bits
@@ -178,9 +161,7 @@ def wilson_interval(n_errors: int, n_bits: int) -> tuple[float, float]:
 
 def qpsk_awgn_ber(sinr: float) -> float:
     """Analytic Gray-QPSK bit error rate at a given post-combining SINR."""
-    if not admits(float, sinr):
-        raise DomainError(f"sinr must be of type float, got {shown(sinr, repr)}")
-    _check_fits_float("sinr", sinr)
+    sinr = as_scalar(float, sinr, "sinr")
     if not sinr >= 0.0:  # also refuses NaN
         raise DomainError(f"sinr must be >= 0, got {sinr}")
     return 0.5 * math.erfc(math.sqrt(sinr / 2.0))
@@ -388,7 +369,7 @@ def config_at(cfg: ScenarioConfig, axis: str, value: float) -> ScenarioConfig:
     if axis == "snr_db":
         sigma2 = sigma2_for_snr_db(cfg, value)
         return replace(cfg, sigma_b2_watt=sigma2, sigma_m2_watt=sigma2)
-    return replace(cfg, p_m_watt=float(value))  # sweep() admits only _AXES
+    return replace(cfg, p_m_watt=value)  # sweep() admits only _AXES
 
 
 def _planned_symbols(p: float, cap: int) -> int:
@@ -474,7 +455,7 @@ def _sweep_point(
     return [
         PerformanceReport(
             axis=axis,
-            axis_value=float(value),
+            axis_value=value,
             method=m,
             rates=rates,
             ber=runs[m],
@@ -485,34 +466,27 @@ def _sweep_point(
     ]
 
 
-def check_sweep(
+def _check_sweep(
     methods: tuple[Method, ...],
     axis: str,
     values: Sequence[float] | np.ndarray,
     max_symbols: int,
     seed: int,
-) -> tuple[tuple[Method, ...], tuple[float, ...]]:
+) -> tuple[tuple[Method, ...], tuple[float, ...], int, int]:
     """Raise `DomainError` for any argument `sweep` refuses; return the
-    methods as `Method`s and the values as Python floats.
+    methods as `Method`s, the values as Python floats and ``max_symbols``
+    and ``seed`` as Python ints.
 
     ``values`` may be any sequence of finite real numbers that floats can
     hold, an ndarray included; ``max_symbols`` and ``seed`` must be
-    integers.  Python and numpy numbers are both taken, a bool as
-    neither.
-
-    ``sweep`` runs it before any point, and ``dmrbf run`` before it makes
-    its output directory, so a refused run leaves nothing behind.
+    integers (see `as_scalar`).
     """
     if axis not in _AXES:
         raise DomainError(f"axis must be one of {_AXES}, got {shown(axis, repr)}")
     items = values.tolist() if isinstance(values, np.ndarray) else values
     if not isinstance(items, Sequence) or not all(admits(float, v) for v in items):
         raise DomainError(f"values must be a sequence of real numbers, got {shown(values, repr)}")
-    try:
-        points = tuple(map(float, items))
-    except OverflowError:  # the largest value is an int that no float can hold
-        largest = shown(max(items, key=abs))
-        raise DomainError(f"values must fit in a float, got {largest}") from None
+    points = tuple(as_scalar(float, v, "values") for v in items)
     if not points:
         raise DomainError("sweep needs at least one axis value")
     for point in points:  # before the order check, which a NaN would pass
@@ -520,20 +494,17 @@ def check_sweep(
             raise DomainError(f"values must be finite, got {point}")
     if any(b <= a for a, b in zip(points, points[1:])):
         raise DomainError("axis values must be strictly increasing")
-    for name, count in (("max_symbols", max_symbols), ("seed", seed)):
-        if not admits(int, count):
-            raise DomainError(f"{name} must be an integer, got {shown(count, repr)}")
+    max_symbols = as_scalar(int, max_symbols, "max_symbols")
+    seed = as_scalar(int, seed, "seed")
     if not 1 <= max_symbols < 2**63:  # Generator.binomial takes an int64 count
-        raise DomainError(f"max_symbols must be in [1, 2**63), got {shown(max_symbols)}")
+        raise DomainError(f"max_symbols must be in [1, 2**63), got {max_symbols}")
     if not 0 <= seed < 2**64:  # point_rng keys Philox with a uint64
-        raise DomainError(f"seed must be in [0, 2**64), got {shown(seed)}")
-    names = [getattr(m, "value", m) for m in methods]
-    for name in names:
-        if name not in RECEIVE_METHODS:  # a str Method equals its value
-            raise unknown_method(name)
-        if names.count(name) > 1:
-            raise DomainError(f"method {name!r} is requested more than once")
-    return tuple(Method(name) for name in names), points
+        raise DomainError(f"seed must be in [0, 2**64), got {seed}")
+    methods = tuple(as_method(m) for m in methods)
+    for method in methods:
+        if methods.count(method) > 1:
+            raise DomainError(f"method {method.value!r} is requested more than once")
+    return methods, points, max_symbols, seed
 
 
 def sweep(
@@ -560,7 +531,7 @@ def sweep(
     message is prefixed with the axis value and, when one method's own
     step failed, that method.
     """
-    methods, values = check_sweep(methods, axis, values, max_symbols, seed)
+    methods, values, max_symbols, seed = _check_sweep(methods, axis, values, max_symbols, seed)
     if not methods:
         return []
     # no axis changes an array size, so each method's closed form is one number

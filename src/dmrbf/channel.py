@@ -57,7 +57,7 @@ def los_channel(
     h_rx = steering(n_rx, spacing_over_wavelength, rx_angle_deg)
     h_tx = steering(n_tx, spacing_over_wavelength, tx_angle_deg)
     matrix = np.outer(h_rx, h_tx.conj())
-    return LosChannel(gain=float(gain), rx_steering=h_rx, tx_steering=h_tx, matrix=matrix)
+    return LosChannel(gain=gain, rx_steering=h_rx, tx_steering=h_tx, matrix=matrix)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,6 @@ from .ber import (
     BER_REL_HALFWIDTH,
     RNG_STREAM,
     PerformanceReport,
-    check_sweep,
     config_at,
     qpsk_awgn_ber,
     sweep,
@@ -185,8 +184,6 @@ def _print_summary(spec: SweepSpec, reports: list[PerformanceReport], quantity: 
 def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
     """Execute a sweep spec and write its CSV and SVG outputs."""
     preset = PRESETS[spec.preset]
-    # a refused argument must not leave --out behind
-    check_sweep(spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed)
     made = [path for path in (out_dir, *out_dir.parents) if not path.exists()]
     try:  # before the sweep, so a bad --out fails fast
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -201,7 +198,7 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
         reports = sweep(
             spec.cfg, spec.methods, spec.axis, spec.values, spec.max_symbols, spec.seed
         )
-    except DmrbfError:  # nor a refused scenario: remove the (empty) dirs made for it
+    except DmrbfError:  # a refused run leaves no --out: remove the (empty) dirs it made
         with contextlib.suppress(OSError):
             for path in made:  # deepest first
                 path.rmdir()
@@ -221,7 +218,7 @@ def run_sweep(spec: SweepSpec, out_dir: Path) -> tuple[Path, Path]:
             title=f"{title} ({spec.preset})",
             xlabel=xlabel,
             ylabel=ylabel,
-            xlog=preset.axis == "p_m_watt",
+            xlog=spec.axis == "p_m_watt",
             ylog=preset.plot_quantity == "ber",
         )
     except OSError as exc:

@@ -16,9 +16,9 @@ n_a = n_b = n_m = 16 (default config otherwise) the formulas rank WF-MRC
 
 from __future__ import annotations
 
-from .beamformers import Method, unknown_method
-from .errors import DomainError, shown
-from .scenario import admits
+from .beamformers import Method, as_method
+from .errors import DomainError
+from .scenario import as_scalar
 
 
 def _mrc_flops(n_a: int, n_b: int, n_m: int) -> int:
@@ -100,14 +100,10 @@ _FORMULAS = {
 
 def formula_flops(method: Method, n_a: int, n_b: int, n_m: int) -> int:
     """Closed-form operation count of a method at the given array sizes."""
-    try:
-        formula = _FORMULAS[Method(method)]
-    except ValueError:
-        raise unknown_method(method) from None
-    sizes = (n_a, n_b, n_m)
-    if not all(admits(int, n) for n in sizes):
-        raise DomainError(f"array sizes must be integers, got {shown(sizes, repr)}")
-    if min(sizes) < 1:
+    formula = _FORMULAS[as_method(method)]
+    n_a = as_scalar(int, n_a, "n_a")
+    n_b = as_scalar(int, n_b, "n_b")
+    n_m = as_scalar(int, n_m, "n_m")
+    if min(n_a, n_b, n_m) < 1:
         raise DomainError(f"array sizes must be >= 1, got ({n_a}, {n_b}, {n_m})")
-    return int(formula(n_a, n_b, n_m))
-
+    return formula(n_a, n_b, n_m)

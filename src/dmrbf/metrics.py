@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, shown
+from .errors import DimensionError, DomainError
 from .linalg import point_values, vector_norm
-from .scenario import CovarianceSet, Scene, ScenarioConfig, Term, admits
+from .scenario import CovarianceSet, Scene, ScenarioConfig, Term, as_scalar
 
 
 @dataclass(frozen=True)
@@ -114,18 +114,16 @@ def rate_point(scene: Scene, bob_weights: np.ndarray, mallory_weights: np.ndarra
 
 def sigma2_for_snr_db(cfg: ScenarioConfig, snr_db: float) -> float:
     """Noise variance that realizes ``snr_db`` under the config's definition."""
-    if not admits(float, snr_db):
-        raise DomainError(f"snr_db must be of type float, got {shown(snr_db, repr)}")
-    # on Python floats, which raise where numpy's would only warn
-    reference = float(cfg.p_a_watt)  # the 'transmit' definition
+    snr_db = as_scalar(float, snr_db, "snr_db")
+    reference = cfg.p_a_watt  # the 'transmit' definition
     if cfg.snr_definition == "received":
         reference *= cfg.path_gain(cfg.d_ab_km)
-    try:
-        sigma2 = reference / 10.0 ** (float(snr_db) / 10.0)
+    try:  # on Python floats, which raise where numpy's would only warn
+        sigma2 = reference / 10.0 ** (snr_db / 10.0)
     except OverflowError:  # the power ratio left the float range
         sigma2 = 0.0
     except ZeroDivisionError:  # the power ratio underflowed to zero
         sigma2 = math.inf
     if not math.isfinite(sigma2) or sigma2 <= 0.0:
-        raise DomainError(f"snr_db={shown(snr_db)} yields unusable noise variance {sigma2}")
+        raise DomainError(f"snr_db={snr_db} yields unusable noise variance {sigma2}")
     return sigma2

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import typing
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
@@ -65,16 +66,13 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
-            if not admits(kind, value):
-                got = shown(value, repr)
-                raise ConfigError(name, f"must be of type {kind.__name__}, got {got}")
-            if kind is float:
-                try:
-                    finite = math.isfinite(value)
-                except OverflowError:  # an int that no float can hold
-                    raise ConfigError(name, f"must fit in a float, got {shown(value)}") from None
-                if not finite:
-                    raise ConfigError(name, f"must be finite, got {value}")
+            # an exact Python kind is kept as given, so a config stays cheap to
+            # make; an int of an int field is then not checked against the float range
+            if type(value) is not kind:
+                value = as_scalar(kind, value, functools.partial(ConfigError, name))
+                object.__setattr__(self, name, value)
+            if kind is float and not math.isfinite(value):
+                raise ConfigError(name, f"must be finite, got {value}")
         for name in ("n_a", "n_b", "n_m"):
             if getattr(self, name) < 1:
                 raise ConfigError(name, f"must be >= 1, got {shown(getattr(self, name))}")
@@ -132,17 +130,16 @@ class ScenarioConfig:
         Raises `DomainError` unless ``distance_km`` is a number > 0 whose
         gain is a positive finite float.
         """
-        if not admits(float, distance_km):
-            raise DomainError(f"distance_km must be of type float, got {shown(distance_km, repr)}")
+        distance_km = as_scalar(float, distance_km, "distance_km")
         if not distance_km > 0.0:
-            raise DomainError(f"distance_km must be > 0, got {shown(distance_km)}")
+            raise DomainError(f"distance_km must be > 0, got {distance_km}")
         try:  # on Python floats, which raise where numpy's would only warn
-            g = float(self.path_alpha) / float(distance_km) ** float(self.path_exponent)
+            g = self.path_alpha / distance_km**self.path_exponent
         except (OverflowError, ZeroDivisionError):
             g = math.nan  # distance_km ** path_exponent left the float range
         if not 0.0 < g < math.inf:
             raise DomainError(
-                f"path gain at distance {shown(distance_km)} km (exponent {self.path_exponent}) "
+                f"path gain at distance {distance_km} km (exponent {self.path_exponent}) "
                 "is not a positive finite float"
             )
         return g
@@ -163,6 +160,31 @@ def admits(kind: type, value: object) -> bool:
     """Whether a value declared ``kind`` (int, float or str) may be ``value``:
     numpy scalars count as Python ones, and a bool counts as none."""
     return isinstance(value, _ACCEPTED[kind]) and not isinstance(value, bool)
+
+
+def as_scalar(
+    kind: type, value: object, name: str | Callable[[str], Exception]
+) -> int | float | str:
+    """``value``, declared ``kind`` (int, float or str), as a Python ``kind``.
+
+    The one rule for a scalar argument: `admits` it, and a number must
+    fit in a float.  So a numpy scalar is stored and computed with as the
+    Python number it holds, never in its own dtype.  A value that breaks
+    the rule raises ``DomainError("<name> must be of type <kind>, got …")``
+    or ``"… must fit in a float, got …"``; a callable ``name`` instead
+    makes the error from the message without the name.
+    """
+    if admits(kind, value):
+        try:
+            converted = kind(value)
+            if kind is int:
+                float(converted)  # an int must fit in a float too
+            return converted
+        except OverflowError:
+            problem = f"must fit in a float, got {shown(value)}"
+    else:
+        problem = f"must be of type {kind.__name__}, got {shown(value, repr)}"
+    raise DomainError(f"{name} {problem}") if isinstance(name, str) else name(problem)
 
 
 def serialize_config(cfg: ScenarioConfig) -> str:
@@ -311,14 +333,6 @@ class CovarianceSet:
     c_nbar: np.ndarray
 
 
-def build_covariances(
-    cfg: ScenarioConfig, channels: ChannelSet, setup: TransmitSetup
-) -> CovarianceSet:
-    """Assemble all second-order receive statistics for one scenario."""
-    fixed = _fixed_terms(cfg, channels, setup)
-    return _with_noise(cfg, fixed, *_jamming(cfg, channels, fixed))
-
-
 def _term(power_field: str, coef: float, factor: np.ndarray, gram: np.ndarray) -> Term:
     """The term ``coef * gram``, its matrix made Hermitian; the caller forms
     ``gram = factor factor^H`` (by ``np.outer`` for one column, to keep its
@@ -340,7 +354,7 @@ def _fixed_terms(
     `_jamming`).  Coefficients are products of Python floats, which do
     not warn where they overflow."""
     g_ab, g_am = channels.ab.gain, channels.am.gain
-    beta1, p_a = float(cfg.beta1), float(cfg.p_a_watt)
+    beta1, p_a = cfg.beta1, cfg.p_a_watt
 
     u = channels.ab.matrix @ setup.v_a  # Bob-side signal signature
     an_b = channels.ab.matrix @ setup.t_a_an
@@ -362,9 +376,9 @@ def _jamming(
     """The jamming term ``d`` at Bob and the residual self-interference
     ``r_m`` at Mallory, the two terms that scale with ``p_m_watt``."""
     jam_b, rsi = fixed["jam_b"], fixed["rsi"]
-    p_m = float(cfg.p_m_watt)
+    p_m = cfg.p_m_watt
     d = _term("p_m_watt", channels.mb.gain * p_m, jam_b, jam_b @ jam_b.conj().T)
-    r_m = _term("rho", float(cfg.rho) * p_m, rsi, rsi @ rsi.conj().T)
+    r_m = _term("rho", cfg.rho * p_m, rsi, rsi @ rsi.conj().T)
     return d, r_m
 
 

@@ -61,7 +61,7 @@ def test_wilson_interval_rejects_bad_counts():
         wilson_interval(11, 10)
     # counts are integers: a float or a bool is refused by name
     for args, name in (((1.5, 10), "n_errors"), ((True, 10), "n_errors"), ((1, 10.0), "n_bits")):
-        with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+        with pytest.raises(DomainError, match=f"^{name} must be of type int, got "):
             wilson_interval(*args)
     assert wilson_interval(np.int64(5), np.int64(100)) == wilson_interval(5, 100)
     # an int no float can hold is refused by name, not as a bare OverflowError
@@ -568,17 +568,20 @@ def test_sweep_validation(monkeypatch):
     for bad in (0, 2**63, 2**64):
         with pytest.raises(DomainError, match=r"^max_symbols must be in \[1, 2\*\*63\)"):
             sweep(cfg, (Method.MRC,), "snr_db", (25.0,), bad, seed=0)
-    (report,) = sweep(cfg, (Method.MRC,), "snr_db", (25.0,), 2**62, seed=0)
-    assert report.ber.n_symbols == 2**62
+    # a numpy cap counts as the Python int it holds, not as an int64 that
+    # overflows when the symbols are doubled into bits
+    for cap in (2**62, np.int64(2**62)):
+        (report,) = sweep(cfg, (Method.MRC,), "snr_db", (25.0,), cap, seed=0)
+        assert report.ber.n_symbols == 2**62
     # a mistyped argument is refused by name: a fractional seed would key
     # Philox with its truncation, uint64(1.5) == 1, and alias seed 1
     methods, values = (Method.MRC, Method.MMSE), (0.0, 5.0)
     for args, named in (
-        ((values, 4000, 1.5), "seed must be an integer, got 1.5"),
-        ((values, 1000.5, 0), "max_symbols must be an integer, got 1000.5"),
-        ((values, "1000", 0), "max_symbols must be an integer, got '1000'"),
-        ((values, 1000, "1"), "seed must be an integer, got '1'"),
-        ((values, 1000, True), "seed must be an integer, got True"),
+        ((values, 4000, 1.5), "seed must be of type int, got 1.5"),
+        ((values, 1000.5, 0), "max_symbols must be of type int, got 1000.5"),
+        ((values, "1000", 0), "max_symbols must be of type int, got '1000'"),
+        ((values, 1000, "1"), "seed must be of type int, got '1'"),
+        ((values, 1000, True), "seed must be of type int, got True"),
         ((("0",), 1000, 0), r"values must be a sequence of real numbers, got \('0',\)"),
         (((True,), 1000, 0), "values must be a sequence of real numbers"),
         ((np.array(0.0), 1000, 0), "values must be a sequence of real numbers"),
@@ -590,8 +593,8 @@ def test_sweep_validation(monkeypatch):
             ((10**5000, "0"), 1000, 0),
             "values must be a sequence of real numbers, got a tuple holding an int of over",
         ),
-        ((values, 1000, 10**5000), r"seed must be in \[0, 2\*\*64\), got an int of 16610"),
-        ((values, 10**5000, 0), r"max_symbols must be in \[1, 2\*\*63\), got an int of 16610"),
+        ((values, 1000, 10**5000), "seed must fit in a float, got an int of 16610 bits$"),
+        ((values, 10**5000, 0), "max_symbols must fit in a float, got an int of 16610 bits$"),
     ):
         with pytest.raises(DomainError, match=f"^{named}"):
             sweep(cfg, methods, "snr_db", *args)
@@ -619,6 +622,12 @@ def test_sweep_validation(monkeypatch):
         ):
             with pytest.raises(DomainError, match=f"^values must be finite, got {named}$"):
                 sweep(cfg, (Method.MRC,), axis, values, 1000, 0)
+
+
+def test_a_numpy_array_size_sweeps_as_its_python_int():
+    # an int8 n_b would overflow n_b**2 when the sweep sizes its point stacks
+    args = ((Method.MRC, Method.WFMRC), "snr_db", (0.0, 10.0), 2000, 0)
+    assert sweep(config_with(n_b=np.int8(100)), *args) == sweep(config_with(n_b=100), *args)
 
 
 def test_sweep_failure_names_method_and_point():

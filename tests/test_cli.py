@@ -152,6 +152,25 @@ def test_zero_error_rows_plot_at_their_upper_bound():
     assert series.y[1] == wilson_interval(0, 2000)[1]
 
 
+def test_a_hand_built_spec_plots_its_own_axis(tmp_path, capsys, monkeypatch):
+    # a jamming-power axis gets its label and its log scale from spec.axis,
+    # not from the preset it is filed under
+    plots = []
+    monkeypatch.setattr(cli, "save_line_plot", lambda path, series, **kw: plots.append(kw))
+    spec = cli.SweepSpec(
+        cfg=ScenarioConfig(),
+        preset="fig2",
+        axis="p_m_watt",
+        values=(1.0, 100.0),
+        methods=("mrc",),
+        max_symbols=100,
+        seed=0,
+    )
+    cli.run_sweep(spec, tmp_path)
+    (plot,) = plots
+    assert plot["xlabel"] == "jamming power [W]" and plot["xlog"]
+
+
 def test_run_missing_config_fails(tmp_path, capsys):
     rc = run_cli("run", str(tmp_path / "nope.cfg"), "--preset", "fig2")
     assert rc == 2

@@ -34,10 +34,12 @@ def test_formula_rejects_bad_input():
     with pytest.raises(DomainError):
         formula_flops(Method.MRC, 0, 4, 4)
     # sizes are integers: a float or a bool is refused by name, not rounded
-    for sizes in ((4.5, 4, 4), (4, True, 4), (4, 4, 4.0)):
-        with pytest.raises(DomainError, match="^array sizes must be integers, got "):
+    for sizes, name in (((4.5, 4, 4), "n_a"), ((4, True, 4), "n_b"), ((4, 4, 4.0), "n_m")):
+        with pytest.raises(DomainError, match=f"^{name} must be of type int, got "):
             formula_flops(Method.MRC, *sizes)
     assert formula_flops(Method.MRC, np.int64(4), 4, 4) == formula_flops(Method.MRC, 4, 4, 4)
+    # a numpy size counts as the Python int it holds: n_b**3 does not wrap in int8
+    assert formula_flops("mmse", 4, np.int8(100), 4) == formula_flops("mmse", 4, 100, 4) == 1154299
 
 
 def test_quadratic_vs_cubic_crossover():

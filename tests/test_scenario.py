@@ -1,6 +1,7 @@
 """Scenario configuration, transmit setup, covariance assembly."""
 
 import dataclasses
+import typing
 import warnings
 
 import numpy as np
@@ -10,23 +11,31 @@ from dmrbf import (
     ConfigError,
     ConfigParseError,
     DimensionError,
+    DmrbfError,
     DomainError,
+    Method,
     RECEIVE_METHODS,
     ScenarioConfig,
     Scene,
     build_channels,
-    build_covariances,
     build_scene,
     build_transmit_setup,
+    compute,
+    formula_flops,
     load_config,
+    mallory_receiver,
     parse_config,
+    qpsk_awgn_ber,
+    rate_point,
     serialize_config,
+    sigma2_for_snr_db,
     stack_scenes,
     sweep,
+    wilson_interval,
 )
 from dmrbf.ber import config_at
 from dmrbf.cli import PRESETS
-from dmrbf.scenario import _POINT_FIELDS, _jamming_terms, _noise_free_scene
+from dmrbf.scenario import _jamming_terms, _noise_free_scene
 
 from conftest import config_with, random_config
 
@@ -175,9 +184,79 @@ def test_mistyped_values_name_the_field(field, value):
     assert exc.value.field == field
 
 
+def _rates(cfg: ScenarioConfig) -> list:
+    scene = build_scene(cfg)
+    eve = mallory_receiver(scene).weights
+    return [rate_point(scene, compute(m, scene).weights, eve) for m in (Method.MRC, Method.WFMRC)]
+
+
 def test_numpy_scalars_are_accepted():
     cfg = config_with(n_b=np.int64(8), rng_seed=np.uint32(3), p_a_watt=np.float32(10.0), d_ab_km=2)
     assert build_scene(cfg).n_b == 8
+    # every field is stored as the Python number it holds, of its declared type
+    for name, kind in typing.get_type_hints(ScenarioConfig).items():
+        assert type(getattr(cfg, name)) is kind, name
+    assert cfg == config_with(n_b=8, rng_seed=3, p_a_watt=10.0, d_ab_km=2.0)
+    # so a numpy scalar computes as that Python number, not in its own dtype:
+    # an int8 n_b would overflow n + 1 in the steering vector, and a float32
+    # angle would round its cosine in single precision
+    assert _rates(config_with(n_b=np.int8(127))) == _rates(config_with(n_b=127))
+    angle = np.float32(45.3)
+    assert _rates(config_with(theta_r_mb_deg=angle)) == _rates(
+        config_with(theta_r_mb_deg=float(angle))
+    )
+
+
+#: Each public entry point that takes a scalar, as a call of that one
+#: argument, with the argument's name and declared kind.
+_SCALAR_ARGUMENTS = {
+    "ScenarioConfig.n_b": (lambda v: ScenarioConfig(n_b=v), "n_b", "int"),
+    "ScenarioConfig.p_a_watt": (lambda v: ScenarioConfig(p_a_watt=v), "p_a_watt", "float"),
+    "path_gain": (ScenarioConfig().path_gain, "distance_km", "float"),
+    "sigma2_for_snr_db": (lambda v: sigma2_for_snr_db(ScenarioConfig(), v), "snr_db", "float"),
+    "wilson_interval.n_errors": (lambda v: wilson_interval(v, 10), "n_errors", "int"),
+    "wilson_interval.n_bits": (lambda v: wilson_interval(0, v), "n_bits", "int"),
+    "qpsk_awgn_ber": (qpsk_awgn_ber, "sinr", "float"),
+    "sweep.max_symbols": (
+        lambda v: sweep(ScenarioConfig(), ("mrc",), "snr_db", (0.0,), v, 0),
+        "max_symbols",
+        "int",
+    ),
+    "sweep.seed": (
+        lambda v: sweep(ScenarioConfig(), ("mrc",), "snr_db", (0.0,), 1000, v),
+        "seed",
+        "int",
+    ),
+    "formula_flops.n_a": (lambda v: formula_flops("mrc", v, 4, 4), "n_a", "int"),
+    "formula_flops.n_m": (lambda v: formula_flops("mrc", 4, 4, v), "n_m", "int"),
+}
+_BAD_SCALARS = {
+    "str": ("1", "must be of type {kind}, got '1'"),
+    "bool": (True, "must be of type {kind}, got True"),
+    "10**400": (10**400, "must fit in a float, got an int of 1329 bits"),
+}
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry in sorted(_SCALAR_ARGUMENTS)
+        for bad in _BAD_SCALARS
+        # a config keeps a Python int field as given, unchecked against the
+        # float range (see ScenarioConfig.__post_init__)
+        if (entry, bad) != ("ScenarioConfig.n_b", "10**400")
+    ],
+)
+def test_every_scalar_argument_is_refused_by_one_rule(entry, bad):
+    call, name, kind = _SCALAR_ARGUMENTS[entry]
+    value, problem = _BAD_SCALARS[bad]
+    with pytest.raises(DmrbfError) as exc:
+        call(value)
+    # a config field's ConfigError carries the field; the rest are DomainErrors
+    kind_of_error, sep = (ConfigError, ": ") if entry.startswith("Scen") else (DomainError, " ")
+    assert type(exc.value) is kind_of_error
+    assert str(exc.value) == name + sep + problem.format(kind=kind)
 
 
 def test_unrepresentable_path_gain_names_the_distance():
@@ -323,10 +402,14 @@ def test_build_scene_composes_stages():
     cfg = ScenarioConfig()
     chans = build_channels(cfg)
     setup = build_transmit_setup(cfg, chans)
-    cov = build_covariances(cfg, chans, setup)
+    _noise_free_scene.cache_clear()
+    _jamming_terms.cache_clear()
     scene = build_scene(cfg)
-    assert np.array_equal(scene.cov.c_nbar, cov.c_nbar)
+    assert np.array_equal(scene.channels.ab.matrix, chans.ab.matrix)
     assert np.array_equal(scene.setup.v_a, setup.v_a)
+    assert np.array_equal(scene.setup.h_m_rsi, setup.h_m_rsi)
+    cov = scene.cov
+    assert np.array_equal(cov.c_nbar, cov.b.dense + cov.d.dense + cfg.sigma_b2_watt * np.eye(4))
 
 
 def test_scene_signal_vectors():
@@ -365,11 +448,6 @@ def test_memoized_scene_equals_a_fresh_build_bit_for_bit(n):
             _noise_free_scene.cache_clear()
             fresh = build_scene(cfg)
             assert _bytes(cached) == _bytes(fresh)
-            chans = build_channels(cfg)
-            setup = build_transmit_setup(cfg, chans)
-            point = (np.float64(getattr(cfg, f)) for f in _POINT_FIELDS)
-            staged = Scene(chans, setup, build_covariances(cfg, chans, setup), *point, cfg)
-            assert _bytes(cached) == _bytes(staged)
 
 
 def test_noise_levels_share_the_noise_free_part():
