@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .channel import null_projector
+from .channel import LosChannel, null_projector
 from .counting import FlopCounter
 from .errors import (
     DegenerateChannelError,
@@ -150,9 +150,14 @@ def _whiten_match(fc: FlopCounter, sig: np.ndarray, cov: np.ndarray, what: str) 
     return _unit(fc, w, f"whitened direction is zero ({what})")
 
 
+def _apply_link(fc: FlopCounter, link: LosChannel, x: np.ndarray) -> np.ndarray:
+    """The rank-one ``link`` applied to ``x`` as ``h_rx (h_tx^H x)``, no matvec."""
+    return fc.scale(fc.dot(link.tx_steering, x)[..., None], link.rx_steering)
+
+
 def _signature(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """The confidential stream's receive signature ``u`` at Bob (counted)."""
-    return fc.matvec(scene.channels.ab.matrix, scene.setup.v_a)
+    return _apply_link(fc, scene.channels.ab, scene.setup.v_a)
 
 
 def _mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
@@ -213,7 +218,7 @@ def _chain_inverse(scene: Scene, fc: FlopCounter, u: np.ndarray) -> np.ndarray:
     # terms along the same receive signature (coefficients +1, +1, -2),
     # folded in that order so each intermediate is Z + k c2 s rx^H with
     # k in {1, 2}; rx^H Z^{-1} s > 0, so no denominator but L's can vanish
-    s = fc.matvec(channels.ab.matrix, channels.ab.tx_steering)
+    s = _apply_link(fc, channels.ab, channels.ab.tx_steering)
     rx = channels.ab.rx_steering
     for coeff in (c2, c2, -2.0 * c2):
         fc.scalar()
@@ -306,7 +311,7 @@ def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
     eavesdropper's covariance: artificial noise received from Alice plus
     residual self-interference plus thermal noise.
     """
-    e = fc.matvec(scene.channels.am.matrix, scene.setup.v_a)
+    e = _apply_link(fc, scene.channels.am, scene.setup.v_a)
     c_m = fc.add(
         fc.add(scene.cov.f.dense, scene.cov.r_m.dense),
         fc.scale(scene.sigma_m2_watt[..., None, None], np.eye(scene.n_m)),

@@ -6,8 +6,10 @@ check none of them again.  Angles are measured in degrees from the array
 axis (broadside at 90) and spacings in carrier wavelengths.
 
 A line-of-sight link is rank one: the normalized channel matrix is the
-outer product of the receive and transmit steering vectors, and the large
-scale power gain is kept as a separate scalar.
+outer product ``h_rx h_tx^H`` of the receive and transmit steering
+vectors, and the large scale power gain is kept as a separate scalar.  No
+matrix is formed: a link is applied to a transmit vector ``x`` as
+``h_rx (h_tx^H x)``, an inner product and a scaling.
 """
 
 from __future__ import annotations
@@ -19,18 +21,16 @@ import numpy as np
 
 @dataclass(frozen=True)
 class LosChannel:
-    """Rank-one LoS link.
-
-    ``matrix`` maps transmit-side vectors to the receive side (apply as
-    ``matrix @ s``) and has unit squared Frobenius norm; ``gain`` carries
+    """Rank-one LoS link ``H = rx_steering tx_steering^H``, of unit
+    Frobenius norm, kept as its two steering vectors: it maps a transmit
+    vector ``s`` to ``rx_steering * (tx_steering^H s)``.  ``gain`` carries
     the path power gain separately, so the received signal is
-    ``sqrt(gain) * matrix @ s``.
+    ``sqrt(gain) H s``.
     """
 
     gain: float
     rx_steering: np.ndarray  # (n_rx,) unit-norm
     tx_steering: np.ndarray  # (n_tx,) unit-norm
-    matrix: np.ndarray  # (n_rx, n_tx) = rx_steering outer tx_steering^H
 
 
 def steering(n: int, spacing_over_wavelength: float, angle_deg: float) -> np.ndarray:
@@ -56,8 +56,7 @@ def los_channel(
     """Rank-one LoS channel between two ULAs of one element spacing."""
     h_rx = steering(n_rx, spacing_over_wavelength, rx_angle_deg)
     h_tx = steering(n_tx, spacing_over_wavelength, tx_angle_deg)
-    matrix = np.outer(h_rx, h_tx.conj())
-    return LosChannel(gain=gain, rx_steering=h_rx, tx_steering=h_tx, matrix=matrix)
+    return LosChannel(gain=gain, rx_steering=h_rx, tx_steering=h_tx)
 
 
 @dataclass(frozen=True)

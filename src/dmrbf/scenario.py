@@ -25,7 +25,7 @@ import numpy as np
 
 from .channel import ChannelSet, los_channel, null_projector
 from .errors import ConfigError, ConfigParseError, DimensionError, DomainError, shown
-from .linalg import hermitian_part
+from .linalg import hermitian_part, vector_norm
 
 
 @dataclass(frozen=True)
@@ -74,8 +74,11 @@ class ScenarioConfig:
             if kind is float and not math.isfinite(value):
                 raise ConfigError(name, f"must be finite, got {value}")
         for name in ("n_a", "n_b", "n_m"):
-            if getattr(self, name) < 1:
-                raise ConfigError(name, f"must be >= 1, got {shown(getattr(self, name))}")
+            n = getattr(self, name)
+            if n < 1:
+                raise ConfigError(name, f"must be >= 1, got {shown(n)}")
+            if n > _MAX_ARRAY_SIZE:
+                raise ConfigError(name, f"is too large for an n x n complex matrix, got {shown(n)}")
         if not 1 <= self.n_j <= self.n_m - 1:
             raise ConfigError(
                 "n_j",
@@ -147,6 +150,8 @@ class ScenarioConfig:
 
 #: Field name -> declared type (int, float or str), in declaration order.
 _FIELD_TYPES: dict[str, type] = typing.get_type_hints(ScenarioConfig)
+#: The largest n of an n x n complex128 matrix (16 n^2 bytes) numpy can index.
+_MAX_ARRAY_SIZE = math.isqrt(np.iinfo(np.intp).max // 16)
 #: Declared type -> the concrete value types a field of it takes (an ABC
 #: check such as ``numbers.Real`` costs several times as much per config).
 _ACCEPTED: dict[type, tuple[type, ...]] = {
@@ -283,7 +288,7 @@ def build_transmit_setup(cfg: ScenarioConfig, channels: ChannelSet) -> TransmitS
 
     proj = null_projector(channels.ab.tx_steering)
     # trace(P P^H) = rank for an orthogonal projector: n_a - 1 here
-    power = float(np.real(np.trace(proj @ proj.conj().T)))
+    power = float(np.vdot(proj, proj).real)
     if power > 1e-12:
         t_a_an = proj / np.sqrt(power)
     else:
@@ -313,15 +318,16 @@ class Term:
 @dataclass(frozen=True)
 class CovarianceSet:
     """The received signal model, built here and only here: no other
-    module forms a coefficient or factor again.
+    module forms a coefficient or a term again.
 
     At Bob, ``a`` is the stream, ``g_ab beta1 p_a`` on ``u = H_ab v_a``;
     ``b`` the artificial noise (nulled, so zero), ``g_ab (1 - beta1) p_a``
-    on ``H_ab T_a``; ``d`` the jamming, ``g_mb p_m`` on ``H_mb T_m``, one
-    column per beam; ``c_nbar = b + d + sigma_b2 I``, dense.  At Mallory,
-    ``e`` is the stream, ``g_am beta1 p_a`` on ``H_am v_a``; ``f`` the
-    artificial noise, ``g_am (1 - beta1) p_a`` on ``H_am T_a``; ``r_m``
-    the residual self-interference, ``rho p_m`` on ``H_rsi^H T_m``.
+    on the one column spanning ``H_ab T_a`` (see `_fixed_terms`); ``d`` the
+    jamming, ``g_mb p_m`` on ``H_mb T_m``, one column per beam; ``c_nbar =
+    b + d + sigma_b2 I``, dense.  At Mallory, ``e`` is the stream, ``g_am
+    beta1 p_a`` on ``H_am v_a``; ``f`` the artificial noise, ``g_am (1 -
+    beta1) p_a`` on the one column spanning ``H_am T_a``; ``r_m`` the
+    residual self-interference, ``rho p_m`` on ``H_rsi^H T_m``.
     """
 
     a: Term
@@ -333,11 +339,15 @@ class CovarianceSet:
     c_nbar: np.ndarray
 
 
-def _term(power_field: str, coef: float, factor: np.ndarray, gram: np.ndarray) -> Term:
-    """The term ``coef * gram``, its matrix made Hermitian; the caller forms
-    ``gram = factor factor^H`` (by ``np.outer`` for one column, to keep its
-    bits).  A `ConfigError` naming ``power_field`` refuses a coefficient or
-    matrix that left the float range."""
+def _term(power_field: str, coef: float, factor: np.ndarray) -> Term:
+    """The term ``coef V V^H`` of the factor ``V``, given as an n x k matrix
+    or as its one column (whose ``V V^H`` is formed by ``np.outer``), its
+    matrix made Hermitian.  A `ConfigError` naming ``power_field`` refuses
+    a coefficient or matrix that left the float range."""
+    if factor.ndim == 1:
+        factor, gram = factor[:, None], np.outer(factor, factor.conj())
+    else:
+        gram = factor @ factor.conj().T
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
         dense = hermitian_part(coef * gram)
     if not (math.isfinite(coef) and np.isfinite(dense).all()):
@@ -351,21 +361,22 @@ def _fixed_terms(
     """The `CovarianceSet` terms that depend on neither noise power nor
     ``p_m_watt`` (``a``, ``b``, ``e``, ``f``), and the factors ``jam_b``
     (n_b x n_j) and ``rsi`` (n_m x n_j) of ``d`` and ``r_m`` (see
-    `_jamming`).  Coefficients are products of Python floats, which do
-    not warn where they overflow."""
-    g_ab, g_am = channels.ab.gain, channels.am.gain
+    `_jamming`).  A link is applied as ``h_rx (h_tx^H x)``, so ``H T_a`` has
+    the one-column factor ``h_rx |T_a^H h_tx|``.  Coefficients are products
+    of Python floats, which do not warn where they overflow."""
+    ab, am, mb = channels.ab, channels.am, channels.mb
     beta1, p_a = cfg.beta1, cfg.p_a_watt
 
-    u = channels.ab.matrix @ setup.v_a  # Bob-side signal signature
-    an_b = channels.ab.matrix @ setup.t_a_an
-    e_vec = channels.am.matrix @ setup.v_a
-    an_m = channels.am.matrix @ setup.t_a_an
+    u = ab.rx_steering * np.vecdot(ab.tx_steering, setup.v_a)  # Bob-side signal signature
+    an_b = ab.rx_steering * vector_norm(np.vecmat(ab.tx_steering, setup.t_a_an))
+    e_vec = am.rx_steering * np.vecdot(am.tx_steering, setup.v_a)
+    an_m = am.rx_steering * vector_norm(np.vecmat(am.tx_steering, setup.t_a_an))
     return {
-        "a": _term("p_a_watt", g_ab * beta1 * p_a, u[:, None], np.outer(u, u.conj())),
-        "b": _term("p_a_watt", g_ab * (1.0 - beta1) * p_a, an_b, an_b @ an_b.conj().T),
-        "e": _term("p_a_watt", g_am * beta1 * p_a, e_vec[:, None], np.outer(e_vec, e_vec.conj())),
-        "f": _term("p_a_watt", g_am * (1.0 - beta1) * p_a, an_m, an_m @ an_m.conj().T),
-        "jam_b": channels.mb.matrix @ setup.t_m_an,
+        "a": _term("p_a_watt", ab.gain * beta1 * p_a, u),
+        "b": _term("p_a_watt", ab.gain * (1.0 - beta1) * p_a, an_b),
+        "e": _term("p_a_watt", am.gain * beta1 * p_a, e_vec),
+        "f": _term("p_a_watt", am.gain * (1.0 - beta1) * p_a, an_m),
+        "jam_b": np.outer(mb.rx_steering, np.vecmat(mb.tx_steering, setup.t_m_an)),
         "rsi": setup.h_m_rsi.conj().T @ setup.t_m_an,
     }
 
@@ -377,8 +388,8 @@ def _jamming(
     ``r_m`` at Mallory, the two terms that scale with ``p_m_watt``."""
     jam_b, rsi = fixed["jam_b"], fixed["rsi"]
     p_m = cfg.p_m_watt
-    d = _term("p_m_watt", channels.mb.gain * p_m, jam_b, jam_b @ jam_b.conj().T)
-    r_m = _term("rho", cfg.rho * p_m, rsi, rsi @ rsi.conj().T)
+    d = _term("p_m_watt", channels.mb.gain * p_m, jam_b)
+    r_m = _term("rho", cfg.rho * p_m, rsi)
     return d, r_m
 
 

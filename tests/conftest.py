@@ -62,6 +62,11 @@ def config_with(**overrides) -> ScenarioConfig:
     return dataclasses.replace(ScenarioConfig(), **overrides)
 
 
+def link_matrix(link) -> np.ndarray:
+    """The dense n_rx x n_tx matrix ``h_rx h_tx^H`` of a rank-one LoS link."""
+    return np.outer(link.rx_steering, link.tx_steering.conj())
+
+
 def closed_form_terms(scene) -> tuple[float, float, float, float]:
     """``(c1, sigma2, kappa, gamma)`` of a one-point scene for
     `closed_form_sinr`: the stream power ``g_ab beta1 p_a``, Bob's noise,

@@ -32,7 +32,7 @@ from dmrbf import (
 from dmrbf.beamformers import _chain_inverse
 from dmrbf.cli import main as cli_main
 
-from conftest import config_with, fixed_budget_runs, random_config
+from conftest import config_with, fixed_budget_runs, link_matrix, random_config
 
 EQUIV4 = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
 
@@ -178,10 +178,10 @@ def test_c07_null_space_constraints(scenarios200):
         scene = build_scene(cfg)
         w = compute(Method.NSP_WFRP, scene).weights
         worst_nsp = max(
-            worst_nsp, np.linalg.norm(scene.channels.mb.matrix.conj().T @ w)
+            worst_nsp, np.linalg.norm(link_matrix(scene.channels.mb).conj().T @ w)
         )
         worst_an = max(
-            worst_an, np.linalg.norm(scene.channels.ab.matrix @ scene.setup.t_a_an)
+            worst_an, np.linalg.norm(link_matrix(scene.channels.ab) @ scene.setup.t_a_an)
         )
     assert worst_nsp <= 1e-10
     assert worst_an <= 1e-10

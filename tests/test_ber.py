@@ -694,7 +694,7 @@ def test_stacked_floor_matches_one_point_at_a_time(cfg, axis, values, monkeypatc
             (0.0, 3000.0, 4000.0),
             ConditioningError,
             "at snr_db = 3000: eavesdropper covariance is not numerically positive "
-            "definite (min eigenvalue -1.111953e-18, max 2.041187e-02)",
+            "definite (min eigenvalue -6.360454e-18, max 2.041187e-02)",
         ),
         # point 1 fails in WF-MRC's own step, point 2 earlier, at Mallory's
         (
@@ -703,7 +703,7 @@ def test_stacked_floor_matches_one_point_at_a_time(cfg, axis, values, monkeypatc
             (1.0, 1e16, 1e300),
             ConditioningError,
             "wfmrc at p_m_watt = 1e+16: interference-plus-noise covariance is not "
-            "numerically positive definite (min eigenvalue 1.000982e+00, max 1.111111e+15)",
+            "numerically positive definite (min eigenvalue 8.895076e-01, max 1.111111e+15)",
         ),
     ],
     ids=["scene-after-mallory", "mallory-after-method"],

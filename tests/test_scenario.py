@@ -1,6 +1,8 @@
 """Scenario configuration, transmit setup, covariance assembly."""
 
 import dataclasses
+import math
+import sys
 import typing
 import warnings
 
@@ -37,7 +39,7 @@ from dmrbf.ber import config_at
 from dmrbf.cli import PRESETS
 from dmrbf.scenario import _jamming_terms, _noise_free_scene
 
-from conftest import config_with, random_config
+from conftest import config_with, link_matrix, random_config
 
 
 def test_defaults_validate():
@@ -133,7 +135,7 @@ def test_validation_errors():
         ({"n_j": 10**5000}, f"n_j: must lie in {{1, ..., n_m - 1}} = {{1, ..., 3}}, got {huge}"),
         (
             {"n_m": 10**5000, "n_j": 0},
-            f"n_j: must lie in {{1, ..., n_m - 1}} = {{1, ..., {huge}}}, got 0",
+            f"n_m: is too large for an n x n complex matrix, got {huge}",
         ),
         ({"rng_seed": -(10**5000)}, f"rng_seed: must be >= 0, got {huge}"),
         ({"p_a_watt": 10**400}, "p_a_watt: must fit in a float, got an int of 1329 bits"),
@@ -145,6 +147,27 @@ def test_validation_errors():
         with pytest.raises(ConfigError) as exc:
             config_with(**overrides)
         assert str(exc.value) == message
+
+
+# numpy indexes an array's bytes with intp, so no n x n complex128 matrix
+# has 16 n^2 > sys.maxsize bytes: such a size is refused by name, before
+# anything is allocated (the largest accepted one is only constructed)
+@pytest.mark.parametrize("field", ["n_a", "n_b", "n_m"])
+def test_array_sizes_no_matrix_can_have_are_refused(field):
+    largest = math.isqrt(sys.maxsize // 16)
+    assert 16 * largest**2 <= sys.maxsize < 16 * (largest + 1) ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert getattr(config_with(**{field: largest}), field) == largest
+        for value, shown in (
+            (largest + 1, str(largest + 1)),
+            (2**40, "1099511627776"),
+            (10**400, "an int of 1329 bits"),
+        ):
+            with pytest.raises(ConfigError) as exc:
+                config_with(**{field: value})
+            want = f"{field}: is too large for an n x n complex matrix, got {shown}"
+            assert str(exc.value) == want
 
 
 _FLOAT_FIELDS = [
@@ -285,7 +308,7 @@ def test_transmit_setup_beacons():
     t = setup.t_a_an
     assert abs(np.trace(t @ t.conj().T).real - 1.0) <= 1e-12
     # AN lives in the null space of the A->B channel
-    assert np.linalg.norm(chans.ab.matrix @ t) <= 1e-12
+    assert np.linalg.norm(link_matrix(chans.ab) @ t) <= 1e-12
     # Mallory's jamming beams are orthonormal columns scaled to unit power
     tm = setup.t_m_an
     assert tm.shape == (cfg.n_m, cfg.n_j)
@@ -405,7 +428,8 @@ def test_build_scene_composes_stages():
     _noise_free_scene.cache_clear()
     _jamming_terms.cache_clear()
     scene = build_scene(cfg)
-    assert np.array_equal(scene.channels.ab.matrix, chans.ab.matrix)
+    assert np.array_equal(scene.channels.ab.rx_steering, chans.ab.rx_steering)
+    assert np.array_equal(scene.channels.ab.tx_steering, chans.ab.tx_steering)
     assert np.array_equal(scene.setup.v_a, setup.v_a)
     assert np.array_equal(scene.setup.h_m_rsi, setup.h_m_rsi)
     cov = scene.cov
@@ -468,8 +492,9 @@ def test_noise_levels_share_the_noise_free_part():
 def test_shared_arrays_are_read_only():
     scene = build_scene(config_with(n_j=3, sigma_b2_watt=0.5))
     shared = {path: a for path, a in _arrays(scene).items() if path != "scene.cov.c_nbar"}
-    # three links, the transmit setup, and six terms of a factor and a matrix each
-    assert len(shared) == 3 * 3 + 4 + 6 * 2
+    # three links of two steering vectors, the transmit setup, and six terms
+    # of a factor and a matrix each
+    assert len(shared) == 3 * 2 + 4 + 6 * 2
     for path, a in shared.items():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
@@ -541,3 +566,30 @@ def test_stack_scenes_needs_one_size():
     stack = stack_scenes((small, small))
     assert len(stack) == 2 and stack.cov.c_nbar.shape == (2, 4, 4)
     assert stack.sigma_b2_watt.tolist() == [small.cfg.sigma_b2_watt] * 2
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+@pytest.mark.parametrize("n_j", [1, 3])
+def test_rank_one_terms_match_the_dense_channel_forms(n, n_j):
+    # the scene applies each link as h_rx (h_tx^H x) and keeps the artificial
+    # noise's factor as one column; against the dense H forms, with each
+    # term's power divided out (|H|_F = 1 and the precoders have unit power,
+    # so every entry is at most 1), they agree to 1e-13
+    scene = build_scene(config_with(n_a=n, n_b=n, n_m=n, n_j=n_j))
+    ch, setup, cov = scene.channels, scene.setup, scene.cov
+    h_ab, h_am, h_mb = (link_matrix(link) for link in (ch.ab, ch.am, ch.mb))
+    factors = {
+        "a": (h_ab @ setup.v_a)[:, None],
+        "b": h_ab @ setup.t_a_an,
+        "d": h_mb @ setup.t_m_an,
+        "e": (h_am @ setup.v_a)[:, None],
+        "f": h_am @ setup.t_a_an,
+    }
+    for name, dense_factor in factors.items():
+        term = getattr(cov, name)
+        gram = dense_factor @ dense_factor.conj().T
+        assert np.abs(term.factor @ term.factor.conj().T - gram).max() <= 1e-13, name
+        assert np.abs(term.dense / term.coef - gram).max() <= 1e-13, name
+        if name in ("a", "d", "e"):  # the same columns, not only the same span
+            assert np.abs(term.factor - dense_factor).max() <= 1e-13, name
+    assert cov.b.factor.shape == cov.f.factor.shape == (n, 1)

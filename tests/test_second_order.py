@@ -26,6 +26,7 @@ from dmrbf import (
     build_transmit_setup,
     sigma2_for_snr_db,
 )
+from conftest import link_matrix
 
 _N_SYMBOLS = 10_000
 _SIGMAS = 6.0  # the true covariances sit within 3 here; a wrong f or r_m beyond 19
@@ -47,12 +48,12 @@ def _interference_plus_noise(cfg: ScenarioConfig, rng: np.random.Generator):
     jam = setup.t_m_an @ _cn(rng, (cfg.n_j, _N_SYMBOLS))
     an_amp = np.sqrt((1.0 - cfg.beta1) * cfg.p_a_watt)
     bob = (
-        np.sqrt(ch.ab.gain) * an_amp * (ch.ab.matrix @ an)
-        + np.sqrt(ch.mb.gain * cfg.p_m_watt) * (ch.mb.matrix @ jam)
+        np.sqrt(ch.ab.gain) * an_amp * (link_matrix(ch.ab) @ an)
+        + np.sqrt(ch.mb.gain * cfg.p_m_watt) * (link_matrix(ch.mb) @ jam)
         + np.sqrt(cfg.sigma_b2_watt) * _cn(rng, (cfg.n_b, _N_SYMBOLS))
     )
     eve = (
-        np.sqrt(ch.am.gain) * an_amp * (ch.am.matrix @ an)
+        np.sqrt(ch.am.gain) * an_amp * (link_matrix(ch.am) @ an)
         + np.sqrt(cfg.rho * cfg.p_m_watt) * (setup.h_m_rsi.conj().T @ jam)
         + np.sqrt(cfg.sigma_m2_watt) * _cn(rng, (cfg.n_m, _N_SYMBOLS))
     )
