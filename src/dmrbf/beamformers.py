@@ -19,9 +19,9 @@ EVD, and one match, ``W^H unit(W s)``.
 
 ``compute(method, scene)`` runs one of them, and ``mallory_receiver(scene)``
 Mallory's combiner, on a fresh `FlopCounter`, so ``Beamformer.flops`` is
-the measured cost of that one call (given precomputed covariances;
-building those is charged to no method).  All returned weight vectors
-are unit norm.
+the measured cost of that one call, with the term matrices it forms from
+the scene's factors (`term_matrix`); ``c_nbar``, built with the scene, is
+charged to no method.  All returned weight vectors are unit norm.
 
 Every builder takes a `Scene` of one point or a stacked `Scene`, its
 arrays stacked on a leading point axis, and runs all its points at once:
@@ -52,7 +52,7 @@ from .errors import (
     shown,
 )
 from .linalg import RANK_RTOL, check_hpd, point_values, vector_norm
-from .scenario import Scene
+from .scenario import Scene, term_matrix
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
 # largest backward error of a refined MMSE solve; 2000 random scenes, with
@@ -248,7 +248,7 @@ def _mmse(scene: Scene, fc: FlopCounter, chain: bool) -> np.ndarray:
     weights' factor ``sqrt(c1)`` is not applied: normalizing undoes it.
     """
     u = _signature(scene, fc)
-    o = fc.add(scene.cov.a.dense, scene.cov.c_nbar)
+    o = fc.add(term_matrix(scene.cov.a, fc), scene.cov.c_nbar)
     z = _chain_inverse(scene, fc, u) if chain else fc.inv_hpd(o)
     x = fc.matvec(z, u)
     for _ in range(2):  # the fewest steps that serve 120 dB SNR within 1e-6
@@ -290,7 +290,7 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
     u = _signature(scene, fc)
     sig2 = scene.sigma_b2_watt[..., None, None]
-    noise = fc.add(scene.cov.b.dense, fc.scale(sig2, np.eye(n_b)))
+    noise = fc.add(term_matrix(scene.cov.b, fc), fc.scale(sig2, np.eye(n_b)))
     c_proj = fc.add(fc.matmul(fc.matmul(proj, noise), proj), fc.scale(sig2, fc.outer(h, h)))
 
     u_proj = fc.matvec(proj, u)
@@ -313,7 +313,7 @@ def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """
     e = _apply_link(fc, scene.channels.am, scene.setup.v_a)
     c_m = fc.add(
-        fc.add(scene.cov.f.dense, scene.cov.r_m.dense),
+        fc.add(term_matrix(scene.cov.f, fc), term_matrix(scene.cov.r_m, fc, beams=True)),
         fc.scale(scene.sigma_m2_watt[..., None, None], np.eye(scene.n_m)),
     )
     return _whiten_match(fc, e, c_m, "eavesdropper covariance")

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .channel import ChannelSet, los_channel, null_projector
+from .counting import FlopCounter
 from .errors import ConfigError, ConfigParseError, DimensionError, DomainError, shown
 from .linalg import hermitian_part, vector_norm
 
@@ -305,29 +306,42 @@ def build_transmit_setup(cfg: ScenarioConfig, channels: ChannelSet) -> TransmitS
 
 @dataclass(frozen=True)
 class Term:
-    """One covariance term ``coef V V^H``: its power ``coef`` >= 0, its thin
-    factor ``V`` (n x k), and its matrix ``dense`` for the builders that
-    read one.  The rates read ``w^H dense w`` as ``coef |V^H w|^2``, which
-    has no cancelling terms, so it stays accurate where ``w`` nulls it."""
+    """One covariance term ``coef V V^H``, kept as its power ``coef`` >= 0
+    and thin factor ``V`` (n x k) only (see `term_matrix`).  The rates read
+    ``w^H (coef V V^H) w`` as ``coef |V^H w|^2``, which cannot cancel."""
 
     coef: np.float64 | np.ndarray
     factor: np.ndarray
-    dense: np.ndarray
+
+
+def term_matrix(term: Term, fc: FlopCounter | None = None, beams: bool = False) -> np.ndarray:
+    """The matrix ``coef V V^H`` of ``term``, made Hermitian, or of each
+    point of a stacked term, charged to ``fc``: the one rule, so a matrix
+    has the same bits wherever it is formed.  ``V V^H`` is a matmul, but
+    for one column, which is multiplied elementwise as ``np.outer`` does.
+    The two round differently, so the terms of one column per jamming beam
+    (``d``, ``r_m``) pass ``beams``, for a matmul even at one beam."""
+    fc, v = fc or FlopCounter(), term.factor
+    one = v.shape[-1] == 1 and not beams
+    gram = fc.outer(v[..., 0], v[..., 0]) if one else fc.matmul(v, v.conj().swapaxes(-1, -2))
+    fc.scalar(6 * v.shape[-2] ** 2)  # the Hermitian part: two scalings and an add
+    return hermitian_part(fc.scale(term.coef[..., None, None], gram))
 
 
 @dataclass(frozen=True)
 class CovarianceSet:
     """The received signal model, built here and only here: no other
-    module forms a coefficient or a term again.
+    module forms a coefficient or a factor again.
 
     At Bob, ``a`` is the stream, ``g_ab beta1 p_a`` on ``u = H_ab v_a``;
     ``b`` the artificial noise (nulled, so zero), ``g_ab (1 - beta1) p_a``
     on the one column spanning ``H_ab T_a`` (see `_fixed_terms`); ``d`` the
-    jamming, ``g_mb p_m`` on ``H_mb T_m``, one column per beam; ``c_nbar =
-    b + d + sigma_b2 I``, dense.  At Mallory, ``e`` is the stream, ``g_am
-    beta1 p_a`` on ``H_am v_a``; ``f`` the artificial noise, ``g_am (1 -
-    beta1) p_a`` on the one column spanning ``H_am T_a``; ``r_m`` the
-    residual self-interference, ``rho p_m`` on ``H_rsi^H T_m``.
+    jamming, ``g_mb p_m`` on ``H_mb T_m``, one column per beam.  At
+    Mallory, ``e`` is the stream, ``g_am beta1 p_a`` on ``H_am v_a``; ``f``
+    the artificial noise, ``g_am (1 - beta1) p_a`` on the one column
+    spanning ``H_am T_a``; ``r_m`` the residual self-interference, ``rho
+    p_m`` on ``H_rsi^H T_m``.  The one matrix is ``c_nbar = b + d +
+    sigma_b2 I``.
     """
 
     a: Term
@@ -340,19 +354,16 @@ class CovarianceSet:
 
 
 def _term(power_field: str, coef: float, factor: np.ndarray) -> Term:
-    """The term ``coef V V^H`` of the factor ``V``, given as an n x k matrix
-    or as its one column (whose ``V V^H`` is formed by ``np.outer``), its
-    matrix made Hermitian.  A `ConfigError` naming ``power_field`` refuses
-    a coefficient or matrix that left the float range."""
-    if factor.ndim == 1:
-        factor, gram = factor[:, None], np.outer(factor, factor.conj())
-    else:
-        gram = factor @ factor.conj().T
+    """The term ``coef V V^H`` of ``V``, one column per jamming beam or one
+    link's column.  A `ConfigError` naming ``power_field`` refuses a power or
+    matrix that left the float range; the matrix is formed for that only."""
+    beams = factor.ndim == 2
+    term = Term(np.float64(coef), factor if beams else factor[:, None])
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
-        dense = hermitian_part(coef * gram)
-    if not (math.isfinite(coef) and np.isfinite(dense).all()):
+        finite = math.isfinite(coef) and np.isfinite(term_matrix(term, beams=beams)).all()
+    if not finite:
         raise ConfigError(power_field, f"makes a covariance term (power {coef}) that is not finite")
-    return Term(np.float64(coef), factor, dense)
+    return term
 
 
 def _fixed_terms(
@@ -360,10 +371,10 @@ def _fixed_terms(
 ) -> dict[str, Term | np.ndarray]:
     """The `CovarianceSet` terms that depend on neither noise power nor
     ``p_m_watt`` (``a``, ``b``, ``e``, ``f``), and the factors ``jam_b``
-    (n_b x n_j) and ``rsi`` (n_m x n_j) of ``d`` and ``r_m`` (see
-    `_jamming`).  A link is applied as ``h_rx (h_tx^H x)``, so ``H T_a`` has
-    the one-column factor ``h_rx |T_a^H h_tx|``.  Coefficients are products
-    of Python floats, which do not warn where they overflow."""
+    (n_b x n_j) and ``rsi`` (n_m x n_j) of ``d`` and ``r_m``.  A link is
+    applied as ``h_rx (h_tx^H x)``, so ``H T_a`` has the one-column factor
+    ``h_rx |T_a^H h_tx|``.  Coefficients are products of Python floats,
+    which do not warn where they overflow."""
     ab, am, mb = channels.ab, channels.am, channels.mb
     beta1, p_a = cfg.beta1, cfg.p_a_watt
 
@@ -381,18 +392,6 @@ def _fixed_terms(
     }
 
 
-def _jamming(
-    cfg: ScenarioConfig, channels: ChannelSet, fixed: dict[str, Term | np.ndarray]
-) -> tuple[Term, Term]:
-    """The jamming term ``d`` at Bob and the residual self-interference
-    ``r_m`` at Mallory, the two terms that scale with ``p_m_watt``."""
-    jam_b, rsi = fixed["jam_b"], fixed["rsi"]
-    p_m = cfg.p_m_watt
-    d = _term("p_m_watt", channels.mb.gain * p_m, jam_b)
-    r_m = _term("rho", cfg.rho * p_m, rsi)
-    return d, r_m
-
-
 def _with_noise(
     cfg: ScenarioConfig, fixed: dict[str, Term | np.ndarray], d: Term, r_m: Term
 ) -> CovarianceSet:
@@ -400,15 +399,14 @@ def _with_noise(
     ``sigma_b2_watt`` refuses a ``c_nbar`` whose finite terms sum past the
     float maximum."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
-        c_nbar = fixed["b"].dense + d.dense + cfg.sigma_b2_watt * np.eye(cfg.n_b)
+        jam = term_matrix(fixed["b"]) + term_matrix(d, beams=True)
+        c_nbar = jam + cfg.sigma_b2_watt * np.eye(cfg.n_b)
     if not np.isfinite(c_nbar).all():
         raise ConfigError(
             "sigma_b2_watt",
             f"makes the interference-plus-noise covariance (jamming power {d.coef}) not finite",
         )
-    return CovarianceSet(
-        a=fixed["a"], b=fixed["b"], d=d, e=fixed["e"], f=fixed["f"], r_m=r_m, c_nbar=c_nbar
-    )
+    return CovarianceSet(**{k: fixed[k] for k in "abef"}, d=d, r_m=r_m, c_nbar=c_nbar)
 
 
 #: The per-point fields of a `Scene`, read from its config; its powers
@@ -436,7 +434,7 @@ class Scene:
     cfg: ScenarioConfig | None = None
 
     n_b = property(lambda self: self.cov.c_nbar.shape[-1])
-    n_m = property(lambda self: self.cov.e.dense.shape[-1])
+    n_m = property(lambda self: self.cov.e.factor.shape[-2])
     n_j = property(lambda self: self.setup.t_m_an.shape[-1])
 
     def __len__(self) -> int:
@@ -525,12 +523,12 @@ def _noise_free_scene(
 
 @functools.lru_cache(maxsize=4)
 def _jamming_terms(key: _MemoKey, p_m_repr: str) -> tuple[Term, Term]:
-    """`_jamming` of ``key.cfg``, whose ``p_m_watt`` has the ``repr``
-    ``p_m_repr``: scenes that differ only in their noise share it."""
-    channels, _, fixed = _noise_free_scene(key)
-    terms = _jamming(key.cfg, channels, fixed)
-    _freeze(*terms)
-    return terms
+    """The jamming ``d`` at Bob and the residual self-interference ``r_m``
+    at Mallory of ``key.cfg``, whose ``p_m_watt`` has the ``repr``
+    ``p_m_repr``: scenes that differ only in their noise share them."""
+    cfg, (channels, _, fixed) = key.cfg, _noise_free_scene(key)
+    d = _term("p_m_watt", channels.mb.gain * cfg.p_m_watt, fixed["jam_b"])
+    return d, _term("rho", cfg.rho * cfg.p_m_watt, fixed["rsi"])
 
 
 def build_scene(cfg: ScenarioConfig) -> Scene:

@@ -67,6 +67,23 @@ def link_matrix(link) -> np.ndarray:
     return np.outer(link.rx_steering, link.tx_steering.conj())
 
 
+def dense_term(term, beams: bool = False) -> np.ndarray:
+    """The matrix ``coef V V^H`` of a covariance term, or of each point of a
+    stacked one, formed here from the term's factor and power rather than
+    by ``dmrbf``.  The arithmetic is the scene's: ``V V^H`` by a matmul, or
+    elementwise for a factor of one column (as ``np.outer`` forms it) but
+    for a jamming beams' term (``beams``), times the power, then its
+    Hermitian part by halves.  So each term's matrix has the scene's bits."""
+    v = term.factor
+    if v.shape[-1] == 1 and not beams:
+        col = v[..., 0]
+        gram = col[..., :, None] * col.conj()[..., None, :]
+    else:
+        gram = v @ v.conj().swapaxes(-1, -2)
+    m = np.asarray(term.coef)[..., None, None] * gram
+    return m * 0.5 + m.conj().swapaxes(-1, -2) * 0.5
+
+
 def closed_form_terms(scene) -> tuple[float, float, float, float]:
     """``(c1, sigma2, kappa, gamma)`` of a one-point scene for
     `closed_form_sinr`: the stream power ``g_ab beta1 p_a``, Bob's noise,

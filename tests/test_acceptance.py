@@ -32,7 +32,7 @@ from dmrbf import (
 from dmrbf.beamformers import _chain_inverse
 from dmrbf.cli import main as cli_main
 
-from conftest import config_with, fixed_budget_runs, link_matrix, random_config
+from conftest import config_with, dense_term, fixed_budget_runs, link_matrix, random_config
 
 EQUIV4 = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
 
@@ -64,7 +64,7 @@ def test_c01_rank_one_chain_matches_direct_inverse(scenarios200):
     worst = 0.0
     for cfg in scenarios200:
         scene = build_scene(cfg)
-        ref = np.linalg.inv(scene.cov.a.dense + scene.cov.c_nbar)
+        ref = np.linalg.inv(dense_term(scene.cov.a) + scene.cov.c_nbar)
         got = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
         worst = max(worst, np.linalg.norm(got - ref) / np.linalg.norm(ref))
     elapsed = time.perf_counter() - t0
@@ -140,9 +140,10 @@ def test_c05_max_sr_eigen_optimality(scenarios200):
             (cfg.n_b, 1000)
         )
         v /= np.linalg.norm(v, axis=0)
-        num = np.einsum("ij,ij->j", v.conj(), scene.cov.a.dense @ v).real
+        cov = scene.cov
+        num = np.einsum("ij,ij->j", v.conj(), dense_term(cov.a) @ v).real
         den = (
-            np.einsum("ij,ij->j", v.conj(), (scene.cov.b.dense + scene.cov.d.dense) @ v).real
+            np.einsum("ij,ij->j", v.conj(), (dense_term(cov.b) + dense_term(cov.d)) @ v).real
             + cfg.sigma_b2_watt
         )
         worst_gap = max(worst_gap, float((num / den).max()) - star)

@@ -35,6 +35,7 @@ from conftest import (
     closed_form_sinr,
     closed_form_terms,
     config_with,
+    dense_term,
     link_matrix,
     random_config,
     random_hpd,
@@ -168,7 +169,7 @@ def test_chain_inverse_matches_direct():
     for _ in range(20):
         scene = build_scene(random_config(rng))
         cfg = scene.cfg
-        o_direct = scene.cov.a.dense + scene.cov.c_nbar
+        o_direct = dense_term(scene.cov.a) + scene.cov.c_nbar
         got = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
         ref = np.linalg.inv(o_direct)
         assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
@@ -359,7 +360,7 @@ def test_mallory_receiver_direction():
     for _ in range(10):
         scene = build_scene(random_config(rng))
         cov = scene.cov
-        c_m = cov.f.dense + cov.r_m.dense + scene.cfg.sigma_m2_watt * np.eye(scene.cfg.n_m)
+        c_m = dense_term(cov.f) + dense_term(cov.r_m) + scene.sigma_m2_watt * np.eye(scene.n_m)
         ref = np.linalg.solve(c_m, link_matrix(scene.channels.am) @ scene.setup.v_a)
         assert aligned(mallory_receiver(scene).weights, ref) >= 1.0 - 1e-9
 
@@ -380,24 +381,28 @@ def test_compute_dispatch_and_flops():
 def test_stacked_compute_gives_each_point_its_own_bits_and_flops():
     # one stack of scenes that differ in every field but the sizes: each
     # point's weights, flop count and chain inverse are those of its own
-    # one-scene call, bit for bit
+    # one-scene call, bit for bit.  With three jamming beams the stack forms
+    # Mallory's r_m from (P, n, 3) factors in one batched matmul
     rng = np.random.default_rng(409)
-    scenes = [build_scene(dataclasses.replace(random_config(rng), n_a=4, n_b=4, n_m=4))
-              for _ in range(5)]
-    stack = stack_scenes(scenes)
     runs = {m: functools.partial(compute, m) for m in Method}
     runs["mallory"] = mallory_receiver
-    for method, run in runs.items():
-        bf = run(stack)
-        assert bf.weights.shape == (5, 4)
+    for n_j in (1, 3):
+        scenes = [
+            build_scene(dataclasses.replace(random_config(rng), n_a=4, n_b=4, n_m=4, n_j=n_j))
+            for _ in range(5)
+        ]
+        stack = stack_scenes(scenes)
+        for method, run in runs.items():
+            bf = run(stack)
+            assert bf.weights.shape == (5, 4)
+            for p, scene in enumerate(scenes):
+                one = run(scene)
+                assert bf.weights[p].tobytes() == one.weights.tobytes(), (method, n_j, p)
+                assert bf.flops == one.flops
+        inverses = _chain_inverse(stack, FlopCounter(len(scenes)), stack.cov.a.factor[..., 0])
         for p, scene in enumerate(scenes):
-            one = run(scene)
-            assert bf.weights[p].tobytes() == one.weights.tobytes(), (method, p)
-            assert bf.flops == one.flops
-    inverses = _chain_inverse(stack, FlopCounter(len(scenes)), stack.cov.a.factor[..., 0])
-    for p, scene in enumerate(scenes):
-        one = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
-        assert inverses[p].tobytes() == one.tobytes()
+            one = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
+            assert inverses[p].tobytes() == one.tobytes()
 
 
 def test_nsp_refuses_a_singular_projected_covariance_by_name():
@@ -427,8 +432,8 @@ def test_nsp_whitens_residual_interference(n):
         scene = build_scene(dataclasses.replace(random_config(rng), n_a=n, n_b=n, n_m=n))
         z = rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))
         coef = np.float64(10.0 ** rng.uniform(-2.0, 2.0) / 2.0)
-        b = coef * (z @ z.conj().T)
-        scene = dataclasses.replace(scene, cov=dataclasses.replace(scene.cov, b=Term(coef, z, b)))
+        scene = dataclasses.replace(scene, cov=dataclasses.replace(scene.cov, b=Term(coef, z)))
+        b = dense_term(scene.cov.b)
         h = scene.channels.mb.rx_steering
         proj = np.eye(n) - np.outer(h, h.conj())
         u = scene.cov.a.factor[..., 0]

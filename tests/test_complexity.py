@@ -74,10 +74,15 @@ def test_mrc_measured_value_frozen():
     # power factor before normalizing, which would cost 2n + 3 more each.
     # Max-SR runs WF-MRC's arithmetic, so the two counts are equal.
     # With n_j = 3 jamming beams the chain's jamming level runs three
-    # updates; no other method's count depends on n_j.  The chain reads
-    # its powers and jamming beams from the scene's model, as MMSE reads
-    # the dense terms, so it pays for neither.  Both MMSE builders form
-    # O = A + c_nbar (2n^2) and refine their solve twice (32n^2 + 8n).
+    # updates.  The chain reads its powers and jamming beams from the
+    # scene's model, so it pays for neither.  The scene keeps its terms as
+    # factors, and a builder pays for the term matrices it reads: an outer
+    # product, a scaling by the power and a Hermitian part (14n^2) for each
+    # one-column term, A for both MMSE builders, b for NSP-WFRP and f for
+    # Mallory, and a matmul in place of the outer product (8 n_j n^2 + 8n^2)
+    # for Mallory's r_m, the one count besides the chain's that depends on
+    # n_j.  Both MMSE builders form O = A + c_nbar (2n^2) and refine their
+    # solve twice (32n^2 + 8n).
     order = (
         Method.MRC,
         Method.WFMRC,
@@ -88,11 +93,11 @@ def test_mrc_measured_value_frozen():
         "mallory",
     )
     frozen = {  # (n, n_j): counts in the order above, Mallory's combiner last
-        (4, 1): (82, 2444, 2444, 1298, 3163, 4102, 2540),
-        (16, 1): (322, 136100, 136100, 43970, 46003, 211462, 137636),
-        (64, 1): (1282, 8464004, 8464004, 2270978, 718483, 12814342, 8488580),
-        (4, 3): (82, 2444, 2444, 1298, 4207, 4102, 2540),
-        (16, 3): (322, 136100, 136100, 43970, 61687, 211462, 137636),
+        (4, 1): (82, 2444, 2444, 1522, 3387, 4326, 3020),
+        (16, 1): (322, 136100, 136100, 47554, 49587, 215046, 145316),
+        (64, 1): (1282, 8464004, 8464004, 2328322, 775827, 12871686, 8611460),
+        (4, 3): (82, 2444, 2444, 1522, 4431, 4326, 3276),
+        (16, 3): (322, 136100, 136100, 47554, 65271, 215046, 149412),
     }
     for (n, n_j), counts in frozen.items():
         scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))

@@ -20,17 +20,17 @@ from dmrbf import (
     stack_scenes,
 )
 
-from conftest import config_with, random_config
+from conftest import config_with, dense_term, random_config
 
 
 def sinr_oracle(w: np.ndarray, scene) -> float:
     """Plain quadratic-form ratio, written out independently."""
     w = w / np.linalg.norm(w)
     cov = scene.cov
-    num = np.vdot(w, cov.a.dense @ w).real
+    num = np.vdot(w, dense_term(cov.a) @ w).real
     den = (
-        np.vdot(w, cov.b.dense @ w).real
-        + np.vdot(w, cov.d.dense @ w).real
+        np.vdot(w, dense_term(cov.b) @ w).real
+        + np.vdot(w, dense_term(cov.d) @ w).real
         + scene.cfg.sigma_b2_watt
     )
     return num / den
@@ -189,10 +189,10 @@ def test_sinr_mallory_oracle():
     w = rng.standard_normal(scene.cfg.n_m) + 1j * rng.standard_normal(scene.cfg.n_m)
     w = w / np.linalg.norm(w)
     cov = scene.cov
-    num = np.vdot(w, cov.e.dense @ w).real
+    num = np.vdot(w, dense_term(cov.e) @ w).real
     den = (
-        np.vdot(w, cov.f.dense @ w).real
-        + np.vdot(w, cov.r_m.dense @ w).real
+        np.vdot(w, dense_term(cov.f) @ w).real
+        + np.vdot(w, dense_term(cov.r_m) @ w).real
         + scene.cfg.sigma_m2_watt
     )
     got = sinr_mallory(w, scene.cov, scene.cfg.sigma_m2_watt)

@@ -37,9 +37,9 @@ from dmrbf import (
 )
 from dmrbf.ber import config_at
 from dmrbf.cli import PRESETS
-from dmrbf.scenario import _jamming_terms, _noise_free_scene
+from dmrbf.scenario import Term, _jamming_terms, _noise_free_scene
 
-from conftest import config_with, link_matrix, random_config
+from conftest import config_with, dense_term, link_matrix, random_config
 
 
 def test_defaults_validate():
@@ -346,7 +346,8 @@ def test_covariance_structure():
         scene = build_scene(random_config(rng))
         cov, cfg = scene.cov, scene.cfg
         n_b = cfg.n_b
-        for mat in (cov.a.dense, cov.b.dense, cov.d.dense, cov.c_nbar):
+        a, b, d = (dense_term(t) for t in (cov.a, cov.b, cov.d))
+        for mat in (a, b, d, cov.c_nbar):
             assert mat.shape == (n_b, n_b)
             assert np.linalg.norm(mat - mat.conj().T) <= 1e-12 * max(
                 1.0, np.linalg.norm(mat)
@@ -354,14 +355,14 @@ def test_covariance_structure():
         # signal covariance is the claimed rank-one outer product
         c1 = cfg.path_gain(cfg.d_ab_km) * cfg.beta1 * cfg.p_a_watt
         u = scene.cov.a.factor[..., 0]
-        assert np.linalg.norm(cov.a.dense - c1 * np.outer(u, u.conj())) <= 1e-12 * max(
-            1.0, np.linalg.norm(cov.a.dense)
+        assert np.linalg.norm(a - c1 * np.outer(u, u.conj())) <= 1e-12 * max(
+            1.0, np.linalg.norm(a)
         )
         # AN is projected into the A->B null space, so Bob never sees it
-        assert np.linalg.norm(cov.b.dense) <= 1e-20 * max(1.0, np.linalg.norm(cov.a.dense))
+        assert np.linalg.norm(b) <= 1e-20 * max(1.0, np.linalg.norm(a))
         # jamming covariance carries the full radiated power times path gain
         g_mb = cfg.path_gain(cfg.d_mb_km)
-        assert np.trace(cov.d.dense).real == pytest.approx(
+        assert np.trace(d).real == pytest.approx(
             g_mb * cfg.p_m_watt, rel=1e-10, abs=1e-15
         )
         # c_nbar = B + D + sigma^2 I is positive definite
@@ -373,13 +374,14 @@ def test_covariance_mallory_side():
     scene = build_scene(ScenarioConfig())
     cov, cfg = scene.cov, scene.cfg
     n_m = cfg.n_m
-    assert cov.e.dense.shape == cov.f.dense.shape == cov.r_m.dense.shape == (n_m, n_m)
+    e, f, r_m = (dense_term(t) for t in (cov.e, cov.f, cov.r_m))
+    assert e.shape == f.shape == r_m.shape == (n_m, n_m)
     # unlike Bob, Mallory sits outside the AN null space and sees the AN
-    assert np.trace(cov.f.dense).real > 1e-6 * np.trace(cov.e.dense).real
+    assert np.trace(f).real > 1e-6 * np.trace(e).real
     # residual self-interference scales with rho * P_M
-    assert np.trace(cov.r_m.dense).real > 0.0
+    assert np.trace(r_m).real > 0.0
     scene0 = build_scene(config_with(rho=0.0))
-    assert np.linalg.norm(scene0.cov.r_m.dense) == 0.0
+    assert np.linalg.norm(dense_term(scene0.cov.r_m)) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -389,6 +391,9 @@ def test_covariance_mallory_side():
         ({"p_a_watt": np.float64(1e300), "d_ab_km": 1e-5}, "p_a_watt"),
         ({"p_m_watt": 1e300, "d_mb_km": 1e-5}, "p_m_watt"),
         ({"rho": 1e10, "p_m_watt": 1e300}, "rho"),
+        # a finite power whose factor's entries, larger than one, carry its
+        # matrix past the float maximum: only the matrix refuses it
+        ({"rho": 1.0, "p_m_watt": 1.7e308, "n_j": 3, "rng_seed": 1}, "rho"),
     ],
 )
 def test_a_term_beyond_the_float_range_is_refused_by_its_power(fields, power):
@@ -417,8 +422,8 @@ def test_noise_plus_jamming_beyond_the_float_range_is_refused_by_the_noise():
 
 def test_beta1_one_disables_an():
     scene = build_scene(config_with(beta1=1.0))
-    assert np.linalg.norm(scene.cov.b.dense) == 0.0
-    assert np.linalg.norm(scene.cov.f.dense) == 0.0
+    assert np.linalg.norm(dense_term(scene.cov.b)) == 0.0
+    assert np.linalg.norm(dense_term(scene.cov.f)) == 0.0
 
 
 def test_build_scene_composes_stages():
@@ -432,8 +437,7 @@ def test_build_scene_composes_stages():
     assert np.array_equal(scene.channels.ab.tx_steering, chans.ab.tx_steering)
     assert np.array_equal(scene.setup.v_a, setup.v_a)
     assert np.array_equal(scene.setup.h_m_rsi, setup.h_m_rsi)
-    cov = scene.cov
-    assert np.array_equal(cov.c_nbar, cov.b.dense + cov.d.dense + cfg.sigma_b2_watt * np.eye(4))
+    assert np.array_equal(scene.cov.c_nbar, _c_nbar(scene))
 
 
 def test_scene_signal_vectors():
@@ -484,17 +488,48 @@ def test_noise_levels_share_the_noise_free_part():
     for name in ("a", "b", "d", "e", "f", "r_m"):
         assert getattr(lo.cov, name) is getattr(hi.cov, name)
     for scene in (lo, hi):
-        cov, sigma2 = scene.cov, scene.cfg.sigma_b2_watt
-        assert np.array_equal(cov.c_nbar, cov.b.dense + cov.d.dense + sigma2 * np.eye(cfg_lo.n_b))
+        assert np.array_equal(scene.cov.c_nbar, _c_nbar(scene))
     assert not np.array_equal(lo.cov.c_nbar, hi.cov.c_nbar)
+
+
+def _c_nbar(scene: Scene) -> np.ndarray:
+    """``b + d + sigma_b2 I`` of a scene, or of each point of a stack, formed
+    here from the factors of ``b`` and ``d`` by the scene's arithmetic."""
+    noise = scene.sigma_b2_watt[..., None, None] * np.eye(scene.n_b)
+    return dense_term(scene.cov.b) + dense_term(scene.cov.d, beams=True) + noise
+
+
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("n_j", [1, 3])
+def test_c_nbar_is_the_sum_of_its_factors_terms_bit_for_bit(n, n_j):
+    # the scene keeps b and d as factors only, so c_nbar is the one place
+    # their matrices meet; a stack's batched terms keep each point's bits
+    base = config_with(n_a=n, n_b=n, n_m=n, n_j=n_j, beta1=0.5)
+    scenes = [build_scene(config_at(base, "p_m_watt", p)) for p in (0.1, 10.0, 1000.0)]
+    for scene in (*scenes, stack_scenes(scenes)):
+        assert np.array_equal(scene.cov.c_nbar, _c_nbar(scene))
+
+
+def test_the_memo_shares_factors_not_matrices():
+    # a term is its power and its factor; the only n x n complex arrays a
+    # geometry's scenes share are Alice's noise projector and the RSI draw
+    assert [f.name for f in dataclasses.fields(Term)] == ["coef", "factor"]
+    n = 64
+    scene = build_scene(config_with(n_a=n, n_b=n, n_m=n, n_j=3))
+    square = {
+        path
+        for path, a in _arrays(scene).items()
+        if a.shape == (n, n) and a.dtype.kind == "c" and path != "scene.cov.c_nbar"
+    }
+    assert square == {"scene.setup.t_a_an", "scene.setup.h_m_rsi"}
 
 
 def test_shared_arrays_are_read_only():
     scene = build_scene(config_with(n_j=3, sigma_b2_watt=0.5))
     shared = {path: a for path, a in _arrays(scene).items() if path != "scene.cov.c_nbar"}
     # three links of two steering vectors, the transmit setup, and six terms
-    # of a factor and a matrix each
-    assert len(shared) == 3 * 2 + 4 + 6 * 2
+    # of a factor each
+    assert len(shared) == 3 * 2 + 4 + 6
     for path, a in shared.items():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
@@ -572,9 +607,9 @@ def test_stack_scenes_needs_one_size():
 @pytest.mark.parametrize("n_j", [1, 3])
 def test_rank_one_terms_match_the_dense_channel_forms(n, n_j):
     # the scene applies each link as h_rx (h_tx^H x) and keeps the artificial
-    # noise's factor as one column; against the dense H forms, with each
-    # term's power divided out (|H|_F = 1 and the precoders have unit power,
-    # so every entry is at most 1), they agree to 1e-13
+    # noise's factor as one column; against the dense H forms (|H|_F = 1
+    # and the precoders have unit power, so every entry is at most 1), the
+    # factors' grams agree to 1e-13
     scene = build_scene(config_with(n_a=n, n_b=n, n_m=n, n_j=n_j))
     ch, setup, cov = scene.channels, scene.setup, scene.cov
     h_ab, h_am, h_mb = (link_matrix(link) for link in (ch.ab, ch.am, ch.mb))
@@ -589,7 +624,6 @@ def test_rank_one_terms_match_the_dense_channel_forms(n, n_j):
         term = getattr(cov, name)
         gram = dense_factor @ dense_factor.conj().T
         assert np.abs(term.factor @ term.factor.conj().T - gram).max() <= 1e-13, name
-        assert np.abs(term.dense / term.coef - gram).max() <= 1e-13, name
         if name in ("a", "d", "e"):  # the same columns, not only the same span
             assert np.abs(term.factor - dense_factor).max() <= 1e-13, name
     assert cov.b.factor.shape == cov.f.factor.shape == (n, 1)

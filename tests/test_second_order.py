@@ -9,8 +9,8 @@ ends, and forms the interference-plus-noise each end receives:
 * Mallory: ``sqrt(g_am (1 - beta1) p_a) H_am T_a z + sqrt(rho p_m) H_rsi^H T_m w + n_m``
 
 Their sample covariances must match ``cov.c_nbar`` and
-``cov.f.dense + cov.r_m.dense + sigma_m^2 I`` entry by entry.  An entry of the sample
-covariance of N circular Gaussian vectors has standard deviation
+``f + r_m + sigma_m^2 I``, its terms formed from their factors, entry by entry.
+An entry of the sample covariance of N circular Gaussian vectors has standard deviation
 ``sqrt(C_ii C_jj / N)``, so each is allowed ``_SIGMAS`` of those.
 """
 
@@ -26,7 +26,7 @@ from dmrbf import (
     build_transmit_setup,
     sigma2_for_snr_db,
 )
-from conftest import link_matrix
+from conftest import dense_term, link_matrix
 
 _N_SYMBOLS = 10_000
 _SIGMAS = 6.0  # the true covariances sit within 3 here; a wrong f or r_m beyond 19
@@ -76,4 +76,5 @@ def test_covariances_match_sampled_interference(n, n_j, snr_db):
     bob, eve = _interference_plus_noise(cfg, np.random.default_rng(n + int(snr_db)))
     cov = build_scene(cfg).cov
     _assert_sampled(bob, cov.c_nbar, "Bob")
-    _assert_sampled(eve, cov.f.dense + cov.r_m.dense + cfg.sigma_m2_watt * np.eye(n), "Mallory")
+    c_m = dense_term(cov.f) + dense_term(cov.r_m) + cfg.sigma_m2_watt * np.eye(n)
+    _assert_sampled(eve, c_m, "Mallory")
