@@ -8,8 +8,9 @@ spanning the cost/performance trade:
 * ``max_sr``   -- SINR-optimal eigenbeamformer; for a rank-one signal it
   is WF-MRC's whitened matched filter, so it runs WF-MRC's builder.
 * ``mmse``     -- conventional MMSE: one direct HPD inverse, refined twice.
-* ``lc_mmse``  -- the same refined MMSE solve on an inverse built by a
-  five-level chain of rank-one updates; both share one refusal rule.
+* ``lc_mmse``  -- MMSE's direction as ``c_nbar^{-1} u``, the inverse built
+  by 1 + n_j rank-one updates in O(n^2); both MMSE builders share one
+  refusal rule.
 * ``nsp_wfrp`` -- project the jamming link out of the array first, then
   whiten what remains and match to the projected signal.
 
@@ -44,6 +45,7 @@ import numpy as np
 from .channel import LosChannel, null_projector
 from .counting import FlopCounter
 from .errors import (
+    ConfigError,
     DegenerateChannelError,
     DegenerateGeometryError,
     DomainError,
@@ -55,9 +57,9 @@ from .linalg import RANK_RTOL, check_hpd, point_values, vector_norm
 from .scenario import Scene, term_matrix
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
-# largest backward error of a refined MMSE solve; 2000 random scenes, with
-# jamming up to 1e14 W and noise down to 1e-6 W, measured at most 7e-9
-# (but for two chain solves, refused, at a jamming-to-noise ratio over 1e19)
+# largest backward error of an MMSE solve; the solves served on 2000 random
+# scenes, with jamming up to 1e14 W and noise down to 1e-6 W, and on 1953
+# scenes up to 120 dB SNR (README's scans B and A) measured at most 1e-13
 _BACKWARD_ERROR_BOUND = 1e-6
 
 
@@ -172,98 +174,84 @@ def _whitened_mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     return _whiten_match(fc, u, scene.cov.c_nbar, "interference-plus-noise covariance")
 
 
-def _rank_one_update(
-    fc: FlopCounter, z_inv: np.ndarray, col: np.ndarray, v: np.ndarray
-) -> np.ndarray:
-    """Inverse of ``Z + col v^H`` from ``Z^{-1}`` (Sherman-Morrison); a zero
-    denominator leaves it non-finite."""
-    t = fc.matvec(z_inv, col)
-    den = 1.0 + fc.dot(v, t)
-    fc.scalar()
-    # Python's complex division: numpy's rounds differently
-    recip = [1.0 / d if d else math.inf for d in point_values(den)]
-    r = fc.vecmat(v.conj(), z_inv)  # v^H Z^{-1}
-    fc.scalar()
-    upd = fc.scale(np.array(recip).reshape(den.shape)[..., None, None], fc.outer(t, r.conj()))
-    return fc.sub(z_inv, upd)
+def _chain_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
+    """``c_nbar^{-1}`` by a chain of rank-one updates; no general inverse
+    is formed.
 
-
-def _chain_inverse(scene: Scene, fc: FlopCounter, u: np.ndarray) -> np.ndarray:
-    """Receive-covariance inverse ``O^{-1}`` via the five-level rank-one
-    chain, from Bob's signature ``u``; no general inverse is formed.
-
-    Starts from the closed-form inverse of noise plus signal term, then
-    folds in the artificial-noise terms (three rank-one updates, the one
-    with a negative coefficient last) and the jamming term (one update
-    per jamming beam).  Powers and beams come from the model `scenario`
-    built: ``c1``, ``c2`` are ``cov.a``'s and ``cov.b``'s coefficients, and
-    the beams ``cov.d``'s factor's columns.  A singular or overflowing
-    level is not refused here: it leaves the inverse non-finite or
-    inaccurate, and the caller's backward-error rule refuses it.
+    Starts from the noise's ``I / sigma_b2`` and folds in one symmetric
+    Sherman-Morrison update per column ``v`` of ``cov.b``'s and ``cov.d``'s
+    factors, ``1 + n_j`` in all: with ``t = Z v``, the inverse of
+    ``Z^{-1} + coef v v^H`` is ``Z - coef / (1 + coef v^H t) t t^H``
+    (Hager, *SIAM Review* 31, 1989).  ``coef >= 0`` and ``Z`` is positive
+    definite, so each denominator is at least 1 in exact arithmetic.  An
+    overflow is not refused here: it leaves the inverse non-finite, and
+    the caller's backward-error rule refuses it.
     """
-    channels, cov = scene.channels, scene.cov
-    sig2 = scene.sigma_b2_watt
-    c1, c2 = cov.a.coef, cov.b.coef
-
-    # signal-plus-noise level: closed-form Sherman-Morrison of sigma^2 I + A
-    uu = fc.dot(u, u).real
-    coef = -c1 / (sig2 * sig2 * (1.0 + c1 * uu / sig2))
-    fc.scalar(6)
-    z_inv = fc.add(
-        fc.scale((1.0 / sig2)[..., None, None], np.eye(scene.n_b)),
-        fc.scale(coef[..., None, None], fc.outer(u, u)),
-    )
-
-    # artificial-noise levels: the projector expands into three rank-one
-    # terms along the same receive signature (coefficients +1, +1, -2),
-    # folded in that order so each intermediate is Z + k c2 s rx^H with
-    # k in {1, 2}; rx^H Z^{-1} s > 0, so no denominator but L's can vanish
-    s = _apply_link(fc, channels.ab, channels.ab.tx_steering)
-    rx = channels.ab.rx_steering
-    for coeff in (c2, c2, -2.0 * c2):
-        fc.scalar()
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(coeff[..., None], s), rx)
-
-    # jamming level: one rank-one update per jamming beam
-    for j in range(scene.n_j):
-        beam = cov.d.factor[..., j]
-        z_inv = _rank_one_update(fc, z_inv, fc.scale(cov.d.coef[..., None], beam), beam)
-    return z_inv
+    fc.scalar()  # reciprocal
+    z = fc.scale((1.0 / scene.sigma_b2_watt)[..., None, None], np.eye(scene.n_b))
+    for term in (scene.cov.b, scene.cov.d):
+        for j in range(term.factor.shape[-1]):
+            v = term.factor[..., j]
+            t = fc.matvec(z, v)
+            den = 1.0 + term.coef * fc.dot(v, t).real
+            fc.scalar(3)
+            upd = fc.scale((term.coef / den)[..., None, None], fc.outer(t, t))
+            z = fc.sub(z, upd)
+    return z
 
 
-# a singular level or an overflow, in the chain or in the refinement, is
-# refused by name below, not warned about
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _mmse(scene: Scene, fc: FlopCounter, chain: bool) -> np.ndarray:
-    """MMSE direction ``x = O^{-1} u`` for the receive covariance
-    ``O = A + c_nbar``: ``x = Z u`` for a direct HPD inverse ``Z`` of ``O``,
-    or `_chain_inverse`'s if ``chain``, refined by ``x <- x + Z (u - O x)``
-    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002, ch. 12).
-
-    Both builders' one refusal: a `NumericalError` unless ``x`` solves
-    ``O x = u`` to a normwise backward error ``|O x - u| / (|O|_F |x| + |u|)``
-    of at most 1e-6, with a finite denominator (ibid., §7.1).  A singular
-    level or an overflow leaves ``x`` inaccurate or non-finite, so it is
-    refused too.  The rule bounds the solve, not the SINR.  The MMSE
-    weights' factor ``sqrt(c1)`` is not applied: normalizing undoes it.
-    """
-    u = _signature(scene, fc)
-    o = fc.add(term_matrix(scene.cov.a, fc), scene.cov.c_nbar)
-    z = _chain_inverse(scene, fc, u) if chain else fc.inv_hpd(o)
-    x = fc.matvec(z, u)
-    for _ in range(2):  # the fewest steps that serve 120 dB SNR within 1e-6
-        x = fc.add(x, fc.matvec(z, fc.sub(u, fc.matvec(o, x))))
-    # uncharged, O(n^2): a guard, not part of the method
-    r = np.matvec(o, x) - u
-    # |O|_F |x| + |u| from squared norms; if it overflows, refuse
-    o_f2 = np.vecdot(o, o).real.sum(axis=-1)
-    den = np.sqrt(o_f2 * np.vecdot(x, x).real) + np.sqrt(np.vecdot(u, u).real)
+def _check_solve(m: np.ndarray, x: np.ndarray, u: np.ndarray, what: str) -> None:
+    """Both MMSE builders' one refusal: a `NumericalError` naming ``what``
+    unless ``x`` solves ``m x = u`` to a normwise backward error
+    ``|m x - u| / (|m|_F |x| + |u|)`` of at most 1e-6, with a finite
+    denominator (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2002, §7.1).  A singular or overflowing inverse leaves ``x`` inaccurate
+    or non-finite, so it is refused too.  The rule bounds the solve, not
+    the SINR.  Uncharged, O(n^2): a guard, not part of the method."""
+    r = np.matvec(m, x) - u
+    # |m|_F |x| + |u| from squared norms; if it overflows, refuse
+    m_f2 = np.vecdot(m, m).real.sum(axis=-1)
+    den = np.sqrt(m_f2 * np.vecdot(x, x).real) + np.sqrt(np.vecdot(u, u).real)
     eta = np.sqrt(np.vecdot(r, r).real) / den
     for v, d in zip(point_values(eta), point_values(den)):
         if not (v <= _BACKWARD_ERROR_BOUND and d < math.inf):  # also refuses NaN
-            inverse = "rank-one update chain" if chain else "direct inverse"
-            raise NumericalError(f"{inverse} solves O x = u to backward error {v:.3e}")
+            raise NumericalError(f"{what} to backward error {v:.3e}")
+
+
+# an overflow, in the solve or in its check, is refused by name below, not
+# warned about
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _mmse(scene: Scene, fc: FlopCounter) -> np.ndarray:
+    """MMSE direction ``x = O^{-1} u`` for the receive covariance
+    ``O = A + c_nbar``: ``x = Z u`` for a direct HPD inverse ``Z`` of ``O``,
+    refined by ``x <- x + Z (u - O x)`` (Higham, ch. 12), and refused by
+    `_check_solve` against ``O x = u``.  The MMSE weights' factor
+    ``sqrt(c1)`` is not applied: normalizing undoes it.
+    """
+    u = _signature(scene, fc)
+    o = fc.add(term_matrix(scene.cov.a, fc), scene.cov.c_nbar)
+    z = fc.inv_hpd(o)
+    x = fc.matvec(z, u)
+    for _ in range(2):  # the fewest steps that serve 120 dB SNR within 1e-6
+        x = fc.add(x, fc.matvec(z, fc.sub(u, fc.matvec(o, x))))
+    _check_solve(o, x, u, "direct inverse solves O x = u")
     return _unit(fc, x, "MMSE weights have zero norm")
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `_mmse`
+def _lc_mmse(scene: Scene, fc: FlopCounter) -> np.ndarray:
+    """MMSE direction as ``c_nbar^{-1} u``, from `_chain_inverse`.
+
+    ``O = A + c_nbar`` with ``A = c1 u u^H``, so by Sherman-Morrison
+    ``O^{-1} u = c_nbar^{-1} u / (1 + c1 u^H c_nbar^{-1} u)``, a positive
+    scalar multiple that normalizing undoes; folding ``A`` into the chain
+    would only add cancellation.  Refused by `_check_solve` against
+    ``c_nbar x = u``.
+    """
+    u = _signature(scene, fc)
+    x = fc.matvec(_chain_inverse(scene, fc), u)
+    _check_solve(scene.cov.c_nbar, x, u, "rank-one update chain solves c_nbar x = u")
+    return _unit(fc, x, "LC-MMSE weights have zero norm")
 
 
 def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
@@ -309,13 +297,18 @@ def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
     Same whiten-then-match construction as ``_whitened_mrc``, applied to the
     eavesdropper's covariance: artificial noise received from Alice plus
-    residual self-interference plus thermal noise.
+    residual self-interference plus thermal noise.  A `ConfigError`
+    naming ``sigma_m2_watt`` refuses a covariance whose finite terms sum
+    past the float maximum, as `build_scene` refuses Bob's ``c_nbar``.
     """
     e = _apply_link(fc, scene.channels.am, scene.setup.v_a)
-    c_m = fc.add(
-        fc.add(term_matrix(scene.cov.f, fc), term_matrix(scene.cov.r_m, fc, beams=True)),
-        fc.scale(scene.sigma_m2_watt[..., None, None], np.eye(scene.n_m)),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
+        c_m = fc.add(
+            fc.add(term_matrix(scene.cov.f, fc), term_matrix(scene.cov.r_m, fc, beams=True)),
+            fc.scale(scene.sigma_m2_watt[..., None, None], np.eye(scene.n_m)),
+        )
+    if not np.isfinite(c_m).all():
+        raise ConfigError("sigma_m2_watt", "makes the eavesdropper covariance not finite")
     return _whiten_match(fc, e, c_m, "eavesdropper covariance")
 
 
@@ -323,8 +316,8 @@ _BUILDERS = {
     Method.MRC: _mrc,
     Method.WFMRC: _whitened_mrc,
     Method.MAX_SR: _whitened_mrc,
-    Method.MMSE: lambda scene, fc: _mmse(scene, fc, chain=False),
-    Method.LC_MMSE: lambda scene, fc: _mmse(scene, fc, chain=True),
+    Method.MMSE: _mmse,
+    Method.LC_MMSE: _lc_mmse,
     Method.NSP_WFRP: _nsp_max_wfrp,
 }
 

@@ -10,8 +10,8 @@ HPD inverse.  Per method the two conventions grow at the same order,
 which is what the asymptotic claims rest on, but their ratio is not one
 factor across methods, so they can rank methods differently: at
 n_a = n_b = n_m = 16 (default config otherwise) the formulas rank WF-MRC
-8911 < LC-MMSE 13658 < MMSE 23023, and the counter MMSE 47554 < LC-MMSE
-49587 < WF-MRC 136100.
+8911 < LC-MMSE 13658 < MMSE 23023, and the counter LC-MMSE 12361 < MMSE
+47554 < WF-MRC 136100.
 """
 
 from __future__ import annotations

@@ -18,11 +18,11 @@ def loguniform(rng: np.random.Generator, lo: float, hi: float) -> float:
 def random_config(rng: np.random.Generator, sizes=(2, 4, 8)) -> ScenarioConfig:
     """Random but well-posed scenario.
 
-    beta1 stays in [0.55, 0.95] so every denominator in the rank-one update
-    chain is bounded away from zero (the L-level one is proportional to
-    sigma^2 + g*(2*beta1 - 1)*P_A, positive whenever beta1 > 1/2), and the
-    desired and jamming receive signatures at Bob are re-drawn until they are
-    not nearly collinear, which would starve the null-space projection.
+    beta1 stays in [0.55, 0.95], so the stream carries most of Alice's power
+    (the range every seeded test has drawn its scenes from, kept so they do
+    not move), and the desired and jamming receive signatures at Bob are
+    re-drawn until they are not nearly collinear, which would starve the
+    null-space projection.
     """
     n_a = int(rng.choice(sizes))
     n_b = int(rng.choice(sizes))

@@ -3,12 +3,14 @@
 import dataclasses
 import functools
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 
 from dmrbf import (
     ConditioningError,
+    ConfigError,
     DegenerateChannelError,
     DegenerateGeometryError,
     DomainError,
@@ -29,7 +31,7 @@ from dmrbf import (
     whitening_filter,
 )
 from dmrbf.ber import config_at
-from dmrbf.beamformers import _chain_inverse, _rank_one_update
+from dmrbf.beamformers import _chain_inverse
 from dmrbf.scenario import Term
 from conftest import (
     closed_form_sinr,
@@ -165,53 +167,46 @@ def test_strong_jamming_pushes_wfmrc_into_null():
 
 
 def test_chain_inverse_matches_direct():
+    # the chain inverts c_nbar; by Sherman-Morrison O^{-1} u is c_nbar^{-1} u
+    # over a positive scalar, so the chain's direction is MMSE's
     rng = np.random.default_rng(406)
     for _ in range(20):
         scene = build_scene(random_config(rng))
-        cfg = scene.cfg
-        o_direct = dense_term(scene.cov.a) + scene.cov.c_nbar
-        got = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
-        ref = np.linalg.inv(o_direct)
+        got = _chain_inverse(scene, FlopCounter())
+        ref = np.linalg.inv(scene.cov.c_nbar)
         assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
-        assert cfg.n_b == got.shape[0]
+        assert got.shape == (scene.cfg.n_b, scene.cfg.n_b)
+        # each update subtracts a real multiple of t t^H, so Z stays Hermitian
+        # up to the rounding of t_i conj(t_i)'s imaginary part
+        assert np.linalg.norm(got - got.conj().T) <= 1e-15 * np.linalg.norm(got)
 
 
 def test_chain_collapses_to_closed_form_without_an_and_jamming():
-    # with beta1 = 1 and P_M = 0 only the first level acts, and that level
-    # has an explicit Sherman-Morrison closed form to compare against
-    scene = build_scene(config_with(beta1=1.0, p_m_watt=0.0))
-    cfg = scene.cfg
-    sig2 = cfg.sigma_b2_watt
-    c1 = scene.channels.ab.gain * cfg.beta1 * cfg.p_a_watt
-    u = scene.cov.a.factor[..., 0]
-    uu = np.vdot(u, u).real
-    ref = np.eye(cfg.n_b) / sig2 - (
-        c1 / (sig2 * sig2 * (1.0 + c1 * uu / sig2))
-    ) * np.outer(u, u.conj())
-    got = _chain_inverse(scene, FlopCounter(), u)
+    # with beta1 = 1 and one jamming beam only the jamming update acts (b is
+    # zero), and c_nbar = sigma^2 I + c v v^H has an explicit
+    # Sherman-Morrison inverse to compare against
+    scene = build_scene(config_with(beta1=1.0, n_j=1))
+    sig2 = scene.cfg.sigma_b2_watt
+    c, v = scene.cov.d.coef, scene.cov.d.factor[..., 0]
+    vv = np.vdot(v, v).real
+    ref = np.eye(scene.n_b) / sig2 - (c / (sig2 * (sig2 + c * vv))) * np.outer(v, v.conj())
+    got = _chain_inverse(scene, FlopCounter())
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_chain_detects_singular_level():
-    # folded last, level L has the denominator 1 / (1 + 2 c2 rx^H Z^{-1} s),
-    # and rx^H Z^{-1} s = 1 / (sigma^2 + c1 |u|^2) here; in exact arithmetic
-    # no other level's can vanish.  With no signal power (beta1 = 0) and
-    # noise 1e-9 of g*P_A it is 5e-10, but rounding moves the computed one
-    # by about eps * c2 / sigma^2, so the chain cannot solve O x = u, even
-    # refined twice, and is refused by its one rule; likewise at 90 dB
+    # with no signal power (beta1 = 0) and noise 1e-9 of g*P_A, Alice's
+    # artificial-noise power outweighs noise plus signal, where a chain
+    # with a negative update goes singular; c_nbar's chain folds in only nonnegative powers
+    # (each denominator is at least 1), so both scenes are served,
+    # collinear with c_nbar^{-1} u
     for cfg in (
         config_with(beta1=0.0, sigma_b2_watt=1e-8),
         config_at(config_with(beta1=0.0), "snr_db", 90.0),
     ):
-        with pytest.raises(NumericalError, match="^rank-one update chain"):
-            compute(Method.LC_MMSE, build_scene(cfg))
-    # an exactly zero denominator (Z + c v^H with 1 + v^H Z^{-1} c = 0)
-    # raises nothing itself: it leaves the inverse non-finite, which that
-    # rule refuses
-    z_inv, v = np.eye(2, dtype=complex), np.array([1.0, 0.0], dtype=complex)
-    with np.errstate(all="ignore"):
-        got = _rank_one_update(FlopCounter(), z_inv, -v, v)
-    assert not np.isfinite(got).all()
+        scene = build_scene(cfg)
+        ref = np.linalg.solve(scene.cov.c_nbar, scene.cov.a.factor[..., 0])
+        assert aligned(compute(Method.LC_MMSE, scene).weights, ref) >= 1.0 - 1e-12
 
 
 def _mmse_gap(scene) -> float:
@@ -223,9 +218,10 @@ def _mmse_gap(scene) -> float:
 
 @pytest.mark.parametrize("n", [2, 4, 16])
 def test_chain_serves_the_curve_where_l_before_k_is_singular(n):
-    # folding L before K would form sigma^2 I + (c1 - c2) u u^H, singular on
-    # sigma^2 = (1 - 2 beta1) g P_A |u|^2: under the received SNR, on the
-    # curve beta1 = (1 - 1/SNR) / 2.  The chain must serve it and agree with MMSE
+    # a chain that folds the signal and artificial-noise powers into one
+    # level, sigma^2 I + (c1 - c2) u u^H, goes singular on sigma^2 =
+    # (1 - 2 beta1) g P_A |u|^2: under the received SNR, on the curve
+    # beta1 = (1 - 1/SNR) / 2.  The chain must serve it and agree with MMSE
     for snr_db in (3.0, 10.0, 20.0):
         snr = 10.0 ** (snr_db / 10.0)
         base = config_with(n_a=n, n_b=n, n_m=n, beta1=(1.0 - 1.0 / snr) / 2.0)
@@ -264,33 +260,38 @@ def test_covariance_near_float_max_is_refused_without_overflow(overrides, method
 
 
 def test_chain_refuses_underflowing_noise_level():
-    # sigma^4 underflows to zero, so the N-level coefficient is not finite
-    # and neither is the inverse: refused by the chain's one rule
+    # the chain starts from I / sigma^2 = 1e300 I, so an update's t t^H
+    # overflows and the inverse is not finite: refused by the chain's one rule
     scene = build_scene(config_with(sigma_b2_watt=1e-300))
     with pytest.raises(NumericalError, match="^rank-one update chain"):
         compute(Method.LC_MMSE, scene)
 
 
 def test_chain_refuses_overflow_by_name():
-    # the artificial-noise levels overflow to a NaN inverse; the chain must
-    # say so itself instead of warning or passing NaN on to the MMSE tail
+    # an artificial-noise power near the float maximum at n_b = 1: the
+    # chain must stay finite and serve it, as MMSE and WF-MRC serve it
     cfg = config_with(n_a=1, n_b=1, n_m=2, beta1=0.0, p_a_watt=8.98846567431158e307)
     scene = build_scene(cfg)
-    with pytest.raises(NumericalError, match="^rank-one update chain"):
-        compute(Method.LC_MMSE, scene)
-    # one such point refuses a stack, by the same backward-error rule
-    stack = stack_scenes((build_scene(config_with(n_a=1, n_b=1, n_m=2)), scene))
-    with pytest.raises(NumericalError, match="^rank-one update chain"):
+    want = compute(Method.MMSE, scene).weights
+    for method in (Method.LC_MMSE, Method.WFMRC):
+        assert aligned(compute(method, scene).weights, want) >= 1.0 - 1e-12
+    # a noise level whose inverse overflows the updates (see the test
+    # above) refuses a stack, by the same backward-error rule
+    under = build_scene(config_with(sigma_b2_watt=1e-300))
+    stack = stack_scenes((build_scene(config_with()), under))
+    with pytest.raises(NumericalError, match="^rank-one update chain solves c_nbar x = u"):
         compute(Method.LC_MMSE, stack)
 
 
 def test_chain_refuses_what_mmse_refuses():
     # near the float maximum the chain stays finite but no longer solves
-    # O x = u; MMSE's direct inverse refuses this scene, and so must the chain
+    # c_nbar x = u; MMSE's direct inverse refuses this scene, and so must the chain
     scene = build_scene(config_with(beta1=0.5, p_a_watt=8.98846567431158e307))
     with pytest.raises(ConditioningError):
         compute(Method.MMSE, scene)
-    with pytest.raises(NumericalError, match="^rank-one update chain solves O x = u to backward"):
+    with pytest.raises(
+        NumericalError, match="^rank-one update chain solves c_nbar x = u to backward"
+    ):
         compute(Method.LC_MMSE, scene)
     # one such point refuses a stack
     stack = stack_scenes((build_scene(config_with(beta1=0.5)), scene))
@@ -365,6 +366,25 @@ def test_mallory_receiver_direction():
         assert aligned(mallory_receiver(scene).weights, ref) >= 1.0 - 1e-9
 
 
+def test_mallory_covariance_beyond_the_float_range_is_refused_by_name():
+    # f + r_m + sigma_m^2 I of finite terms sums past the float maximum: a
+    # ConfigError naming sigma_m2_watt, as Bob's c_nbar gets, with no numpy
+    # warning on the way, alone and inside a stack
+    sizes = {"n_a": 2, "n_b": 2, "n_m": 2}
+    huge = config_with(
+        **sizes, p_a_watt=1.0, p_m_watt=1.7e308, rho=1.0,
+        sigma_b2_watt=1.7e308, sigma_m2_watt=1.7e308,
+    )
+    scene = build_scene(huge)
+    stack = stack_scenes((build_scene(config_with(**sizes)), scene))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (scene, stack):
+            with pytest.raises(ConfigError, match="^sigma_m2_watt: ") as caught:
+                mallory_receiver(s)
+            assert caught.value.field == "sigma_m2_watt"
+
+
 def test_compute_dispatch_and_flops():
     scene = build_scene(ScenarioConfig())
     bf = compute(Method.MRC, scene)
@@ -399,9 +419,9 @@ def test_stacked_compute_gives_each_point_its_own_bits_and_flops():
                 one = run(scene)
                 assert bf.weights[p].tobytes() == one.weights.tobytes(), (method, n_j, p)
                 assert bf.flops == one.flops
-        inverses = _chain_inverse(stack, FlopCounter(len(scenes)), stack.cov.a.factor[..., 0])
+        inverses = _chain_inverse(stack, FlopCounter(len(scenes)))
         for p, scene in enumerate(scenes):
-            one = _chain_inverse(scene, FlopCounter(), scene.cov.a.factor[..., 0])
+            one = _chain_inverse(scene, FlopCounter())
             assert inverses[p].tobytes() == one.tobytes()
 
 

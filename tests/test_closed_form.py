@@ -18,15 +18,23 @@ when ``(1 - gamma) (kappa gamma + sigma^2) > sigma^2``, and as the jamming
 power grows the optimum SINR falls toward NSP-WFRP's from above.
 """
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
-from dmrbf import Method, build_scene, compute, mallory_receiver, rate_point
+from dmrbf import Method, build_scene, compute, mallory_receiver, rate_point, sinr_bob
 from dmrbf.ber import config_at
 
-from conftest import closed_form_sinr, closed_form_terms, config_with, dense_term
+from conftest import (
+    closed_form_sinr,
+    closed_form_terms,
+    config_with,
+    dense_term,
+    loguniform,
+    random_config,
+)
 
 OPTIMUM = (Method.WFMRC, Method.MAX_SR, Method.MMSE, Method.LC_MMSE)
 ANGLES = ((90.0, 45.0), (60.0, 120.0), (100.0, 30.0))  # (theta_r_ab, theta_r_mb)
@@ -137,3 +145,24 @@ def test_optimum_falls_toward_nsp_as_jamming_grows(n):
         assert np.all(opt[1:] <= opt[:-1] * (1.0 + RTOL))  # never increases
         assert np.all(np.array(gaps) >= -RTOL * nsp)  # never below NSP
         assert gaps[-1] <= 1e-5 * gaps[0]  # and the optimum approaches it
+
+
+def test_lc_mmse_serves_jamming_dominated_scenes():
+    # random scenes where jamming dominates: p_m log-uniform up to 1e14 W and
+    # noise down to 1e-6 W, so kappa / sigma^2 reaches 8e18.  LC-MMSE's
+    # chain inverts c_nbar from its factors, so it serves every scene within
+    # 1e-6 of the closed form, where the dense optimum solves lose accuracy
+    # (ROADMAP's scan B: the first 300 of its 2000 scenes)
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(300):
+        cfg = dataclasses.replace(
+            random_config(rng),
+            p_m_watt=loguniform(rng, 0.01, 1e14),
+            sigma_b2_watt=loguniform(rng, 1e-6, 10.0),
+        )
+        scene = build_scene(cfg)
+        got = sinr_bob(compute(Method.LC_MMSE, scene).weights, scene.cov, cfg.sigma_b2_watt)
+        want = closed_form_sinr(Method.LC_MMSE, *closed_form_terms(scene))
+        worst = max(worst, abs(got - want) / want)
+    assert worst <= 1e-6

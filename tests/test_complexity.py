@@ -68,21 +68,23 @@ def test_mrc_measured_value_frozen():
     # the matched filter applies the rank-one A->B link as an inner product
     # and a complex scaling (8 n_a + 6 n_b), then one norm and one rescale,
     # under the counter's cost model (8 per complex multiply-add).  Each
-    # other method and Mallory apply one link the same way, LC-MMSE two.
-    # All are pinned at n_a = n_b = n_m = n so a refactor cannot move any
-    # count silently.  Max-SR, MMSE, LC-MMSE and Mallory apply no
-    # power factor before normalizing, which would cost 2n + 3 more each.
-    # Max-SR runs WF-MRC's arithmetic, so the two counts are equal.
-    # With n_j = 3 jamming beams the chain's jamming level runs three
-    # updates.  The chain reads its powers and jamming beams from the
-    # scene's model, so it pays for neither.  The scene keeps its terms as
-    # factors, and a builder pays for the term matrices it reads: an outer
-    # product, a scaling by the power and a Hermitian part (14n^2) for each
-    # one-column term, A for both MMSE builders, b for NSP-WFRP and f for
-    # Mallory, and a matmul in place of the outer product (8 n_j n^2 + 8n^2)
-    # for Mallory's r_m, the one count besides the chain's that depends on
-    # n_j.  Both MMSE builders form O = A + c_nbar (2n^2) and refine their
-    # solve twice (32n^2 + 8n).
+    # other method and Mallory apply one link the same way.  All are pinned
+    # at n_a = n_b = n_m = n so a refactor cannot move any count silently.
+    # Max-SR, MMSE, LC-MMSE and Mallory apply no power factor before
+    # normalizing, which would cost 2n + 3 more each.  Max-SR runs WF-MRC's
+    # arithmetic, so the two counts are equal.  LC-MMSE's chain starts from
+    # I / sigma^2 (2n^2 + 1) and runs one update per column of b's and d's
+    # factors, 1 + n_j in all, each a matvec, an inner product, three
+    # scalar operations, an outer product, a scaling and a subtraction
+    # (18n^2 + 8n + 3), then one matvec (8n^2); it reads its powers and
+    # beams from the scene's model, so it pays for neither.  The scene
+    # keeps its terms as factors, and a builder pays for the term matrices
+    # it reads: an outer product, a scaling by the power and a Hermitian
+    # part (14n^2) for each one-column term, A for MMSE, b for NSP-WFRP and
+    # f for Mallory, and a matmul in place of the outer product
+    # (8 n_j n^2 + 8n^2) for Mallory's r_m, the one count besides
+    # LC-MMSE's that depends on n_j.  MMSE forms O = A + c_nbar (2n^2) and
+    # refines its solve twice (32n^2 + 8n).
     order = (
         Method.MRC,
         Method.WFMRC,
@@ -93,11 +95,11 @@ def test_mrc_measured_value_frozen():
         "mallory",
     )
     frozen = {  # (n, n_j): counts in the order above, Mallory's combiner last
-        (4, 1): (82, 2444, 2444, 1522, 3387, 4326, 3020),
-        (16, 1): (322, 136100, 136100, 47554, 49587, 215046, 145316),
-        (64, 1): (1282, 8464004, 8464004, 2328322, 775827, 12871686, 8611460),
-        (4, 3): (82, 2444, 2444, 1522, 4431, 4326, 3276),
-        (16, 3): (322, 136100, 136100, 47554, 65271, 215046, 149412),
+        (4, 1): (82, 2444, 2444, 1522, 889, 4326, 3020),
+        (16, 1): (322, 136100, 136100, 47554, 12361, 215046, 145316),
+        (64, 1): (1282, 8464004, 8464004, 2328322, 190729, 12871686, 8611460),
+        (4, 3): (82, 2444, 2444, 1522, 1535, 4326, 3276),
+        (16, 3): (322, 136100, 136100, 47554, 21839, 215046, 149412),
     }
     for (n, n_j), counts in frozen.items():
         scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))
