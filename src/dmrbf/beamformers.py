@@ -20,9 +20,10 @@ EVD, and one match, ``W^H unit(W s)``.
 
 ``compute(method, scene)`` runs one of them, and ``mallory_receiver(scene)``
 Mallory's combiner, on a fresh `FlopCounter`, so ``Beamformer.flops`` is
-the measured cost of that one call, with the term matrices it forms from
-the scene's factors (`term_matrix`); ``c_nbar``, built with the scene, is
-charged to no method.  All returned weight vectors are unit norm.
+the measured cost of that one call, with the matrices it forms from the
+scene's factors: `term_matrix`, and `noise_covariance` for every
+interference-plus-noise covariance (``c_nbar``, built with the scene, is
+charged to no method).  All returned weight vectors are unit norm.
 
 Every builder takes a `Scene` of one point or a stacked `Scene`, its
 arrays stacked on a leading point axis, and runs all its points at once:
@@ -45,7 +46,6 @@ import numpy as np
 from .channel import LosChannel, null_projector
 from .counting import FlopCounter
 from .errors import (
-    ConfigError,
     DegenerateChannelError,
     DegenerateGeometryError,
     DomainError,
@@ -54,7 +54,7 @@ from .errors import (
     shown,
 )
 from .linalg import RANK_RTOL, check_hpd, point_values, vector_norm
-from .scenario import Scene, term_matrix
+from .scenario import Scene, noise_covariance, term_matrix
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
 # largest backward error of an MMSE solve; the solves served on 2000 random
@@ -159,7 +159,7 @@ def _apply_link(fc: FlopCounter, link: LosChannel, x: np.ndarray) -> np.ndarray:
 
 def _signature(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """The confidential stream's receive signature ``u`` at Bob (counted)."""
-    return _apply_link(fc, scene.channels.ab, scene.setup.v_a)
+    return _apply_link(fc, scene.channels.ab, scene.v_a)
 
 
 def _mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
@@ -277,8 +277,8 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
     fc.scalar(8 * n_b * n_b)  # rank-one projector assembly
 
     u = _signature(scene, fc)
+    noise = noise_covariance((scene.cov.b,), scene.sigma_b2_watt, "sigma_b2_watt", fc)
     sig2 = scene.sigma_b2_watt[..., None, None]
-    noise = fc.add(term_matrix(scene.cov.b, fc), fc.scale(sig2, np.eye(n_b)))
     c_proj = fc.add(fc.matmul(fc.matmul(proj, noise), proj), fc.scale(sig2, fc.outer(h, h)))
 
     u_proj = fc.matvec(proj, u)
@@ -296,19 +296,12 @@ def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """Mallory's own max-SINR combiner for intercepting the stream.
 
     Same whiten-then-match construction as ``_whitened_mrc``, applied to the
-    eavesdropper's covariance: artificial noise received from Alice plus
-    residual self-interference plus thermal noise.  A `ConfigError`
-    naming ``sigma_m2_watt`` refuses a covariance whose finite terms sum
-    past the float maximum, as `build_scene` refuses Bob's ``c_nbar``.
+    eavesdropper's covariance, `noise_covariance` of the artificial noise
+    received from Alice (``f``) and the residual self-interference
+    (``r_m``), at ``sigma_m2_watt``, which names its refusal.
     """
-    e = _apply_link(fc, scene.channels.am, scene.setup.v_a)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
-        c_m = fc.add(
-            fc.add(term_matrix(scene.cov.f, fc), term_matrix(scene.cov.r_m, fc, beams=True)),
-            fc.scale(scene.sigma_m2_watt[..., None, None], np.eye(scene.n_m)),
-        )
-    if not np.isfinite(c_m).all():
-        raise ConfigError("sigma_m2_watt", "makes the eavesdropper covariance not finite")
+    e = _apply_link(fc, scene.channels.am, scene.v_a)
+    c_m = noise_covariance((scene.cov.f, scene.cov.r_m), scene.sigma_m2_watt, "sigma_m2_watt", fc)
     return _whiten_match(fc, e, c_m, "eavesdropper covariance")
 
 

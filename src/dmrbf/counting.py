@@ -66,11 +66,6 @@ class FlopCounter:
         self.total += 8 * m * n
         return np.matvec(a, x)
 
-    def vecmat(self, x: np.ndarray, a: np.ndarray) -> np.ndarray:
-        m, n = a.shape[-2:]
-        self.total += 8 * m * n
-        return np.matvec(a.swapaxes(-1, -2), x)  # x @ a, the same BLAS call
-
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         m, k = a.shape[-2:]
         n = b.shape[-1]
@@ -115,10 +110,12 @@ class FlopCounter:
     # -- factorizations ---------------------------------------------------
 
     def evd(self, m: np.ndarray) -> linalg.HermitianEvd:
-        self.total += EVD_FLOPS_PER_N3 * m.shape[-1] ** 3
-        return linalg.hermitian_evd(m)
+        evd = linalg.hermitian_evd(m)
+        self.total += EVD_FLOPS_PER_N3 * evd.eigenvalues.shape[-1] ** 3
+        return evd
 
     def inv_hpd(self, m: np.ndarray) -> np.ndarray:
         """Direct HPD inverse, charged at the standard n^3 dense cost."""
-        self.total += INV_FLOPS_PER_N3 * m.shape[-1] ** 3
-        return linalg.inv_hpd(m)
+        inverse = linalg.inv_hpd(m)
+        self.total += INV_FLOPS_PER_N3 * inverse.shape[-1] ** 3
+        return inverse

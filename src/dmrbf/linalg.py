@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConditioningError, DimensionError, NumericalError
+from .errors import ConditioningError, DimensionError, DomainError, NumericalError
 
 # Largest tolerated asymmetry, relative to the matrix magnitude.  Inputs are
 # symmetrized before the eigensolver runs; anything worse than this is a bug
@@ -40,7 +40,10 @@ class HermitianEvd(NamedTuple):
 
 
 def _as_square_complex(m: np.ndarray, name: str) -> np.ndarray:
-    m = np.asarray(m, dtype=np.complex128)
+    m = np.asarray(m)
+    if m.dtype.kind not in "iufc":
+        raise DomainError(f"{name} must be a numeric array, got dtype {m.dtype}")
+    m = m.astype(np.complex128, copy=False)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2] or m.shape[-1] == 0:
         raise DimensionError(
             f"{name} must be a non-empty square matrix or a stack of them, got shape {m.shape}"
@@ -89,22 +92,26 @@ def point_values(x: np.ndarray | np.generic) -> list:
 
 
 def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
-    """`hermitian_part` of each matrix of ``m``, refused when one is not
-    Hermitian up to roundoff, relative to its own magnitude.  The magnitude
-    is only needed when there is some asymmetry, which an exactly Hermitian
-    input has not."""
+    """`hermitian_part` of each matrix of ``m``, refused when one has a NaN
+    or inf, or is not Hermitian up to roundoff, relative to its own
+    magnitude.  Both leave some asymmetry, which an exactly Hermitian
+    finite input has not, so it pays for neither test."""
     m_h = _h(m)
-    asym = np.abs(m - m_h)
-    if asym.any():  # all zero for exactly Hermitian matrices
-        asym = point_values(asym.max(axis=(-2, -1)))
-        scale = point_values(np.abs(m).max(axis=(-2, -1)))
-        for asym_p, scale_p in zip(asym, scale):
-            scale_p = max(1.0, scale_p)
-            if asym_p > HERMITIAN_ATOL * scale_p:
-                raise DimensionError(
-                    f"{name} is not Hermitian: max asymmetry {asym_p:.3e} exceeds "
-                    f"{HERMITIAN_ATOL:.0e} relative to magnitude {scale_p:.3e}"
-                )
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        asym = np.abs(m - m_h)
+        if asym.any():  # all zero for exactly Hermitian finite matrices
+            finite = point_values(np.isfinite(m).all(axis=(-2, -1)))
+            asym = point_values(asym.max(axis=(-2, -1)))
+            scale = point_values(np.abs(m).max(axis=(-2, -1)))
+            for finite_p, asym_p, scale_p in zip(finite, asym, scale):
+                if not finite_p:
+                    raise DomainError(f"{name} has a NaN or infinite entry")
+                scale_p = max(1.0, scale_p)
+                if asym_p > HERMITIAN_ATOL * scale_p:
+                    raise DimensionError(
+                        f"{name} is not Hermitian: max asymmetry {asym_p:.3e} exceeds "
+                        f"{HERMITIAN_ATOL:.0e} relative to magnitude {scale_p:.3e}"
+                    )
     # hermitian_part(m); m is complex128, so m.conj() is a copy to halve in place
     sym = m * 0.5
     m_h *= 0.5
@@ -113,21 +120,11 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
 
 
 def hermitian_evd(m: np.ndarray) -> HermitianEvd:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
-
-    Parameters
-    ----------
-    m : ndarray, shape (..., n, n)
-        Hermitian matrix, or a stack of them.  Asymmetry up to roundoff is
-        removed by averaging with the conjugate transpose; larger asymmetry
-        raises.
-
-    Returns
-    -------
-    HermitianEvd
-        Real eigenvalues in descending order and the matching unitary
-        eigenvector matrix (stacked like ``m``).
-    """
+    """Eigendecomposition of a Hermitian matrix ``m`` (any numeric
+    array-like), or of each of a stack: real eigenvalues, descending, and
+    the matching unitary eigenvectors.  Asymmetry up to roundoff is removed
+    by averaging with the conjugate transpose; larger asymmetry, a NaN or
+    inf entry and a non-numeric array are refused, naming ``m``."""
     m = _as_square_complex(m, "m")
     sym = _symmetrized(m, "m")
     try:

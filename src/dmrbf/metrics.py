@@ -57,16 +57,26 @@ def _sinr(
     """Post-combining SINR ``w^H S w / (w^H I1 w + w^H I2 w + noise)`` at
     unit ``w``, for one point or each of a stack (weights ``(..., n)``,
     terms of factors ``(..., n, k)``, noise ``(...)``); the weights may be
-    any array-like.  Weights of another shape, or of no positive finite
-    norm, are refused, naming the argument ``name``.
+    any numeric array-like, at any finite scale.  Weights that are not
+    numbers, of another shape, all zero or not finite are refused, naming
+    the argument ``name``.
 
     Each form is ``coef |V^H w|^2`` (see `Term`), and each point of a
     stack keeps its one-point bits.
     """
     weights, shape = np.asarray(weights), signal.factor.shape[:-1]
+    if weights.dtype.kind not in "iufc":
+        raise DomainError(f"{name} must be a numeric array, got dtype {weights.dtype}")
     if weights.shape != shape:
         raise DimensionError(f"{name} must have shape {shape}, got {weights.shape}")
-    nrm = vector_norm(weights)
+    with np.errstate(over="ignore", under="ignore"):  # a norm out of range is rescaled
+        nrm = vector_norm(weights)
+        if weights.dtype.kind in "fc" and not ((0.0 < nrm) & (nrm < math.inf)).all():
+            # as reals: numpy divides complex through the reciprocal (inf at a subnormal)
+            parts = np.ascontiguousarray(weights).view(weights.real.dtype)
+            big = abs(parts).max(axis=-1, keepdims=True)
+            weights = (parts / np.where((0 < big) & (big < math.inf), big, 1)).view(weights.dtype)
+            nrm = vector_norm(weights)
     for v in point_values(nrm):
         if not 0.0 < v < math.inf:  # also refuses a NaN norm
             raise DomainError(f"{name} must have a positive, finite norm, got {v}")

@@ -314,18 +314,31 @@ class Term:
     factor: np.ndarray
 
 
-def term_matrix(term: Term, fc: FlopCounter | None = None, beams: bool = False) -> np.ndarray:
+def term_matrix(term: Term, fc: FlopCounter | None = None) -> np.ndarray:
     """The matrix ``coef V V^H`` of ``term``, made Hermitian, or of each
     point of a stacked term, charged to ``fc``: the one rule, so a matrix
     has the same bits wherever it is formed.  ``V V^H`` is a matmul, but
-    for one column, which is multiplied elementwise as ``np.outer`` does.
-    The two round differently, so the terms of one column per jamming beam
-    (``d``, ``r_m``) pass ``beams``, for a matmul even at one beam."""
+    for one column, which is multiplied elementwise as ``np.outer`` does."""
     fc, v = fc or FlopCounter(), term.factor
-    one = v.shape[-1] == 1 and not beams
+    one = v.shape[-1] == 1
     gram = fc.outer(v[..., 0], v[..., 0]) if one else fc.matmul(v, v.conj().swapaxes(-1, -2))
     fc.scalar(6 * v.shape[-2] ** 2)  # the Hermitian part: two scalings and an add
     return hermitian_part(fc.scale(term.coef[..., None, None], gram))
+
+
+def noise_covariance(
+    terms: tuple[Term, ...], sigma2: float | np.ndarray, field: str, fc: FlopCounter | None = None
+) -> np.ndarray:
+    """Every receiver's interference-plus-noise covariance ``sum term_matrix(t)
+    + sigma2 I`` (of each point of a stack), charged to ``fc``; a sum past
+    the float maximum is refused by a `ConfigError` naming ``field``."""
+    fc, n = fc or FlopCounter(), terms[0].factor.shape[-2]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
+        total = functools.reduce(fc.add, (term_matrix(t, fc) for t in terms))
+        cov = fc.add(total, fc.scale(np.asarray(sigma2)[..., None, None], np.eye(n)))
+    if not np.isfinite(cov).all():
+        raise ConfigError(field, "makes an interference-plus-noise covariance that is not finite")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -341,7 +354,7 @@ class CovarianceSet:
     the artificial noise, ``g_am (1 - beta1) p_a`` on the one column
     spanning ``H_am T_a``; ``r_m`` the residual self-interference, ``rho
     p_m`` on ``H_rsi^H T_m``.  The one matrix is ``c_nbar = b + d +
-    sigma_b2 I``.
+    sigma_b2 I``, by `noise_covariance`.
     """
 
     a: Term
@@ -357,10 +370,9 @@ def _term(power_field: str, coef: float, factor: np.ndarray) -> Term:
     """The term ``coef V V^H`` of ``V``, one column per jamming beam or one
     link's column.  A `ConfigError` naming ``power_field`` refuses a power or
     matrix that left the float range; the matrix is formed for that only."""
-    beams = factor.ndim == 2
-    term = Term(np.float64(coef), factor if beams else factor[:, None])
+    term = Term(np.float64(coef), factor if factor.ndim == 2 else factor[:, None])
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
-        finite = math.isfinite(coef) and np.isfinite(term_matrix(term, beams=beams)).all()
+        finite = math.isfinite(coef) and np.isfinite(term_matrix(term)).all()
     if not finite:
         raise ConfigError(power_field, f"makes a covariance term (power {coef}) that is not finite")
     return term
@@ -392,23 +404,6 @@ def _fixed_terms(
     }
 
 
-def _with_noise(
-    cfg: ScenarioConfig, fixed: dict[str, Term | np.ndarray], d: Term, r_m: Term
-) -> CovarianceSet:
-    """The `CovarianceSet` at ``cfg``'s noise; a `ConfigError` naming
-    ``sigma_b2_watt`` refuses a ``c_nbar`` whose finite terms sum past the
-    float maximum."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
-        jam = term_matrix(fixed["b"]) + term_matrix(d, beams=True)
-        c_nbar = jam + cfg.sigma_b2_watt * np.eye(cfg.n_b)
-    if not np.isfinite(c_nbar).all():
-        raise ConfigError(
-            "sigma_b2_watt",
-            f"makes the interference-plus-noise covariance (jamming power {d.coef}) not finite",
-        )
-    return CovarianceSet(**{k: fixed[k] for k in "abef"}, d=d, r_m=r_m, c_nbar=c_nbar)
-
-
 #: The per-point fields of a `Scene`, read from its config; its powers
 #: are the coefficients of its covariance terms.
 _POINT_FIELDS = ("sigma_b2_watt", "sigma_m2_watt")
@@ -421,13 +416,14 @@ class Scene:
 
     A one-point scene holds its config in ``cfg`` and the config's values
     of `_POINT_FIELDS` as numpy scalars.  A stack of P points has no
-    ``cfg``; each array of ``channels``, ``setup`` and ``cov`` gains a
-    leading point axis, and each link's ``gain``, each term's ``coef`` and
-    each per-point field is a ``(P,)`` array.  The arrays may be shared; do not edit them in place.
+    ``cfg``; each array of ``channels``, ``v_a`` (Alice's precoder) and
+    ``cov`` gains a leading point axis, and each link's ``gain``, each
+    term's ``coef`` and each per-point field is a ``(P,)`` array.  The
+    arrays may be shared; do not edit them in place.
     """
 
     channels: ChannelSet
-    setup: TransmitSetup
+    v_a: np.ndarray
     cov: CovarianceSet
     sigma_b2_watt: np.float64 | np.ndarray
     sigma_m2_watt: np.float64 | np.ndarray
@@ -435,7 +431,7 @@ class Scene:
 
     n_b = property(lambda self: self.cov.c_nbar.shape[-1])
     n_m = property(lambda self: self.cov.e.factor.shape[-2])
-    n_j = property(lambda self: self.setup.t_m_an.shape[-1])
+    n_j = property(lambda self: self.cov.d.factor.shape[-1])
 
     def __len__(self) -> int:
         return self.sigma_b2_watt.size  # 1 for a one-point scene
@@ -462,7 +458,7 @@ def stack_scenes(scenes: typing.Sequence[Scene]) -> Scene:
     have one point and the same array sizes and number of jamming beams.
     """
     scenes = tuple(scenes)
-    sizes = {(s.setup.v_a.shape[-1], s.n_b, s.n_m, s.n_j) for s in scenes}
+    sizes = {(s.v_a.shape[-1], s.n_b, s.n_m, s.n_j) for s in scenes}
     if len(sizes) != 1 or any(s.sigma_b2_watt.ndim for s in scenes):
         raise DimensionError(
             "a scene stack needs one or more scenes of one size and one point each, "
@@ -513,12 +509,12 @@ def _freeze(*parts: object) -> None:
 @functools.lru_cache(maxsize=4)
 def _noise_free_scene(
     key: _MemoKey,
-) -> tuple[ChannelSet, TransmitSetup, dict[str, Term | np.ndarray]]:
+) -> tuple[ChannelSet, np.ndarray, dict[str, Term | np.ndarray]]:
     channels = build_channels(key.cfg)
     setup = build_transmit_setup(key.cfg, channels)
     fixed = _fixed_terms(key.cfg, channels, setup)
-    _freeze(channels, setup, fixed)
-    return channels, setup, fixed
+    _freeze(channels, setup.v_a, fixed)
+    return channels, setup.v_a, fixed
 
 
 @functools.lru_cache(maxsize=4)
@@ -532,18 +528,20 @@ def _jamming_terms(key: _MemoKey, p_m_repr: str) -> tuple[Term, Term]:
 
 
 def build_scene(cfg: ScenarioConfig) -> Scene:
-    """The scene of one config.
+    """The scene of one config; its ``cov.c_nbar`` is `noise_covariance`
+    of ``b`` and ``d``, charged to no method.
 
     Only ``cov.c_nbar`` depends on the noise powers, and only ``cov.d``,
     ``cov.r_m`` and ``cov.c_nbar`` on the jamming power.  The channels,
-    the transmit setup (with its RSI draw) and the other covariance terms
-    are built once per config that differs in neither and shared,
-    read-only, by every scene built from it, and so are ``d`` and ``r_m``
-    by scenes that differ only in their noise.  Copy an array before
-    editing it in place.
+    ``v_a`` and the other covariance terms are built once per config that
+    differs in neither and shared, read-only, by every scene built from
+    it, and so are ``d`` and ``r_m`` by scenes that differ only in their
+    noise.  A scene keeps none of `build_transmit_setup`'s n x n matrices.
     """
     key = _MemoKey(tuple(repr(getattr(cfg, name)) for name in _MEMO_FIELDS), cfg)
-    channels, setup, fixed = _noise_free_scene(key)
+    channels, v_a, fixed = _noise_free_scene(key)
     d, r_m = _jamming_terms(key, repr(cfg.p_m_watt))
+    c_nbar = noise_covariance((fixed["b"], d), cfg.sigma_b2_watt, "sigma_b2_watt")
+    cov = CovarianceSet(**{k: fixed[k] for k in "abef"}, d=d, r_m=r_m, c_nbar=c_nbar)
     point = (np.float64(getattr(cfg, name)) for name in _POINT_FIELDS)
-    return Scene(channels, setup, _with_noise(cfg, fixed, d, r_m), *point, cfg)
+    return Scene(channels, v_a, cov, *point, cfg)

@@ -67,15 +67,15 @@ def link_matrix(link) -> np.ndarray:
     return np.outer(link.rx_steering, link.tx_steering.conj())
 
 
-def dense_term(term, beams: bool = False) -> np.ndarray:
+def dense_term(term) -> np.ndarray:
     """The matrix ``coef V V^H`` of a covariance term, or of each point of a
     stacked one, formed here from the term's factor and power rather than
     by ``dmrbf``.  The arithmetic is the scene's: ``V V^H`` by a matmul, or
-    elementwise for a factor of one column (as ``np.outer`` forms it) but
-    for a jamming beams' term (``beams``), times the power, then its
-    Hermitian part by halves.  So each term's matrix has the scene's bits."""
+    elementwise for a factor of one column (as ``np.outer`` forms it),
+    times the power, then its Hermitian part by halves.  So each term's
+    matrix has the scene's bits."""
     v = term.factor
-    if v.shape[-1] == 1 and not beams:
+    if v.shape[-1] == 1:
         col = v[..., 0]
         gram = col[..., :, None] * col.conj()[..., None, :]
     else:

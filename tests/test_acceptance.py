@@ -18,6 +18,7 @@ from dmrbf import (
     RECEIVE_METHODS,
     ScenarioConfig,
     build_scene,
+    build_transmit_setup,
     compute,
     formula_flops,
     mallory_receiver,
@@ -190,9 +191,8 @@ def test_c07_null_space_constraints(scenarios200):
         worst_nsp = max(
             worst_nsp, np.linalg.norm(link_matrix(scene.channels.mb).conj().T @ w)
         )
-        worst_an = max(
-            worst_an, np.linalg.norm(link_matrix(scene.channels.ab) @ scene.setup.t_a_an)
-        )
+        t_a_an = build_transmit_setup(cfg, scene.channels).t_a_an
+        worst_an = max(worst_an, np.linalg.norm(link_matrix(scene.channels.ab) @ t_a_an))
     assert worst_nsp <= 1e-10
     assert worst_an <= 1e-10
     print(

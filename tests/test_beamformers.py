@@ -362,7 +362,7 @@ def test_mallory_receiver_direction():
         scene = build_scene(random_config(rng))
         cov = scene.cov
         c_m = dense_term(cov.f) + dense_term(cov.r_m) + scene.sigma_m2_watt * np.eye(scene.n_m)
-        ref = np.linalg.solve(c_m, link_matrix(scene.channels.am) @ scene.setup.v_a)
+        ref = np.linalg.solve(c_m, link_matrix(scene.channels.am) @ scene.v_a)
         assert aligned(mallory_receiver(scene).weights, ref) >= 1.0 - 1e-9
 
 

@@ -1,13 +1,18 @@
 """Hermitian eigendecomposition and inverse helpers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from dmrbf import (
     ConditioningError,
     DimensionError,
+    DomainError,
+    FlopCounter,
     hermitian_evd,
     inv_hpd,
+    whitening_filter,
 )
 from dmrbf.linalg import hermitian_part, vector_norm
 
@@ -54,6 +59,56 @@ def test_evd_rejects_bad_input():
         hermitian_evd(np.ones((2, 3), dtype=complex))
     with pytest.raises(DimensionError):
         hermitian_evd(np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex))
+
+
+def _with_entry(i: int, j: int, value: complex) -> np.ndarray:
+    m = np.eye(3, dtype=complex)
+    m[i, j] = value
+    return m
+
+
+_PUBLIC = {
+    "hermitian_evd": hermitian_evd,
+    "inv_hpd": inv_hpd,
+    "whitening_filter": lambda m: whitening_filter(m, FlopCounter()),
+}
+
+
+@pytest.mark.parametrize("function", sorted(_PUBLIC))
+@pytest.mark.parametrize(
+    "m, message",
+    [
+        (np.full((3, 3), np.nan, dtype=complex), "^m has a NaN or infinite entry$"),
+        (_with_entry(0, 1, np.nan), "^m has a NaN or infinite entry$"),
+        (_with_entry(1, 1, np.inf), "^m has a NaN or infinite entry$"),
+        (_with_entry(0, 2, complex(1.0, -np.inf)), "^m has a NaN or infinite entry$"),
+        (np.array([["1", "0"], ["0", "1"]]), "^m must be a numeric array, got dtype <U1$"),
+        (np.array([[b"1", b"0"], [b"0", b"1"]]), "^m must be a numeric array, got dtype [|]S1$"),
+        (np.eye(2, dtype=object), "^m must be a numeric array, got dtype object$"),
+    ],
+    ids=["nan", "nan_entry", "inf_diagonal", "inf_entry", "str", "bytes", "object"],
+)
+def test_malformed_matrices_are_refused_by_name(function, m, message):
+    # NaN or infinite entries and non-numeric arrays are typed refusals
+    # naming the matrix, with no numpy warning, never NaN eigenvalues or a
+    # bare ValueError; a stack is refused for its one bad matrix
+    run = _PUBLIC[function]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for arg in (m, np.stack([np.eye(len(m), dtype=m.dtype), m])):
+            with pytest.raises(DomainError, match=message):
+                run(arg)
+
+
+def test_public_matrix_functions_take_an_array_like():
+    # a nested list is the matrix it spells, for the counted filter too
+    m = [[2.0, 1.0], [1.0, 2.0]]
+    want = hermitian_evd(np.array(m))
+    assert hermitian_evd(m).eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert inv_hpd(m).tobytes() == inv_hpd(np.array(m)).tobytes()
+    fc, fc_array = FlopCounter(), FlopCounter()
+    assert whitening_filter(m, fc).tobytes() == whitening_filter(np.array(m), fc_array).tobytes()
+    assert fc.total == fc_array.total == 32 * 2**3 + 2 * 2**2  # the EVD and one scaling
 
 
 def test_evd_equals_eigh_of_the_hermitian_part():

@@ -1,6 +1,7 @@
 """SINR, achievable rates, secrecy rate, SNR-to-noise conversion."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,62 @@ def test_rates_and_secrecy():
     s = sinr_bob(w, scene.cov, scene.cfg.sigma_b2_watt)
     pt = rate_point(scene, w, mallory_receiver(scene).weights)
     assert pt.rate_bob_bits == pytest.approx(math.log2(1.0 + s), rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [np.array([1 + 1j, 0, 0, 0], dtype=object), np.array(["1"] * 4), np.array([b"1"] * 4)],
+    ids=["object", "str", "bytes"],
+)
+def test_non_numeric_weights_are_refused_by_name(bad):
+    # an array numpy cannot take as numbers is a typed refusal naming the
+    # argument, not a bare TypeError or ValueError from the norm
+    scene = build_scene(ScenarioConfig())
+    stack, bads = stack_scenes((scene, scene)), np.stack([bad, bad])
+    bob, eve = compute(Method.MRC, scene).weights, mallory_receiver(scene).weights
+    bobs, eves = np.stack([bob, bob]), np.stack([eve, eve])
+    calls = (
+        (lambda: rate_point(scene, bad, eve), "bob_weights"),
+        (lambda: rate_point(scene, bob, bad), "mallory_weights"),
+        (lambda: rate_point(stack, bads, eves), "bob_weights"),
+        (lambda: rate_point(stack, bobs, bads), "mallory_weights"),
+        (lambda: sinr_bob(bad, scene.cov, scene.sigma_b2_watt), "weights"),
+        (lambda: sinr_mallory(bad, scene.cov, scene.sigma_m2_watt), "weights"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call, name in calls:
+            with pytest.raises(DomainError, match=f"^{name} must be a numeric array, got "):
+                call()
+
+
+@pytest.mark.parametrize(
+    ("huge", "plain"),
+    [
+        ([1e308, 1e308, 0, 0], [1.0, 1.0, 0, 0]),  # the norm overflows
+        ([1e-320, 0, 0, 0], [1.0, 0, 0, 0]),  # the norm underflows to 0
+        ([0, 1e308 - 1e308j, 0, 0], [0, 1 - 1j, 0, 0]),  # complex parts
+    ],
+)
+def test_weights_of_any_finite_scale_are_served_as_their_direction(huge, plain):
+    # the SINR does not depend on the weights' scale: finite weights whose
+    # norm leaves the float range give the rates of the same direction at
+    # unit scale, bit for bit, with no numpy warning, alone and stacked
+    scene = build_scene(ScenarioConfig())
+    eve = mallory_receiver(scene).weights
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = rate_point(scene, plain, eve)
+        assert rate_point(scene, huge, eve) == want
+        assert rate_point(scene, eve, huge) == rate_point(scene, eve, plain)
+        assert sinr_bob(huge, scene.cov, scene.sigma_b2_watt) == want.sinr_bob
+        assert sinr_mallory(huge, scene.cov, 1.0) == sinr_mallory(plain, scene.cov, 1.0)
+        # an ordinary point stacked with a rescaled one keeps its own bits
+        ordinary = compute(Method.MMSE, scene).weights
+        stack = stack_scenes((scene, scene))
+        rates = rate_point(stack, np.stack([ordinary, huge]), np.stack([eve, eve]))
+    assert rates.at(0) == rate_point(scene, ordinary, eve)
+    assert rates.at(1) == want
 
 
 @pytest.mark.parametrize("shape", [(3,), (4, 4), (2, 4), ()])

@@ -15,6 +15,7 @@ from dmrbf import (
     DimensionError,
     DmrbfError,
     DomainError,
+    FlopCounter,
     Method,
     RECEIVE_METHODS,
     ScenarioConfig,
@@ -37,7 +38,14 @@ from dmrbf import (
 )
 from dmrbf.ber import config_at
 from dmrbf.cli import PRESETS
-from dmrbf.scenario import Term, _jamming_terms, _noise_free_scene
+from dmrbf.scenario import (
+    _MEMO_FIELDS,
+    Term,
+    _jamming_terms,
+    _MemoKey,
+    _noise_free_scene,
+    noise_covariance,
+)
 
 from conftest import config_with, dense_term, link_matrix, random_config
 
@@ -409,12 +417,13 @@ def test_a_term_beyond_the_float_range_is_refused_by_its_power(fields, power):
 
 def test_noise_plus_jamming_beyond_the_float_range_is_refused_by_the_noise():
     # the noise and the jamming term are each finite, but their sum is not:
-    # c_nbar is refused, naming the noise and stating the jamming power
+    # c_nbar is refused by the one covariance rule, naming the noise
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cfg = config_with(sigma_b2_watt=1.7e308, p_m_watt=1.7e308, d_mb_km=1.0)
         with pytest.raises(
-            ConfigError, match=r"^sigma_b2_watt: .* \(jamming power 1\.7e\+308\) not finite"
+            ConfigError,
+            match="^sigma_b2_watt: makes an interference-plus-noise covariance that is not finite$",
         ) as info:
             build_scene(cfg)
     assert info.value.field == "sigma_b2_watt"
@@ -435,8 +444,12 @@ def test_build_scene_composes_stages():
     scene = build_scene(cfg)
     assert np.array_equal(scene.channels.ab.rx_steering, chans.ab.rx_steering)
     assert np.array_equal(scene.channels.ab.tx_steering, chans.ab.tx_steering)
-    assert np.array_equal(scene.setup.v_a, setup.v_a)
-    assert np.array_equal(scene.setup.h_m_rsi, setup.h_m_rsi)
+    assert np.array_equal(scene.v_a, setup.v_a)
+    # the scene keeps the RSI draw and the jamming beams as the factors of
+    # r_m and d only, with the bits of the transmit setup's products
+    assert np.array_equal(scene.cov.r_m.factor, setup.h_m_rsi.conj().T @ setup.t_m_an)
+    jam = np.outer(chans.mb.rx_steering, np.vecmat(chans.mb.tx_steering, setup.t_m_an))
+    assert np.array_equal(scene.cov.d.factor, jam)
     assert np.array_equal(scene.cov.c_nbar, _c_nbar(scene))
 
 
@@ -484,7 +497,7 @@ def test_noise_levels_share_the_noise_free_part():
     lo, hi = build_scene(cfg_lo), build_scene(cfg_hi)
     assert lo.cfg is cfg_lo and hi.cfg is cfg_hi
     assert lo.channels is hi.channels
-    assert lo.setup is hi.setup
+    assert lo.v_a is hi.v_a
     for name in ("a", "b", "d", "e", "f", "r_m"):
         assert getattr(lo.cov, name) is getattr(hi.cov, name)
     for scene in (lo, hi):
@@ -496,7 +509,7 @@ def _c_nbar(scene: Scene) -> np.ndarray:
     """``b + d + sigma_b2 I`` of a scene, or of each point of a stack, formed
     here from the factors of ``b`` and ``d`` by the scene's arithmetic."""
     noise = scene.sigma_b2_watt[..., None, None] * np.eye(scene.n_b)
-    return dense_term(scene.cov.b) + dense_term(scene.cov.d, beams=True) + noise
+    return dense_term(scene.cov.b) + dense_term(scene.cov.d) + noise
 
 
 @pytest.mark.parametrize("n", [4, 64])
@@ -510,26 +523,79 @@ def test_c_nbar_is_the_sum_of_its_factors_terms_bit_for_bit(n, n_j):
         assert np.array_equal(scene.cov.c_nbar, _c_nbar(scene))
 
 
+@pytest.mark.parametrize("n", [4, 64])
+@pytest.mark.parametrize("n_j", [1, 3])
+def test_noise_covariance_is_the_sum_of_its_terms_bit_for_bit(n, n_j):
+    # the one rule for Bob's c_nbar, NSP-WFRP's b + sigma_b2 I and
+    # Mallory's f + r_m + sigma_m2 I: the terms' matrices summed in order,
+    # then the noise, with the bits of the sum formed here; charged as its
+    # term matrices (14n^2 for one column, 8(k + 1)n^2 for k), an add per
+    # further term and the noise's scaling and add (2n^2 each)
+    base = config_with(n_a=n, n_b=n, n_m=n, n_j=n_j, beta1=0.5, sigma_m2_watt=0.3)
+    scenes = [build_scene(config_at(base, "p_m_watt", p)) for p in (0.1, 10.0, 1000.0)]
+    for scene in (*scenes, stack_scenes(scenes)):
+        cov = scene.cov
+        for terms, sigma2 in (
+            ((cov.b, cov.d), scene.sigma_b2_watt),
+            ((cov.b,), scene.sigma_b2_watt),
+            ((cov.f, cov.r_m), scene.sigma_m2_watt),
+        ):
+            want = dense_term(terms[0])
+            for term in terms[1:]:
+                want = want + dense_term(term)
+            want = want + sigma2[..., None, None] * np.eye(n)
+            fc = FlopCounter(len(scene))
+            got = noise_covariance(terms, sigma2, "sigma2", fc)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            k = [t.factor.shape[-1] for t in terms]
+            flops = sum(14 if c == 1 else 8 * (c + 1) for c in k) + 2 * len(terms) + 2
+            assert fc.total == flops * n * n
+        c_nbar = noise_covariance((cov.b, cov.d), scene.sigma_b2_watt, "sigma_b2_watt")
+        assert scene.cov.c_nbar.tobytes() == c_nbar.tobytes()
+
+
+def test_noise_covariance_past_the_float_maximum_is_refused_by_its_field():
+    # finite terms and noise whose sum is not finite: a ConfigError naming
+    # the field it is given, with no numpy warning, alone and stacked
+    huge = Term(np.float64(1.7e308), np.ones((2, 1), dtype=complex))
+    stacked = Term(np.array([1.0, 1.7e308]), np.ones((2, 2, 1), dtype=complex))
+    message = "^noise_w: makes an interference-plus-noise covariance that is not finite$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cases = (((huge,), 1.7e308), ((huge, huge), 1.0), ((stacked,), np.array([1.0, 1e308])))
+        for terms, sigma2 in cases:
+            with pytest.raises(ConfigError, match=message) as info:
+                noise_covariance(terms, sigma2, "noise_w")
+            assert info.value.field == "noise_w"
+
+
 def test_the_memo_shares_factors_not_matrices():
-    # a term is its power and its factor; the only n x n complex arrays a
-    # geometry's scenes share are Alice's noise projector and the RSI draw
+    # a term is its power and its factor, and the scene keeps Alice's
+    # precoder, not her noise projector or the RSI draw: c_nbar is the one
+    # n x n complex array in a scene, and its memo entry holds none
     assert [f.name for f in dataclasses.fields(Term)] == ["coef", "factor"]
+    assert [f.name for f in dataclasses.fields(Scene)][:3] == ["channels", "v_a", "cov"]
     n = 64
-    scene = build_scene(config_with(n_a=n, n_b=n, n_m=n, n_j=3))
-    square = {
-        path
-        for path, a in _arrays(scene).items()
-        if a.shape == (n, n) and a.dtype.kind == "c" and path != "scene.cov.c_nbar"
-    }
-    assert square == {"scene.setup.t_a_an", "scene.setup.h_m_rsi"}
+    cfg = config_with(n_a=n, n_b=n, n_m=n, n_j=3)
+    scene = build_scene(cfg)
+    square = {path for path, a in _arrays(scene).items() if a.shape == (n, n)}
+    assert square == {"scene.cov.c_nbar"}
+    channels, v_a, fixed = _noise_free_scene(
+        _MemoKey(tuple(repr(getattr(cfg, name)) for name in _MEMO_FIELDS), cfg)
+    )
+    assert v_a is scene.v_a and channels is scene.channels
+    memo = [*_arrays(channels).values(), v_a]
+    memo += [getattr(part, "factor", part) for part in fixed.values()]
+    assert len(memo) == 3 * 2 + 1 + 6
+    assert [a.shape for a in memo if a.shape[-1] == n and a.ndim > 1] == []
 
 
 def test_shared_arrays_are_read_only():
     scene = build_scene(config_with(n_j=3, sigma_b2_watt=0.5))
     shared = {path: a for path, a in _arrays(scene).items() if path != "scene.cov.c_nbar"}
-    # three links of two steering vectors, the transmit setup, and six terms
+    # three links of two steering vectors, Alice's precoder, and six terms
     # of a factor each
-    assert len(shared) == 3 * 2 + 4 + 6
+    assert len(shared) == 3 * 2 + 1 + 6
     for path, a in shared.items():
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
@@ -548,7 +614,7 @@ def test_signed_zero_fields_do_not_share_an_entry():
         _jamming_terms.cache_clear()
         pos, neg = build_scene(cfg_pos), build_scene(cfg_neg)
         assert _noise_free_scene.cache_info().misses == misses
-        assert (neg.setup is pos.setup) == (misses == 1)
+        assert (neg.v_a is pos.v_a) == (misses == 1)
         assert neg.cov.r_m is not pos.cov.r_m
         _noise_free_scene.cache_clear()
         _jamming_terms.cache_clear()
@@ -607,11 +673,13 @@ def test_stack_scenes_needs_one_size():
 @pytest.mark.parametrize("n_j", [1, 3])
 def test_rank_one_terms_match_the_dense_channel_forms(n, n_j):
     # the scene applies each link as h_rx (h_tx^H x) and keeps the artificial
-    # noise's factor as one column; against the dense H forms (|H|_F = 1
-    # and the precoders have unit power, so every entry is at most 1), the
-    # factors' grams agree to 1e-13
+    # noise's factor as one column; against the dense H forms of the
+    # transmit setup (|H|_F = 1 and the precoders have unit power, so every
+    # entry is at most 1), the factors' grams agree to 1e-13
     scene = build_scene(config_with(n_a=n, n_b=n, n_m=n, n_j=n_j))
-    ch, setup, cov = scene.channels, scene.setup, scene.cov
+    ch, cov = scene.channels, scene.cov
+    setup = build_transmit_setup(scene.cfg, ch)
+    assert np.array_equal(scene.v_a, setup.v_a)
     h_ab, h_am, h_mb = (link_matrix(link) for link in (ch.ab, ch.am, ch.mb))
     factors = {
         "a": (h_ab @ setup.v_a)[:, None],
