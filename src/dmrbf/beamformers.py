@@ -9,8 +9,8 @@ spanning the cost/performance trade:
   is WF-MRC's whitened matched filter, so it runs WF-MRC's builder.
 * ``mmse``     -- conventional MMSE: one direct HPD inverse, refined twice.
 * ``lc_mmse``  -- MMSE's direction as ``c_nbar^{-1} u``, the inverse built
-  by 1 + n_j rank-one updates in O(n^2); both MMSE builders share one
-  refusal rule.
+  by two rank-one updates in O(n^2), one for each of ``c_nbar``'s terms;
+  both MMSE builders share one refusal rule.
 * ``nsp_wfrp`` -- project the jamming link out of the array first, then
   whiten what remains and match to the projected signal.
 
@@ -129,8 +129,9 @@ def whitening_filter(
 ) -> np.ndarray:
     """Whitening transform ``W = diag(eigenvalues)**-0.5 @ Q^H`` with
     ``W @ cov @ W^H = I`` (of each matrix of a stack), from the EVD of
-    ``cov``; a ``cov`` that is not positive definite is refused as ``what``."""
-    evd = fc.evd(cov)
+    ``cov``; every refusal of ``cov``, as malformed or as not positive
+    definite, names it ``what``."""
+    evd = fc.evd(cov, what)
     check_hpd(evd, what)
     q_h = evd.eigenvectors.conj().swapaxes(-1, -2)
     return fc.scale((1.0 / np.sqrt(evd.eigenvalues))[..., :, None], q_h)
@@ -175,12 +176,12 @@ def _whitened_mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
 
 def _chain_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """``c_nbar^{-1}`` by a chain of rank-one updates; no general inverse
-    is formed.
+    """``c_nbar^{-1}`` by two rank-one updates; no general inverse is
+    formed.
 
     Starts from the noise's ``I / sigma_b2`` and folds in one symmetric
-    Sherman-Morrison update per column ``v`` of ``cov.b``'s and ``cov.d``'s
-    factors, ``1 + n_j`` in all: with ``t = Z v``, the inverse of
+    Sherman-Morrison update for each of ``cov.b`` and ``cov.d``, whose
+    factors are one column ``v`` each: with ``t = Z v``, the inverse of
     ``Z^{-1} + coef v v^H`` is ``Z - coef / (1 + coef v^H t) t t^H``
     (Hager, *SIAM Review* 31, 1989).  ``coef >= 0`` and ``Z`` is positive
     definite, so each denominator is at least 1 in exact arithmetic.  An
@@ -190,13 +191,12 @@ def _chain_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     fc.scalar()  # reciprocal
     z = fc.scale((1.0 / scene.sigma_b2_watt)[..., None, None], np.eye(scene.n_b))
     for term in (scene.cov.b, scene.cov.d):
-        for j in range(term.factor.shape[-1]):
-            v = term.factor[..., j]
-            t = fc.matvec(z, v)
-            den = 1.0 + term.coef * fc.dot(v, t).real
-            fc.scalar(3)
-            upd = fc.scale((term.coef / den)[..., None, None], fc.outer(t, t))
-            z = fc.sub(z, upd)
+        v = term.factor[..., 0]
+        t = fc.matvec(z, v)
+        den = 1.0 + term.coef * fc.dot(v, t).real
+        fc.scalar(3)
+        upd = fc.scale((term.coef / den)[..., None, None], fc.outer(t, t))
+        z = fc.sub(z, upd)
     return z
 
 
@@ -230,7 +230,7 @@ def _mmse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """
     u = _signature(scene, fc)
     o = fc.add(term_matrix(scene.cov.a, fc), scene.cov.c_nbar)
-    z = fc.inv_hpd(o)
+    z = fc.inv_hpd(o, "O")
     x = fc.matvec(z, u)
     for _ in range(2):  # the fewest steps that serve 120 dB SNR within 1e-6
         x = fc.add(x, fc.matvec(z, fc.sub(u, fc.matvec(o, x))))

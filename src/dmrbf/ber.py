@@ -287,7 +287,7 @@ def _output_roots(stack: Scene, weights: dict[Method, np.ndarray]) -> list[np.nd
     stream and is refused, naming its method; the angle test is relative,
     so a weak but valid signal is not mistaken for none.
     """
-    evd = hermitian_evd(stack.cov.c_nbar)
+    evd = hermitian_evd(stack.cov.c_nbar, "c_nbar")
     # clamped, not refused: no inverse is taken, and MRC must run at any noise level
     root = evd.eigenvectors * np.sqrt(np.maximum(evd.eigenvalues, 0.0) / 2.0)[:, None, :]
     c1, u = stack.cov.a.coef, stack.cov.a.factor[..., 0]
@@ -467,7 +467,8 @@ def _sweep_point(
 
 
 def _check_sweep(
-    methods: tuple[Method, ...],
+    cfg: ScenarioConfig,
+    methods: Sequence[Method | str],
     axis: str,
     values: Sequence[float] | np.ndarray,
     max_symbols: int,
@@ -479,8 +480,15 @@ def _check_sweep(
 
     ``values`` may be any sequence of finite real numbers that floats can
     hold, an ndarray included; ``max_symbols`` and ``seed`` must be
-    integers (see `as_scalar`).
+    integers (see `as_scalar`).  ``cfg`` must be a `ScenarioConfig`, and
+    ``methods`` a sequence that is not a str.
     """
+    if not isinstance(cfg, ScenarioConfig):
+        raise DomainError(f"cfg must be a ScenarioConfig, got {shown(cfg, repr)}")
+    if isinstance(methods, str) or not isinstance(methods, Sequence):
+        raise DomainError(
+            f"methods must be a sequence of receive methods, got {shown(methods, repr)}"
+        )
     if axis not in _AXES:
         raise DomainError(f"axis must be one of {_AXES}, got {shown(axis, repr)}")
     items = values.tolist() if isinstance(values, np.ndarray) else values
@@ -509,7 +517,7 @@ def _check_sweep(
 
 def sweep(
     cfg: ScenarioConfig,
-    methods: tuple[Method, ...],
+    methods: Sequence[Method | str],
     axis: str,
     values: Sequence[float] | np.ndarray,
     max_symbols: int,
@@ -519,7 +527,9 @@ def sweep(
 
     Returns reports ordered by (axis value, method) following the input
     order.  Each method must be one of ``RECEIVE_METHODS``, named once; an
-    empty method list yields an empty report.
+    empty method list yields an empty report.  Every argument is checked
+    before any point runs, and a bad one is refused by a `DomainError`
+    that names it (see `_check_sweep`).
 
     Each point draws the symbols that give its best method's analytic BER
     a relative 95 % half-width of ``BER_REL_HALFWIDTH``, at most
@@ -531,7 +541,9 @@ def sweep(
     message is prefixed with the axis value and, when one method's own
     step failed, that method.
     """
-    methods, values, max_symbols, seed = _check_sweep(methods, axis, values, max_symbols, seed)
+    methods, values, max_symbols, seed = _check_sweep(
+        cfg, methods, axis, values, max_symbols, seed
+    )
     if not methods:
         return []
     # no axis changes an array size, so each method's closed form is one number

@@ -109,13 +109,15 @@ class FlopCounter:
 
     # -- factorizations ---------------------------------------------------
 
-    def evd(self, m: np.ndarray) -> linalg.HermitianEvd:
-        evd = linalg.hermitian_evd(m)
+    def evd(self, m: np.ndarray, what: str = "m") -> linalg.HermitianEvd:
+        """`linalg.hermitian_evd`, its refusals naming the matrix ``what``."""
+        evd = linalg.hermitian_evd(m, what)
         self.total += EVD_FLOPS_PER_N3 * evd.eigenvalues.shape[-1] ** 3
         return evd
 
-    def inv_hpd(self, m: np.ndarray) -> np.ndarray:
-        """Direct HPD inverse, charged at the standard n^3 dense cost."""
-        inverse = linalg.inv_hpd(m)
+    def inv_hpd(self, m: np.ndarray, what: str = "m") -> np.ndarray:
+        """Direct HPD inverse, charged at the standard n^3 dense cost; its
+        refusals name the matrix ``what``."""
+        inverse = linalg.inv_hpd(m, what)
         self.total += INV_FLOPS_PER_N3 * inverse.shape[-1] ** 3
         return inverse

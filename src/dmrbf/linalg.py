@@ -119,14 +119,15 @@ def _symmetrized(m: np.ndarray, name: str) -> np.ndarray:
     return sym
 
 
-def hermitian_evd(m: np.ndarray) -> HermitianEvd:
+def hermitian_evd(m: np.ndarray, what: str = "m") -> HermitianEvd:
     """Eigendecomposition of a Hermitian matrix ``m`` (any numeric
     array-like), or of each of a stack: real eigenvalues, descending, and
     the matching unitary eigenvectors.  Asymmetry up to roundoff is removed
     by averaging with the conjugate transpose; larger asymmetry, a NaN or
-    inf entry and a non-numeric array are refused, naming ``m``."""
-    m = _as_square_complex(m, "m")
-    sym = _symmetrized(m, "m")
+    inf entry and a non-numeric or non-square array are refused, naming
+    the matrix ``what``."""
+    m = _as_square_complex(m, what)
+    sym = _symmetrized(m, what)
     try:
         eigvals, eigvecs = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
@@ -146,11 +147,11 @@ def check_hpd(evd: HermitianEvd, what: str) -> None:
             raise ConditioningError(f"{what} is not numerically positive definite", lo_p, hi_p)
 
 
-def inv_hpd(m: np.ndarray) -> np.ndarray:
+def inv_hpd(m: np.ndarray, what: str = "m") -> np.ndarray:
     """Inverse of a Hermitian positive definite matrix, or of each of a
-    stack (guarded by `check_hpd`)."""
-    evd = hermitian_evd(m)
-    check_hpd(evd, "matrix")
+    stack (guarded by `check_hpd`); every refusal names the matrix ``what``."""
+    evd = hermitian_evd(m, what)
+    check_hpd(evd, what)
     q = evd.eigenvectors
     # = q / eigenvalues, see hermitian_part
     return (q * (1.0 / evd.eigenvalues)[..., None, :]) @ _h(q)

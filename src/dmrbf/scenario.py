@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import ChannelSet, los_channel, null_projector
+from .channel import ChannelSet, LosChannel, los_channel, null_projector
 from .counting import FlopCounter
 from .errors import ConfigError, ConfigParseError, DimensionError, DomainError, shown
 from .linalg import hermitian_part, vector_norm
@@ -347,14 +347,14 @@ class CovarianceSet:
     module forms a coefficient or a factor again.
 
     At Bob, ``a`` is the stream, ``g_ab beta1 p_a`` on ``u = H_ab v_a``;
-    ``b`` the artificial noise (nulled, so zero), ``g_ab (1 - beta1) p_a``
-    on the one column spanning ``H_ab T_a`` (see `_fixed_terms`); ``d`` the
-    jamming, ``g_mb p_m`` on ``H_mb T_m``, one column per beam.  At
-    Mallory, ``e`` is the stream, ``g_am beta1 p_a`` on ``H_am v_a``; ``f``
-    the artificial noise, ``g_am (1 - beta1) p_a`` on the one column
-    spanning ``H_am T_a``; ``r_m`` the residual self-interference, ``rho
-    p_m`` on ``H_rsi^H T_m``.  The one matrix is ``c_nbar = b + d +
-    sigma_b2 I``, by `noise_covariance`.
+    ``b`` the artificial noise (nulled, so zero), ``g_ab (1 - beta1) p_a``,
+    and ``d`` the jamming, ``g_mb p_m``, each on the one column spanning
+    ``H_ab T_a`` or ``H_mb T_m`` (see `_fixed_terms`).  At Mallory, ``e``
+    is the stream, ``g_am beta1 p_a`` on ``H_am v_a``; ``f`` the artificial
+    noise, ``g_am (1 - beta1) p_a`` on the one column spanning ``H_am T_a``;
+    ``r_m`` the residual self-interference, ``rho p_m`` on ``H_rsi^H T_m``,
+    one column per beam.  The one matrix is ``c_nbar = b + d + sigma_b2 I``
+    (the model's ``sigma_b2 I + kappa h h^H``), by `noise_covariance`.
     """
 
     a: Term
@@ -367,8 +367,8 @@ class CovarianceSet:
 
 
 def _term(power_field: str, coef: float, factor: np.ndarray) -> Term:
-    """The term ``coef V V^H`` of ``V``, one column per jamming beam or one
-    link's column.  A `ConfigError` naming ``power_field`` refuses a power or
+    """The term ``coef V V^H`` of ``V``: one link's column, or ``r_m``'s
+    column per beam.  A `ConfigError` naming ``power_field`` refuses a power or
     matrix that left the float range; the matrix is formed for that only."""
     term = Term(np.float64(coef), factor if factor.ndim == 2 else factor[:, None])
     with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
@@ -383,23 +383,23 @@ def _fixed_terms(
 ) -> dict[str, Term | np.ndarray]:
     """The `CovarianceSet` terms that depend on neither noise power nor
     ``p_m_watt`` (``a``, ``b``, ``e``, ``f``), and the factors ``jam_b``
-    (n_b x n_j) and ``rsi`` (n_m x n_j) of ``d`` and ``r_m``.  A link is
-    applied as ``h_rx (h_tx^H x)``, so ``H T_a`` has the one-column factor
-    ``h_rx |T_a^H h_tx|``.  Coefficients are products of Python floats,
-    which do not warn where they overflow."""
+    (one column) and ``rsi`` (n_m x n_j) of ``d`` and ``r_m``.  A link is
+    applied as ``h_rx (h_tx^H x)``, so ``H T`` has the one-column factor
+    ``h_rx |T^H h_tx|``: ``b``'s, ``f``'s and ``d``'s.  Coefficients are
+    products of Python floats, which do not warn where they overflow."""
     ab, am, mb = channels.ab, channels.am, channels.mb
     beta1, p_a = cfg.beta1, cfg.p_a_watt
 
+    def span(link: LosChannel, t: np.ndarray) -> np.ndarray:
+        return link.rx_steering * vector_norm(np.vecmat(link.tx_steering, t))
     u = ab.rx_steering * np.vecdot(ab.tx_steering, setup.v_a)  # Bob-side signal signature
-    an_b = ab.rx_steering * vector_norm(np.vecmat(ab.tx_steering, setup.t_a_an))
     e_vec = am.rx_steering * np.vecdot(am.tx_steering, setup.v_a)
-    an_m = am.rx_steering * vector_norm(np.vecmat(am.tx_steering, setup.t_a_an))
     return {
         "a": _term("p_a_watt", ab.gain * beta1 * p_a, u),
-        "b": _term("p_a_watt", ab.gain * (1.0 - beta1) * p_a, an_b),
+        "b": _term("p_a_watt", ab.gain * (1.0 - beta1) * p_a, span(ab, setup.t_a_an)),
         "e": _term("p_a_watt", am.gain * beta1 * p_a, e_vec),
-        "f": _term("p_a_watt", am.gain * (1.0 - beta1) * p_a, an_m),
-        "jam_b": np.outer(mb.rx_steering, np.vecmat(mb.tx_steering, setup.t_m_an)),
+        "f": _term("p_a_watt", am.gain * (1.0 - beta1) * p_a, span(am, setup.t_a_an)),
+        "jam_b": span(mb, setup.t_m_an),
         "rsi": setup.h_m_rsi.conj().T @ setup.t_m_an,
     }
 
@@ -431,7 +431,7 @@ class Scene:
 
     n_b = property(lambda self: self.cov.c_nbar.shape[-1])
     n_m = property(lambda self: self.cov.e.factor.shape[-2])
-    n_j = property(lambda self: self.cov.d.factor.shape[-1])
+    n_j = property(lambda self: self.cov.r_m.factor.shape[-1])
 
     def __len__(self) -> int:
         return self.sigma_b2_watt.size  # 1 for a one-point scene
@@ -529,7 +529,7 @@ def _jamming_terms(key: _MemoKey, p_m_repr: str) -> tuple[Term, Term]:
 
 def build_scene(cfg: ScenarioConfig) -> Scene:
     """The scene of one config; its ``cov.c_nbar`` is `noise_covariance`
-    of ``b`` and ``d``, charged to no method.
+    of ``b`` and ``d``, one column each, charged to no method.
 
     Only ``cov.c_nbar`` depends on the noise powers, and only ``cov.d``,
     ``cov.r_m`` and ``cov.c_nbar`` on the jamming power.  The channels,

@@ -266,6 +266,13 @@ def test_c09_complexity_ordering_and_growth():
         ratio = compute(method, big).flops / compute(method, small).flops
         ratios[method.value] = round(ratio, 2)
         assert lo <= ratio <= hi, f"{method.value}: doubling ratio {ratio:.2f}"
+    # LC-MMSE stays O(N^2) with every jamming beam Mallory can form: double
+    # all three arrays at n_j = n - 1
+    big, small = (build_scene(config_with(n_a=n, n_b=n, n_m=n, n_j=n - 1)) for n in (64, 32))
+    ratio = compute(Method.LC_MMSE, big).flops / compute(Method.LC_MMSE, small).flops
+    ratios["lc_mmse at n_j = n - 1"] = round(ratio, 2)
+    lo, hi = bands[Method.LC_MMSE]
+    assert lo <= ratio <= hi, f"lc_mmse at n_j = n - 1: doubling ratio {ratio:.2f}"
     print(f"ACCEPTANCE C9 PASS: strict chain at N=64; doubling ratios {ratios}")
 
 

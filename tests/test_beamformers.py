@@ -287,7 +287,7 @@ def test_chain_refuses_what_mmse_refuses():
     # near the float maximum the chain stays finite but no longer solves
     # c_nbar x = u; MMSE's direct inverse refuses this scene, and so must the chain
     scene = build_scene(config_with(beta1=0.5, p_a_watt=8.98846567431158e307))
-    with pytest.raises(ConditioningError):
+    with pytest.raises(ConditioningError, match="^O is not numerically positive definite"):
         compute(Method.MMSE, scene)
     with pytest.raises(
         NumericalError, match="^rank-one update chain solves c_nbar x = u to backward"

@@ -1,5 +1,6 @@
 """Monte-Carlo BER machinery: intervals, rng discipline, detection, sweeps."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -624,6 +625,26 @@ def test_sweep_validation(monkeypatch):
                 sweep(cfg, (Method.MRC,), axis, values, 1000, 0)
 
 
+def test_sweep_refuses_a_bad_config_or_method_list_by_name(monkeypatch):
+    # sweep is the one gate for a run's arguments: a config that is not a
+    # ScenarioConfig, and methods that are not a sequence of names, are
+    # refused by name before any point runs, never as a bare TypeError or
+    # AttributeError, and a str is not iterated name by letter
+    monkeypatch.setattr(ber, "build_scene", lambda *a: pytest.fail("a point ran"))
+    args = ("snr_db", (0.0,), 1000, 0)
+    for cfg, methods, named in (
+        (None, (Method.MRC,), "cfg must be a ScenarioConfig, got None$"),
+        ({"n_b": 4}, (Method.MRC,), r"cfg must be a ScenarioConfig, got \{'n_b': 4\}$"),
+        (ScenarioConfig(), None, "methods must be a sequence of receive methods, got None$"),
+        (ScenarioConfig(), "mrc", "methods must be a sequence of receive methods, got 'mrc'$"),
+        (ScenarioConfig(), Method.MRC, "methods must be a sequence of receive methods, got <"),
+        (ScenarioConfig(), iter(["mrc"]), "methods must be a sequence of receive methods, got <"),
+        (ScenarioConfig(), {"mrc"}, r"methods must be a sequence of receive methods, got \{"),
+    ):
+        with pytest.raises(DomainError, match=f"^{named}"):
+            sweep(cfg, methods, *args)
+
+
 def test_a_numpy_array_size_sweeps_as_its_python_int():
     # an int8 n_b would overflow n_b**2 when the sweep sizes its point stacks
     args = ((Method.MRC, Method.WFMRC), "snr_db", (0.0, 10.0), 2000, 0)
@@ -714,6 +735,16 @@ def test_sweep_raises_the_first_failing_point(methods, axis, values, error, mess
     with pytest.raises(error) as exc:
         sweep(ScenarioConfig(), methods, axis, values, 100, 0)
     assert str(exc.value) == message
+
+
+def test_output_root_names_c_nbar_when_it_refuses_it():
+    scene = build_scene(ScenarioConfig())
+    c_nbar = scene.cov.c_nbar.copy()
+    c_nbar[0, 1] = np.nan
+    bad = dataclasses.replace(scene, cov=dataclasses.replace(scene.cov, c_nbar=c_nbar))
+    weights = {Method.MRC: np.stack([compute(Method.MRC, scene).weights] * 2)}
+    with pytest.raises(DomainError, match="^c_nbar has a NaN or infinite entry$"):
+        ber._output_roots(stack_scenes((scene, bad)), weights)
 
 
 def test_output_root_refuses_a_weight_at_right_angles_to_the_signal():

@@ -73,9 +73,9 @@ def test_mrc_measured_value_frozen():
     # Max-SR, MMSE, LC-MMSE and Mallory apply no power factor before
     # normalizing, which would cost 2n + 3 more each.  Max-SR runs WF-MRC's
     # arithmetic, so the two counts are equal.  LC-MMSE's chain starts from
-    # I / sigma^2 (2n^2 + 1) and runs one update per column of b's and d's
-    # factors, 1 + n_j in all, each a matvec, an inner product, three
-    # scalar operations, an outer product, a scaling and a subtraction
+    # I / sigma^2 (2n^2 + 1) and runs two updates, one for b's one column
+    # and one for d's, each a matvec, an inner product, three scalar
+    # operations, an outer product, a scaling and a subtraction
     # (18n^2 + 8n + 3), then one matvec (8n^2); it reads its powers and
     # beams from the scene's model, so it pays for neither.  The scene
     # keeps its terms as factors, and a builder pays for the term matrices
@@ -83,8 +83,8 @@ def test_mrc_measured_value_frozen():
     # part (14n^2) for each one-column term: A for MMSE, b for NSP-WFRP, f
     # for Mallory, and Mallory's r_m at one beam.  With more beams r_m takes
     # a matmul in place of the outer product (8 n_j n^2 + 8n^2), so its
-    # count is the one besides LC-MMSE's that depends on n_j.  MMSE forms
-    # O = A + c_nbar (2n^2) and refines its solve twice (32n^2 + 8n).
+    # count is the only one that depends on n_j.  MMSE forms O = A + c_nbar
+    # (2n^2) and refines its solve twice (32n^2 + 8n).
     order = (
         Method.MRC,
         Method.WFMRC,
@@ -98,14 +98,25 @@ def test_mrc_measured_value_frozen():
         (4, 1): (82, 2444, 2444, 1522, 889, 4326, 2988),
         (16, 1): (322, 136100, 136100, 47554, 12361, 215046, 144804),
         (64, 1): (1282, 8464004, 8464004, 2328322, 190729, 12871686, 8603268),
-        (4, 3): (82, 2444, 2444, 1522, 1535, 4326, 3276),
-        (16, 3): (322, 136100, 136100, 47554, 21839, 215046, 149412),
+        (4, 3): (82, 2444, 2444, 1522, 889, 4326, 3276),
+        (16, 3): (322, 136100, 136100, 47554, 12361, 215046, 149412),
     }
     for (n, n_j), counts in frozen.items():
         scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))
         measured = [compute(m, scene).flops for m in order[:-1]]
         measured.append(mallory_receiver(scene).flops)
         assert dict(zip(order, measured)) == dict(zip(order, counts)), (n, n_j)
+
+
+@pytest.mark.parametrize("n", [4, 16])
+def test_lc_mmse_measured_flops_do_not_depend_on_the_jamming_beams(n):
+    # every beam reaches Bob along the jamming link's one column, so the
+    # chain runs its two updates at any n_j: O(n^2) at n_j = n - 1 too
+    counts = {}
+    for n_j in (1, 3, n - 1):
+        scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))
+        counts[n_j] = compute(Method.LC_MMSE, scene).flops
+    assert len(set(counts.values())) == 1, counts
 
 
 def test_measured_tracks_formula_loosely():

@@ -67,10 +67,15 @@ def _with_entry(i: int, j: int, value: complex) -> np.ndarray:
     return m
 
 
+#: Each public matrix function, with the name its refusals give the matrix
+#: when the caller names none.
 _PUBLIC = {
-    "hermitian_evd": hermitian_evd,
-    "inv_hpd": inv_hpd,
-    "whitening_filter": lambda m: whitening_filter(m, FlopCounter()),
+    "hermitian_evd": (hermitian_evd, "m"),
+    "inv_hpd": (inv_hpd, "m"),
+    "whitening_filter": (
+        lambda m: whitening_filter(m, FlopCounter()),
+        "interference-plus-noise covariance",
+    ),
 }
 
 
@@ -78,13 +83,13 @@ _PUBLIC = {
 @pytest.mark.parametrize(
     "m, message",
     [
-        (np.full((3, 3), np.nan, dtype=complex), "^m has a NaN or infinite entry$"),
-        (_with_entry(0, 1, np.nan), "^m has a NaN or infinite entry$"),
-        (_with_entry(1, 1, np.inf), "^m has a NaN or infinite entry$"),
-        (_with_entry(0, 2, complex(1.0, -np.inf)), "^m has a NaN or infinite entry$"),
-        (np.array([["1", "0"], ["0", "1"]]), "^m must be a numeric array, got dtype <U1$"),
-        (np.array([[b"1", b"0"], [b"0", b"1"]]), "^m must be a numeric array, got dtype [|]S1$"),
-        (np.eye(2, dtype=object), "^m must be a numeric array, got dtype object$"),
+        (np.full((3, 3), np.nan, dtype=complex), "has a NaN or infinite entry$"),
+        (_with_entry(0, 1, np.nan), "has a NaN or infinite entry$"),
+        (_with_entry(1, 1, np.inf), "has a NaN or infinite entry$"),
+        (_with_entry(0, 2, complex(1.0, -np.inf)), "has a NaN or infinite entry$"),
+        (np.array([["1", "0"], ["0", "1"]]), "must be a numeric array, got dtype <U1$"),
+        (np.array([[b"1", b"0"], [b"0", b"1"]]), "must be a numeric array, got dtype [|]S1$"),
+        (np.eye(2, dtype=object), "must be a numeric array, got dtype object$"),
     ],
     ids=["nan", "nan_entry", "inf_diagonal", "inf_entry", "str", "bytes", "object"],
 )
@@ -92,11 +97,46 @@ def test_malformed_matrices_are_refused_by_name(function, m, message):
     # NaN or infinite entries and non-numeric arrays are typed refusals
     # naming the matrix, with no numpy warning, never NaN eigenvalues or a
     # bare ValueError; a stack is refused for its one bad matrix
-    run = _PUBLIC[function]
+    run, name = _PUBLIC[function]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for arg in (m, np.stack([np.eye(len(m), dtype=m.dtype), m])):
-            with pytest.raises(DomainError, match=message):
+            with pytest.raises(DomainError, match=f"^{name} {message}"):
+                run(arg)
+
+
+_SKEW = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+_SINGULAR = np.diag([1.0, 1e-16]).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "m, error, message",
+    [
+        (_with_entry(0, 1, np.nan), DomainError, "has a NaN or infinite entry$"),
+        (np.ones((2, 3), dtype=complex), DimensionError, "must be a non-empty square matrix"),
+        (_SKEW, DimensionError, "is not Hermitian: max asymmetry 2.000e"),
+        (_SINGULAR, ConditioningError, "is not numerically positive definite"),
+    ],
+    ids=["nan", "shape", "not_hermitian", "not_hpd"],
+)
+def test_every_refusal_names_the_callers_matrix(m, error, message):
+    # each caller names the matrix it decomposes or inverts, and every
+    # refusal of it, one matrix or a stack, says that name, not "m"
+    name = "projected noise covariance"
+    calls = {
+        "hermitian_evd": lambda x: hermitian_evd(x, name),
+        "inv_hpd": lambda x: inv_hpd(x, name),
+        "whitening_filter": lambda x: whitening_filter(x, FlopCounter(), name),
+        "FlopCounter.evd": lambda x: FlopCounter().evd(x, name),
+        "FlopCounter.inv_hpd": lambda x: FlopCounter().inv_hpd(x, name),
+    }
+    positive_definite = error is ConditioningError
+    stack = np.stack([np.eye(*m.shape, dtype=complex), m])
+    for call, run in calls.items():
+        if positive_definite and call.endswith("evd"):
+            continue  # an eigendecomposition refuses no definiteness
+        for arg in (m, stack):
+            with pytest.raises(error, match=f"^{name} {message}"):
                 run(arg)
 
 
