@@ -9,21 +9,20 @@ spanning the cost/performance trade:
   is WF-MRC's whitened matched filter, so it runs WF-MRC's builder.
 * ``mmse``     -- conventional MMSE: one direct HPD inverse, refined twice.
 * ``lc_mmse``  -- MMSE's direction as ``c_nbar^{-1} u``, the inverse built
-  by two rank-one updates in O(n^2), one for each of ``c_nbar``'s terms;
-  both MMSE builders share one refusal rule.
+  by one rank-one update per column of ``c_nbar``'s terms: two, in O(n^2).
 * ``nsp_wfrp`` -- project the jamming link out of the array first, then
   whiten what remains and match to the projected signal.
 
-``wfmrc``, ``max_sr``, ``nsp_wfrp`` and Mallory's combiner share one
-transform, ``W = diag(eigenvalues)**-0.5 @ Q^H`` from their covariance's
-EVD, and one match, ``W^H unit(W s)``.
+``wfmrc``, ``max_sr`` and ``nsp_wfrp`` share one transform, ``W =
+diag(eigenvalues)**-0.5 @ Q^H`` from their covariance's EVD, and one match,
+``W^H unit(W s)``.  Mallory's combiner is ``c_m^{-1} e`` by ``lc_mmse``'s chain.
 
 ``compute(method, scene)`` runs one of them, and ``mallory_receiver(scene)``
 Mallory's combiner, on a fresh `FlopCounter`, so ``Beamformer.flops`` is
 the measured cost of that one call, with the matrices it forms from the
-scene's factors: `term_matrix`, and `noise_covariance` for every
-interference-plus-noise covariance (``c_nbar``, built with the scene, is
-charged to no method).  All returned weight vectors are unit norm.
+scene's factors: `term_matrix`, and `noise_covariance` for each
+interference-plus-noise covariance but ``c_nbar`` (built with the scene)
+and Mallory's (a guard).  All returned weight vectors are unit norm.
 
 Every builder takes a `Scene` of one point or a stacked `Scene`, its
 arrays stacked on a leading point axis, and runs all its points at once:
@@ -54,12 +53,12 @@ from .errors import (
     shown,
 )
 from .linalg import RANK_RTOL, check_hpd, point_values, vector_norm
-from .scenario import Scene, noise_covariance, term_matrix
+from .scenario import Scene, Term, noise_covariance, term_matrix
 
 _NORM_EPS = 1e-12  # vectors shorter than this cannot be normalized
-# largest backward error of an MMSE solve; the solves served on 2000 random
-# scenes, with jamming up to 1e14 W and noise down to 1e-6 W, and on 1953
-# scenes up to 120 dB SNR (README's scans B and A) measured at most 1e-13
+# largest backward error of a solve; the solves served on README's scans
+# measured at most 1e-13 (Bob's MMSE solves, scans A and B) and 6.8e-7
+# (Mallory's chain solves, scan C, with jamming up to 1e14 W)
 _BACKWARD_ERROR_BOUND = 1e-6
 
 
@@ -175,33 +174,29 @@ def _whitened_mrc(scene: Scene, fc: FlopCounter) -> np.ndarray:
     return _whiten_match(fc, u, scene.cov.c_nbar, "interference-plus-noise covariance")
 
 
-def _chain_inverse(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """``c_nbar^{-1}`` by two rank-one updates; no general inverse is
-    formed.
-
-    Starts from the noise's ``I / sigma_b2`` and folds in one symmetric
-    Sherman-Morrison update for each of ``cov.b`` and ``cov.d``, whose
-    factors are one column ``v`` each: with ``t = Z v``, the inverse of
-    ``Z^{-1} + coef v v^H`` is ``Z - coef / (1 + coef v^H t) t t^H``
-    (Hager, *SIAM Review* 31, 1989).  ``coef >= 0`` and ``Z`` is positive
-    definite, so each denominator is at least 1 in exact arithmetic.  An
-    overflow is not refused here: it leaves the inverse non-finite, and
-    the caller's backward-error rule refuses it.
-    """
+def _chain_inverse(terms: tuple[Term, ...], sigma2: np.ndarray, fc: FlopCounter) -> np.ndarray:
+    """``(sum term_matrix(t) + sigma2 I)^{-1}``, no general inverse formed:
+    from the noise's ``I / sigma2``, one symmetric Sherman-Morrison update
+    per factor column ``v`` of each term.  With ``t = Z v``, the inverse of
+    ``Z^{-1} + coef v v^H`` is ``Z - coef / (1 + coef v^H t) t t^H`` (Hager,
+    *SIAM Review* 31, 1989).  ``coef >= 0`` and ``Z`` is positive definite,
+    so each denominator is at least 1 in exact arithmetic.  An overflow
+    leaves the inverse non-finite, for `_chain_solve` to refuse."""
     fc.scalar()  # reciprocal
-    z = fc.scale((1.0 / scene.sigma_b2_watt)[..., None, None], np.eye(scene.n_b))
-    for term in (scene.cov.b, scene.cov.d):
-        v = term.factor[..., 0]
-        t = fc.matvec(z, v)
-        den = 1.0 + term.coef * fc.dot(v, t).real
-        fc.scalar(3)
-        upd = fc.scale((term.coef / den)[..., None, None], fc.outer(t, t))
-        z = fc.sub(z, upd)
+    z = fc.scale((1.0 / sigma2)[..., None, None], np.eye(terms[0].factor.shape[-2]))
+    for term in terms:
+        for k in range(term.factor.shape[-1]):
+            v = term.factor[..., k]
+            t = fc.matvec(z, v)
+            den = 1.0 + term.coef * fc.dot(v, t).real
+            fc.scalar(3)
+            upd = fc.scale((term.coef / den)[..., None, None], fc.outer(t, t))
+            z = fc.sub(z, upd)
     return z
 
 
 def _check_solve(m: np.ndarray, x: np.ndarray, u: np.ndarray, what: str) -> None:
-    """Both MMSE builders' one refusal: a `NumericalError` naming ``what``
+    """Every solve's one refusal: a `NumericalError` naming ``what``
     unless ``x`` solves ``m x = u`` to a normwise backward error
     ``|m x - u| / (|m|_F |x| + |u|)`` of at most 1e-6, with a finite
     denominator (Higham, *Accuracy and Stability of Numerical Algorithms*,
@@ -218,8 +213,7 @@ def _check_solve(m: np.ndarray, x: np.ndarray, u: np.ndarray, what: str) -> None
             raise NumericalError(f"{what} to backward error {v:.3e}")
 
 
-# an overflow, in the solve or in its check, is refused by name below, not
-# warned about
+# an overflow, in a solve or in its check, is refused by name, not warned about
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _mmse(scene: Scene, fc: FlopCounter) -> np.ndarray:
     """MMSE direction ``x = O^{-1} u`` for the receive covariance
@@ -239,19 +233,26 @@ def _mmse(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # as `_mmse`
-def _lc_mmse(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """MMSE direction as ``c_nbar^{-1} u``, from `_chain_inverse`.
+def _chain_solve(
+    fc: FlopCounter, terms: tuple[Term, ...], sigma2: np.ndarray, sig: np.ndarray,
+    cov: np.ndarray, system: str,
+) -> np.ndarray:
+    """The max-SINR direction ``cov^{-1} sig`` (Van Trees, 2002, §6.2) in
+    ``cov = sum term_matrix(t) + sigma2 I``, by `_chain_inverse`; refused by
+    `_check_solve` against ``cov x = sig``, spelled ``system``."""
+    x = fc.matvec(_chain_inverse(terms, sigma2, fc), sig)
+    _check_solve(cov, x, sig, f"rank-one update chain solves {system}")
+    return _unit(fc, x, f"rank-one update chain's solution of {system} has zero norm")
 
-    ``O = A + c_nbar`` with ``A = c1 u u^H``, so by Sherman-Morrison
-    ``O^{-1} u = c_nbar^{-1} u / (1 + c1 u^H c_nbar^{-1} u)``, a positive
-    scalar multiple that normalizing undoes; folding ``A`` into the chain
-    would only add cancellation.  Refused by `_check_solve` against
-    ``c_nbar x = u``.
-    """
+
+def _lc_mmse(scene: Scene, fc: FlopCounter) -> np.ndarray:
+    """MMSE direction as ``c_nbar^{-1} u``: ``O = A + c_nbar`` with
+    ``A = c1 u u^H``, so by Sherman-Morrison ``O^{-1} u = c_nbar^{-1} u /
+    (1 + c1 u^H c_nbar^{-1} u)``, a positive multiple that normalizing
+    undoes; folding ``A`` into the chain would only add cancellation."""
+    cov = scene.cov
     u = _signature(scene, fc)
-    x = fc.matvec(_chain_inverse(scene, fc), u)
-    _check_solve(scene.cov.c_nbar, x, u, "rank-one update chain solves c_nbar x = u")
-    return _unit(fc, x, "LC-MMSE weights have zero norm")
+    return _chain_solve(fc, (cov.b, cov.d), scene.sigma_b2_watt, u, cov.c_nbar, "c_nbar x = u")
 
 
 def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
@@ -293,16 +294,14 @@ def _nsp_max_wfrp(scene: Scene, fc: FlopCounter) -> np.ndarray:
 
 
 def _mallory(scene: Scene, fc: FlopCounter) -> np.ndarray:
-    """Mallory's own max-SINR combiner for intercepting the stream.
-
-    Same whiten-then-match construction as ``_whitened_mrc``, applied to the
-    eavesdropper's covariance, `noise_covariance` of the artificial noise
-    received from Alice (``f``) and the residual self-interference
-    (``r_m``), at ``sigma_m2_watt``, which names its refusal.
-    """
+    """Mallory's max-SINR combiner ``c_m^{-1} e``, as LC-MMSE's, for her
+    ``c_m = f + r_m + sigma_m2 I``: noise plus 1 + n_j rank-one columns.  The
+    dense ``c_m``, uncharged, only checks the solve; `noise_covariance`
+    refuses one past the float maximum by a `ConfigError` naming ``sigma_m2_watt``."""
+    terms, sigma2 = (scene.cov.f, scene.cov.r_m), scene.sigma_m2_watt
     e = _apply_link(fc, scene.channels.am, scene.v_a)
-    c_m = noise_covariance((scene.cov.f, scene.cov.r_m), scene.sigma_m2_watt, "sigma_m2_watt", fc)
-    return _whiten_match(fc, e, c_m, "eavesdropper covariance")
+    c_m = noise_covariance(terms, sigma2, "sigma_m2_watt")
+    return _chain_solve(fc, terms, sigma2, e, c_m, "c_m x = e")
 
 
 _BUILDERS = {

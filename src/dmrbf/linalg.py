@@ -72,15 +72,17 @@ def vector_norm(x: np.ndarray) -> np.floating | np.ndarray:
     The same arithmetic as numpy's (``re . re + im . im`` by BLAS ``ddot``,
     then sqrt) without its argument dispatch, which at the vector sizes of
     a scene costs more than the sums.  ``np.vecdot`` hands each vector of
-    a stack to the same ``ddot``, so each norm keeps its bits.
+    a stack to the same ``ddot``, so each norm keeps its bits.  One vector
+    is made contiguous first, as numpy's norm ravels it: a BLAS kernel may
+    sum a strided vector in another order.
     """
     if x.dtype.kind not in "fc":  # numpy's norm sums integers as floats
         x = x.astype(float)
-    re, im = x.real, x.imag
     if x.ndim == 1:  # ndarray.dot is the cheaper call to the same ddot
-        sq = re.dot(re) + im.dot(im)
+        x = x.ravel(order="K")
+        sq = x.real.dot(x.real) + x.imag.dot(x.imag)
     else:
-        sq = np.vecdot(re, re) + np.vecdot(im, im)
+        sq = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
     return np.sqrt(sq)
 
 

@@ -71,11 +71,14 @@ def _sinr(
         raise DimensionError(f"{name} must have shape {shape}, got {weights.shape}")
     with np.errstate(over="ignore", under="ignore"):  # a norm out of range is rescaled
         nrm = vector_norm(weights)
-        if weights.dtype.kind in "fc" and not ((0.0 < nrm) & (nrm < math.inf)).all():
-            # as reals: numpy divides complex through the reciprocal (inf at a subnormal)
+        out = ~((0.0 < nrm) & (nrm < math.inf))
+        if weights.dtype.kind in "fc" and out.any():
+            # as reals: numpy divides complex through the reciprocal (inf at a
+            # subnormal); only the rows out of range, so the others keep their bits
             parts = np.ascontiguousarray(weights).view(weights.real.dtype)
             big = abs(parts).max(axis=-1, keepdims=True)
-            weights = (parts / np.where((0 < big) & (big < math.inf), big, 1)).view(weights.dtype)
+            fix = out[..., None] & (0 < big) & (big < math.inf)
+            weights = (parts / np.where(fix, big, 1)).view(weights.dtype)
             nrm = vector_norm(weights)
     for v in point_values(nrm):
         if not 0.0 < v < math.inf:  # also refuses a NaN norm

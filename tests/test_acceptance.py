@@ -69,7 +69,7 @@ def test_c01_rank_one_chain_matches_direct_inverse(scenarios200):
     worst = 0.0
     for cfg in scenarios200:
         scene = build_scene(cfg)
-        z = _chain_inverse(scene, FlopCounter())
+        z = _chain_inverse((scene.cov.b, scene.cov.d), scene.sigma_b2_watt, FlopCounter())
         ref = np.linalg.inv(scene.cov.c_nbar)
         worst = max(worst, np.linalg.norm(z - ref) / np.linalg.norm(ref))
         c1, u = scene.cov.a.coef, scene.cov.a.factor[..., 0]

@@ -39,11 +39,17 @@ from conftest import (
     config_with,
     dense_term,
     link_matrix,
+    loguniform,
     random_config,
     random_hpd,
 )
 
 EQUIV4 = (Method.MRC, Method.WFMRC, Method.MAX_SR, Method.MMSE)
+
+
+def bob_chain(scene, fc: FlopCounter) -> np.ndarray:
+    """LC-MMSE's chain: ``c_nbar^{-1}`` from ``b``'s and ``d``'s factors."""
+    return _chain_inverse((scene.cov.b, scene.cov.d), scene.sigma_b2_watt, fc)
 
 
 def aligned(a: np.ndarray, b: np.ndarray) -> float:
@@ -172,7 +178,7 @@ def test_chain_inverse_matches_direct():
     rng = np.random.default_rng(406)
     for _ in range(20):
         scene = build_scene(random_config(rng))
-        got = _chain_inverse(scene, FlopCounter())
+        got = bob_chain(scene, FlopCounter())
         ref = np.linalg.inv(scene.cov.c_nbar)
         assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
         assert got.shape == (scene.cfg.n_b, scene.cfg.n_b)
@@ -190,7 +196,7 @@ def test_chain_collapses_to_closed_form_without_an_and_jamming():
     c, v = scene.cov.d.coef, scene.cov.d.factor[..., 0]
     vv = np.vdot(v, v).real
     ref = np.eye(scene.n_b) / sig2 - (c / (sig2 * (sig2 + c * vv))) * np.outer(v, v.conj())
-    got = _chain_inverse(scene, FlopCounter())
+    got = bob_chain(scene, FlopCounter())
     assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
@@ -244,7 +250,8 @@ _FAR_BOB = {"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}
         # the MMSE solve's backward-error denominator overflows first
         (_FAR_BOB, Method.MMSE, NumericalError),
         (_FAR_BOB, Method.NSP_WFRP, DegenerateChannelError),
-        ({"sigma_m2_watt": 8.98846567431158e307}, "mallory", DegenerateChannelError),
+        # as MMSE's, Mallory's chain solve's backward-error denominator overflows
+        ({"sigma_m2_watt": 8.98846567431158e307}, "mallory", NumericalError),
     ],
 )
 def test_covariance_near_float_max_is_refused_without_overflow(overrides, method, error):
@@ -364,6 +371,30 @@ def test_mallory_receiver_direction():
         c_m = dense_term(cov.f) + dense_term(cov.r_m) + scene.sigma_m2_watt * np.eye(scene.n_m)
         ref = np.linalg.solve(c_m, link_matrix(scene.channels.am) @ scene.v_a)
         assert aligned(mallory_receiver(scene).weights, ref) >= 1.0 - 1e-9
+    # scenes drawn as ROADMAP's scan C draws them (jamming up to 1e14 W, rho
+    # up to 1, sigma_m^2 down to 1e-6 W, n_j in {1, 3, n_m - 1}), against a
+    # Woodbury solve on the factors of f and r_m: a dense whitening of c_m
+    # refused seed 686 and served seeds 2333 and 2652 1.2e-5 and 4.6e-5 off
+    for seed in (686, 2333, 2652):
+        rng = np.random.default_rng(seed)
+        cfg = random_config(rng)
+        n_j = int(rng.choice([1, min(3, cfg.n_m - 1), cfg.n_m - 1]))
+        scene = build_scene(
+            dataclasses.replace(
+                cfg,
+                n_j=n_j,
+                p_m_watt=loguniform(rng, 0.01, 1e14),
+                rho=loguniform(rng, 1e-13, 1.0),
+                sigma_m2_watt=loguniform(rng, 1e-6, 10.0),
+                p_a_watt=loguniform(rng, 0.1, 1e6),
+            )
+        )
+        cov = scene.cov
+        v = np.concatenate([np.sqrt(t.coef) * t.factor for t in (cov.f, cov.r_m)], axis=-1)
+        e = link_matrix(scene.channels.am) @ scene.v_a
+        small = scene.sigma_m2_watt * np.eye(v.shape[-1]) + v.conj().T @ v
+        ref = e - v @ np.linalg.solve(small, v.conj().T @ e)
+        assert aligned(mallory_receiver(scene).weights, ref) >= 1.0 - 1e-6, seed
 
 
 def test_mallory_covariance_beyond_the_float_range_is_refused_by_name():
@@ -401,8 +432,8 @@ def test_compute_dispatch_and_flops():
 def test_stacked_compute_gives_each_point_its_own_bits_and_flops():
     # one stack of scenes that differ in every field but the sizes: each
     # point's weights, flop count and chain inverse are those of its own
-    # one-scene call, bit for bit.  With three jamming beams the stack forms
-    # Mallory's r_m from (P, n, 3) factors in one batched matmul
+    # one-scene call, bit for bit.  With three jamming beams Mallory's chain
+    # runs one update per column of the stack's (P, n, 3) factor of r_m
     rng = np.random.default_rng(409)
     runs = {m: functools.partial(compute, m) for m in Method}
     runs["mallory"] = mallory_receiver
@@ -419,9 +450,9 @@ def test_stacked_compute_gives_each_point_its_own_bits_and_flops():
                 one = run(scene)
                 assert bf.weights[p].tobytes() == one.weights.tobytes(), (method, n_j, p)
                 assert bf.flops == one.flops
-        inverses = _chain_inverse(stack, FlopCounter(len(scenes)))
+        inverses = bob_chain(stack, FlopCounter(len(scenes)))
         for p, scene in enumerate(scenes):
-            one = _chain_inverse(scene, FlopCounter())
+            one = bob_chain(scene, FlopCounter())
             assert inverses[p].tobytes() == one.tobytes()
 
 

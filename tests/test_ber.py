@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -29,6 +30,7 @@ from dmrbf import (
 )
 from dmrbf import ber
 from dmrbf.ber import config_at, count_bit_errors
+from dmrbf.linalg import HPD_RTOL
 
 from conftest import config_with, fixed_budget_runs
 
@@ -713,9 +715,8 @@ def test_stacked_floor_matches_one_point_at_a_time(cfg, axis, values, monkeypatc
             RECEIVE_METHODS,
             "snr_db",
             (0.0, 3000.0, 4000.0),
-            ConditioningError,
-            "at snr_db = 3000: eavesdropper covariance is not numerically positive "
-            "definite (min eigenvalue -6.360454e-18, max 2.041187e-02)",
+            NumericalError,
+            "at snr_db = 3000: rank-one update chain solves c_m x = e to backward error nan",
         ),
         # point 1 fails in WF-MRC's own step, point 2 earlier, at Mallory's
         (
@@ -724,7 +725,7 @@ def test_stacked_floor_matches_one_point_at_a_time(cfg, axis, values, monkeypatc
             (1.0, 1e16, 1e300),
             ConditioningError,
             "wfmrc at p_m_watt = 1e+16: interference-plus-noise covariance is not "
-            "numerically positive definite (min eigenvalue 8.895076e-01, max 1.111111e+15)",
+            "numerically positive definite (min eigenvalue {}, max {})",
         ),
     ],
     ids=["scene-after-mallory", "mallory-after-method"],
@@ -734,7 +735,16 @@ def test_sweep_raises_the_first_failing_point(methods, axis, values, error, mess
     # still reports the earlier point, as one point at a time would
     with pytest.raises(error) as exc:
         sweep(ScenarioConfig(), methods, axis, values, 100, 0)
-    assert str(exc.value) == message
+    # the text around the eigenvalues is exact; the smallest eigenvalue at
+    # cond ~ 1e15 is roundoff whose digits depend on the BLAS kernel, so
+    # the numbers are checked by size: the largest, and the ratio refused
+    number = r"(-?\d\.\d{6}e[+-]\d+)"
+    got = re.fullmatch(number.join(map(re.escape, message.split("{}"))), str(exc.value))
+    assert got, str(exc.value)
+    if got.groups():
+        lo, hi = map(float, got.groups())
+        assert hi == pytest.approx(1.111111e15, rel=1e-6)
+        assert lo <= HPD_RTOL * hi
 
 
 def test_output_root_names_c_nbar_when_it_refuses_it():

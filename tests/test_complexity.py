@@ -73,18 +73,19 @@ def test_mrc_measured_value_frozen():
     # Max-SR, MMSE, LC-MMSE and Mallory apply no power factor before
     # normalizing, which would cost 2n + 3 more each.  Max-SR runs WF-MRC's
     # arithmetic, so the two counts are equal.  LC-MMSE's chain starts from
-    # I / sigma^2 (2n^2 + 1) and runs two updates, one for b's one column
-    # and one for d's, each a matvec, an inner product, three scalar
-    # operations, an outer product, a scaling and a subtraction
-    # (18n^2 + 8n + 3), then one matvec (8n^2); it reads its powers and
-    # beams from the scene's model, so it pays for neither.  The scene
-    # keeps its terms as factors, and a builder pays for the term matrices
-    # it reads: an outer product, a scaling by the power and a Hermitian
-    # part (14n^2) for each one-column term: A for MMSE, b for NSP-WFRP, f
-    # for Mallory, and Mallory's r_m at one beam.  With more beams r_m takes
-    # a matmul in place of the outer product (8 n_j n^2 + 8n^2), so its
-    # count is the only one that depends on n_j.  MMSE forms O = A + c_nbar
-    # (2n^2) and refines its solve twice (32n^2 + 8n).
+    # I / sigma^2 (2n^2 + 1) and runs one update per factor column, each a
+    # matvec, an inner product, three scalar operations, an outer product, a
+    # scaling and a subtraction (18n^2 + 8n + 3), then one matvec (8n^2); it
+    # reads its powers and beams from the scene's model, so it pays for
+    # neither.  Bob's b and d are one column each, so LC-MMSE runs two
+    # updates.  Mallory runs the same chain on f's one column and r_m's n_j,
+    # so at one beam her count is LC-MMSE's, and hers is the only count that
+    # depends on n_j: 1 + n_j updates.  The dense c_m her solve is checked
+    # against is a guard, charged to none.  The scene keeps its terms as
+    # factors, and a builder pays for the term matrices it reads: an outer
+    # product, a scaling by the power and a Hermitian part (14n^2) for each
+    # one-column term: A for MMSE and b for NSP-WFRP.  MMSE forms
+    # O = A + c_nbar (2n^2) and refines its solve twice (32n^2 + 8n).
     order = (
         Method.MRC,
         Method.WFMRC,
@@ -95,11 +96,11 @@ def test_mrc_measured_value_frozen():
         "mallory",
     )
     frozen = {  # (n, n_j): counts in the order above, Mallory's combiner last
-        (4, 1): (82, 2444, 2444, 1522, 889, 4326, 2988),
-        (16, 1): (322, 136100, 136100, 47554, 12361, 215046, 144804),
-        (64, 1): (1282, 8464004, 8464004, 2328322, 190729, 12871686, 8603268),
-        (4, 3): (82, 2444, 2444, 1522, 889, 4326, 3276),
-        (16, 3): (322, 136100, 136100, 47554, 12361, 215046, 149412),
+        (4, 1): (82, 2444, 2444, 1522, 889, 4326, 889),
+        (16, 1): (322, 136100, 136100, 47554, 12361, 215046, 12361),
+        (64, 1): (1282, 8464004, 8464004, 2328322, 190729, 12871686, 190729),
+        (4, 3): (82, 2444, 2444, 1522, 889, 4326, 1535),
+        (16, 3): (322, 136100, 136100, 47554, 12361, 215046, 21839),
     }
     for (n, n_j), counts in frozen.items():
         scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))
@@ -117,6 +118,17 @@ def test_lc_mmse_measured_flops_do_not_depend_on_the_jamming_beams(n):
         scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))
         counts[n_j] = compute(Method.LC_MMSE, scene).flops
     assert len(set(counts.values())) == 1, counts
+
+
+@pytest.mark.parametrize("n", [4, 16, 64])
+def test_mallory_measured_flops_are_lc_mmses_plus_one_update_per_extra_beam(n):
+    # both run one chain; Mallory's r_m has a column per jamming beam where
+    # Bob's d has one, so each beam past the first adds one update
+    for n_j in (1, 3, n - 1):
+        scene = build_scene(ScenarioConfig(n_a=n, n_b=n, n_m=n, n_j=n_j))
+        lc_mmse = compute(Method.LC_MMSE, scene).flops
+        update = 18 * n * n + 8 * n + 3
+        assert mallory_receiver(scene).flops == lc_mmse + (n_j - 1) * update, n_j
 
 
 def test_measured_tracks_formula_loosely():
