@@ -196,15 +196,17 @@ def _chain_inverse(terms: tuple[Term, ...], sigma2: np.ndarray, fc: FlopCounter)
 
 
 def _check_solve(m: np.ndarray, x: np.ndarray, u: np.ndarray, what: str) -> None:
-    """Every solve's one refusal: a `NumericalError` naming ``what``
-    unless ``x`` solves ``m x = u`` to a normwise backward error
-    ``|m x - u| / (|m|_F |x| + |u|)`` of at most 1e-6, with a finite
-    denominator (Higham, *Accuracy and Stability of Numerical Algorithms*,
-    2002, §7.1).  A singular or overflowing inverse leaves ``x`` inaccurate
-    or non-finite, so it is refused too.  The rule bounds the solve, not
-    the SINR.  Uncharged, O(n^2): a guard, not part of the method."""
+    """Every solve's one refusal: a `NumericalError` naming ``what`` unless
+    ``x`` solves ``m x = u`` to a normwise backward error ``|m x - u| /
+    (|m|_F |x| + |u|)`` of at most 1e-6 (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2002, §7.1), taken with ``m`` and ``u`` at the
+    power of two that puts each largest ``|m_ij|`` in [1/2, 1), so no square
+    overflows and no bit moves.  A singular or overflowing inverse leaves
+    ``x`` inaccurate or non-finite, so it is refused too.  The rule bounds
+    the solve, not the SINR.  Uncharged, O(n^2): a guard, not the method."""
+    scale = np.ldexp(1.0, -np.frexp(abs(m).max(axis=(-2, -1)))[1])
+    m, u = m * scale[..., None, None], u * scale[..., None]
     r = np.matvec(m, x) - u
-    # |m|_F |x| + |u| from squared norms; if it overflows, refuse
     m_f2 = np.vecdot(m, m).real.sum(axis=-1)
     den = np.sqrt(m_f2 * np.vecdot(x, x).real) + np.sqrt(np.vecdot(u, u).real)
     eta = np.sqrt(np.vecdot(r, r).real) / den

@@ -56,9 +56,8 @@ stacked point has the bits of a point alone, so no result depends on
 either.  Results do not depend on the order points are drawn in, and
 repeated runs are bit-identical.
 ``RNG_STREAM`` numbers this scheme; CSVs record it.  A point's symbol
-budget N (see `_planned_symbols`) is fixed from its floor's rates
-before its generator is made, so it sets N and leaves the scheme as it
-is.
+budget N (`_planned_symbols`) is fixed from its floor's rates before its
+generator is made, so it sets N and leaves the scheme as it is.
 """
 
 from __future__ import annotations
@@ -73,7 +72,7 @@ import numpy as np
 from . import complexity
 from .beamformers import Beamformer, Method, as_method, compute, mallory_receiver
 from .errors import DegenerateChannelError, DmrbfError, DomainError, NumericalError, shown
-from .linalg import RANK_RTOL, hermitian_evd, vector_norm
+from .linalg import RANK_RTOL, vector_norm
 from .metrics import RatePoint, rate_point, sigma2_for_snr_db
 from .scenario import Scene, ScenarioConfig, admits, as_scalar, build_scene, stack_scenes
 
@@ -96,7 +95,7 @@ _CHUNK = 1 << 11
 _STACK_ENTRIES = 1 << 15
 
 #: Version of the Monte-Carlo random stream, written into every CSV.
-RNG_STREAM = 5
+RNG_STREAM = 6
 
 #: Above this chance of leaving the no-error ball a point draws every
 #: symbol plainly: a symbol conditioned to lie outside costs about 1.75
@@ -268,47 +267,46 @@ def _draw_block(
     return white.view(np.complex128)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # refused by name, not warned about
 def _output_roots(stack: Scene, weights: dict[Method, np.ndarray]) -> list[np.ndarray]:
     """Each point's factor ``G`` (M x r) of its stacked detector outputs' noise.
 
-    Every method detects ``y = w^H rx / g`` with ``g = sqrt(c1) w^H u``,
-    and everything in ``rx`` but the stream is CN(0, ``c_nbar``), so the
-    outputs are ``s + fold n`` with ``fold = W^H root / g``,
-    ``root root^H = c_nbar / 2`` and ``n`` white.  The thin SVD
-    ``fold = U S V^H`` keeps the ``r`` singular values above
-    ``RANK_RTOL * s_0``, and ``G = U_r S_r`` gives ``G G^H = fold fold^H``
-    up to directions of relative variance ``RANK_RTOL**2``, so ``G`` fed
-    with ``r`` white normals per symbol reproduces every output's noise
-    and their correlations.  ``weights`` holds each method's ``(P, n_b)``
-    weights; ``r`` may differ between points.
+    Each method detects ``y = w^H rx / g``, ``g = sqrt(c1) w^H u``, and all
+    of ``rx`` but the stream is CN(0, ``c_nbar``): ``y = s + fold n``, ``n``
+    white, ``fold = [sqrt(sigma_b2) W^H | sqrt(coef_b) W^H V_b | sqrt(coef_d)
+    W^H V_d] / (sqrt(2) g)`` from ``c_nbar``'s factors and the unit weights
+    ``W``, as the rates read them.  The thin SVD ``U S V^H`` of its rows,
+    each over its norm, keeps the ``r`` singular values above ``RANK_RTOL *
+    s_0``, and ``G = U_r S_r`` times the norms has ``G G^H = fold fold^H``
+    up to directions of relative variance ``RANK_RTOL**2`` of each output's
+    own: ``r`` white normals per symbol give each output its noise and each
+    pair its correlation.
 
-    A weight at right angles to ``u`` (``|w^H u| <= RANK_RTOL |w| |u|``),
-    or a gain that is exactly zero (no stream power), cannot equalize the
-    stream and is refused, naming its method; the angle test is relative,
-    so a weak but valid signal is not mistaken for none.
+    A weight at right angles to ``u`` (``|w^H u| <= RANK_RTOL |u|``, relative
+    so that a weak signal is not mistaken for none) or a zero gain (no stream
+    power) cannot equalize the stream and is refused, naming its method.
     """
-    evd = hermitian_evd(stack.cov.c_nbar, "c_nbar")
-    # clamped, not refused: no inverse is taken, and MRC must run at any noise level
-    root = evd.eigenvectors * np.sqrt(np.maximum(evd.eigenvalues, 0.0) / 2.0)[:, None, :]
-    c1, u = stack.cov.a.coef, stack.cov.a.factor[..., 0]
-    w_h = np.stack([w.conj() for w in weights.values()], axis=1)
-    along = (w_h @ u[..., None])[..., 0]
-    gains = np.sqrt(c1)[:, None] * along
-    lengths = vector_norm(w_h) * vector_norm(u)[:, None]
-    zero = (abs(along) <= RANK_RTOL * lengths) | (gains == 0.0)
+    a, b, d = stack.cov.a, stack.cov.b, stack.cov.d
+    w = np.stack([v / vector_norm(v)[..., None] for v in weights.values()], axis=1)  # as the rates
+    along = np.vecmat(w, a.factor[:, None])[..., 0]  # w^H u
+    gains = np.sqrt(a.coef)[:, None] * along
+    zero = (abs(along) <= RANK_RTOL * vector_norm(a.factor[..., 0])[:, None]) | (gains == 0.0)
     for method, refused in zip(weights, zero.T):
         if refused.any():
             raise DegenerateChannelError(
                 f"{Method(method).value}: effective complex gain is zero; "
                 "the stream cannot be equalized"
             )
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by name, not warned about
-        fold = (w_h @ root) / gains[..., None]
-    if not np.isfinite(fold).all():
+    amps = [np.sqrt(t.coef)[:, None, None] * np.vecmat(w, t.factor[:, None]) for t in (b, d)]
+    fold = np.concatenate([np.sqrt(stack.sigma_b2_watt)[:, None, None] * w.conj(), *amps], axis=-1)
+    fold /= math.sqrt(2.0) * gains[..., None]
+    norms = np.hypot.reduce(abs(fold), axis=-1, keepdims=True)  # no square to overflow
+    rows = fold / norms
+    if not np.isfinite(rows).all():
         raise NumericalError("stacked detector noise matrix is not finite")
-    left, sv, _ = np.linalg.svd(fold, full_matrices=False)
+    left, sv, _ = np.linalg.svd(rows, full_matrices=False)
     keep = sv > RANK_RTOL * sv[:, :1]
-    return [lf[:, k] * s[k] for lf, s, k in zip(left, sv, keep)]
+    return [g[:, k] for g, k in zip(norms * left * sv[:, None, :], keep)]
 
 
 def _draw_runs(

@@ -429,7 +429,7 @@ class Scene:
     sigma_m2_watt: np.float64 | np.ndarray
     cfg: ScenarioConfig | None = None
 
-    n_b = property(lambda self: self.cov.c_nbar.shape[-1])
+    n_b = property(lambda self: self.cov.a.factor.shape[-2])
     n_m = property(lambda self: self.cov.e.factor.shape[-2])
     n_j = property(lambda self: self.cov.r_m.factor.shape[-1])
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -134,3 +135,31 @@ def fixed_budget_runs(cfg: ScenarioConfig, methods, n_symbols: int, seed: int, i
     """
     (floor,) = ber._floors(cfg, tuple(methods), "p_m_watt", (cfg.p_m_watt,))
     return ber._draw_runs(floor.root, tuple(methods), n_symbols, point_rng(seed, index))
+
+
+def _log_binom_pmf(k: int, n: int, p: float) -> float:
+    return (
+        math.lgamma(n + 1)
+        - math.lgamma(k + 1)
+        - math.lgamma(n - k + 1)
+        + k * math.log(p)
+        + (n - k) * math.log1p(-p)
+    )
+
+
+def binomial_two_sided_p(k: int, n: int, p: float) -> float:
+    """Exact two-sided tail of Binomial(n, p) at ``k`` (twice the smaller
+    one-sided tail, capped at 1)."""
+    if p <= 0.0:
+        return 1.0 if k == 0 else 0.0
+    # the pmf falls monotonically away from the mode, so sum the tail
+    # beyond k outward and stop once the terms no longer count
+    step = -1 if k <= n * p else 1
+    tail, j = 0.0, k
+    while 0 <= j <= n:
+        term = math.exp(_log_binom_pmf(j, n, p))
+        tail += term
+        if term < 1e-17 * tail:
+            break
+        j += step
+    return min(1.0, 2.0 * tail)

@@ -57,6 +57,14 @@ def aligned(a: np.ndarray, b: np.ndarray) -> float:
     return abs(np.vdot(a, b)) / (np.linalg.norm(a) * np.linalg.norm(b))
 
 
+def woodbury_solve(terms, sigma2: float, sig: np.ndarray) -> np.ndarray:
+    """``c^{-1} sig`` times ``sigma2``, for ``c = sum coef V V^H + sigma2 I``,
+    by Woodbury on the terms' factors: no n x n matrix is formed."""
+    v = np.concatenate([np.sqrt(t.coef) * t.factor for t in terms], axis=-1)
+    small = sigma2 * np.eye(v.shape[-1]) + v.conj().T @ v
+    return sig - v @ np.linalg.solve(small, v.conj().T @ sig)
+
+
 def test_all_weights_unit_norm():
     rng = np.random.default_rng(401)
     for _ in range(20):
@@ -247,10 +255,11 @@ _FAR_BOB = {"sigma_b2_watt": 1.7e308, "d_ab_km": 2e16}
     [
         (_FAR_BOB, Method.WFMRC, DegenerateChannelError),
         (_FAR_BOB, Method.MAX_SR, DegenerateChannelError),
-        # the MMSE solve's backward-error denominator overflows first
+        # the MMSE solve's x is so small beside O that the squares of its
+        # backward error underflow: 0 / 0, refused as NaN
         (_FAR_BOB, Method.MMSE, NumericalError),
         (_FAR_BOB, Method.NSP_WFRP, DegenerateChannelError),
-        # as MMSE's, Mallory's chain solve's backward-error denominator overflows
+        # as MMSE's, Mallory's chain solve's backward error is 0 / 0
         ({"sigma_m2_watt": 8.98846567431158e307}, "mallory", NumericalError),
     ],
 )
@@ -390,11 +399,21 @@ def test_mallory_receiver_direction():
             )
         )
         cov = scene.cov
-        v = np.concatenate([np.sqrt(t.coef) * t.factor for t in (cov.f, cov.r_m)], axis=-1)
         e = link_matrix(scene.channels.am) @ scene.v_a
-        small = scene.sigma_m2_watt * np.eye(v.shape[-1]) + v.conj().T @ v
-        ref = e - v @ np.linalg.solve(small, v.conj().T @ e)
+        ref = woodbury_solve((cov.f, cov.r_m), scene.sigma_m2_watt, e)
         assert aligned(mallory_receiver(scene).weights, ref) >= 1.0 - 1e-6, seed
+
+
+def test_chains_serve_jamming_near_the_float_maximum():
+    # at 1e300 W of jamming |c_nbar|_F^2 and |c_m|_F^2 overflow; the solve
+    # check takes its backward error at a power-of-two scale of each matrix,
+    # so both chains are served and stay on the Woodbury directions
+    scene = build_scene(config_with(p_m_watt=1e300))
+    cov = scene.cov
+    bob = woodbury_solve((cov.b, cov.d), scene.sigma_b2_watt, cov.a.factor[:, 0])
+    eve = woodbury_solve((cov.f, cov.r_m), scene.sigma_m2_watt, cov.e.factor[:, 0])
+    assert aligned(compute(Method.LC_MMSE, scene).weights, bob) >= 1.0 - 1e-6
+    assert aligned(mallory_receiver(scene).weights, eve) >= 1.0 - 1e-6
 
 
 def test_mallory_covariance_beyond_the_float_range_is_refused_by_name():

@@ -1,6 +1,5 @@
 """Monte-Carlo BER machinery: intervals, rng discipline, detection, sweeps."""
 
-import dataclasses
 import math
 import re
 import tracemalloc
@@ -12,6 +11,7 @@ from dmrbf import (
     ConditioningError,
     DegenerateChannelError,
     DegenerateGeometryError,
+    DmrbfError,
     DomainError,
     Method,
     NumericalError,
@@ -32,7 +32,7 @@ from dmrbf import ber
 from dmrbf.ber import config_at, count_bit_errors
 from dmrbf.linalg import HPD_RTOL
 
-from conftest import config_with, fixed_budget_runs
+from conftest import binomial_two_sided_p, config_with, fixed_budget_runs
 
 
 def test_wilson_interval_basics():
@@ -179,34 +179,6 @@ def test_point_working_set_stays_small(snr_db):
     finally:
         tracemalloc.stop()
     assert peak < 300_000, peak
-
-
-def _log_binom_pmf(k: int, n: int, p: float) -> float:
-    return (
-        math.lgamma(n + 1)
-        - math.lgamma(k + 1)
-        - math.lgamma(n - k + 1)
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-
-
-def binomial_two_sided_p(k: int, n: int, p: float) -> float:
-    """Exact two-sided tail of Binomial(n, p) at ``k`` (twice the smaller
-    one-sided tail, capped at 1)."""
-    if p <= 0.0:
-        return 1.0 if k == 0 else 0.0
-    # the pmf falls monotonically away from the mode, so sum the tail
-    # beyond k outward and stop once the terms no longer count
-    step = -1 if k <= n * p else 1
-    tail, j = 0.0, k
-    while 0 <= j <= n:
-        term = math.exp(_log_binom_pmf(j, n, p))
-        tail += term
-        if term < 1e-17 * tail:
-            break
-        j += step
-    return min(1.0, 2.0 * tail)
 
 
 def test_binomial_tail_helper():
@@ -708,33 +680,39 @@ def test_stacked_floor_matches_one_point_at_a_time(cfg, axis, values, monkeypatc
 
 
 @pytest.mark.parametrize(
-    "methods, axis, values, error, message",
+    "cfg, methods, axis, values, error, message",
     [
         # point 1 fails at Mallory's combiner, point 2 already in its scene
         (
+            ScenarioConfig(),
             RECEIVE_METHODS,
             "snr_db",
             (0.0, 3000.0, 4000.0),
             NumericalError,
             "at snr_db = 3000: rank-one update chain solves c_m x = e to backward error nan",
         ),
-        # point 1 fails in WF-MRC's own step, point 2 earlier, at Mallory's
+        # point 1 fails in WF-MRC's own step, point 2 earlier, at Mallory's:
+        # 1e16 W of jamming at 10 dB is the default scene at 1e16 W
         (
+            config_with(p_m_watt=1e16),
             (Method.MRC, Method.WFMRC),
-            "p_m_watt",
-            (1.0, 1e16, 1e300),
+            "snr_db",
+            (-20.0, 10.0, 3000.0),
             ConditioningError,
-            "wfmrc at p_m_watt = 1e+16: interference-plus-noise covariance is not "
+            "wfmrc at snr_db = 10: interference-plus-noise covariance is not "
             "numerically positive definite (min eigenvalue {}, max {})",
         ),
     ],
     ids=["scene-after-mallory", "mallory-after-method"],
 )
-def test_sweep_raises_the_first_failing_point(methods, axis, values, error, message):
+def test_sweep_raises_the_first_failing_point(cfg, methods, axis, values, error, message):
     # the stacked floor fails at the later point's earlier step; the sweep
     # still reports the earlier point, as one point at a time would
     with pytest.raises(error) as exc:
-        sweep(ScenarioConfig(), methods, axis, values, 100, 0)
+        sweep(cfg, methods, axis, values, 100, 0)
+    # and the later point alone fails at Mallory's combiner or in its scene
+    with pytest.raises(DmrbfError, match=r"^at \S+ = \d+: "):
+        sweep(cfg, methods, axis, values[-1:], 100, 0)
     # the text around the eigenvalues is exact; the smallest eigenvalue at
     # cond ~ 1e15 is roundoff whose digits depend on the BLAS kernel, so
     # the numbers are checked by size: the largest, and the ratio refused
@@ -747,14 +725,30 @@ def test_sweep_raises_the_first_failing_point(methods, axis, values, error, mess
         assert lo <= HPD_RTOL * hi
 
 
-def test_output_root_names_c_nbar_when_it_refuses_it():
-    scene = build_scene(ScenarioConfig())
-    c_nbar = scene.cov.c_nbar.copy()
-    c_nbar[0, 1] = np.nan
-    bad = dataclasses.replace(scene, cov=dataclasses.replace(scene.cov, c_nbar=c_nbar))
-    weights = {Method.MRC: np.stack([compute(Method.MRC, scene).weights] * 2)}
-    with pytest.raises(DomainError, match="^c_nbar has a NaN or infinite entry$"):
-        ber._output_roots(stack_scenes((scene, bad)), weights)
+_HEAVY_JAMMING = (1e16, 1e18, 1e20, 1e30)
+_HEAVY_METHODS = (Method.MRC, Method.NSP_WFRP, Method.LC_MMSE)
+
+
+def test_ber_is_binomial_at_the_rates_sinr_under_heavy_jamming():
+    # jamming 1e16 W and more over 1 W of noise at 10 dB: the dense c_nbar
+    # no longer carries sigma_b2, and a fold of it put NSP-WFRP's and
+    # LC-MMSE's counts up to 270 half-widths off; the fold of the factors
+    # keeps every count Binomial(2N, Q(sqrt(SINR))) at the rates' SINR
+    cfg = config_at(ScenarioConfig(), "snr_db", 10.0)
+    for r in sweep(cfg, _HEAVY_METHODS, "p_m_watt", _HEAVY_JAMMING, 200_000, 0):
+        want = qpsk_awgn_ber(r.rates.sinr_bob)
+        assert abs(r.ber.ber - want) <= 4.0 * r.ber.ci95_halfwidth, (r.axis_value, r.method)
+
+
+@pytest.mark.parametrize("p_m_watt", [*_HEAVY_JAMMING, 1e300])
+def test_output_noise_is_the_noise_the_rates_read(p_m_watt):
+    # each output's noise variance diag(G G^H) is 1 / (2 SINR) at the SINR
+    # the rates report: one reading of Bob's noise through the weights
+    cfg = config_at(config_with(p_m_watt=p_m_watt), "snr_db", 10.0)
+    (floor,) = ber._floors(cfg, _HEAVY_METHODS, "p_m_watt", (p_m_watt,))
+    sinr = np.array([floor.rates[m].sinr_bob for m in _HEAVY_METHODS])
+    var = np.sum(abs(floor.root) ** 2, axis=1)
+    np.testing.assert_allclose(2.0 * var * sinr, 1.0, rtol=1e-12, atol=0.0)
 
 
 def test_output_root_refuses_a_weight_at_right_angles_to_the_signal():
